@@ -1,47 +1,16 @@
-"""Seed derivation and deterministic parallel evaluation helpers.
+"""Seed derivation.
 
 Randomized searches evaluate independent work items (fold candidates,
 bootstrap repetitions, PBT generations).  Each item draws from its own
-generator derived from (master seed, item key), so results are identical
-for any chunking or worker count.
+generator derived from (master seed, item key), so an item's result does
+not depend on which other items are evaluated, or in what order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
     """Generator for the stream keyed by the given integer tuple."""
     return np.random.default_rng(np.random.SeedSequence(tuple(int(e) for e in entropy)))
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
-
-
-def thread_map(
-    fn: Callable[[T], R], items: Sequence[T], threads: int | None = None
-) -> list[R]:
-    """Order-preserving map, optionally on a thread pool.
-
-    The work items must be independent; results are returned in input
-    order, so any reduction over them is worker-count independent.
-    """
-    threads = default_threads() if threads is None else max(1, int(threads))
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def chunk_ranges(total: int, chunk_size: int) -> list[range]:
-    """Split range(total) into fixed-size chunks (independent of threads)."""
-    return [range(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]

@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import thread_map
 from .core import EnsembleSet, LabelcalError, LabelMatrix, ProbMatrix
 from .metrics import (
     DEFAULT_TICK_DIVISOR,
@@ -115,13 +114,14 @@ def grid_search_thresholds(
     grid_step: float = DEFAULT_GRID_STEP,
     low_range: tuple[float, float] = DEFAULT_LOW_RANGE,
     high_range: tuple[float, float] = DEFAULT_HIGH_RANGE,
-    threads: int | None = 1,
 ) -> tuple[Thresholds, float]:
     """Exhaustive grid search minimizing the label-count error rate.
 
     Ties are broken by the smallest p_low, then the smallest p_high.
     ``oof_probs`` should be out-of-fold predictions (see
-    ``out_of_fold``), matching how the error is defined.
+    ``out_of_fold``), matching how the error is defined.  Pairs are
+    screened with prefix sums of the sorted columns; those that screen
+    near the minimum are scored again with the direct formula.
     """
     if oof_probs.values.shape != truth.values.shape:
         raise LabelcalError(
@@ -129,22 +129,42 @@ def grid_search_thresholds(
             f"annotation matrix {truth.values.shape}"
         )
     lows, highs = threshold_grid(low_range, high_range, grid_step)
-    pairs = [(lo, hi) for lo in lows for hi in highs if lo <= hi]
-    if not pairs:
+    lo_idx, hi_idx = np.nonzero(lows[:, None] <= highs[None, :])  # row-major pairs
+    if lo_idx.size == 0:
         raise LabelcalError("empty threshold grid")
     true_counts = truth.values.sum(axis=0).astype(np.float64)
     if not (true_counts > 0).any():
         raise UndefinedMetricError("every label has zero true count")
     values = oof_probs.values
+    n, n_labels = values.shape
 
-    def evaluate(indexed_pair: tuple[int, tuple[float, float]]):
-        idx, (lo, hi) = indexed_pair
-        return _mean_count_error(values, true_counts, lo, hi), idx
+    # Entries below p_low add 0 and entries above p_high add 1, so with
+    # a = #(v < p_low) and b = #(v <= p_high) a truncated column sums to
+    # prefix[b] - prefix[a] + (n - b) over the sorted column.
+    ordered = np.sort(values, axis=0)
+    prefix = np.vstack([np.zeros(n_labels), np.cumsum(ordered, axis=0)])
+    below = np.stack([np.searchsorted(c, lows, side="left") for c in ordered.T], axis=1)
+    upto = np.stack([np.searchsorted(c, highs, side="right") for c in ordered.T], axis=1)
+    cols = np.arange(n_labels)
+    sums = (prefix[upto, cols] + (n - upto))[hi_idx] - prefix[below, cols][lo_idx]
+    screened = np.nanmean(relative_count_errors(sums, true_counts), axis=1)
 
-    results = thread_map(evaluate, list(enumerate(pairs)), threads)
-    error, idx = min(results)
-    lo, hi = pairs[idx]
-    return Thresholds(float(lo), float(hi)), float(error)
+    # Rounding: a column sum of n values in [0, 1] is off by at most
+    # n^2 * eps / 2, summed directly or as prefix[b] - prefix[a], so the
+    # screened and direct sums differ by under 3 * n^2 * eps.  Relative
+    # errors are at most n / (smallest positive true count), and forming
+    # and averaging them adds under (2 + n_labels) * n * eps / that count
+    # on either side.  ``bound`` covers both for every pair, so each pair
+    # with the minimal direct error screens within 2 * bound of the
+    # screened minimum and is scored again below.
+    eps = np.finfo(np.float64).eps
+    bound = 4.0 * n * (n + n_labels) * eps / true_counts[true_counts > 0].min()
+    near = np.flatnonzero(screened <= screened.min() + 2.0 * bound)
+    error, best = min(
+        (_mean_count_error(values, true_counts, lows[lo_idx[p]], highs[hi_idx[p]]), p)
+        for p in near
+    )
+    return Thresholds(float(lows[lo_idx[best]]), float(highs[hi_idx[best]])), float(error)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +193,11 @@ def frequency_blocks(
     return blocks
 
 
-def _treatments(thresholds: Thresholds) -> list[tuple[str, Thresholds | None]]:
+def _treatments(probs: ProbMatrix, thresholds: Thresholds) -> list[tuple[str, ProbMatrix]]:
     return [
-        ("no_truncation", None),
-        ("low_only", Thresholds(thresholds.p_low, 1.0)),
-        ("low_and_high", thresholds),
+        ("no_truncation", probs),
+        ("low_only", truncate(probs, Thresholds(thresholds.p_low, 1.0))),
+        ("low_and_high", truncate(probs, thresholds)),
     ]
 
 
@@ -190,18 +210,18 @@ def count_error_table(
     are no truncation / low threshold only / both thresholds.
     """
     true_counts = truth.values.sum(axis=0).astype(np.float64)
+    errors = {
+        treatment: relative_count_errors(matrix.values.sum(axis=0), true_counts)
+        for treatment, matrix in _treatments(oof_probs, thresholds)
+    }
     rows = frequency_blocks(truth) + [(f"1-{truth.n_labels} (cumulated)", np.arange(truth.n_labels))]
     table = {"thresholds": {"p_low": thresholds.p_low, "p_high": thresholds.p_high}, "rows": []}
     for name, cols in rows:
         row = {"labels": name}
-        for treatment, t in _treatments(thresholds):
-            if t is None:
-                values = oof_probs.values
-            else:
-                values = truncate_values(oof_probs.values, t.p_low, t.p_high)
-            errors = relative_count_errors(values.sum(axis=0), true_counts)[cols]
+        for treatment, per_label in errors.items():
+            block = per_label[cols]
             row[treatment] = (
-                float(np.nanmean(errors)) if not np.all(np.isnan(errors)) else None
+                float(np.nanmean(block)) if not np.all(np.isnan(block)) else None
             )
         table["rows"].append(row)
     return table
@@ -216,16 +236,18 @@ def tendency_error_table(
 ) -> dict:
     """Tendency error rates per frequency block and treatment (percent)."""
     truth_series = tendency_series_from_matrix(truth, years, tick_divisor)
+    pred_series = {
+        treatment: tendency_series_from_matrix(matrix, years, tick_divisor)
+        for treatment, matrix in _treatments(oof_probs, thresholds)
+    }
     rows = frequency_blocks(truth) + [(f"1-{truth.n_labels} (cumulated)", np.arange(truth.n_labels))]
     table = {"thresholds": {"p_low": thresholds.p_low, "p_high": thresholds.p_high}, "rows": []}
     for name, cols in rows:
         names = [truth.labels[j] for j in cols]
         row = {"labels": name}
-        for treatment, t in _treatments(thresholds):
-            matrix = oof_probs if t is None else truncate(oof_probs, t)
-            pred_series = tendency_series_from_matrix(matrix, years, tick_divisor)
+        for treatment, series in pred_series.items():
             row[treatment] = tendency_error(
-                {n: pred_series[n] for n in names},
+                {n: series[n] for n in names},
                 {n: truth_series[n] for n in names},
             )
         table["rows"].append(row)

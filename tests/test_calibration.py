@@ -169,11 +169,25 @@ class TestGridSearch:
             assert (t.p_low, t.p_high) == (lo, hi)
             assert err == e
 
-    def test_thread_count_does_not_change_result(self):
-        probs, truth = rare_label_instance(5)
-        a = grid_search_thresholds(probs, truth, grid_step=0.05, threads=1)
-        b = grid_search_thresholds(probs, truth, grid_step=0.05, threads=4)
-        assert a == b
+    def test_matches_oracle_on_grid_points_duplicates_and_ties(self):
+        lows, highs = threshold_grid((0.0, 0.5), (0.5, 1.0), 0.05)
+        points = np.concatenate([lows, highs])
+        rng = np.random.default_rng(44)
+        for seed in range(12):
+            n = int(rng.integers(2, 40))
+            y = rng.integers(0, 2, size=(n, 4))
+            y[0] = 1
+            values = rng.choice(points, size=(n, 4))  # every value is a threshold
+            values[:, 1], y[:, 1] = values[:, 0], y[:, 0]  # duplicated column
+            if seed % 3 == 0:
+                values[:, 2] = y[:, 2]  # a 0/1 column: every pair ties on it
+            names = tuple(f"l{j}" for j in range(4))
+            t, err = grid_search_thresholds(
+                ProbMatrix(names, values), LabelMatrix(names, y), grid_step=0.05
+            )
+            e, lo, hi = grid_search_oracle(values, y, 0.05, (0.0, 0.5), (0.5, 1.0))
+            assert (t.p_low, t.p_high) == (lo, hi)
+            assert err == e
 
     def test_minimizer_beats_no_truncation_and_half(self):
         probs, truth = rare_label_instance(6)

@@ -73,6 +73,35 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         assert dispatch(["no-such-command"]) == 1
 
+    def test_threads_flag_is_usage_error(self, tmp_path, probs_csv, truth_csv):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.5\n0.25\n", encoding="utf-8")
+        out = str(tmp_path / "o.json")
+        for argv in (
+            ["folds", "--labels", truth_csv, "--k", "3", "--candidates", "5"],
+            ["calibrate", "--oof", probs_csv, "--truth", truth_csv, "--step", "0.25"],
+            ["size-curve", "--scores", str(scores), "--sizes", "1", "2", "1",
+             "--reps", "2", "--resamples", "5"],
+        ):
+            assert dispatch(argv + ["--out", out]) == 0
+            assert dispatch(argv + ["--threads", "2", "--out", out]) == 1
+
+    def test_bad_years_line_is_data_error(self, tmp_path, probs_csv, truth_csv, capsys):
+        years = tmp_path / "years.txt"
+        years.write_text("1990\n\n19x1\n" + "1992\n" * 27, encoding="utf-8")
+        code = dispatch(["calibrate", "--oof", probs_csv, "--truth", truth_csv,
+                         "--years", str(years), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert "non-integer year on line 3" in capsys.readouterr().err
+
+    def test_bad_scores_line_is_data_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.5\n0.25\nnope\n", encoding="utf-8")
+        code = dispatch(["size-curve", "--scores", str(scores), "--sizes", "1", "2", "1",
+                         "--out", str(tmp_path / "curve.json")])
+        assert code == 2
+        assert "malformed number on line 3" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = dispatch(
             ["truncate", "--probs", str(tmp_path / "nope.csv"),
@@ -93,15 +122,12 @@ class TestExitCodes:
 
 
 class TestFoldsCommand:
-    def test_byte_identical_across_runs_and_threads(self, tmp_path, truth_csv):
+    def test_byte_identical_across_runs(self, tmp_path, truth_csv):
         out = str(tmp_path / "folds.csv")
         argv = ["folds", "--labels", truth_csv, "--k", "3", "--candidates", "200",
                 "--seed", "7", "--out", out]
         first, second = run_twice(argv, [out, out + ".score.json"])
         assert first == second
-        assert dispatch(argv[:-1] + [out, "--threads", "4"]) == 0
-        threaded = [open(p, "rb").read() for p in (out, out + ".score.json")]
-        assert threaded == first
 
     def test_output_shape(self, tmp_path, truth_csv):
         out = str(tmp_path / "folds.csv")

@@ -7,6 +7,7 @@ import pytest
 
 from labelcal.core import LabelcalError, LabelMatrix
 from labelcal.folds import (
+    _CHUNK,
     FoldAssignment,
     candidate_partition,
     partition_score,
@@ -89,15 +90,27 @@ class TestStratifiedKfold:
         np.testing.assert_allclose(out.score, 0.0, atol=1e-15)
         np.testing.assert_array_equal(out.fold_of, candidate_partition(5, 0, 10, 2))
 
-    def test_deterministic_and_thread_independent(self):
-        rng = np.random.default_rng(32)
-        labels = LabelMatrix(
-            tuple(f"l{j}" for j in range(4)), rng.integers(0, 2, size=(30, 4))
+    def test_winner_in_later_chunk_matches_exhaustive_scoring(self):
+        rng = np.random.default_rng(5)
+        labels = LabelMatrix(tuple("abcde"), (rng.random((60, 5)) < 0.3).astype(int))
+        candidates = _CHUNK + 400
+        scores = [
+            tuple(partition_score(labels, candidate_partition(5, c, 60, 4), 4))
+            for c in range(candidates)
+        ]
+        best = min(range(candidates), key=lambda c: (scores[c], c))
+        assert best >= _CHUNK
+        out = stratified_kfold(labels, k=4, candidates=candidates, seed=5)
+        np.testing.assert_array_equal(out.fold_of, candidate_partition(5, best, 60, 4))
+        assert tuple(out.score) == scores[best]
+
+    def test_all_candidates_tie_across_chunks_keeps_first(self):
+        labels = LabelMatrix(("a", "b"), np.zeros((9, 2), dtype=int))
+        out = stratified_kfold(labels, k=3, candidates=2 * _CHUNK + 5, seed=4)
+        np.testing.assert_array_equal(out.fold_of, candidate_partition(4, 0, 9, 3))
+        np.testing.assert_array_equal(
+            out.score, partition_score(labels, candidate_partition(4, 0, 9, 3), 3)
         )
-        a = stratified_kfold(labels, k=3, candidates=2500, seed=7, threads=1)
-        b = stratified_kfold(labels, k=3, candidates=2500, seed=7, threads=4)
-        np.testing.assert_array_equal(a.fold_of, b.fold_of)
-        np.testing.assert_array_equal(a.score, b.score)
 
     def test_more_candidates_never_hurt(self):
         rng = np.random.default_rng(33)

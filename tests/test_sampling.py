@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, spearmanr
 
+from labelcal._util import derive_rng
 from labelcal.core import LabelcalError, ProbMatrix, concat_labels
 from labelcal.sampling import (
     SizingCurve,
@@ -197,12 +198,19 @@ class TestSizingCurve:
         rho, _ = spearmanr(curve.sizes, curve.mean_std)
         assert rho < 0
 
-    def test_thread_count_does_not_change_curve(self):
+    def test_each_point_matches_its_own_draws(self):
         rng = np.random.default_rng(58)
         scores = rng.normal(size=300)
-        a = sizing_curve(scores, sizes=(50, 80), reps=6, resamples=100, seed=3, threads=1)
-        b = sizing_curve(scores, sizes=(50, 80), reps=6, resamples=100, seed=3, threads=4)
-        assert a == b
+        curve = sizing_curve(scores, sizes=(50, 80), reps=6, resamples=100, seed=3)
+        for size, mean_std in zip(curve.sizes, curve.mean_std):
+            stds = []
+            for rep in range(6):
+                draw = derive_rng(3, size, rep)
+                subset = draw.choice(300, size=size, replace=False)
+                stds.append(bootstrap_std(scores[subset], 100, seed=draw))
+            assert mean_std == float(np.mean(stds))
+        alone = sizing_curve(scores, sizes=(80,), reps=6, resamples=100, seed=3)
+        assert alone.mean_std == curve.mean_std[1:]
 
     def test_oversized_request_rejected(self):
         with pytest.raises(LabelcalError, match="exceeds"):
