@@ -25,6 +25,7 @@ from . import __version__
 from . import calibration, folds, metrics, pbt, relnet, sampling, segmentation
 from .core import (
     LabelcalError,
+    atomic_write,
     load_label_matrix,
     load_prob_matrix,
     load_texts,
@@ -44,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_dump(payload, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -110,9 +111,7 @@ def _cmd_segment(args) -> list[str]:
     pages = sorted({p.first_page for p in paragraphs})
     per_page = [[p for p in paragraphs if p.first_page == n] for n in pages]
     merged = segmentation.merge_cross_page(per_page, mode=args.merge_mode)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for record in merged:
-            fh.write(json.dumps(record.to_json(), ensure_ascii=False, sort_keys=True) + "\n")
+    save_texts([record.to_json() for record in merged], args.out)
     return [str(f) for f in files]
 
 
@@ -154,7 +153,7 @@ def _cmd_folds(args) -> list[str]:
         assignment = folds.stratified_kfold(
             labels, k=args.k, candidates=args.candidates, seed=args.seed
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         fh.write("id,fold\n")
         for i, fold in enumerate(assignment.fold_of):
             fh.write(f"{i},{fold}\n")
@@ -300,10 +299,10 @@ def _cmd_relnet(args) -> list[str]:
         net = relnet.network_from_probabilities(probs)
         inputs.append(args.probs)
     layout = relnet.kamada_kawai_layout(net, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         fh.write(relnet.export_dot(net, layout, min_weight=args.min_weight))
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.json_out) as fh:
             fh.write(relnet.export_weights_json(net))
     return inputs
 

@@ -3,7 +3,8 @@
 Matrices are stored as CSV with a label-name header row.  Values are
 written with 17 significant digits so that a load -> save -> load cycle
 is bit-identical.  Text corpora are JSON-lines records with ``id`` and
-``text`` fields.
+``text`` fields.  Every output file is written through ``atomic_write``,
+so a failed write leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -233,6 +236,36 @@ def concat_labels(*matrices: ProbMatrix) -> ProbMatrix:
 
 
 # ---------------------------------------------------------------------------
+# File output
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def atomic_write(path: str, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file that replaces ``path`` only once the block succeeds.
+
+    Writes go to a fresh temporary file in the target's directory, which
+    ``os.replace`` moves onto ``path`` when the block exits normally.  If
+    the block raises, the temporary file is removed and ``path`` (absent
+    or not) is left as it was.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # Matrix file I/O
 # ---------------------------------------------------------------------------
 
@@ -293,7 +326,7 @@ def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
 
 def save_prob_matrix(matrix: ProbMatrix | LabelMatrix, path: str) -> None:
     """Write a probability or annotation matrix as CSV (see ``format_matrix``)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(format_matrix(matrix.labels, matrix.values))
 
 
@@ -324,7 +357,7 @@ def load_texts(path: str) -> list[dict]:
 
 
 def save_texts(records: Iterable[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 

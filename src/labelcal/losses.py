@@ -2,8 +2,9 @@
 
 All losses work on raw logits and return both the scalar value and its
 gradient with respect to the logits.  Formulations are numerically
-stable: log-probabilities go through ``logaddexp`` / ``logsumexp``, never
-through a raw ``exp`` of a large logit.  Entropy is measured in nats.
+stable: log-probabilities go through ``np.logaddexp`` or the numpy
+``logsumexp`` port in ``labelcal._util``, never through a raw ``exp`` of
+a large logit.  Entropy is measured in nats.
 
 * ``focal_loss``            -- multilabel, independent sigmoid per label
 * ``ldam_loss``             -- multiclass, label-distribution-aware margins
@@ -15,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+
+from ._util import logsumexp
 
 DEFAULT_GAMMA = 2.0
 DEFAULT_MAX_MARGIN = 0.5
@@ -52,6 +54,10 @@ def focal_loss(
     Accepts arrays of any shape (logits and targets elementwise); the
     value sums over all entries, so a batch gives the batch total.
     """
+    # scipy's expit, not 1 / (1 + np.exp(-x)): numpy's SIMD exp differs
+    # from it in the last bit; imported here to keep scipy off start-up
+    from scipy.special import expit
+
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if alpha is not None and not 0.0 < alpha <= 1.0:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
+from ._util import average_ranks
 from .core import LabelcalError, LabelMatrix, ProbMatrix
 
 DEFAULT_ECE_BINS = 10
@@ -43,7 +43,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise UndefinedMetricError(
             f"ROC AUC undefined: {n_pos} positives, {n_neg} negatives"
         )
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
-from ._util import derive_rng
+from ._util import derive_rng, logsumexp
 from .core import LabelcalError
 from .losses import focal_loss, ldam_margins
 from .metrics import UndefinedMetricError, balanced_accuracy, roc_auc
@@ -391,6 +390,8 @@ class LinearTrainable:
     def evaluate(self) -> float:
         logits = self._logits(self.eval_idx)
         if self.spec.mode == "multilabel":
+            from scipy.special import expit  # see losses.focal_loss
+
             probs = expit(logits)
             truth = self.y[self.eval_idx]
             aucs = []

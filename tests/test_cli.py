@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, outputs, manifests, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import labelcal
 from labelcal.cli import dispatch
 
 HEADER = "level\tpage_num\tblock_num\tpar_num\tline_num\tword_num\tleft\ttop\twidth\theight\tconf\ttext"
@@ -108,6 +112,13 @@ class TestExitCodes:
              "--p-low", "0", "--p-high", "1", "--out", str(tmp_path / "q.csv")]
         )
         assert code == 2
+
+    def test_missing_output_directory_is_data_error(self, tmp_path, probs_csv, capsys):
+        out = tmp_path / "no-such-dir" / "q.csv"
+        code = dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.1",
+                         "--p-high", "0.9", "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
 
     def test_out_of_range_value_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -294,3 +305,35 @@ class TestPbtDemoCommand:
         payload = json.load(open(out))
         assert payload["generations"] == 3
         assert len(payload["history"]) == 3
+
+
+STARTUP_PROBE = """
+import json, pkgutil, sys
+import labelcal.cli
+try:
+    labelcal.cli.dispatch(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "not_loaded": sorted(
+        f"labelcal.{m.name}" for m in pkgutil.iter_modules(labelcal.__path__)
+        if f"labelcal.{m.name}" not in sys.modules
+    ),
+}))
+"""
+
+
+class TestStartup:
+    def test_cli_loads_every_submodule_and_no_scipy(self):
+        # scipy costs ~1 s of import time per CLI run; the bench tracer
+        # wraps only labelcal modules loaded at import, so all must be
+        src = os.path.dirname(os.path.dirname(labelcal.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        version, report = run.stdout.splitlines()
+        assert version == f"labelcal {labelcal.__version__}"
+        assert json.loads(report) == {"scipy": [], "not_loaded": []}

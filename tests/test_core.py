@@ -1,5 +1,7 @@
 """Data model and file I/O tests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from labelcal.core import (
     ProbMatrix,
     RaggedRowError,
     ValueRangeError,
+    atomic_write,
     concat_labels,
     ensemble_average,
     load_prob_matrix,
@@ -195,3 +198,47 @@ class TestTextRecords:
         path.write_text('{"id": 1}\n', encoding="utf-8")
         with pytest.raises(Exception, match="line 1"):
             load_texts(str(path))
+
+
+class TestAtomicWrite:
+    def test_success_replaces_target_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n", encoding="utf-8")
+        with atomic_write(str(target)) as fh:
+            fh.write("new\n")
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failure_mid_write_leaves_no_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(target)) as fh:
+                fh.write("partial\n" * 1000)
+                raise RuntimeError("stage failed")
+        assert os.listdir(tmp_path) == []
+
+    def test_failure_mid_write_keeps_existing_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(target)) as fh:
+                fh.write("partial\n")
+                raise RuntimeError("stage failed")
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_writer_failing_on_a_later_record_writes_nothing(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        save_texts([{"id": 1, "text": "a"}], str(path))
+        with pytest.raises(TypeError):
+            save_texts([{"id": 2, "text": "b"}, {"id": 3, "text": {"not", "json"}}],
+                       str(path))
+        assert load_texts(str(path)) == [{"id": 1, "text": "a"}]
+        assert os.listdir(tmp_path) == ["t.jsonl"]
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_write(str(target)) as fh:
+                fh.write("x")
+        assert info.value.filename == str(target)

@@ -5,7 +5,10 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from scipy.special import logsumexp as scipy_logsumexp  # noqa: E402
+from scipy.stats import rankdata  # noqa: E402
 
+from labelcal._util import average_ranks, logsumexp  # noqa: E402
 from labelcal.calibration import (  # noqa: E402
     _mean_count_error,
     grid_search_thresholds,
@@ -49,3 +52,29 @@ def test_grid_search_equals_exhaustive_direct_evaluation(instance):
     )
     assert (t.p_low, t.p_high) == pairs[best]
     assert err == e
+
+
+@st.composite
+def float_matrices(draw):
+    """Small float matrices; values from a small grid make ties and tied
+    maxima, the others reach magnitudes near 700 and -inf."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    grid = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    wide = st.one_of(
+        st.floats(-750.0, 750.0),
+        st.sampled_from([-np.inf, -700.0, -1.0, 0.0, 0.5, 2.0, 700.0]),
+    )
+    cells = st.lists(draw(st.sampled_from([grid, wide])),
+                     min_size=rows * cols, max_size=rows * cols)
+    return np.array(draw(cells), dtype=np.float64).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_matrices())
+def test_numpy_ports_equal_scipy_bit_for_bit(x):
+    for row in x:
+        assert np.array_equal(average_ranks(row), rankdata(row))
+    for axis in (None, 1):
+        assert np.array_equal(
+            logsumexp(x, axis=axis), scipy_logsumexp(x, axis=axis), equal_nan=True
+        )
