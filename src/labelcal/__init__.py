@@ -84,6 +84,7 @@ from .segmentation import (
     OcrToken,
     ParagraphRecord,
     bow_match,
+    bow_match_many,
     classify_paragraphs,
     dbscan,
     merge_cross_page,

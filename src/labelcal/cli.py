@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable
 
@@ -44,10 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _write_json(payload, fh) -> None:
+    json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _json_dump(payload, path: str) -> None:
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_json(payload, fh)
 
 
 def _sha256(path: str) -> str:
@@ -118,18 +123,18 @@ def _cmd_segment(args) -> list[str]:
 def _cmd_match(args) -> list[str]:
     quotes = load_texts(args.quotes)
     paragraphs = load_texts(args.paragraphs)
-    texts = [p["text"] for p in paragraphs]
-    results = []
-    for quote in quotes:
-        index, distance = segmentation.bow_match(quote["text"], texts)
-        results.append(
-            {
-                "quote_id": quote["id"],
-                "paragraph_id": paragraphs[index]["id"],
-                "paragraph_index": index,
-                "distance": distance,
-            }
-        )
+    matches = segmentation.bow_match_many(
+        [q["text"] for q in quotes], [p["text"] for p in paragraphs]
+    )
+    results = [
+        {
+            "quote_id": quote["id"],
+            "paragraph_id": paragraphs[index]["id"],
+            "paragraph_index": index,
+            "distance": distance,
+        }
+        for quote, (index, distance) in zip(quotes, matches)
+    ]
     _json_dump(results, args.out)
     return [args.quotes, args.paragraphs]
 
@@ -153,14 +158,12 @@ def _cmd_folds(args) -> list[str]:
         assignment = folds.stratified_kfold(
             labels, k=args.k, candidates=args.candidates, seed=args.seed
         )
-    with atomic_write(args.out) as fh:
+    # both files or neither: a failed second write discards the first
+    with atomic_write(args.out) as fh, atomic_write(args.out + ".score.json") as score_fh:
         fh.write("id,fold\n")
         for i, fold in enumerate(assignment.fold_of):
             fh.write(f"{i},{fold}\n")
-    _json_dump(
-        {"k": assignment.k, "score": list(assignment.score)},
-        args.out + ".score.json",
-    )
+        _write_json({"k": assignment.k, "score": list(assignment.score)}, score_fh)
     return [args.labels]
 
 
@@ -299,11 +302,13 @@ def _cmd_relnet(args) -> list[str]:
         net = relnet.network_from_probabilities(probs)
         inputs.append(args.probs)
     layout = relnet.kamada_kawai_layout(net, seed=args.seed)
-    with atomic_write(args.out) as fh:
+    # both files or neither: a failed second write discards the first
+    with atomic_write(args.out) as fh, (
+        atomic_write(args.json_out) if args.json_out else nullcontext()
+    ) as json_fh:
         fh.write(relnet.export_dot(net, layout, min_weight=args.min_weight))
-    if args.json_out:
-        with atomic_write(args.json_out) as fh:
-            fh.write(relnet.export_weights_json(net))
+        if json_fh is not None:
+            json_fh.write(relnet.export_weights_json(net))
     return inputs
 
 

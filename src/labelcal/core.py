@@ -270,9 +270,43 @@ def atomic_write(path: str, newline: str | None = None) -> Iterator[IO[str]]:
 # ---------------------------------------------------------------------------
 
 
+# The only bytes a matrix body may contain for numpy's C parser to read it.
+# Within this alphabet ``np.loadtxt`` and ``float()`` accept the same cells
+# and give the same bits; outside it they differ (loadtxt takes "0.5\x1c",
+# float() takes "1_0" and non-ASCII digits).
+_NUMERIC_BYTES = b"0123456789.eE+-,\n"
+
+
 def _parse_rows(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    """Label header and float64 values of a matrix CSV text.
+
+    The header is read with ``csv``.  When it is the first line and
+    unquoted, and the body after it is made only of ``_NUMERIC_BYTES``
+    with at least one data row, the body goes to numpy's C parser
+    (``np.loadtxt``), whose result is kept when it has one column per
+    label.  Every other text, and a body loadtxt rejects, is parsed cell
+    by cell with ``float()``, which names a bad cell by row and column.
+    """
+    first, _, body = text.partition("\n")
+    header = next(csv.reader([first]), None) if '"' not in first else None
+    if header and body.count("\n") < len(body) and body.isascii():
+        raw = body.encode("ascii")
+        if not raw.translate(None, _NUMERIC_BYTES):
+            try:
+                data = np.loadtxt(
+                    io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
+                    encoding="ascii",
+                )
+            except ValueError:
+                data = None
+            if data is not None and data.shape[1] == len(header):
+                return _check_labels(header), data
+    return _parse_cells(text, what)
+
+
+def _parse_cells(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The per-cell parser behind ``_parse_rows``: ``csv`` rows, ``float()`` cells."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise MatrixFormatError(f"{what}: missing header row")
     labels = _check_labels(rows[0])

@@ -159,15 +159,17 @@ def _circular_init(n: int, radius: float, seed: int) -> np.ndarray:
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _node_gradient(
-    pos: np.ndarray, m: int, dists: np.ndarray, springs: np.ndarray
+def _gradients(
+    pos: np.ndarray, rows: np.ndarray, dists: np.ndarray, springs: np.ndarray
 ) -> np.ndarray:
-    delta = pos[m] - pos
-    dist = np.sqrt((delta**2).sum(axis=1))
-    dist[m] = 1.0
-    factor = springs[m] * (1.0 - dists[m] / np.maximum(dist, 1e-12))
-    factor[m] = 0.0
-    return (factor[:, None] * delta).sum(axis=0)
+    """Stress gradient of each node in ``rows``, one row of the result each."""
+    r = np.arange(len(rows))
+    delta = pos[rows, None] - pos[None]
+    dist = np.sqrt((delta**2).sum(axis=2))
+    dist[r, rows] = 1.0
+    factor = springs[rows] * (1.0 - dists[rows] / np.maximum(dist, 1e-12))
+    factor[r, rows] = 0.0
+    return (factor[:, :, None] * delta).sum(axis=1)
 
 
 def _node_stress(
@@ -189,7 +191,7 @@ def _move_node(
 ) -> None:
     """Newton steps on node m, backtracking so its local stress never rises."""
     for _ in range(max_inner):
-        grad = _node_gradient(pos, m, dists, springs)
+        grad = _gradients(pos, np.array([m]), dists, springs)[0]
         if math.hypot(*grad) < tolerance:
             return
         delta = pos[m] - pos
@@ -255,8 +257,10 @@ def kamada_kawai_layout(
     np.fill_diagonal(springs, 0.0)
 
     pos = _circular_init(n, radius=float(dists.max()) / 2.0, seed=seed)
+    nodes = np.arange(n)
     for _ in range(iterations):
-        norms = [math.hypot(*_node_gradient(pos, m, dists, springs)) for m in range(n)]
+        grads = _gradients(pos, nodes, dists, springs).tolist()
+        norms = [math.hypot(gx, gy) for gx, gy in grads]
         worst = int(np.argmax(norms))
         if norms[worst] < tolerance:
             break

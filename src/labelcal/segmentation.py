@@ -15,6 +15,8 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -204,8 +206,8 @@ def paragraphs_from_tokens(tokens: Iterable[OcrToken]) -> list[ParagraphRecord]:
         page, block, par = key
         words = sorted(by_par[key], key=lambda t: (t.line, t.word))
         lines: list[LineBox] = []
-        for line_id in sorted({w.line for w in words}):
-            in_line = [w for w in words if w.line == line_id]
+        for _, group in groupby(words, key=attrgetter("line")):
+            in_line = list(group)
             lines.append(
                 LineBox(
                     page=page,
@@ -469,28 +471,55 @@ def bow_tokens(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def bow_match(quote: str, paragraphs: Sequence[str]) -> tuple[int, float]:
-    """Best paragraph for a quote under bag-of-words cosine distance.
+def bow_match_many(
+    quotes: Sequence[str], paragraphs: Sequence[str]
+) -> list[tuple[int, float]]:
+    """Best paragraph for each quote under bag-of-words cosine distance.
 
     Distance is 1 - cosine similarity of token-count vectors; ties go to
     the lowest index.  A paragraph with no tokens is at distance 1.
+    Every paragraph is tokenized once: an inverted index maps each quote
+    token to the paragraphs containing it and their counts, so a quote's
+    dot products and both norms are exact integers, as in a per-pair
+    token-count loop.
     """
+    if not quotes:
+        return []
     if not paragraphs:
         raise LabelcalError("bow_match needs at least one paragraph")
-    quote_counts = Counter(bow_tokens(quote))
-    if not quote_counts:
+    quote_counts = [Counter(bow_tokens(quote)) for quote in quotes]
+    if not all(quote_counts):
         raise LabelcalError("quote contains no alphanumeric tokens")
-    q_norm = np.sqrt(sum(v * v for v in quote_counts.values()))
-
-    best_index, best_distance = 0, np.inf
+    vocab = set().union(*quote_counts)
+    norm2 = np.empty(len(paragraphs), dtype=np.int64)
+    index: dict[str, tuple[list[int], list[int]]] = {t: ([], []) for t in vocab}
     for i, text in enumerate(paragraphs):
         counts = Counter(bow_tokens(text))
-        norm = np.sqrt(sum(v * v for v in counts.values()))
-        if norm == 0.0:
-            distance = 1.0
-        else:
-            dot = sum(quote_counts[t] * c for t, c in counts.items())
-            distance = max(0.0, 1.0 - dot / (q_norm * norm))
-        if distance < best_distance:
-            best_index, best_distance = i, distance
-    return best_index, float(best_distance)
+        norm2[i] = sum(v * v for v in counts.values())
+        for t in vocab.intersection(counts):
+            ids, cs = index[t]
+            ids.append(i)
+            cs.append(counts[t])
+    postings = {
+        t: (np.array(ids, dtype=np.int64), np.array(cs, dtype=np.int64))
+        for t, (ids, cs) in index.items()
+    }
+    norms = np.sqrt(norm2)
+    norms[norms == 0.0] = 1.0  # a token-less paragraph has dot 0: distance 1
+
+    results = []
+    for counts in quote_counts:
+        q_norm = np.sqrt(sum(v * v for v in counts.values()))
+        dot = np.zeros(len(paragraphs), dtype=np.int64)
+        for t, q in counts.items():
+            ids, cs = postings[t]
+            dot[ids] += q * cs
+        distance = np.maximum(0.0, 1.0 - dot / (q_norm * norms))
+        best = int(np.argmin(distance))
+        results.append((best, float(distance[best])))
+    return results
+
+
+def bow_match(quote: str, paragraphs: Sequence[str]) -> tuple[int, float]:
+    """Best paragraph for one quote; see ``bow_match_many``."""
+    return bow_match_many([quote], paragraphs)[0]

@@ -120,6 +120,20 @@ class TestExitCodes:
         assert code == 2
         assert str(out) in capsys.readouterr().err
 
+    def test_failed_second_output_leaves_neither_file(self, tmp_path, probs_csv, capsys):
+        code = dispatch(["relnet", "--probs", probs_csv, "--out", str(tmp_path / "g.dot"),
+                         "--json-out", str(tmp_path / "missing" / "w.json")])
+        assert code == 2
+        assert "w.json" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["probs.csv"]  # no g.dot, temp or manifest
+
+    def test_failed_score_file_leaves_no_folds_file(self, tmp_path, truth_csv):
+        (tmp_path / "folds.csv.score.json").mkdir()  # the score file cannot replace it
+        with pytest.raises(IsADirectoryError):
+            dispatch(["folds", "--labels", truth_csv, "--k", "3", "--candidates", "4",
+                      "--out", str(tmp_path / "folds.csv")])
+        assert sorted(os.listdir(tmp_path)) == ["folds.csv.score.json", "truth.csv"]
+
     def test_out_of_range_value_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n0.1,1.5\n", encoding="utf-8")

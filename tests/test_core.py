@@ -1,10 +1,13 @@
 """Data model and file I/O tests."""
 
+import csv
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from labelcal import core
 from labelcal.core import (
     DuplicateLabelError,
     EnsembleSet,
@@ -13,6 +16,8 @@ from labelcal.core import (
     ProbMatrix,
     RaggedRowError,
     ValueRangeError,
+    _parse_cells,
+    _parse_rows,
     atomic_write,
     concat_labels,
     ensemble_average,
@@ -79,6 +84,72 @@ class TestProbMatrixLoading:
         m = ProbMatrix(("a",), np.array([[0.5]]))
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.1
+
+
+def parse_outcome(parse, text):
+    """Labels, shape and value bits of a parse, or its exception type and message."""
+    try:
+        labels, data = parse(text, "m.csv")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return labels, data.shape, data.tobytes()
+
+
+EDGE_TEXTS = {
+    "underscore digits": "a\n1_0\n",
+    "fullwidth digit": "a\n\uff11\n",
+    "arabic-indic digit": "a\n\u0663\n",
+    "file separator": "a\n0.5\x1c\n",
+    "whitespace-only line": "a,b\n0.1,0.2\n \n",
+    "cr only": "a,b\r0.1,0.2\r",
+    "crlf": "a,b\r\n0.1,0.2\r\n0.3,0.4\r\n",
+    "quoted cells": 'a,b\n"0.1","0.2"\n',
+    "trailing comma": "a,b\n0.1,0.2,\n",
+    "nan and inf": "a,b,c\nnan,inf,-inf\n",
+    "underflow": "a,b\n1e-400,5e-324\n",
+    "header only": "a,b\n",
+    "single column": "a\n0.5\n0.25\n",
+    "ragged row": "a,b\n0.1,0.2\n0.3\n",
+    "empty cell": "a,b\n0.1,\n",
+    "blank lines": "\na,b\n\n0.1,0.2\n\n0.3,0.4",
+    "blank body lines": "a,b\n\n0.1,0.2\n\n\n0.3,0.4\n\n",
+    "no trailing newline": "a,b\n0.1,0.2",
+    "nul in header": "a\x00,b\n0.1,0.2\n",
+    "signs and bare points": "a,b,c,d\n-0,+.5,1.,1E+2\n",
+    "duplicate label": "a,a\n0.1,0.2\n",
+    "quoted header newline": '"a\nb",c\n0.1,0.2\n',
+}
+# bodies of numeric bytes only, with data rows: numpy's C parser reads them
+NUMERIC = ("underflow", "single column", "signs and bare points", "no trailing newline",
+           "blank body lines")
+
+
+class TestParseRows:
+    @pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS.keys())
+    def test_same_outcome_as_per_cell_parser(self, text):
+        assert parse_outcome(_parse_rows, text) == parse_outcome(_parse_cells, text)
+
+    @pytest.mark.parametrize("name", NUMERIC)
+    def test_numeric_body_skips_per_cell_parser(self, name):
+        with mock.patch.object(core, "_parse_cells", side_effect=AssertionError):
+            _parse_rows(EDGE_TEXTS[name], "m.csv")
+
+    def test_edge_values(self):
+        _, data = _parse_rows(EDGE_TEXTS["underflow"], "m.csv")
+        assert data.tolist() == [[0.0, 5e-324]]
+        _, data = _parse_rows(EDGE_TEXTS["signs and bare points"], "m.csv")
+        assert [v.hex() for v in data[0]] == ["-0x0.0p+0", "0x1.0000000000000p-1",
+                                              "0x1.0000000000000p+0", "0x1.9000000000000p+6"]
+        assert _parse_rows(EDGE_TEXTS["header only"], "m.csv")[1].shape == (0, 2)
+        assert _parse_rows(EDGE_TEXTS["single column"], "m.csv")[1].shape == (2, 1)
+        assert _parse_rows(EDGE_TEXTS["quoted header newline"], "m.csv")[0] == ("a\nb", "c")
+
+    def test_errors_keep_row_and_column(self):
+        assert parse_outcome(_parse_rows, EDGE_TEXTS["ragged row"]) == (
+            RaggedRowError, "m.csv: row 2 has 1 fields, expected 2")
+        assert parse_outcome(_parse_rows, EDGE_TEXTS["empty cell"]) == (
+            MalformedNumberError, "m.csv: malformed number '' at row 1, column 'b'")
+        assert parse_outcome(_parse_rows, EDGE_TEXTS["cr only"])[0] is csv.Error
 
 
 class TestLabelMatrix:

@@ -1,5 +1,8 @@
 """Property tests: invariants checked on generated inputs."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from scipy.special import logsumexp as scipy_logsumexp  # noqa: E402
 from scipy.stats import rankdata  # noqa: E402
 
+from labelcal import core  # noqa: E402
 from labelcal._util import average_ranks, logsumexp  # noqa: E402
 from labelcal.calibration import (  # noqa: E402
     _mean_count_error,
     grid_search_thresholds,
     threshold_grid,
 )
-from labelcal.core import LabelMatrix, ProbMatrix  # noqa: E402
+from labelcal.core import LabelMatrix, ProbMatrix, _parse_cells, _parse_rows  # noqa: E402
+from labelcal.segmentation import bow_match_many, bow_tokens  # noqa: E402
 
 STEP = 0.1
 LOWS, HIGHS = threshold_grid((0.0, 0.5), (0.5, 1.0), STEP)
@@ -78,3 +83,94 @@ def test_numpy_ports_equal_scipy_bit_for_bit(x):
         assert np.array_equal(
             logsumexp(x, axis=axis), scipy_logsumexp(x, axis=axis), equal_nan=True
         )
+
+
+def counter_loop_match(quote, paragraphs):
+    """The per-quote loop that ``bow_match_many`` replaced: every
+    paragraph re-tokenized into a Counter, scored, strict ``<`` kept."""
+    quote_counts = Counter(bow_tokens(quote))
+    q_norm = np.sqrt(sum(v * v for v in quote_counts.values()))
+    best_index, best_distance = 0, np.inf
+    for i, text in enumerate(paragraphs):
+        counts = Counter(bow_tokens(text))
+        norm = np.sqrt(sum(v * v for v in counts.values()))
+        if norm == 0.0:
+            distance = 1.0
+        else:
+            dot = sum(quote_counts[t] * c for t, c in counts.items())
+            distance = max(0.0, 1.0 - dot / (q_norm * norm))
+        if distance < best_distance:
+            best_index, best_distance = i, distance
+    return best_index, float(best_distance)
+
+
+# mixed case and non-ASCII words; the last three hold no token
+WORDS = ["alma", "Alma", "ALMA", "körte", "KÖRTE", "straße", "ω", "Ω", "x1", "12",
+         "a_b", "—", "...", "_"]
+
+
+@st.composite
+def match_corpora(draw):
+    """Quotes and paragraphs over a small vocabulary, so shared tokens,
+    equal bags and exact ties are common; some paragraphs are repeated,
+    some have no token, and quote-only words give quotes sharing none."""
+    text = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
+    paragraphs = draw(st.lists(text, min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        copy = paragraphs[draw(st.integers(0, len(paragraphs) - 1))]
+        paragraphs.insert(draw(st.integers(0, len(paragraphs))), copy)
+    quote = st.lists(st.sampled_from(WORDS + ["zzz", "Qqq"]), min_size=1, max_size=6)
+    quotes = draw(st.lists(quote.map(" ".join).filter(bow_tokens), min_size=1, max_size=4))
+    return quotes, paragraphs
+
+
+@settings(max_examples=300)
+@given(match_corpora())
+def test_bow_match_many_equals_counter_loop(corpus):
+    quotes, paragraphs = corpus
+    got = bow_match_many(quotes, paragraphs)
+    want = [counter_loop_match(q, paragraphs) for q in quotes]
+    assert [(i, d.hex()) for i, d in got] == [(i, d.hex()) for i, d in want]
+
+
+def parse_outcome(parse, text):
+    """Labels, shape and value bits of a parse, or its exception type and message."""
+    try:
+        labels, data = parse(text, "m.csv")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return labels, data.shape, data.tobytes()
+
+
+@st.composite
+def numeric_csv_texts(draw):
+    """Matrix texts whose bodies hold only the C parser's bytes: valid
+    numbers in several spellings, random strings over the same alphabet,
+    blank lines, and now and then a row one field too long."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    cell = st.one_of(
+        st.text("0123456789.eE+-", max_size=8),
+        floats.map(repr),
+        floats.map(lambda v: "%.17g" % v),
+        floats.map(lambda v: "%+.3e" % v),
+        st.sampled_from(["-0", "+.5", "1.", "007", "1e-400", "5e-324", "1E+308", "2e308"]),
+    )
+    cols = draw(st.integers(1, 3))
+    lines = [",".join(f"l{j}" for j in range(cols))]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        n = cols + (draw(st.integers(0, 9)) == 0)
+        lines.append(",".join(draw(cell) for _ in range(n)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=400)
+@given(numeric_csv_texts())
+def test_c_parser_path_equals_per_cell_parser(text):
+    want = parse_outcome(_parse_cells, text)
+    assert parse_outcome(_parse_rows, text) == want
+    if not isinstance(want[0], type) and want[1][0] > 0:
+        # a body the per-cell parser reads, the C parser reads too
+        with mock.patch.object(core, "_parse_cells", side_effect=AssertionError):
+            _parse_rows(text, "m.csv")

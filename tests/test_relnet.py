@@ -9,6 +9,7 @@ from labelcal.relnet import (
     Layout,
     RelationNetwork,
     _circular_init,
+    _gradients,
     export_dot,
     export_weights_json,
     kamada_kawai_layout,
@@ -140,6 +141,86 @@ class TestKamadaKawaiLayout:
         net = RelationNetwork(("a",), np.array([[1.0]]), np.ones(1))
         with pytest.raises(Exception, match="at least 2"):
             kamada_kawai_layout(net)
+
+
+def node_gradient(pos, m, dists, springs):
+    """The per-node gradient formula that ``_gradients`` replaced."""
+    delta = pos[m] - pos
+    dist = np.sqrt((delta**2).sum(axis=1))
+    dist[m] = 1.0
+    factor = springs[m] * (1.0 - dists[m] / np.maximum(dist, 1e-12))
+    factor[m] = 0.0
+    return (factor[:, None] * delta).sum(axis=0)
+
+
+def test_gradients_equal_per_node_formula_bit_for_bit():
+    rng = np.random.default_rng(64)
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        pos = rng.normal(size=(n, 2))
+        if trial % 3 == 0:  # coincident nodes: zero deltas and distances
+            pos[rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = pos[n - 1]
+        dists = rng.uniform(0.05, 2.0, size=(n, n))
+        dists = (dists + dists.T) / 2.0
+        np.fill_diagonal(dists, 0.0)
+        with np.errstate(divide="ignore"):
+            springs = 1.0 / dists**2
+        np.fill_diagonal(springs, 0.0)
+        every = _gradients(pos, np.arange(n), dists, springs)
+        for m in range(n):
+            want = node_gradient(pos, m, dists, springs).tobytes()
+            assert every[m].tobytes() == want
+            assert _gradients(pos, np.array([m]), dists, springs)[0].tobytes() == want
+
+
+# Positions and stress of a seeded 30-label layout, as float.hex strings,
+# recorded from the per-node gradient loop this module used before its
+# gradients were computed as one array.
+GOLDEN_POSITIONS = (
+    ("-0x1.3a2945caa2de7p-1", "0x1.1d57b9f248f0dp-2"),
+    ("-0x1.c5957850936eep-4", "-0x1.ecec0ba3ab58dp-2"),
+    ("0x1.942b1514ea76ap-3", "-0x1.8b03a0ed0b5bap-2"),
+    ("0x1.d3fa5552c11f0p-3", "0x1.8379969494daep-2"),
+    ("0x1.79e762d110679p-2", "0x1.22ae5b68341b8p-1"),
+    ("0x1.fbaeeaedf5616p-7", "-0x1.611712024337bp-1"),
+    ("-0x1.ea6e90f0b862ep-3", "-0x1.53ba884e67219p-1"),
+    ("-0x1.6665db2b84542p-2", "-0x1.0fc4939e8fd3fp-2"),
+    ("-0x1.6a8df9da20035p-2", "0x1.394b94461e520p-2"),
+    ("0x1.25385b408ff22p-1", "-0x1.a486d7796e06dp-2"),
+    ("-0x1.a896e3aa5b637p-2", "0x1.01e4919d9f011p-1"),
+    ("0x1.598fa7c804ed7p-1", "-0x1.ba7d2c693e41dp-3"),
+    ("0x1.a7ae1f95a0d0bp-2", "-0x1.b77a7d98275b7p-3"),
+    ("-0x1.06a2032526e09p-4", "0x1.03fb013a4999bp-2"),
+    ("0x1.5a2a6fb727414p-1", "0x1.b1d81d4b8fe0bp-3"),
+    ("-0x1.2d6f64802ac98p-1", "-0x1.5d99c201935dcp-2"),
+    ("0x1.c087cd28e78bdp-3", "-0x1.52e16e5ee0634p-1"),
+    ("0x1.02b5b4491726ep-3", "0x1.5ca2b1d792e12p-1"),
+    ("-0x1.af56c4048b742p-3", "0x1.37c1de4af800cp-1"),
+    ("-0x1.48ade93132738p-2", "0x1.2c7d4bd009983p-7"),
+    ("-0x1.b8010a1375a4ap-2", "-0x1.04b03de50fac2p-1"),
+    ("0x1.5f334b0509572p-1", "0x1.ebc5415d60c26p-10"),
+    ("0x1.c4970497d67d4p-2", "0x1.4725179a1a0e2p-3"),
+    ("-0x1.499fc38ed590bp-1", "-0x1.eef4cdbca8325p-4"),
+    ("0x1.88c62822d9daap-3", "0x1.3e05421cb5218p-5"),
+    ("-0x1.2f230c14f2deep-1", "0x1.42e135fddf28dp-4"),
+    ("-0x1.102c622a64c90p-5", "-0x1.529c5cc0cf3b3p-3"),
+    ("-0x1.39cd39d7b4c19p-6", "0x1.137566c393757p-1"),
+    ("0x1.13a9058f10f6dp-1", "0x1.a45464278a8b7p-2"),
+    ("0x1.b5a56fb56fb6bp-2", "-0x1.2d35a9f416bedp-1"),
+)
+GOLDEN_STRESS = "0x1.064264eea2bc9p+6"
+
+
+def test_golden_thirty_label_layout_is_bit_stable():
+    rng = np.random.default_rng(2024)
+    probs = rng.beta(0.3, 2.0, size=(300, 30))
+    names = tuple(f"l{j:02d}" for j in range(30))
+    layout = kamada_kawai_layout(
+        network_from_probabilities(ProbMatrix(names, probs)), seed=7
+    )
+    got = tuple((float(x).hex(), float(y).hex()) for x, y in layout.positions)
+    assert got == GOLDEN_POSITIONS
+    assert float(layout.stress).hex() == GOLDEN_STRESS
 
 
 class TestExportDot:

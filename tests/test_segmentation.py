@@ -12,6 +12,7 @@ from labelcal.segmentation import (
     ParagraphRecord,
     body_margins,
     bow_match,
+    bow_match_many,
     bow_tokens,
     classify_paragraphs,
     dbscan,
@@ -152,6 +153,19 @@ class TestParagraphAssembly:
         rows = [word_row(width=40, text="négy")]  # 4 chars, 40 px
         p = paragraphs_from_tokens(parse_ocr_tsv(tsv(*rows)))[0]
         assert p.char_width == 10.0
+
+    def test_unsorted_words_and_gapped_line_ids(self):
+        rows = [
+            word_row(line=7, word=2, left=160, top=140, text="c2"),
+            word_row(line=2, word=1, left=100, top=100, text="a1"),
+            word_row(line=7, word=1, left=100, top=140, width=30, text="c1"),
+            word_row(line=4, word=1, left=110, top=120, height=15, text="b1"),
+            word_row(line=2, word=2, left=160, top=98, text="a2"),
+        ]
+        p = paragraphs_from_tokens(parse_ocr_tsv(tsv(*rows)))[0]
+        assert [line.text for line in p.lines] == ["a1 a2", "b1", "c1 c2"]
+        assert [(l.left, l.top, l.right, l.bottom) for l in p.lines] == [
+            (100, 98, 210, 112), (110, 120, 160, 135), (100, 140, 210, 152)]
 
     def test_record_invariant_enforced(self):
         line = LineBox(1, 0, 0, 10, 10, "abc")
@@ -377,3 +391,23 @@ class TestBowMatch:
     def test_empty_quote_rejected(self):
         with pytest.raises(LabelcalError, match="token"):
             bow_match("—…!", ["alma"])
+
+    def test_no_paragraphs_rejected(self):
+        with pytest.raises(LabelcalError, match="at least one paragraph"):
+            bow_match("alma", [])
+
+    def test_many_quotes_in_one_pass(self):
+        corpus = ["—", "alma körte", "Alma KÖRTE", "szilva", "alma körte"]
+        # paragraphs 1, 2 and 4 hold the same bag of words; the lowest index wins
+        assert bow_match_many(["körte alma", "szilva szilva", "qqq"], corpus) == [
+            (1, 1.0 - 2 / (math.sqrt(2) * math.sqrt(2))), (3, 0.0), (0, 1.0)]
+
+    def test_token_less_paragraphs_are_at_distance_one(self):
+        assert bow_match_many(["alma"], ["—", "...", "körte"]) == [(0, 1.0)]
+
+    def test_no_quotes_give_no_matches(self):
+        assert bow_match_many([], []) == []
+
+    def test_any_token_less_quote_rejected(self):
+        with pytest.raises(LabelcalError, match="no alphanumeric tokens"):
+            bow_match_many(["alma", "—"], ["alma"])
