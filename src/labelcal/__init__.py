@@ -82,6 +82,7 @@ from .sampling import (
 )
 from .segmentation import (
     OcrToken,
+    OcrTokens,
     ParagraphRecord,
     bow_match,
     bow_match_many,

@@ -17,6 +17,8 @@ import json
 import sys
 import time
 from contextlib import nullcontext
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -103,9 +105,9 @@ def _cmd_segment(args) -> list[str]:
     files = sorted(path.glob("*.tsv")) if path.is_dir() else [path]
     if not files:
         raise LabelcalError(f"no .tsv files under {path}")
-    tokens = []
-    for f in files:
-        tokens.extend(segmentation.parse_ocr_tsv(f.read_text(encoding="utf-8")))
+    tokens = segmentation.OcrTokens.concat(
+        [segmentation.parse_ocr_tsv(f.read_text(encoding="utf-8")) for f in files]
+    )
     paragraphs = segmentation.paragraphs_from_tokens(tokens)
     if not paragraphs:
         raise LabelcalError("no paragraphs found in the input")
@@ -113,8 +115,8 @@ def _cmd_segment(args) -> list[str]:
         paragraphs, eps=args.eps, min_pts=args.min_pts
     )
     paragraphs = segmentation.with_classes(paragraphs, classes)
-    pages = sorted({p.first_page for p in paragraphs})
-    per_page = [[p for p in paragraphs if p.first_page == n] for n in pages]
+    # paragraphs come in page order: one pass splits them into pages
+    per_page = [list(page) for _, page in groupby(paragraphs, key=attrgetter("first_page"))]
     merged = segmentation.merge_cross_page(per_page, mode=args.merge_mode)
     save_texts([record.to_json() for record in merged], args.out)
     return [str(f) for f in files]
@@ -463,7 +465,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"labelcal: error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, LabelcalError) as exc:
+    except (OSError, LabelcalError) as exc:
         print(f"labelcal: error: {exc}", file=sys.stderr)
         return 2
 

@@ -259,7 +259,10 @@ def atomic_write(path: str, newline: str | None = None) -> Iterator[IO[str]]:
     try:
         with open(fd, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name the target, not the temporary file
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -288,7 +291,10 @@ def _parse_rows(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
     by cell with ``float()``, which names a bad cell by row and column.
     """
     first, _, body = text.partition("\n")
-    header = next(csv.reader([first]), None) if '"' not in first else None
+    try:
+        header = next(csv.reader([first]), None) if '"' not in first else None
+    except csv.Error:  # e.g. a CR-only file: _parse_cells reports it
+        header = None
     if header and body.count("\n") < len(body) and body.isascii():
         raw = body.encode("ascii")
         if not raw.translate(None, _NUMERIC_BYTES):
@@ -306,7 +312,11 @@ def _parse_rows(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _parse_cells(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
     """The per-cell parser behind ``_parse_rows``: ``csv`` rows, ``float()`` cells."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. CR-only line ends, which csv cannot split
+        raise MatrixFormatError(f"{what}: malformed CSV on line {reader.line_num}: {exc}") from None
     if not rows:
         raise MatrixFormatError(f"{what}: missing header row")
     labels = _check_labels(rows[0])
@@ -351,10 +361,8 @@ def load_label_matrix(path: str, kind: str = "multilabel") -> LabelMatrix:
 def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
     """Render a matrix as CSV text with 17-significant-digit values."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(labels)
-    for row in np.asarray(values):
-        writer.writerow(["%.17g" % v for v in row])
+    csv.writer(out, lineterminator="\n").writerow(labels)
+    np.savetxt(out, np.asarray(values), fmt="%.17g", delimiter=",")
     return out.getvalue()
 
 

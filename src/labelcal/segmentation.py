@@ -3,7 +3,12 @@ type classification, cross-page paragraph merging, and quote matching.
 
 Input is the standard 12-column word-box table (level, page_num,
 block_num, par_num, line_num, word_num, left, top, width, height, conf,
-text).  Paragraph classes come from density clustering on character-size
+text).  It is read into columns (``OcrTokens``): by numpy's C parser
+when every numeric field is a plain ASCII number, otherwise row by row,
+which names the first bad line.  Paragraphs are assembled from one
+stable sort of the word keys and per-line array reductions.  Paragraph
+classes come from density clustering (DBSCAN over a dense distance
+matrix, one breadth-first frontier per array step) on character-size
 statistics; page-boundary merges use the two typographic cues - the last
 line reaching the right margin and the next page's first line not being
 indented.
@@ -11,11 +16,12 @@ indented.
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -26,6 +32,18 @@ from .core import LabelcalError
 TSV_COLUMNS = (
     "level", "page_num", "block_num", "par_num", "line_num", "word_num",
     "left", "top", "width", "height", "conf", "text",
+)
+# The integer fields, in ``OcrToken`` field order (page ... height).
+_INT_FIELDS = TSV_COLUMNS[1:10]
+# Integer fields must lie strictly inside +-2**31, so that box edges, width
+# sums and the float64 statistics made from them are exact.
+_FIELD_LIMIT = 2**31
+# The bytes an integer field and ``conf`` may hold for the fast parser.
+_INT_BYTES = b"0123456789+-"
+_FLOAT_BYTES = b"0123456789+-.eE"
+_ROW_DTYPE = np.dtype([("fields", np.int64, (len(_INT_FIELDS),)), ("conf", np.float64)])
+_int_fields = attrgetter(
+    "page", "block", "paragraph", "line", "word", "left", "top", "width", "height"
 )
 RIGHT_TOL_CHAR_WIDTHS = 1.5
 INDENT_TOL_CHAR_WIDTHS = 1.0
@@ -59,10 +77,54 @@ class OcrToken:
             )
         if min(self.page, self.block, self.paragraph, self.line, self.word) < 0:
             raise OcrFormatError(f"token {self.text!r} has a negative index")
+        if not all(-_FIELD_LIMIT < v < _FIELD_LIMIT for v in _int_fields(self)):
+            raise OcrFormatError(f"token {self.text!r} has a field outside +-2**31")
 
     @property
     def right(self) -> int:
         return self.left + self.width
+
+
+@dataclass(frozen=True, eq=False)
+class OcrTokens(Sequence[OcrToken]):
+    """Word boxes held as columns; ``tokens[i]`` is the ``OcrToken`` of row i.
+
+    ``fields`` is an (n, 9) int64 array of the integer fields in
+    ``OcrToken`` order (page, block, paragraph, line, word, left, top,
+    width, height), ``confidence`` an (n,) float64 array and ``texts``
+    the n word texts.
+    """
+
+    fields: np.ndarray
+    confidence: np.ndarray
+    texts: list[str]
+
+    @classmethod
+    def of(cls, tokens: Iterable[OcrToken]) -> OcrTokens:
+        """The tokens as columns (``tokens`` itself when it already is)."""
+        if isinstance(tokens, cls):
+            return tokens
+        tokens = list(tokens)
+        return cls(
+            np.array([_int_fields(t) for t in tokens], dtype=np.int64).reshape(-1, 9),
+            np.array([t.confidence for t in tokens], dtype=np.float64),
+            [t.text for t in tokens],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[OcrTokens]) -> OcrTokens:
+        """The rows of ``parts``, one after another."""
+        return cls(
+            np.concatenate([p.fields for p in parts]),
+            np.concatenate([p.confidence for p in parts]),
+            [text for p in parts for text in p.texts],
+        )
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i: int) -> OcrToken:
+        return OcrToken(*self.fields[i].tolist(), float(self.confidence[i]), self.texts[i])
 
 
 @dataclass(frozen=True)
@@ -132,8 +194,13 @@ class ParagraphRecord:
         }
 
 
-def parse_ocr_tsv(text: str) -> list[OcrToken]:
-    """Parse the word-box table; rows with empty text are skipped."""
+def parse_ocr_tsv(text: str) -> OcrTokens:
+    """Parse the word-box table; rows with empty text are skipped.
+
+    A table the numpy fast path (``_parse_columns``) can vouch for is read
+    as columns; any other goes to the per-row parser, which gives the
+    line-numbered error messages.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise OcrFormatError("missing header row")
@@ -143,7 +210,61 @@ def parse_ocr_tsv(text: str) -> list[OcrToken]:
         if name not in header:
             raise OcrFormatError(f"missing column {name!r} in header")
         index[name] = header.index(name)
+    tokens = _parse_columns(lines, header, index)
+    return tokens if tokens is not None else _parse_token_rows(lines, header, index)
 
+
+def _parse_columns(
+    lines: list[str], header: list[str], index: dict[str, int]
+) -> OcrTokens | None:
+    """The whole table at once, or None when it cannot be vouched for.
+
+    Every row must have one field per header column, and the integer
+    fields and ``conf`` must be made of ``_INT_BYTES`` and ``_FLOAT_BYTES``:
+    within those alphabets numpy's C parser (``np.loadtxt``) accepts
+    exactly what ``int()`` and ``float()`` accept, with the same values.
+    The rows with non-blank text must also pass ``OcrToken``'s checks; the
+    per-row parser names the line that fails.
+    """
+    n_rows, n_cols = len(lines) - 1, len(header)
+    # surrogatepass: a lone surrogate in a text field cannot stop the
+    # encoding, and loadtxt decodes as latin-1, which reads any byte
+    raw = ("\n".join(lines[1:]) + "\n").encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero((buf == 9) | (buf == 10))  # the byte closing each field
+    if ends.size != n_rows * n_cols or not (buf[ends[n_cols - 1 :: n_cols]] == 10).all():
+        return None
+    fields = "\t".join(lines[1:]).split("\t")  # row-major, n_cols per row
+    int_cols = [index[name] for name in _INT_FIELDS]
+    for cols, alphabet in ((int_cols, _INT_BYTES), ([index["conf"]], _FLOAT_BYTES)):
+        chars = "".join(["".join(fields[c::n_cols]) for c in cols])
+        if not chars.isascii() or chars.encode("ascii").translate(None, alphabet):
+            return None
+    try:
+        table = np.loadtxt(
+            io.BytesIO(raw), dtype=_ROW_DTYPE, delimiter="\t", comments=None,
+            usecols=int_cols + [index["conf"]], encoding="latin-1", ndmin=1,
+        )
+    except ValueError:
+        return None
+    texts = fields[index["text"] :: n_cols]
+    keep = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=n_rows)
+    values = table["fields"][keep]
+    if not (
+        (values[:, :5] >= 0).all()
+        and (values[:, 7:] > 0).all()
+        and ((-_FIELD_LIMIT < values) & (values < _FIELD_LIMIT)).all()
+    ):
+        return None
+    return OcrTokens(values, table["conf"][keep], list(compress(texts, keep)))
+
+
+def _parse_token_rows(
+    lines: list[str], header: list[str], index: dict[str, int]
+) -> OcrTokens:
+    """The per-row parser behind ``parse_ocr_tsv``: ``int()``/``float()``
+    fields and one validated ``OcrToken`` per row, failing at the first
+    bad line with its number."""
     tokens = []
     for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -174,69 +295,105 @@ def parse_ocr_tsv(text: str) -> list[OcrToken]:
             raise OcrFormatError(
                 f"line {n}: non-numeric conf field {fields[index['conf']]!r}"
             ) from None
+        ints = [intfield(name) for name in _INT_FIELDS]
         try:
-            tokens.append(
-                OcrToken(
-                    page=intfield("page_num"),
-                    block=intfield("block_num"),
-                    paragraph=intfield("par_num"),
-                    line=intfield("line_num"),
-                    word=intfield("word_num"),
-                    left=intfield("left"),
-                    top=intfield("top"),
-                    width=intfield("width"),
-                    height=intfield("height"),
-                    confidence=conf,
-                    text=word_text,
-                )
-            )
+            tokens.append(OcrToken(*ints, confidence=conf, text=word_text))
         except OcrFormatError as exc:
             raise OcrFormatError(f"line {n}: {exc}") from None
-    return tokens
+    return OcrTokens.of(tokens)
 
 
 def paragraphs_from_tokens(tokens: Iterable[OcrToken]) -> list[ParagraphRecord]:
-    """Group word boxes into per-page paragraphs with layout statistics."""
-    by_par: dict[tuple[int, int, int], list[OcrToken]] = {}
-    for token in tokens:
-        by_par.setdefault((token.page, token.block, token.paragraph), []).append(token)
+    """Group word boxes into per-page paragraphs with layout statistics.
+
+    One stable sort puts the words in (page, block, paragraph, line, word)
+    order, so words with equal keys keep their input order; the lines of
+    a paragraph are its runs of equal line numbers.  Works on the columns
+    of ``OcrTokens``; any other iterable of tokens is converted first.
+    """
+    tokens = OcrTokens.of(tokens)
+    if not len(tokens):
+        return []
+    order = np.lexsort(tokens.fields[:, 4::-1].T)  # the page column is the primary key
+    page, block, par, line, _, left, top, width, height = tokens.fields[order].T
+    texts = [tokens.texts[i] for i in order.tolist()]
+    n_chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    new_par = (page[1:] != page[:-1]) | (block[1:] != block[:-1]) | (par[1:] != par[:-1])
+    par_start = np.flatnonzero(np.r_[True, new_par])
+    line_start = np.flatnonzero(np.r_[True, new_par | (line[1:] != line[:-1])])
+    line_end = np.r_[line_start[1:], len(texts)]
+
+    lines = list(map(
+        LineBox,
+        page[line_start].tolist(),
+        np.minimum.reduceat(left, line_start).tolist(),
+        np.minimum.reduceat(top, line_start).tolist(),
+        np.maximum.reduceat(left + width, line_start).tolist(),
+        np.maximum.reduceat(top + height, line_start).tolist(),
+        [" ".join(texts[a:b]) for a, b in zip(line_start.tolist(), line_end.tolist())],
+    ))
+    chars = np.add.reduceat(n_chars, par_start)
+    if not chars.all():
+        raise LabelcalError("a paragraph's word boxes hold no text")
+    char_width = (np.add.reduceat(width, par_start) / chars).tolist()
+    char_height = _weighted_medians(height, n_chars, par_start).tolist()
+    line_bounds = np.r_[np.searchsorted(line_start, par_start), len(lines)].tolist()
 
     records = []
-    for key in sorted(by_par):
-        page, block, par = key
-        words = sorted(by_par[key], key=lambda t: (t.line, t.word))
-        lines: list[LineBox] = []
-        for _, group in groupby(words, key=attrgetter("line")):
-            in_line = list(group)
-            lines.append(
-                LineBox(
-                    page=page,
-                    left=min(w.left for w in in_line),
-                    top=min(w.top for w in in_line),
-                    right=max(w.right for w in in_line),
-                    bottom=max(w.top + w.height for w in in_line),
-                    text=" ".join(w.text for w in in_line),
-                )
-            )
-        heights = np.repeat([w.height for w in words], [len(w.text) for w in words])
-        n_chars = sum(len(w.text) for w in words)
+    keys = zip(*(column[par_start].tolist() for column in (page, block, par)))
+    for p, (pg, bl, pa) in enumerate(keys):
+        par_lines = tuple(lines[line_bounds[p] : line_bounds[p + 1]])
         records.append(
             ParagraphRecord(
-                record_id=f"p{page:04d}_b{block:03d}_p{par:03d}",
-                first_page=page,
-                last_page=page,
-                lines=tuple(lines),
-                text=" ".join(line.text for line in lines),
-                char_height=float(np.median(heights)),
-                char_width=sum(w.width for w in words) / n_chars,
+                record_id=f"p{pg:04d}_b{bl:03d}_p{pa:03d}",
+                first_page=pg,
+                last_page=pg,
+                lines=par_lines,
+                text=" ".join(line.text for line in par_lines),
+                char_height=char_height[p],
+                char_width=char_width[p],
             )
         )
     return records
 
 
+def _weighted_medians(values: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.median(np.repeat(values, weights))`` of each run that begins at
+    ``starts``, with the same bits for integer values below 2**52.
+
+    Each run is sorted by value; the median is the mean of the values at
+    the two middle positions of the repeated run (the one middle position
+    twice when its length is odd), as ``np.median`` takes it.
+    """
+    run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(values)]))
+    order = np.lexsort((values, run))
+    ends = np.cumsum(weights[order])  # one past each value's last repeated position
+    totals = np.add.reduceat(weights, starts)
+    base = np.cumsum(totals) - totals
+    lo = values[order][np.searchsorted(ends, base + (totals - 1) // 2, side="right")]
+    hi = values[order][np.searchsorted(ends, base + totals // 2, side="right")]
+    return (lo + hi) / 2
+
+
 # ---------------------------------------------------------------------------
 # DBSCAN
 # ---------------------------------------------------------------------------
+
+
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between all rows of an m x d array.
+
+    The squared coordinate differences are added in coordinate order, one
+    m x m array at a time.  For d < 8 this gives the bits of
+    ``sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))``, which
+    numpy sums in order below 8 terms (pairwise from 8 on), without its
+    m x m x d temporaries.
+    """
+    total = np.zeros((points.shape[0],) * 2)
+    for column in points.T:
+        delta = column[:, None] - column[None, :]
+        total += np.square(delta, out=delta)
+    return np.sqrt(total, out=total)
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -246,7 +403,9 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     (inclusive, counting itself).  Clusters are the connected components
     of the core points, numbered by first-visited order over ascending
     point index; border points join the cluster of their nearest core
-    neighbor, which makes the partition independent of point order.
+    neighbor (the lowest index on a tie), which makes the partition
+    independent of point order.  Each component is labelled breadth-first,
+    one whole frontier per step.
     """
     if eps <= 0:
         raise LabelcalError(f"eps must be > 0, got {eps}")
@@ -260,30 +419,24 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     if m == 0:
         return labels
 
-    delta = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((delta**2).sum(axis=2))
+    dist = _pairwise_distances(points)
     within = dist <= eps
     core = within.sum(axis=1) >= min_pts
+    to_core = within & core  # row i: the core points within eps of point i
 
     cluster = 0
-    for start in range(m):
-        if not core[start] or labels[start] != -1:
+    for start in np.flatnonzero(core).tolist():
+        if labels[start] != -1:
             continue
-        queue = [start]
-        labels[start] = cluster
-        while queue:
-            current = queue.pop()
-            for neighbor in np.nonzero(within[current] & core)[0]:
-                if labels[neighbor] == -1:
-                    labels[neighbor] = cluster
-                    queue.append(neighbor)
+        frontier = np.array([start])
+        while frontier.size:
+            labels[frontier] = cluster
+            frontier = np.flatnonzero(to_core[frontier].any(axis=0) & (labels == -1))
         cluster += 1
 
-    border = ~core
-    for i in np.nonzero(border)[0]:
-        reachable = np.nonzero(within[i] & core)[0]
-        if reachable.size:
-            labels[i] = labels[reachable[np.argmin(dist[i, reachable])]]
+    border = np.flatnonzero(~core & to_core.any(axis=1))
+    nearest = np.where(to_core[border], dist[border], np.inf).argmin(axis=1)
+    labels[border] = labels[nearest]
     return labels
 
 
@@ -291,9 +444,11 @@ def _k_distance_eps(features: np.ndarray, min_pts: int) -> float:
     """k-distance heuristic: eps at the largest jump of sorted k-distances."""
     m = features.shape[0]
     k = min(min_pts, m) - 1  # distance to the min_pts'th point counting itself
-    delta = features[:, None, :] - features[None, :, :]
-    dist = np.sort(np.sqrt((delta**2).sum(axis=2)), axis=1)
-    kd = np.sort(dist[:, k] if k >= 0 else np.zeros(m))
+    kd = np.zeros(m)
+    if k >= 0:
+        dist = _pairwise_distances(features)
+        dist.partition(k, axis=1)
+        kd = np.sort(dist[:, k])
     if kd.size < 2 or kd[-1] == 0.0:
         return 1.0
     gaps = np.diff(kd)

@@ -127,12 +127,35 @@ class TestExitCodes:
         assert "w.json" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["probs.csv"]  # no g.dot, temp or manifest
 
-    def test_failed_score_file_leaves_no_folds_file(self, tmp_path, truth_csv):
+    def test_failed_score_file_leaves_no_folds_file(self, tmp_path, truth_csv, capsys):
         (tmp_path / "folds.csv.score.json").mkdir()  # the score file cannot replace it
-        with pytest.raises(IsADirectoryError):
-            dispatch(["folds", "--labels", truth_csv, "--k", "3", "--candidates", "4",
-                      "--out", str(tmp_path / "folds.csv")])
+        code = dispatch(["folds", "--labels", truth_csv, "--k", "3", "--candidates", "4",
+                         "--out", str(tmp_path / "folds.csv")])
+        assert code == 2
+        assert "labelcal: error:" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["folds.csv.score.json", "truth.csv"]
+
+    def test_output_path_that_is_a_directory_is_data_error(self, tmp_path, probs_csv, capsys):
+        out = tmp_path / "q.csv"
+        out.mkdir()
+        code = dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.1",
+                         "--p-high", "0.9", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("labelcal: error:") and "Is a directory" in err
+        assert f"'{out}'" in err and ".tmp" not in err  # names the target, not the temp file
+        assert sorted(os.listdir(tmp_path)) == ["probs.csv", "q.csv"]
+        assert not os.listdir(out)
+
+    def test_cr_only_matrix_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "cr.csv"
+        bad.write_bytes(b"a,b\r0.1,0.2\r")
+        code = dispatch(["truncate", "--probs", str(bad), "--p-low", "0.1",
+                         "--p-high", "0.9", "--out", str(tmp_path / "q.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("labelcal: error:") and str(bad) in err
+        assert sorted(os.listdir(tmp_path)) == ["cr.csv"]
 
     def test_out_of_range_value_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

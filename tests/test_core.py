@@ -1,6 +1,7 @@
 """Data model and file I/O tests."""
 
 import csv
+import io
 import os
 from unittest import mock
 
@@ -13,6 +14,7 @@ from labelcal.core import (
     EnsembleSet,
     LabelMatrix,
     MalformedNumberError,
+    MatrixFormatError,
     ProbMatrix,
     RaggedRowError,
     ValueRangeError,
@@ -21,6 +23,7 @@ from labelcal.core import (
     atomic_write,
     concat_labels,
     ensemble_average,
+    format_matrix,
     load_prob_matrix,
     load_texts,
     save_prob_matrix,
@@ -149,7 +152,34 @@ class TestParseRows:
             RaggedRowError, "m.csv: row 2 has 1 fields, expected 2")
         assert parse_outcome(_parse_rows, EDGE_TEXTS["empty cell"]) == (
             MalformedNumberError, "m.csv: malformed number '' at row 1, column 'b'")
-        assert parse_outcome(_parse_rows, EDGE_TEXTS["cr only"])[0] is csv.Error
+        error, message = parse_outcome(_parse_rows, EDGE_TEXTS["cr only"])
+        assert error is MatrixFormatError  # csv's own wording differs between Pythons
+        assert message.startswith("m.csv: malformed CSV on line 1: new-line character")
+
+
+def format_matrix_per_row(labels, values):
+    """The per-row ``csv.writer`` body that ``format_matrix`` replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(labels)
+    for row in np.asarray(values):
+        writer.writerow(["%.17g" % v for v in row])
+    return out.getvalue()
+
+
+class TestFormatMatrix:
+    @pytest.mark.parametrize("values", [
+        [[-0.0, 0.0, float("nan")], [float("inf"), float("-inf"), 5e-324],
+         [1.0, 0.1, 1 / 3], [1e308, -2.5e-310, 0.30000000000000004]],
+        [[0.0], [1.0]],
+        np.empty((0, 3)),
+        np.random.default_rng(5).random((50, 7)),
+        np.random.default_rng(6).integers(0, 2, size=(20, 4)).astype(float),
+    ], ids=["specials", "one column", "no rows", "random", "binary"])
+    def test_same_bytes_as_per_row_writer(self, values):
+        labels = [f"l{j}" for j in range(np.shape(values)[1])]
+        labels[0] = 'quoted "name", with comma'
+        assert format_matrix(labels, values) == format_matrix_per_row(labels, values)
 
 
 class TestLabelMatrix:

@@ -1,6 +1,10 @@
 """Property tests: invariants checked on generated inputs."""
 
+import json
 from collections import Counter
+from contextlib import nullcontext
+from itertools import groupby
+from operator import attrgetter
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from scipy.special import logsumexp as scipy_logsumexp  # noqa: E402
 from scipy.stats import rankdata  # noqa: E402
 
-from labelcal import core  # noqa: E402
+from labelcal import core, segmentation  # noqa: E402
 from labelcal._util import average_ranks, logsumexp  # noqa: E402
 from labelcal.calibration import (  # noqa: E402
     _mean_count_error,
@@ -19,7 +23,16 @@ from labelcal.calibration import (  # noqa: E402
     threshold_grid,
 )
 from labelcal.core import LabelMatrix, ProbMatrix, _parse_cells, _parse_rows  # noqa: E402
-from labelcal.segmentation import bow_match_many, bow_tokens  # noqa: E402
+from labelcal.segmentation import (  # noqa: E402
+    TSV_COLUMNS,
+    LineBox,
+    OcrToken,
+    ParagraphRecord,
+    bow_match_many,
+    bow_tokens,
+    paragraphs_from_tokens,
+    parse_ocr_tsv,
+)
 
 STEP = 0.1
 LOWS, HIGHS = threshold_grid((0.0, 0.5), (0.5, 1.0), STEP)
@@ -174,3 +187,127 @@ def test_c_parser_path_equals_per_cell_parser(text):
         # a body the per-cell parser reads, the C parser reads too
         with mock.patch.object(core, "_parse_cells", side_effect=AssertionError):
             _parse_rows(text, "m.csv")
+
+
+def ocr_outcome(text, columnar=True):
+    """Token fields of a parse (confidence as its bits), or its exception
+    type and message; ``columnar=False`` switches the fast path off."""
+    off = mock.patch.object(segmentation, "_parse_columns", return_value=None)
+    with nullcontext() if columnar else off:
+        try:
+            tokens = parse_ocr_tsv(text)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return [(*token[:9], token[9].hex(), token[10]) for token in map(tuple_of, tokens)]
+
+
+def tuple_of(token):
+    return (token.page, token.block, token.paragraph, token.line, token.word, token.left,
+            token.top, token.width, token.height, token.confidence, token.text)
+
+
+INT_CELLS = st.one_of(
+    st.integers(-2, 40).map(str),
+    st.text("0123456789+-", max_size=4),
+    st.sampled_from(["+5", " 5", "5 ", "1_0", "5.0", "5e1", "\uff15", "50\x1f", "x", "",
+                     str(2**31 - 1), str(2**31), str(-(2**31)), str(2**63), str(-(2**64))]),
+)
+CONF_CELLS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.text("0123456789.eE+-", max_size=5),
+    st.sampled_from(["-1", "95", ".5", "9.5e1", "nan", "inf", "1..2", "", "1_0"]),
+)
+
+
+@st.composite
+def ocr_tables(draw):
+    """Word-box tables: the standard or a permuted header (sometimes with
+    an extra column), clean rows of small valid numbers, or rows mixing
+    valid numbers with spellings only int()/float() or only numpy
+    accepts, blank texts, texts with '#', quotes or a tab, rows missing
+    their last field, blank lines and CRLF line ends."""
+    columns = TSV_COLUMNS + (("extra",) if draw(st.booleans()) else ())
+    header = draw(st.one_of(st.just(columns), st.permutations(columns)))
+    messy = draw(st.booleans())
+    ints = INT_CELLS if messy else st.integers(0, 40).map(str)
+    confs = CONF_CELLS if messy else st.integers(-1, 99).map(str)
+    text_chars = 'ab #"\'é' + ("\t" if messy else "")
+    texts = st.text(st.sampled_from(text_chars), max_size=4)
+    lines = ["\t".join(header)]
+    for _ in range(draw(st.integers(0 if messy else 1, 5))):
+        if messy and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        row = {"level": "5", "conf": draw(confs), "text": draw(texts), "extra": draw(texts)}
+        for name in TSV_COLUMNS[1:10]:
+            row[name] = draw(ints)
+        line = "\t".join(row[name] for name in header)
+        if messy and draw(st.integers(0, 5)) == 0:
+            line = line.rpartition("\t")[0]  # a short row, or a swallowed trailing tab
+        lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
+    return end.join(lines) + draw(st.sampled_from(["", end])), messy
+
+
+@settings(max_examples=400)
+@given(ocr_tables())
+def test_columnar_ocr_parser_equals_per_row_parser(table):
+    text, messy = table
+    want = ocr_outcome(text, columnar=False)
+    assert ocr_outcome(text) == want
+    if not messy and isinstance(want, list):
+        # a clean table the per-row parser reads, the columnar parser reads too
+        with mock.patch.object(segmentation, "_parse_token_rows", side_effect=AssertionError):
+            parse_ocr_tsv(text)
+
+
+def paragraphs_per_token(tokens):
+    """The per-token grouping that ``paragraphs_from_tokens`` replaced."""
+    by_par = {}
+    for token in tokens:
+        by_par.setdefault((token.page, token.block, token.paragraph), []).append(token)
+    records = []
+    for key in sorted(by_par):
+        page, block, par = key
+        words = sorted(by_par[key], key=lambda t: (t.line, t.word))
+        lines = []
+        for _, group in groupby(words, key=attrgetter("line")):
+            in_line = list(group)
+            lines.append(LineBox(
+                page=page,
+                left=min(w.left for w in in_line),
+                top=min(w.top for w in in_line),
+                right=max(w.right for w in in_line),
+                bottom=max(w.top + w.height for w in in_line),
+                text=" ".join(w.text for w in in_line),
+            ))
+        heights = np.repeat([w.height for w in words], [len(w.text) for w in words])
+        records.append(ParagraphRecord(
+            record_id=f"p{page:04d}_b{block:03d}_p{par:03d}",
+            first_page=page, last_page=page, lines=tuple(lines),
+            text=" ".join(line.text for line in lines),
+            char_height=float(np.median(heights)),
+            char_width=sum(w.width for w in words) / sum(len(w.text) for w in words),
+        ))
+    return records
+
+
+@st.composite
+def token_lists(draw):
+    """Word boxes over few page/block/paragraph/line/word values, so equal
+    keys in any input order are common; boxes up to the +-2**31 edge."""
+    small = st.integers(0, 2)
+    coord = st.one_of(st.integers(-50, 50), st.sampled_from([-(2**31) + 1, 2**31 - 1]))
+    size = st.one_of(st.integers(1, 30), st.just(2**31 - 1))
+    token = st.builds(
+        OcrToken, small, small, small, small, small, coord, coord, size, size,
+        st.floats(-1, 100), st.text("abcé#", min_size=1, max_size=6),
+    )
+    return draw(st.lists(token, min_size=1, max_size=30))
+
+
+@settings(max_examples=300)
+@given(token_lists())
+def test_paragraph_assembly_equals_per_token_grouping(tokens):
+    got = [p.to_json() for p in paragraphs_from_tokens(tokens)]
+    want = [p.to_json() for p in paragraphs_per_token(tokens)]
+    assert json.dumps(got) == json.dumps(want)  # floats by repr: the same bits

@@ -1,15 +1,21 @@
 """OCR parsing, clustering, paragraph classification, merging, matching."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from labelcal import segmentation
 from labelcal.core import LabelcalError
 from labelcal.segmentation import (
     LineBox,
     OcrFormatError,
+    OcrToken,
+    OcrTokens,
     ParagraphRecord,
+    _k_distance_eps,
+    _pairwise_distances,
     body_margins,
     bow_match,
     bow_match_many,
@@ -132,6 +138,130 @@ class TestParseOcrTsv:
         assert len(tokens) == 1
 
 
+def token_fields(tokens):
+    """Every field of every token, the confidence as its bits."""
+    return [
+        (t.page, t.block, t.paragraph, t.line, t.word, t.left, t.top, t.width,
+         t.height, t.confidence.hex(), t.text)
+        for t in tokens
+    ]
+
+
+def parse_outcome(text):
+    """Token fields of a parse, or its exception type and message."""
+    try:
+        return token_fields(parse_ocr_tsv(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def per_row_outcome(text):
+    """The same, with the columnar fast path switched off."""
+    with mock.patch.object(segmentation, "_parse_columns", return_value=None):
+        return parse_outcome(text)
+
+
+PERMUTED = "\t".join(["text", "conf", "height", "width", "top", "left", "word_num",
+                      "line_num", "par_num", "block_num", "page_num", "level", "extra"])
+OCR_EDGE_TEXTS = {
+    "plain": tsv(word_row(), word_row(word=2, left=160)),
+    "plus sign": tsv(word_row().replace("\t100\t", "\t+100\t", 1)),
+    "leading space": tsv(word_row().replace("\t100\t", "\t 100\t", 1)),
+    "trailing space": tsv(word_row().replace("\t100\t", "\t100 \t", 1)),
+    "underscore digits": tsv(word_row().replace("\t100\t", "\t1_00\t", 1)),
+    "float in int field": tsv(word_row(width="5.0")),
+    "exponent in int field": tsv(word_row(width="5e1")),
+    "fullwidth digits": tsv(word_row(width="\uff15\uff10")),
+    "unit separator": tsv(word_row(width="50\x1f")),  # loadtxt reads 50, int() fails
+    "file separator": tsv(word_row(width="50\x1c")),  # a line break to splitlines
+    "above int64": tsv(word_row(left=2**64)),
+    "int32 edge": tsv(word_row(left=-(2**31) + 1, top=2**31 - 1, width=2**31 - 1)),
+    "above int32": tsv(word_row(top=2**31)),
+    "below int32": tsv(word_row(left=-(2**31))),
+    "negative index": tsv(word_row(), word_row(line=-1)),
+    "negative left": tsv(word_row(left=-5)),
+    "zero width": tsv(word_row(), word_row(width=0)),
+    "negative height": tsv(word_row(height=-3)),
+    "empty int field": tsv(word_row(width="")),
+    "swallowed trailing tab": tsv(word_row(), word_row(text="")[:-1]),
+    "too many fields": tsv(word_row() + "\textra"),
+    # 13 + 11 fields: the right count of tabs overall, in the wrong rows
+    "tab in text, then a swallowed tab": tsv(word_row(text="a\tb"), word_row(text="")[:-1]),
+    "too few fields": tsv(word_row(), "5\t1\t1"),
+    "blank lines": HEADER + "\n\n" + word_row() + "\n   \n\t\t\n" + word_row(word=2) + "\n\n",
+    "header only": HEADER + "\n",
+    "no trailing newline": HEADER + "\n" + word_row(),
+    "crlf": HEADER + "\r\n" + word_row() + "\r\n" + word_row(word=2) + "\r\n",
+    "cr only": HEADER + "\r" + word_row() + "\r" + word_row(word=2) + "\r",
+    "line separator in text": tsv(word_row(text="a\u2028b")),
+    "permuted header": PERMUTED + "\n" + "\n".join(
+        "\t".join(reversed(word_row(word=w, text=t).split("\t"))) + "\tx"
+        for w, t in ((1, "első"), (2, "szó"))) + "\n",
+    "hash and quotes in text": tsv(word_row(text="#1"), word_row(word=2, text='"idézet"'),
+                                   word_row(word=3, text="'a'#")),
+    "blank texts skipped": tsv(word_row(text=""), word_row(word=2, text="  "),
+                               word_row(word=3, width=0, text=""), word_row(word=4)),
+    "bad numbers in a skipped row": tsv(word_row(width="x", text=""), word_row()),
+    "conf forms": tsv(word_row(conf="-1"), word_row(word=2, conf="9.5e1"),
+                      word_row(word=3, conf=".5"), word_row(word=4, conf="+7.")),
+    "conf nan and inf": tsv(word_row(conf="nan"), word_row(word=2, conf="-inf")),
+    "conf malformed": tsv(word_row(conf="9.5.1")),
+    "nul in text": tsv(word_row(text="a\x00b")),
+    "lone surrogate in text": tsv(word_row(text="a\ud800b")),
+    "non-ascii in level": tsv(word_row().replace("5", "\u0665", 1)),
+}
+# tables the columnar parser reads without the per-row parser
+FAST = ("plain", "plus sign", "int32 edge", "negative left", "no trailing newline", "crlf",
+        "permuted header", "hash and quotes in text", "blank texts skipped", "conf forms",
+        "nul in text", "lone surrogate in text", "non-ascii in level", "cr only")
+
+
+class TestParseEquivalence:
+    @pytest.mark.parametrize("text", OCR_EDGE_TEXTS.values(), ids=OCR_EDGE_TEXTS.keys())
+    def test_same_outcome_as_per_row_parser(self, text):
+        assert parse_outcome(text) == per_row_outcome(text)
+
+    @pytest.mark.parametrize("name", FAST)
+    def test_clean_tables_skip_per_row_parser(self, name):
+        with mock.patch.object(segmentation, "_parse_token_rows", side_effect=AssertionError):
+            parse_ocr_tsv(OCR_EDGE_TEXTS[name])
+
+    def test_values_and_messages(self):
+        outcome = parse_outcome
+        assert [t[5:9] for t in outcome(OCR_EDGE_TEXTS["int32 edge"])] == [
+            (-(2**31) + 1, 2**31 - 1, 2**31 - 1, 12)]
+        assert [t[5] for t in outcome(OCR_EDGE_TEXTS["plus sign"])] == [100]
+        assert [t[10] for t in outcome(OCR_EDGE_TEXTS["blank texts skipped"])] == ["szó"]
+        assert [t[10] for t in outcome(OCR_EDGE_TEXTS["permuted header"])] == ["első", "szó"]
+        assert outcome(OCR_EDGE_TEXTS["above int32"]) == (
+            OcrFormatError, "line 2: token 'szó' has a field outside +-2**31")
+        assert outcome(OCR_EDGE_TEXTS["above int64"])[0] is OcrFormatError
+        assert outcome(OCR_EDGE_TEXTS["zero width"]) == (
+            OcrFormatError, "line 3: token 'szó' has non-positive box 0x12")
+        assert outcome(OCR_EDGE_TEXTS["negative index"]) == (
+            OcrFormatError, "line 3: token 'szó' has a negative index")
+        assert outcome(OCR_EDGE_TEXTS["fullwidth digits"])[0][7] == 50  # int() reads them
+        assert outcome(OCR_EDGE_TEXTS["unit separator"]) == (
+            OcrFormatError, "line 2: non-numeric width field '50\\x1f'")
+        assert outcome(OCR_EDGE_TEXTS["file separator"]) == (
+            OcrFormatError, "line 2: 9 fields, expected 12")
+        assert outcome(OCR_EDGE_TEXTS["too few fields"]) == (
+            OcrFormatError, "line 3: 3 fields, expected 12")
+        assert outcome(OCR_EDGE_TEXTS["tab in text, then a swallowed tab"]) == (
+            OcrFormatError, "line 2: 13 fields, expected 12")
+
+    def test_token_sequence(self):
+        tokens = parse_ocr_tsv(OCR_EDGE_TEXTS["plain"])
+        assert isinstance(tokens, OcrTokens) and len(tokens) == 2
+        assert tokens[1] == OcrToken(1, 1, 1, 1, 2, 160, 100, 50, 12, 95.0, "szó")
+        assert tokens[-1] == tokens[1] and list(tokens) == [tokens[0], tokens[1]]
+        assert token_fields(OcrTokens.of(list(tokens))) == token_fields(tokens)
+        both = OcrTokens.concat([tokens, parse_ocr_tsv(tsv(word_row(page=2)))])
+        assert [t.page for t in both] == [1, 1, 2]
+        with pytest.raises(IndexError):
+            tokens[2]
+
+
 class TestParagraphAssembly:
     def test_text_is_lines_joined_by_spaces(self):
         rows = [
@@ -166,6 +296,41 @@ class TestParagraphAssembly:
         assert [line.text for line in p.lines] == ["a1 a2", "b1", "c1 c2"]
         assert [(l.left, l.top, l.right, l.bottom) for l in p.lines] == [
             (100, 98, 210, 112), (110, 120, 160, 135), (100, 140, 210, 152)]
+
+    def test_duplicate_keys_keep_input_order(self):
+        rows = [
+            word_row(line=2, word=1, left=300, top=130, text="d"),
+            word_row(line=1, word=1, left=100, text="a"),
+            word_row(line=2, word=1, left=200, top=120, height=20, text="c"),
+            word_row(line=1, word=1, left=50, width=10, text="b"),
+            word_row(page=0, line=1, word=1, text="e"),
+            word_row(line=1, word=0, left=400, text="z"),
+        ]
+        paragraphs = paragraphs_from_tokens(parse_ocr_tsv(tsv(*rows)))
+        assert [p.record_id for p in paragraphs] == ["p0000_b001_p001", "p0001_b001_p001"]
+        p = paragraphs[1]
+        assert [line.text for line in p.lines] == ["z a b", "d c"]
+        assert [(l.left, l.top, l.right, l.bottom) for l in p.lines] == [
+            (50, 100, 450, 112), (200, 120, 350, 142)]
+        # heights repeated per character: 12 12 12 12 20 -> median 12
+        assert p.char_height == 12.0 and p.char_width == 210 / 5
+
+    def test_char_height_is_character_weighted_median(self):
+        rows = [word_row(word=1, height=10, text="ab"), word_row(word=2, height=30, text="cd")]
+        p = paragraphs_from_tokens(parse_ocr_tsv(tsv(*rows)))[0]
+        assert p.char_height == float(np.median([10, 10, 30, 30])) == 20.0
+        rows = [word_row(word=1, height=11, text="abc"), word_row(word=2, height=3, text="d")]
+        assert paragraphs_from_tokens(parse_ocr_tsv(tsv(*rows)))[0].char_height == 11.0
+
+    def test_token_objects_are_accepted(self):
+        tokens = [OcrToken(3, 1, 2, 1, 1, 10, 10, 30, 12, 90.0, "egy"),
+                  OcrToken(3, 1, 1, 1, 1, 10, 10, 30, 12, 90.0, "kettő")]
+        assert [p.text for p in paragraphs_from_tokens(iter(tokens))] == ["kettő", "egy"]
+        assert paragraphs_from_tokens([]) == []
+
+    def test_paragraph_without_text_rejected(self):
+        with pytest.raises(LabelcalError, match="no text"):
+            paragraphs_from_tokens([OcrToken(1, 1, 1, 1, 1, 10, 10, 30, 12, 90.0, "")])
 
     def test_record_invariant_enforced(self):
         line = LineBox(1, 0, 0, 10, 10, "abc")
@@ -212,6 +377,61 @@ class TestDbscan:
                     same_a = base[i] == base[j] and base[i] != -1
                     same_b = unshuffled[i] == unshuffled[j] and unshuffled[i] != -1
                     assert same_a == same_b
+
+    @pytest.mark.parametrize("eps", [1.0, math.sqrt(2.0), 2.0, 5.0])
+    def test_neighbours_at_exactly_eps_match_union_find_oracle(self, eps):
+        from test_acceptance import dbscan_union_find
+
+        rng = np.random.default_rng(86)
+        grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
+        triangle = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [3.0, 0.0], [3.0, 4.0]])
+        for _ in range(40):
+            pick = rng.choice(len(grid), size=int(rng.integers(3, 30)), replace=True)
+            points = np.concatenate([grid[pick], triangle]) * rng.choice([1.0, 0.5, 0.25])
+            points = points[rng.permutation(len(points))]
+            for min_pts in (1, 2, 3, 4, 5):
+                # numbering follows the lowest-index core point on both sides
+                np.testing.assert_array_equal(
+                    dbscan(points, eps, min_pts), dbscan_union_find(points, eps, min_pts))
+
+    def test_border_tie_goes_to_lowest_index_core(self):
+        # the last point is a border point exactly eps from the core points
+        # (0, 0) and (2, 0), which lead two clusters
+        a = [[0.0, 0.0]] + [[-1.0, 0.0]] * 3
+        b = [[2.0, 0.0]] + [[3.0, 0.0]] * 3
+        for points in (a + b, b + a):
+            labels = dbscan(np.array(points + [[1.0, 0.0]]), eps=1.0, min_pts=4)
+            np.testing.assert_array_equal(labels, [0, 0, 0, 0, 1, 1, 1, 1, 0])
+
+    def test_pairwise_distances_keep_formula_bits(self):
+        rng = np.random.default_rng(87)
+        for d in range(1, 8):
+            for points in (rng.normal(size=(40, d)) * 10.0 ** rng.integers(-3, 4),
+                           rng.integers(0, 4, size=(40, d)).astype(float) / 4):
+                delta = points[:, None, :] - points[None, :, :]
+                formula = np.sqrt((delta**2).sum(axis=-1))
+                assert _pairwise_distances(points).tobytes() == formula.tobytes()
+
+    def test_k_distance_eps_matches_full_sort(self):
+        rng = np.random.default_rng(88)
+        for _ in range(30):
+            m = int(rng.integers(1, 60))
+            features = rng.integers(0, 5, size=(m, 2)).astype(float)
+            if rng.random() < 0.5:
+                features += rng.normal(size=(m, 2))
+            for min_pts in (0, 1, 3, 8, 80):
+                k = min(min_pts, m) - 1
+                delta = features[:, None, :] - features[None, :, :]
+                dist = np.sort(np.sqrt((delta**2).sum(axis=2)), axis=1)
+                kd = np.sort(dist[:, k] if k >= 0 else np.zeros(m))
+                if kd.size < 2 or kd[-1] == 0.0:
+                    want = 1.0
+                else:
+                    gaps = np.diff(kd)
+                    j = int(np.argmax(gaps))
+                    want = (float(kd[-1]) * 1.001 if gaps[j] == 0.0
+                            else float((kd[j] + kd[j + 1]) / 2.0))
+                assert _k_distance_eps(features, min_pts) == want
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(LabelcalError):
