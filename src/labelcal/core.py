@@ -2,9 +2,11 @@
 
 Matrices are stored as CSV with a label-name header row.  Values are
 written with 17 significant digits so that a load -> save -> load cycle
-is bit-identical.  Text corpora are JSON-lines records with ``id`` and
-``text`` fields.  Every output file is written through ``atomic_write``,
-so a failed write leaves no partial file behind.
+is bit-identical, and read by numpy's C parser (``read_numbers`` gives
+the number grammar); a file it rejects is walked again only to name the
+first bad row and cell.  Text corpora are JSON-lines records with ``id``
+and ``text`` fields.  Every output file is written through
+``atomic_write``, so a failed write leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -49,16 +51,16 @@ class DuplicateLabelError(MatrixFormatError):
     pass
 
 
-def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
+def _check_labels(labels: Sequence[str], where: str = "") -> tuple[str, ...]:
     labels = tuple(str(name) for name in labels)
     for i, name in enumerate(labels):
         if not name:
-            raise DuplicateLabelError(f"empty label name at column {i + 1}")
+            raise DuplicateLabelError(f"{where}empty label name at column {i + 1}")
     seen: dict[str, int] = {}
     for i, name in enumerate(labels):
         if name in seen:
             raise DuplicateLabelError(
-                f"duplicate label name {name!r} at columns {seen[name] + 1} and {i + 1}"
+                f"{where}duplicate label name {name!r} at columns {seen[name] + 1} and {i + 1}"
             )
         seen[name] = i
     return labels
@@ -96,7 +98,7 @@ class ProbMatrix:
             if bad.any():
                 i, j = np.argwhere(bad)[0]
                 raise ValueRangeError(
-                    f"value {values[i, j]!r} outside [0, 1] at row {i + 1}, "
+                    f"value {float(values[i, j])!r} outside [0, 1] at row {i + 1}, "
                     f"column {labels[j]!r}"
                 )
             values = np.clip(values, 0.0, 1.0)
@@ -145,7 +147,7 @@ class LabelMatrix:
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise ValueRangeError(
-                f"annotation entry {values[i, j]!r} is not 0 or 1 at row {i + 1}, "
+                f"annotation entry {float(as_float[i, j])!r} is not 0 or 1 at row {i + 1}, "
                 f"column {labels[j]!r}"
             )
         values = as_float.astype(np.int8)
@@ -273,69 +275,96 @@ def atomic_write(path: str, newline: str | None = None) -> Iterator[IO[str]]:
 # ---------------------------------------------------------------------------
 
 
-# The only bytes a matrix body may contain for numpy's C parser to read it.
-# Within this alphabet ``np.loadtxt`` and ``float()`` accept the same cells
-# and give the same bits; outside it they differ (loadtxt takes "0.5\x1c",
-# float() takes "1_0" and non-ASCII digits).
-_NUMERIC_BYTES = b"0123456789.eE+-,\n"
+# Numbers are what numpy's C parser (``np.loadtxt``) reads, limited to
+# printable ASCII: loadtxt would also strip \x1c-\x1f as whitespace.
+_PRINTABLE = bytes(range(0x20, 0x7F))
+
+
+def read_numbers(fields: Sequence[str], dtype: type = np.float64) -> np.ndarray | None:
+    """``fields`` read as one ``dtype`` number each, or None if one is not a number.
+
+    This is the number grammar of the numeric fields of every input file:
+    printable ASCII that ``np.loadtxt`` reads as one value, such as
+    ``" +1.5e3"`` or ``"nan"``, but not ``"1_0"`` or non-ASCII digits,
+    which ``float()`` reads.  The error paths use it to find the bad cell.
+    """
+    if not all(field and field.isascii() and field.isprintable() for field in fields):
+        return None
+    try:
+        values = np.loadtxt(fields, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return values if values.shape == (len(fields),) else None
+
+
+def _read_header(text: str, what: str) -> tuple[tuple[str, ...], int, int]:
+    """Labels of the first non-blank ``csv`` row of ``text``, the offset just
+    past that row, and the number of lines it took up to there.
+
+    ``csv`` is fed one line at a time, so a quoted label may hold commas
+    and line breaks, and the body is never copied into a line list.
+    """
+    end = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal end
+        while end < len(text):
+            start, end = end, text.find("\n", end) + 1 or len(text)
+            yield text[start:end]
+
+    reader = csv.reader(lines())
+    try:
+        header = next(filter(None, reader), None)
+    except csv.Error as exc:  # e.g. CR-only line ends, which csv cannot split
+        raise MatrixFormatError(f"{what}: malformed CSV on line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise MatrixFormatError(f"{what}: missing header row")
+    return _check_labels(header, f"{what}: "), end, reader.line_num
 
 
 def _parse_rows(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Label header and float64 values of a matrix CSV text.
 
-    The header is read with ``csv``.  When it is the first line and
-    unquoted, and the body after it is made only of ``_NUMERIC_BYTES``
-    with at least one data row, the body goes to numpy's C parser
-    (``np.loadtxt``), whose result is kept when it has one column per
-    label.  Every other text, and a body loadtxt rejects, is parsed cell
-    by cell with ``float()``, which names a bad cell by row and column.
+    The body after the header is read by ``np.loadtxt`` (quoted cells
+    included, blank lines skipped) when it is printable ASCII.  A body it
+    cannot read as one number per label in every row goes to
+    ``_matrix_error``, which gives the error of the first bad row.
     """
-    first, _, body = text.partition("\n")
-    try:
-        header = next(csv.reader([first]), None) if '"' not in first else None
-    except csv.Error:  # e.g. a CR-only file: _parse_cells reports it
-        header = None
-    if header and body.count("\n") < len(body) and body.isascii():
-        raw = body.encode("ascii")
-        if not raw.translate(None, _NUMERIC_BYTES):
-            try:
-                data = np.loadtxt(
-                    io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
-                    encoding="ascii",
-                )
-            except ValueError:
-                data = None
-            if data is not None and data.shape[1] == len(header):
-                return _check_labels(header), data
-    return _parse_cells(text, what)
+    labels, start, header_lines = _read_header(text, what)
+    raw = text[start:].encode()
+    if raw.count(b"\n") + raw.count(b"\r") == len(raw):  # no data rows
+        return labels, np.empty((0, len(labels)))
+    data = None
+    if not raw.translate(None, _PRINTABLE + b"\r\n"):
+        try:
+            data = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, quotechar='"',
+                              ndmin=2, encoding="ascii")
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != len(labels):
+        raise _matrix_error(text[start:], labels, what, header_lines)
+    return labels, data
 
 
-def _parse_cells(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """The per-cell parser behind ``_parse_rows``: ``csv`` rows, ``float()`` cells."""
-    reader = csv.reader(io.StringIO(text))
+def _matrix_error(body: str, labels: tuple[str, ...], what: str, line: int) -> MatrixFormatError:
+    """The error of a matrix body ``np.loadtxt`` rejected: its first row
+    with the wrong number of cells or a cell that is not a number."""
+    reader = csv.reader(io.StringIO(body))
     try:
         rows = [row for row in reader if row]
-    except csv.Error as exc:  # e.g. CR-only line ends, which csv cannot split
-        raise MatrixFormatError(f"{what}: malformed CSV on line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise MatrixFormatError(f"{what}: missing header row")
-    labels = _check_labels(rows[0])
-    n_cols = len(labels)
-    data = np.empty((len(rows) - 1, n_cols), dtype=np.float64)
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != n_cols:
-            raise RaggedRowError(
-                f"{what}: row {r} has {len(row)} fields, expected {n_cols}"
+    except csv.Error as exc:
+        return MatrixFormatError(f"{what}: malformed CSV on line {line + reader.line_num}: {exc}")
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(labels):
+            return RaggedRowError(f"{what}: row {r} has {len(row)} fields, expected {len(labels)}")
+        # inside quotes, numpy reads a line break as a space
+        cells = [cell.replace("\r", " ").replace("\n", " ") for cell in row]
+        if read_numbers(cells) is None:
+            c = next(c for c, cell in enumerate(cells) if read_numbers([cell]) is None)
+            return MalformedNumberError(
+                f"{what}: malformed number {row[c]!r} at row {r}, column {labels[c]!r}"
             )
-        for c, cell in enumerate(row):
-            try:
-                data[r - 1, c] = float(cell)
-            except ValueError:
-                raise MalformedNumberError(
-                    f"{what}: malformed number {cell!r} at row {r}, "
-                    f"column {labels[c]!r}"
-                ) from None
-    return labels, data
+    return MatrixFormatError(f"{what}: numpy cannot read the matrix body")
 
 
 def load_prob_matrix(path: str) -> ProbMatrix:

@@ -3,15 +3,14 @@ type classification, cross-page paragraph merging, and quote matching.
 
 Input is the standard 12-column word-box table (level, page_num,
 block_num, par_num, line_num, word_num, left, top, width, height, conf,
-text).  It is read into columns (``OcrTokens``): by numpy's C parser
-when every numeric field is a plain ASCII number, otherwise row by row,
-which names the first bad line.  Paragraphs are assembled from one
-stable sort of the word keys and per-line array reductions.  Paragraph
-classes come from density clustering (DBSCAN over a dense distance
-matrix, one breadth-first frontier per array step) on character-size
-statistics; page-boundary merges use the two typographic cues - the last
-line reaching the right margin and the next page's first line not being
-indented.
+text).  It is read into columns (``OcrTokens``) by numpy's C parser; a
+table it rejects is walked again row by row only to name the first bad
+line.  Paragraphs are assembled from one stable sort of the word keys
+and per-line array reductions.  Paragraph classes come from density
+clustering (DBSCAN over a dense distance matrix, one breadth-first
+frontier per array step) on character-size statistics; page-boundary
+merges use the two typographic cues - the last line reaching the right
+margin and the next page's first line not being indented.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LabelcalError
+from .core import LabelcalError, read_numbers
 
 TSV_COLUMNS = (
     "level", "page_num", "block_num", "par_num", "line_num", "word_num",
@@ -38,9 +37,6 @@ _INT_FIELDS = TSV_COLUMNS[1:10]
 # Integer fields must lie strictly inside +-2**31, so that box edges, width
 # sums and the float64 statistics made from them are exact.
 _FIELD_LIMIT = 2**31
-# The bytes an integer field and ``conf`` may hold for the fast parser.
-_INT_BYTES = b"0123456789+-"
-_FLOAT_BYTES = b"0123456789+-.eE"
 _ROW_DTYPE = np.dtype([("fields", np.int64, (len(_INT_FIELDS),)), ("conf", np.float64)])
 _int_fields = attrgetter(
     "page", "block", "paragraph", "line", "word", "left", "top", "width", "height"
@@ -195,112 +191,85 @@ class ParagraphRecord:
 
 
 def parse_ocr_tsv(text: str) -> OcrTokens:
-    """Parse the word-box table; rows with empty text are skipped.
+    """Parse the word-box table; blank lines are skipped, and so are rows
+    with blank text once their numeric fields have been read.
 
-    A table the numpy fast path (``_parse_columns``) can vouch for is read
-    as columns; any other goes to the per-row parser, which gives the
-    line-numbered error messages.
+    The numeric fields are read by one ``np.loadtxt`` call
+    (``core.read_numbers`` states their grammar) and checked as arrays.
+    A table that fails anywhere goes to ``_ocr_error``, which gives the
+    error of the first bad line.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise OcrFormatError("missing header row")
-    header = lines[0].rstrip("\n").split("\t")
+    header = lines[0].split("\t")
     index: dict[str, int] = {}
     for name in TSV_COLUMNS:
         if name not in header:
             raise OcrFormatError(f"missing column {name!r} in header")
         index[name] = header.index(name)
-    tokens = _parse_columns(lines, header, index)
-    return tokens if tokens is not None else _parse_token_rows(lines, header, index)
-
-
-def _parse_columns(
-    lines: list[str], header: list[str], index: dict[str, int]
-) -> OcrTokens | None:
-    """The whole table at once, or None when it cannot be vouched for.
-
-    Every row must have one field per header column, and the integer
-    fields and ``conf`` must be made of ``_INT_BYTES`` and ``_FLOAT_BYTES``:
-    within those alphabets numpy's C parser (``np.loadtxt``) accepts
-    exactly what ``int()`` and ``float()`` accept, with the same values.
-    The rows with non-blank text must also pass ``OcrToken``'s checks; the
-    per-row parser names the line that fails.
-    """
-    n_rows, n_cols = len(lines) - 1, len(header)
+    n_cols = len(header)
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
+        return OcrTokens.of(())
+    tabs = np.array([row.count("\t") for row in rows])
+    # a writer may swallow the tab before an empty last field
+    swallowed = (tabs == n_cols - 2) & (index["text"] == n_cols - 1)
+    if not ((tabs == n_cols - 1) | swallowed).all():
+        raise _ocr_error(lines, header, index)
+    if swallowed.any():
+        rows = [row + "\t" if cut else row for row, cut in zip(rows, swallowed.tolist())]
+    fields = "\t".join(rows).split("\t")  # row-major, n_cols per row
+    numeric = [index[name] for name in (*_INT_FIELDS, "conf")]
+    chars = "".join(["".join(fields[c::n_cols]) for c in numeric])
+    if not (chars.isascii() and chars.isprintable()):
+        raise _ocr_error(lines, header, index)
     # surrogatepass: a lone surrogate in a text field cannot stop the
     # encoding, and loadtxt decodes as latin-1, which reads any byte
-    raw = ("\n".join(lines[1:]) + "\n").encode("utf-8", "surrogatepass")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero((buf == 9) | (buf == 10))  # the byte closing each field
-    if ends.size != n_rows * n_cols or not (buf[ends[n_cols - 1 :: n_cols]] == 10).all():
-        return None
-    fields = "\t".join(lines[1:]).split("\t")  # row-major, n_cols per row
-    int_cols = [index[name] for name in _INT_FIELDS]
-    for cols, alphabet in ((int_cols, _INT_BYTES), ([index["conf"]], _FLOAT_BYTES)):
-        chars = "".join(["".join(fields[c::n_cols]) for c in cols])
-        if not chars.isascii() or chars.encode("ascii").translate(None, alphabet):
-            return None
+    raw = "\n".join(rows).encode("utf-8", "surrogatepass")
     try:
         table = np.loadtxt(
             io.BytesIO(raw), dtype=_ROW_DTYPE, delimiter="\t", comments=None,
-            usecols=int_cols + [index["conf"]], encoding="latin-1", ndmin=1,
+            usecols=numeric, encoding="latin-1", ndmin=1,
         )
     except ValueError:
-        return None
+        raise _ocr_error(lines, header, index) from None
     texts = fields[index["text"] :: n_cols]
-    keep = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=n_rows)
+    keep = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=len(texts))
     values = table["fields"][keep]
     if not (
         (values[:, :5] >= 0).all()
         and (values[:, 7:] > 0).all()
         and ((-_FIELD_LIMIT < values) & (values < _FIELD_LIMIT)).all()
     ):
-        return None
+        raise _ocr_error(lines, header, index)
     return OcrTokens(values, table["conf"][keep], list(compress(texts, keep)))
 
 
-def _parse_token_rows(
-    lines: list[str], header: list[str], index: dict[str, int]
-) -> OcrTokens:
-    """The per-row parser behind ``parse_ocr_tsv``: ``int()``/``float()``
-    fields and one validated ``OcrToken`` per row, failing at the first
-    bad line with its number."""
-    tokens = []
+def _ocr_error(lines: list[str], header: list[str], index: dict[str, int]) -> OcrFormatError:
+    """The error of the first bad line of a table ``parse_ocr_tsv`` rejected:
+    a wrong field count, a field that is not a number, or, in a row with
+    text, a failed ``OcrToken`` check."""
     for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         fields = line.split("\t")
         if len(fields) == len(header) - 1 and index["text"] == len(header) - 1:
-            fields.append("")  # trailing tab swallowed by the writer
-        if len(fields) != len(header):
-            raise OcrFormatError(
-                f"line {n}: {len(fields)} fields, expected {len(header)}"
-            )
-        word_text = fields[index["text"]]
-        if not word_text.strip():
+            fields.append("")  # the tab before an empty last field was swallowed
+        if not line.strip():
             continue
-
-        def intfield(name: str) -> int:
-            raw = fields[index[name]]
+        if len(fields) != len(header):
+            return OcrFormatError(f"line {n}: {len(fields)} fields, expected {len(header)}")
+        values = {}
+        for name in ("conf", *_INT_FIELDS):
+            value = read_numbers([fields[index[name]]], np.float64 if name == "conf" else np.int64)
+            if value is None:
+                return OcrFormatError(f"line {n}: non-numeric {name} field {fields[index[name]]!r}")
+            values[name] = value.item()
+        if fields[index["text"]].strip():
             try:
-                return int(raw)
-            except ValueError:
-                raise OcrFormatError(
-                    f"line {n}: non-numeric {name} field {raw!r}"
-                ) from None
-
-        try:
-            conf = float(fields[index["conf"]])
-        except ValueError:
-            raise OcrFormatError(
-                f"line {n}: non-numeric conf field {fields[index['conf']]!r}"
-            ) from None
-        ints = [intfield(name) for name in _INT_FIELDS]
-        try:
-            tokens.append(OcrToken(*ints, confidence=conf, text=word_text))
-        except OcrFormatError as exc:
-            raise OcrFormatError(f"line {n}: {exc}") from None
-    return OcrTokens.of(tokens)
+                OcrToken(*map(values.get, _INT_FIELDS), values["conf"], fields[index["text"]])
+            except OcrFormatError as exc:
+                return OcrFormatError(f"line {n}: {exc}")
+    return OcrFormatError("numpy cannot read the word-box table")
 
 
 def paragraphs_from_tokens(tokens: Iterable[OcrToken]) -> list[ParagraphRecord]:
@@ -407,19 +376,21 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     independent of point order.  Each component is labelled breadth-first,
     one whole frontier per step.
     """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[:, None]
+    return _dbscan(_pairwise_distances(points), eps, min_pts)
+
+
+def _dbscan(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """``dbscan`` of the points whose pairwise distances are ``dist``."""
     if eps <= 0:
         raise LabelcalError(f"eps must be > 0, got {eps}")
     if min_pts < 1:
         raise LabelcalError(f"min_pts must be >= 1, got {min_pts}")
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    m = points.shape[0]
-    labels = np.full(m, -1, dtype=np.int64)
-    if m == 0:
+    labels = np.full(dist.shape[0], -1, dtype=np.int64)
+    if not labels.size:
         return labels
-
-    dist = _pairwise_distances(points)
     within = dist <= eps
     core = within.sum(axis=1) >= min_pts
     to_core = within & core  # row i: the core points within eps of point i
@@ -440,15 +411,12 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def _k_distance_eps(features: np.ndarray, min_pts: int) -> float:
-    """k-distance heuristic: eps at the largest jump of sorted k-distances."""
-    m = features.shape[0]
+def _k_distance_eps(dist: np.ndarray, min_pts: int) -> float:
+    """k-distance heuristic on pairwise distances: eps at the largest jump
+    of sorted k-distances."""
+    m = dist.shape[0]
     k = min(min_pts, m) - 1  # distance to the min_pts'th point counting itself
-    kd = np.zeros(m)
-    if k >= 0:
-        dist = _pairwise_distances(features)
-        dist.partition(k, axis=1)
-        kd = np.sort(dist[:, k])
+    kd = np.sort(np.partition(dist, k, axis=1)[:, k]) if k >= 0 else np.zeros(m)
     if kd.size < 2 or kd[-1] == 0.0:
         return 1.0
     gaps = np.diff(kd)
@@ -475,10 +443,10 @@ def classify_paragraphs(
     features = np.array([[p.char_height, p.char_width] for p in paragraphs])
     std = features.std(axis=0)
     std[std == 0.0] = 1.0
-    features = (features - features.mean(axis=0)) / std
+    dist = _pairwise_distances((features - features.mean(axis=0)) / std)
     if eps is None:
-        eps = _k_distance_eps(features, min_pts)
-    ids = dbscan(features, eps, min_pts)
+        eps = _k_distance_eps(dist, min_pts)
+    ids = _dbscan(dist, eps, min_pts)
 
     clusters = [c for c in np.unique(ids) if c != -1]
     mass = {

@@ -167,6 +167,26 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "row 1" in err and "'b'" in err
+        assert "value 1.5 outside [0, 1]" in err  # the number, not its numpy repr
+
+    def test_underscore_digit_cell_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n0.1,0.2\n0.3,1_0\n", encoding="utf-8")
+        code = dispatch(["truncate", "--probs", str(bad), "--p-low", "0.1",
+                         "--p-high", "0.9", "--out", str(tmp_path / "q.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: malformed number '1_0' at row 2, column 'b'" in err
+        assert sorted(os.listdir(tmp_path)) == ["bad.csv"]
+
+    def test_fullwidth_digit_ocr_field_is_data_error(self, tmp_path, capsys):
+        page = tmp_path / "page.tsv"
+        page.write_text(HEADER + "\n5\t1\t1\t1\t1\t1\t100\t100\t\uff15\uff10\t12\t95\tszó\n",
+                        encoding="utf-8")
+        code = dispatch(["segment", "--tsv", str(page), "--out", str(tmp_path / "p.jsonl")])
+        assert code == 2
+        assert "line 2: non-numeric width field '５０'" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["page.tsv"]
 
 
 class TestFoldsCommand:

@@ -3,12 +3,12 @@
 import csv
 import io
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from labelcal import core
 from labelcal.core import (
     DuplicateLabelError,
     EnsembleSet,
@@ -18,12 +18,12 @@ from labelcal.core import (
     ProbMatrix,
     RaggedRowError,
     ValueRangeError,
-    _parse_cells,
     _parse_rows,
     atomic_write,
     concat_labels,
     ensemble_average,
     format_matrix,
+    load_label_matrix,
     load_prob_matrix,
     load_texts,
     save_prob_matrix,
@@ -49,8 +49,10 @@ class TestProbMatrixLoading:
         assert m.values.shape == (0, 2)
 
     def test_range_error_names_row_and_column(self, tmp_path):
-        with pytest.raises(ValueRangeError, match=r"row 1.*'b'"):
-            load_prob_matrix(write(tmp_path, "a,b\n0.1,1.5\n"))
+        path = write(tmp_path, "a,b\n0.1,1.5\n")
+        with pytest.raises(ValueRangeError) as info:
+            load_prob_matrix(path)
+        assert str(info.value) == f"{path}: value 1.5 outside [0, 1] at row 1, column 'b'"
 
     def test_malformed_number_names_position(self, tmp_path):
         with pytest.raises(MalformedNumberError, match=r"row 2.*'a'"):
@@ -63,6 +65,17 @@ class TestProbMatrixLoading:
     def test_duplicate_label(self, tmp_path):
         with pytest.raises(DuplicateLabelError, match="'a'"):
             load_prob_matrix(write(tmp_path, "a,a\n0.1,0.2\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,a\n0.1,0.2\n", "duplicate label name 'a' at columns 1 and 2"),
+        ("a,\n0.1,0.2\n", "empty label name at column 2"),
+    ])
+    def test_header_errors_name_the_file(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        for load in (load_prob_matrix, load_label_matrix):
+            with pytest.raises(DuplicateLabelError) as info:
+                load(path)
+            assert str(info.value) == f"{path}: {message}"
 
     def test_tiny_overshoot_is_clamped(self):
         m = ProbMatrix(("a",), np.array([[1.0 + 5e-10], [-5e-10]]))
@@ -89,72 +102,117 @@ class TestProbMatrixLoading:
             m.values[0, 0] = 0.1
 
 
-def parse_outcome(parse, text):
+def parse_outcome(text):
     """Labels, shape and value bits of a parse, or its exception type and message."""
     try:
-        labels, data = parse(text, "m.csv")
+        labels, data = _parse_rows(text, "m.csv")
     except Exception as exc:
         return type(exc), str(exc)
     return labels, data.shape, data.tobytes()
 
 
-EDGE_TEXTS = {
-    "underscore digits": "a\n1_0\n",
-    "fullwidth digit": "a\n\uff11\n",
-    "arabic-indic digit": "a\n\u0663\n",
-    "file separator": "a\n0.5\x1c\n",
-    "whitespace-only line": "a,b\n0.1,0.2\n \n",
-    "cr only": "a,b\r0.1,0.2\r",
-    "crlf": "a,b\r\n0.1,0.2\r\n0.3,0.4\r\n",
-    "quoted cells": 'a,b\n"0.1","0.2"\n',
-    "trailing comma": "a,b\n0.1,0.2,\n",
-    "nan and inf": "a,b,c\nnan,inf,-inf\n",
-    "underflow": "a,b\n1e-400,5e-324\n",
-    "header only": "a,b\n",
-    "single column": "a\n0.5\n0.25\n",
-    "ragged row": "a,b\n0.1,0.2\n0.3\n",
-    "empty cell": "a,b\n0.1,\n",
-    "blank lines": "\na,b\n\n0.1,0.2\n\n0.3,0.4",
-    "blank body lines": "a,b\n\n0.1,0.2\n\n\n0.3,0.4\n\n",
-    "no trailing newline": "a,b\n0.1,0.2",
-    "nul in header": "a\x00,b\n0.1,0.2\n",
-    "signs and bare points": "a,b,c,d\n-0,+.5,1.,1E+2\n",
-    "duplicate label": "a,a\n0.1,0.2\n",
-    "quoted header newline": '"a\nb",c\n0.1,0.2\n',
+def read(labels, rows):
+    """The outcome of a parse that reads ``rows`` under ``labels``."""
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), len(labels))
+    return labels, data.shape, data.tobytes()
+
+
+def csv_message(text):
+    """Python's own csv error for ``text`` (its wording differs between versions)."""
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        return str(exc)
+
+
+# Each text with the outcome the per-cell float() parser gave it, or, where
+# marked, the outcome of numpy's number grammar and the path-prefixed header error.
+EDGE_CASES = {
+    # changed: float() reads these, numpy's C parser does not
+    "underscore digits": ("a\n1_0\n", (
+        MalformedNumberError, "m.csv: malformed number '1_0' at row 1, column 'a'")),
+    "fullwidth digit": ("a\n\uff11\n", (
+        MalformedNumberError, "m.csv: malformed number '１' at row 1, column 'a'")),
+    "arabic-indic digit": ("a\n\u0663\n", (
+        MalformedNumberError, "m.csv: malformed number '٣' at row 1, column 'a'")),
+    "file separator": ("a\n0.5\x1c\n", (
+        MalformedNumberError, "m.csv: malformed number '0.5\\x1c' at row 1, column 'a'")),
+    "whitespace-only line": ("a,b\n0.1,0.2\n \n", (
+        RaggedRowError, "m.csv: row 2 has 1 fields, expected 2")),
+    "cr only": ("a,b\r0.1,0.2\r", (
+        MatrixFormatError, f"m.csv: malformed CSV on line 1: {csv_message('a,b' + chr(13) + '0')}")),
+    "crlf": ("a,b\r\n0.1,0.2\r\n0.3,0.4\r\n", read(("a", "b"), [[0.1, 0.2], [0.3, 0.4]])),
+    "quoted cells": ('a,b\n"0.1","0.2"\n', read(("a", "b"), [[0.1, 0.2]])),
+    "trailing comma": ("a,b\n0.1,0.2,\n", (RaggedRowError, "m.csv: row 1 has 3 fields, expected 2")),
+    "nan and inf": ("a,b,c\nnan,inf,-inf\n", read(("a", "b", "c"), [[np.nan, np.inf, -np.inf]])),
+    "underflow": ("a,b\n1e-400,5e-324\n", read(("a", "b"), [[0.0, 5e-324]])),
+    "header only": ("a,b\n", read(("a", "b"), [])),
+    "single column": ("a\n0.5\n0.25\n", read(("a",), [[0.5], [0.25]])),
+    "ragged row": ("a,b\n0.1,0.2\n0.3\n", (RaggedRowError, "m.csv: row 2 has 1 fields, expected 2")),
+    "empty cell": ("a,b\n0.1,\n", (
+        MalformedNumberError, "m.csv: malformed number '' at row 1, column 'b'")),
+    "blank lines": ("\na,b\n\n0.1,0.2\n\n0.3,0.4", read(("a", "b"), [[0.1, 0.2], [0.3, 0.4]])),
+    "blank body lines": ("a,b\n\n0.1,0.2\n\n\n0.3,0.4\n\n", read(("a", "b"), [[0.1, 0.2], [0.3, 0.4]])),
+    "no trailing newline": ("a,b\n0.1,0.2", read(("a", "b"), [[0.1, 0.2]])),
+    "nul in header": ("a\x00,b\n0.1,0.2\n", read(("a\x00", "b"), [[0.1, 0.2]])),
+    "signs and bare points": ("a,b,c,d\n-0,+.5,1.,1E+2\n", read(("a", "b", "c", "d"),
+                                                               [[-0.0, 0.5, 1.0, 100.0]])),
+    # changed: the header error names the file, as the row errors do
+    "duplicate label": ("a,a\n0.1,0.2\n", (
+        DuplicateLabelError, "m.csv: duplicate label name 'a' at columns 1 and 2")),
+    "quoted header newline": ('"a\nb",c\n0.1,0.2\n', read(("a\nb", "c"), [[0.1, 0.2]])),
+    # changed: float() strips the tab, numpy's grammar is printable ASCII
+    "tab in a cell": ("a,b\n0.1,\t0.2\n", (
+        MalformedNumberError, "m.csv: malformed number '\\t0.2' at row 1, column 'b'")),
+    "line break in a quoted cell": ('a,b\n"0.1\n",0.2\n', read(("a", "b"), [[0.1, 0.2]])),
+    "bad cell after a quoted line break": ('a,b\n"\n0.1",x\n', (
+        MalformedNumberError, "m.csv: malformed number 'x' at row 1, column 'b'")),
+    "blank line before a bad row": ("a,b\n\n0.1,x\n", (
+        MalformedNumberError, "m.csv: malformed number 'x' at row 1, column 'b'")),
+    "bare cr in the body": ("a,b\n0.1,0.2\r0.3,0.4\n", (
+        MatrixFormatError, f"m.csv: malformed CSV on line 2: {csv_message('0' + chr(13) + '0')}")),
 }
-# bodies of numeric bytes only, with data rows: numpy's C parser reads them
-NUMERIC = ("underflow", "single column", "signs and bare points", "no trailing newline",
-           "blank body lines")
+# texts with data rows that numpy's C parser reads whole
+NUMERIC = tuple(name for name, (_, outcome) in EDGE_CASES.items()
+                if not isinstance(outcome[0], type) and outcome[1][0])
 
 
 class TestParseRows:
-    @pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS.keys())
-    def test_same_outcome_as_per_cell_parser(self, text):
-        assert parse_outcome(_parse_rows, text) == parse_outcome(_parse_cells, text)
+    @pytest.mark.parametrize("text, outcome", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+    def test_same_outcome_as_per_cell_parser(self, text, outcome):
+        assert parse_outcome(text) == outcome
 
     @pytest.mark.parametrize("name", NUMERIC)
     def test_numeric_body_skips_per_cell_parser(self, name):
-        with mock.patch.object(core, "_parse_cells", side_effect=AssertionError):
-            _parse_rows(EDGE_TEXTS[name], "m.csv")
+        """A body that parses is read by one np.loadtxt call, never cell by cell."""
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            _parse_rows(EDGE_CASES[name][0], "m.csv")
+        assert loadtxt.call_count == 1
 
     def test_edge_values(self):
-        _, data = _parse_rows(EDGE_TEXTS["underflow"], "m.csv")
+        _, data = _parse_rows(EDGE_CASES["underflow"][0], "m.csv")
         assert data.tolist() == [[0.0, 5e-324]]
-        _, data = _parse_rows(EDGE_TEXTS["signs and bare points"], "m.csv")
+        _, data = _parse_rows(EDGE_CASES["signs and bare points"][0], "m.csv")
         assert [v.hex() for v in data[0]] == ["-0x0.0p+0", "0x1.0000000000000p-1",
                                               "0x1.0000000000000p+0", "0x1.9000000000000p+6"]
-        assert _parse_rows(EDGE_TEXTS["header only"], "m.csv")[1].shape == (0, 2)
-        assert _parse_rows(EDGE_TEXTS["single column"], "m.csv")[1].shape == (2, 1)
-        assert _parse_rows(EDGE_TEXTS["quoted header newline"], "m.csv")[0] == ("a\nb", "c")
+        assert _parse_rows(EDGE_CASES["header only"][0], "m.csv")[1].shape == (0, 2)
+        assert _parse_rows(EDGE_CASES["single column"][0], "m.csv")[1].shape == (2, 1)
+        assert _parse_rows(EDGE_CASES["quoted header newline"][0], "m.csv")[0] == ("a\nb", "c")
 
     def test_errors_keep_row_and_column(self):
-        assert parse_outcome(_parse_rows, EDGE_TEXTS["ragged row"]) == (
+        assert parse_outcome(EDGE_CASES["ragged row"][0]) == (
             RaggedRowError, "m.csv: row 2 has 1 fields, expected 2")
-        assert parse_outcome(_parse_rows, EDGE_TEXTS["empty cell"]) == (
+        assert parse_outcome(EDGE_CASES["empty cell"][0]) == (
             MalformedNumberError, "m.csv: malformed number '' at row 1, column 'b'")
-        error, message = parse_outcome(_parse_rows, EDGE_TEXTS["cr only"])
-        assert error is MatrixFormatError  # csv's own wording differs between Pythons
+        error, message = parse_outcome(EDGE_CASES["cr only"][0])
+        assert error is MatrixFormatError
         assert message.startswith("m.csv: malformed CSV on line 1: new-line character")
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\r\n\r\n", "\n\na\n\n"])
+    def test_empty_body_warns_nothing(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_outcome(text)[1][0] == 0
 
 
 def format_matrix_per_row(labels, values):

@@ -1,11 +1,12 @@
 """Property tests: invariants checked on generated inputs."""
 
+import csv
+import io
 import json
+import re
 from collections import Counter
-from contextlib import nullcontext
 from itertools import groupby
 from operator import attrgetter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,17 +16,23 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from scipy.special import logsumexp as scipy_logsumexp  # noqa: E402
 from scipy.stats import rankdata  # noqa: E402
 
-from labelcal import core, segmentation  # noqa: E402
 from labelcal._util import average_ranks, logsumexp  # noqa: E402
 from labelcal.calibration import (  # noqa: E402
     _mean_count_error,
     grid_search_thresholds,
     threshold_grid,
 )
-from labelcal.core import LabelMatrix, ProbMatrix, _parse_cells, _parse_rows  # noqa: E402
+from labelcal.core import (  # noqa: E402
+    LabelMatrix,
+    MalformedNumberError,
+    ProbMatrix,
+    RaggedRowError,
+    _parse_rows,
+)
 from labelcal.segmentation import (  # noqa: E402
     TSV_COLUMNS,
     LineBox,
+    OcrFormatError,
     OcrToken,
     ParagraphRecord,
     bow_match_many,
@@ -146,59 +153,112 @@ def test_bow_match_many_equals_counter_loop(corpus):
     assert [(i, d.hex()) for i, d in got] == [(i, d.hex()) for i, d in want]
 
 
-def parse_outcome(parse, text):
-    """Labels, shape and value bits of a parse, or its exception type and message."""
+# The number grammar, written out: optional spaces around a signed decimal
+# (integer: digits only) or inf/infinity/nan, in any case.
+FLOAT = re.compile(
+    r" *[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan) *", re.I)
+INT = re.compile(r" *[+-]?[0-9]+ *")
+
+
+def outcome_of(parse, *args):
+    """What ``parse(*args)`` returns, or its exception type and message."""
     try:
-        labels, data = parse(text, "m.csv")
+        return parse(*args)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def matrix_reference(text):
+    """Labels, shape and value bits of a matrix text, read cell by cell
+    from the grammar: csv rows, then ``FLOAT`` and ``float()`` per cell (a
+    line break inside a quoted cell reads as a space)."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    labels, body = tuple(rows[0]), rows[1:]
+    for r, row in enumerate(body, start=1):
+        if len(row) != len(labels):
+            raise RaggedRowError(f"m.csv: row {r} has {len(row)} fields, expected {len(labels)}")
+        for cell, label in zip(row, labels):
+            if not FLOAT.fullmatch(cell.replace("\r", " ").replace("\n", " ")):
+                raise MalformedNumberError(
+                    f"m.csv: malformed number {cell!r} at row {r}, column {label!r}")
+    data = np.array([[float(cell) for cell in row] for row in body]).reshape(-1, len(labels))
+    return labels, data.shape, data.tobytes()
+
+
+def matrix_parse(text):
+    labels, data = _parse_rows(text, "m.csv")
     return labels, data.shape, data.tobytes()
 
 
 @st.composite
-def numeric_csv_texts(draw):
-    """Matrix texts whose bodies hold only the C parser's bytes: valid
-    numbers in several spellings, random strings over the same alphabet,
-    blank lines, and now and then a row one field too long."""
+def csv_texts(draw):
+    """Matrix texts: numbers in several spellings, random strings over a
+    number-like alphabet, spellings only ``float()`` or only numpy without
+    the ASCII limit reads, quoted cells (some with a comma or a line break),
+    blank lines, CRLF line ends, and now and then a row of the wrong length."""
     floats = st.floats(allow_nan=False, allow_infinity=False)
     cell = st.one_of(
-        st.text("0123456789.eE+-", max_size=8),
+        st.text("0123456789.eE+- _", max_size=8),
         floats.map(repr),
         floats.map(lambda v: "%.17g" % v),
         floats.map(lambda v: "%+.3e" % v),
-        st.sampled_from(["-0", "+.5", "1.", "007", "1e-400", "5e-324", "1E+308", "2e308"]),
+        st.sampled_from(["-0", "+.5", "1.", "007", "1e-400", "5e-324", "1E+308", "2e308",
+                         "nan", "-NaN", "Infinity", "-inf", "+INF", "infinit", "0x10", " 1 ",
+                         "1_0", "１", "٣", "0.5\x1c", "\t0.5", "1\x7f", ""]),
     )
+    quoted = cell.map(lambda c: '"' + c + '"') | st.sampled_from(
+        ['"1,5"', '"0.1\n"', '"\r\n2"', '"1\n2"', '"0.5"" "'])
     cols = draw(st.integers(1, 3))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [",".join(f"l{j}" for j in range(cols))]
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.integers(0, 5)) == 0:
             lines.append("")
         n = cols + (draw(st.integers(0, 9)) == 0)
-        lines.append(",".join(draw(cell) for _ in range(n)))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+        lines.append(",".join(draw(cell | quoted) for _ in range(n)))
+    return end.join(lines) + draw(st.sampled_from(["", end, end + end]))
 
 
-@settings(max_examples=400)
-@given(numeric_csv_texts())
+@settings(max_examples=500)
+@given(csv_texts())
 def test_c_parser_path_equals_per_cell_parser(text):
-    want = parse_outcome(_parse_cells, text)
-    assert parse_outcome(_parse_rows, text) == want
-    if not isinstance(want[0], type) and want[1][0] > 0:
-        # a body the per-cell parser reads, the C parser reads too
-        with mock.patch.object(core, "_parse_cells", side_effect=AssertionError):
-            _parse_rows(text, "m.csv")
+    assert outcome_of(matrix_parse, text) == outcome_of(matrix_reference, text)
 
 
-def ocr_outcome(text, columnar=True):
-    """Token fields of a parse (confidence as its bits), or its exception
-    type and message; ``columnar=False`` switches the fast path off."""
-    off = mock.patch.object(segmentation, "_parse_columns", return_value=None)
-    with nullcontext() if columnar else off:
+def ocr_reference(text):
+    """Token fields of a word-box table, read row by row from the grammar:
+    ``INT``/``FLOAT`` and ``int()``/``float()`` per field, int64 at most,
+    then, for rows with text, the ``OcrToken`` checks."""
+    lines = text.splitlines()
+    header = lines[0].split("\t")
+    column = {name: header.index(name) for name in TSV_COLUMNS}
+    tokens = []
+    for n, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if header[-1] == "text" and len(fields) == len(header) - 1:
+            fields.append("")  # an empty last text whose tab was swallowed
+        if not line.strip():
+            continue
+        if len(fields) != len(header):
+            raise OcrFormatError(f"line {n}: {len(fields)} fields, expected {len(header)}")
+        field = {name: fields[column[name]] for name in TSV_COLUMNS}
+        for name in ("conf", *TSV_COLUMNS[1:10]):
+            number = FLOAT if name == "conf" else INT
+            if not number.fullmatch(field[name]) or (
+                    number is INT and not -(2**63) <= int(field[name]) < 2**63):
+                raise OcrFormatError(f"line {n}: non-numeric {name} field {field[name]!r}")
+        if not field["text"].strip():
+            continue
         try:
-            tokens = parse_ocr_tsv(text)
-        except Exception as exc:
-            return type(exc), str(exc)
+            tokens.append(OcrToken(*(int(field[name]) for name in TSV_COLUMNS[1:10]),
+                                   float(field["conf"]), field["text"]))
+        except OcrFormatError as exc:
+            raise OcrFormatError(f"line {n}: {exc}") from None
     return [(*token[:9], token[9].hex(), token[10]) for token in map(tuple_of, tokens)]
+
+
+def ocr_parse(text):
+    return [(*token[:9], token[9].hex(), token[10]) for token in map(tuple_of, parse_ocr_tsv(text))]
 
 
 def tuple_of(token):
@@ -208,14 +268,16 @@ def tuple_of(token):
 
 INT_CELLS = st.one_of(
     st.integers(-2, 40).map(str),
-    st.text("0123456789+-", max_size=4),
-    st.sampled_from(["+5", " 5", "5 ", "1_0", "5.0", "5e1", "\uff15", "50\x1f", "x", "",
-                     str(2**31 - 1), str(2**31), str(-(2**31)), str(2**63), str(-(2**64))]),
+    st.text("0123456789+- _", max_size=4),
+    st.sampled_from(["+5", " 5", "5 ", "1_0", "5.0", "5e1", "５", "50\x1f", "x", "",
+                     "\t5", "5\x7f", str(2**31 - 1), str(2**31), str(-(2**31)), str(2**63 - 1),
+                     str(2**63), str(-(2**63)), str(-(2**64))]),
 )
 CONF_CELLS = st.one_of(
     st.floats(allow_nan=False).map(repr),
-    st.text("0123456789.eE+-", max_size=5),
-    st.sampled_from(["-1", "95", ".5", "9.5e1", "nan", "inf", "1..2", "", "1_0"]),
+    st.text("0123456789.eE+- ", max_size=5),
+    st.sampled_from(["-1", "95", ".5", "9.5e1", "nan", "-NaN", "inf", "Infinity", "1..2", "",
+                     "1_0", "５", "0.5\x1c"]),
 )
 
 
@@ -223,9 +285,9 @@ CONF_CELLS = st.one_of(
 def ocr_tables(draw):
     """Word-box tables: the standard or a permuted header (sometimes with
     an extra column), clean rows of small valid numbers, or rows mixing
-    valid numbers with spellings only int()/float() or only numpy
-    accepts, blank texts, texts with '#', quotes or a tab, rows missing
-    their last field, blank lines and CRLF line ends."""
+    valid numbers with spellings outside the grammar, blank texts, texts
+    with '#', quotes or a tab, rows missing their last field, blank lines
+    and CRLF line ends."""
     columns = TSV_COLUMNS + (("extra",) if draw(st.booleans()) else ())
     header = draw(st.one_of(st.just(columns), st.permutations(columns)))
     messy = draw(st.booleans())
@@ -245,19 +307,13 @@ def ocr_tables(draw):
             line = line.rpartition("\t")[0]  # a short row, or a swallowed trailing tab
         lines.append(line)
     end = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
-    return end.join(lines) + draw(st.sampled_from(["", end])), messy
+    return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-@settings(max_examples=400)
+@settings(max_examples=500)
 @given(ocr_tables())
-def test_columnar_ocr_parser_equals_per_row_parser(table):
-    text, messy = table
-    want = ocr_outcome(text, columnar=False)
-    assert ocr_outcome(text) == want
-    if not messy and isinstance(want, list):
-        # a clean table the per-row parser reads, the columnar parser reads too
-        with mock.patch.object(segmentation, "_parse_token_rows", side_effect=AssertionError):
-            parse_ocr_tsv(text)
+def test_columnar_ocr_parser_equals_per_row_parser(text):
+    assert outcome_of(ocr_parse, text) == outcome_of(ocr_reference, text)
 
 
 def paragraphs_per_token(tokens):

@@ -1,6 +1,7 @@
 """OCR parsing, clustering, paragraph classification, merging, matching."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -155,76 +156,121 @@ def parse_outcome(text):
         return type(exc), str(exc)
 
 
-def per_row_outcome(text):
-    """The same, with the columnar fast path switched off."""
-    with mock.patch.object(segmentation, "_parse_columns", return_value=None):
-        return parse_outcome(text)
+def word(page=1, block=1, par=1, line=1, word=1, left=100, top=100,
+         width=50, height=12, conf=95.0, text="szó"):
+    """The token fields ``word_row`` with the same arguments parses to."""
+    return (page, block, par, line, word, left, top, width, height, float(conf).hex(), text)
+
+
+def error(message):
+    return OcrFormatError, message
 
 
 PERMUTED = "\t".join(["text", "conf", "height", "width", "top", "left", "word_num",
                       "line_num", "par_num", "block_num", "page_num", "level", "extra"])
-OCR_EDGE_TEXTS = {
-    "plain": tsv(word_row(), word_row(word=2, left=160)),
-    "plus sign": tsv(word_row().replace("\t100\t", "\t+100\t", 1)),
-    "leading space": tsv(word_row().replace("\t100\t", "\t 100\t", 1)),
-    "trailing space": tsv(word_row().replace("\t100\t", "\t100 \t", 1)),
-    "underscore digits": tsv(word_row().replace("\t100\t", "\t1_00\t", 1)),
-    "float in int field": tsv(word_row(width="5.0")),
-    "exponent in int field": tsv(word_row(width="5e1")),
-    "fullwidth digits": tsv(word_row(width="\uff15\uff10")),
-    "unit separator": tsv(word_row(width="50\x1f")),  # loadtxt reads 50, int() fails
-    "file separator": tsv(word_row(width="50\x1c")),  # a line break to splitlines
-    "above int64": tsv(word_row(left=2**64)),
-    "int32 edge": tsv(word_row(left=-(2**31) + 1, top=2**31 - 1, width=2**31 - 1)),
-    "above int32": tsv(word_row(top=2**31)),
-    "below int32": tsv(word_row(left=-(2**31))),
-    "negative index": tsv(word_row(), word_row(line=-1)),
-    "negative left": tsv(word_row(left=-5)),
-    "zero width": tsv(word_row(), word_row(width=0)),
-    "negative height": tsv(word_row(height=-3)),
-    "empty int field": tsv(word_row(width="")),
-    "swallowed trailing tab": tsv(word_row(), word_row(text="")[:-1]),
-    "too many fields": tsv(word_row() + "\textra"),
+# Each table with the outcome the per-row int()/float() parser gave it, or,
+# where marked, the outcome of numpy's number grammar.
+OCR_EDGE_CASES = {
+    "plain": (tsv(word_row(), word_row(word=2, left=160)), [word(), word(word=2, left=160)]),
+    "plus sign": (tsv(word_row().replace("\t100\t", "\t+100\t", 1)), [word()]),
+    "leading space": (tsv(word_row().replace("\t100\t", "\t 100\t", 1)), [word()]),
+    "trailing space": (tsv(word_row().replace("\t100\t", "\t100 \t", 1)), [word()]),
+    # changed: int() reads these, numpy's C parser does not
+    "underscore digits": (tsv(word_row().replace("\t100\t", "\t1_00\t", 1)),
+                          error("line 2: non-numeric left field '1_00'")),
+    "float in int field": (tsv(word_row(width="5.0")),
+                           error("line 2: non-numeric width field '5.0'")),
+    "exponent in int field": (tsv(word_row(width="5e1")),
+                              error("line 2: non-numeric width field '5e1'")),
+    # changed: as "underscore digits"
+    "fullwidth digits": (tsv(word_row(width="\uff15\uff10")),
+                         error("line 2: non-numeric width field '５０'")),
+    "unit separator": (tsv(word_row(width="50\x1f")),  # loadtxt alone would read 50
+                       error("line 2: non-numeric width field '50\\x1f'")),
+    "file separator": (tsv(word_row(width="50\x1c")),  # a line break to splitlines
+                       error("line 2: 9 fields, expected 12")),
+    # changed: past int64, which numpy's C parser reads, not a range error
+    "above int64": (tsv(word_row(left=2**64)),
+                    error(f"line 2: non-numeric left field '{2**64}'")),
+    "int32 edge": (tsv(word_row(left=-(2**31) + 1, top=2**31 - 1, width=2**31 - 1)),
+                   [word(left=-(2**31) + 1, top=2**31 - 1, width=2**31 - 1)]),
+    "above int32": (tsv(word_row(top=2**31)),
+                    error("line 2: token 'szó' has a field outside +-2**31")),
+    "below int32": (tsv(word_row(left=-(2**31))),
+                    error("line 2: token 'szó' has a field outside +-2**31")),
+    "negative index": (tsv(word_row(), word_row(line=-1)),
+                       error("line 3: token 'szó' has a negative index")),
+    "negative left": (tsv(word_row(left=-5)), [word(left=-5)]),
+    "zero width": (tsv(word_row(), word_row(width=0)),
+                   error("line 3: token 'szó' has non-positive box 0x12")),
+    "negative height": (tsv(word_row(height=-3)),
+                        error("line 2: token 'szó' has non-positive box 50x-3")),
+    "empty int field": (tsv(word_row(width="")), error("line 2: non-numeric width field ''")),
+    "swallowed trailing tab": (tsv(word_row(), word_row(text="")[:-1]), [word()]),
+    "too many fields": (tsv(word_row() + "\textra"), error("line 2: 13 fields, expected 12")),
     # 13 + 11 fields: the right count of tabs overall, in the wrong rows
-    "tab in text, then a swallowed tab": tsv(word_row(text="a\tb"), word_row(text="")[:-1]),
-    "too few fields": tsv(word_row(), "5\t1\t1"),
-    "blank lines": HEADER + "\n\n" + word_row() + "\n   \n\t\t\n" + word_row(word=2) + "\n\n",
-    "header only": HEADER + "\n",
-    "no trailing newline": HEADER + "\n" + word_row(),
-    "crlf": HEADER + "\r\n" + word_row() + "\r\n" + word_row(word=2) + "\r\n",
-    "cr only": HEADER + "\r" + word_row() + "\r" + word_row(word=2) + "\r",
-    "line separator in text": tsv(word_row(text="a\u2028b")),
-    "permuted header": PERMUTED + "\n" + "\n".join(
+    "tab in text, then a swallowed tab": (tsv(word_row(text="a\tb"), word_row(text="")[:-1]),
+                                          error("line 2: 13 fields, expected 12")),
+    "too few fields": (tsv(word_row(), "5\t1\t1"), error("line 3: 3 fields, expected 12")),
+    "blank lines": (HEADER + "\n\n" + word_row() + "\n   \n\t\t\n" + word_row(word=2) + "\n\n",
+                    [word(), word(word=2)]),
+    "blank line before a bad row": (HEADER + "\n\n" + word_row(width=0) + "\n",
+                                    error("line 3: token 'szó' has non-positive box 0x12")),
+    "header only": (HEADER + "\n", []),
+    "no trailing newline": (HEADER + "\n" + word_row(), [word()]),
+    "crlf": (HEADER + "\r\n" + word_row() + "\r\n" + word_row(word=2) + "\r\n",
+             [word(), word(word=2)]),
+    "cr only": (HEADER + "\r" + word_row() + "\r" + word_row(word=2) + "\r",
+                [word(), word(word=2)]),
+    "line separator in text": (tsv(word_row(text="a\u2028b")),
+                               error("line 3: 1 fields, expected 12")),
+    "permuted header": (PERMUTED + "\n" + "\n".join(
         "\t".join(reversed(word_row(word=w, text=t).split("\t"))) + "\tx"
         for w, t in ((1, "első"), (2, "szó"))) + "\n",
-    "hash and quotes in text": tsv(word_row(text="#1"), word_row(word=2, text='"idézet"'),
-                                   word_row(word=3, text="'a'#")),
-    "blank texts skipped": tsv(word_row(text=""), word_row(word=2, text="  "),
-                               word_row(word=3, width=0, text=""), word_row(word=4)),
-    "bad numbers in a skipped row": tsv(word_row(width="x", text=""), word_row()),
-    "conf forms": tsv(word_row(conf="-1"), word_row(word=2, conf="9.5e1"),
-                      word_row(word=3, conf=".5"), word_row(word=4, conf="+7.")),
-    "conf nan and inf": tsv(word_row(conf="nan"), word_row(word=2, conf="-inf")),
-    "conf malformed": tsv(word_row(conf="9.5.1")),
-    "nul in text": tsv(word_row(text="a\x00b")),
-    "lone surrogate in text": tsv(word_row(text="a\ud800b")),
-    "non-ascii in level": tsv(word_row().replace("5", "\u0665", 1)),
+        [word(text="első"), word(word=2)]),
+    "hash and quotes in text": (tsv(word_row(text="#1"), word_row(word=2, text='"idézet"'),
+                                    word_row(word=3, text="'a'#")),
+                                [word(text="#1"), word(word=2, text='"idézet"'),
+                                 word(word=3, text="'a'#")]),
+    "blank texts skipped": (tsv(word_row(text=""), word_row(word=2, text="  "),
+                                word_row(word=3, width=0, text=""), word_row(word=4)),
+                            [word(word=4)]),
+    # changed: every non-blank row's numbers are read, the rows with text kept after
+    "bad numbers in a skipped row": (tsv(word_row(width="x", text=""), word_row()),
+                                     error("line 2: non-numeric width field 'x'")),
+    "conf forms": (tsv(word_row(conf="-1"), word_row(word=2, conf="9.5e1"),
+                       word_row(word=3, conf=".5"), word_row(word=4, conf="+7.")),
+                   [word(conf=-1), word(word=2), word(word=3, conf=0.5), word(word=4, conf=7)]),
+    "conf nan and inf": (tsv(word_row(conf="nan"), word_row(word=2, conf="-inf")),
+                         [word(conf="nan"), word(word=2, conf="-inf")]),
+    "conf malformed": (tsv(word_row(conf="9.5.1")), error("line 2: non-numeric conf field '9.5.1'")),
+    "nul in text": (tsv(word_row(text="a\x00b")), [word(text="a\x00b")]),
+    "lone surrogate in text": (tsv(word_row(text="a\ud800b")), [word(text="a\ud800b")]),
+    "non-ascii in level": (tsv(word_row().replace("5", "\u0665", 1)), [word()]),
 }
-# tables the columnar parser reads without the per-row parser
-FAST = ("plain", "plus sign", "int32 edge", "negative left", "no trailing newline", "crlf",
-        "permuted header", "hash and quotes in text", "blank texts skipped", "conf forms",
-        "nul in text", "lone surrogate in text", "non-ascii in level", "cr only")
+OCR_EDGE_TEXTS = {name: text for name, (text, _) in OCR_EDGE_CASES.items()}
+# tables with words: read by one np.loadtxt call
+FAST = tuple(name for name, (_, outcome) in OCR_EDGE_CASES.items()
+             if isinstance(outcome, list) and outcome)
 
 
 class TestParseEquivalence:
-    @pytest.mark.parametrize("text", OCR_EDGE_TEXTS.values(), ids=OCR_EDGE_TEXTS.keys())
-    def test_same_outcome_as_per_row_parser(self, text):
-        assert parse_outcome(text) == per_row_outcome(text)
+    @pytest.mark.parametrize("text, outcome", OCR_EDGE_CASES.values(), ids=OCR_EDGE_CASES.keys())
+    def test_same_outcome_as_per_row_parser(self, text, outcome):
+        assert parse_outcome(text) == outcome
 
     @pytest.mark.parametrize("name", FAST)
     def test_clean_tables_skip_per_row_parser(self, name):
-        with mock.patch.object(segmentation, "_parse_token_rows", side_effect=AssertionError):
+        """A table that parses is read by one np.loadtxt call, never row by row."""
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             parse_ocr_tsv(OCR_EDGE_TEXTS[name])
+        assert loadtxt.call_count == 1
+
+    def test_header_only_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in (HEADER + "\n", HEADER + "\n\n \n", tsv(word_row(text=""))):
+                assert len(parse_ocr_tsv(text)) == 0
 
     def test_values_and_messages(self):
         outcome = parse_outcome
@@ -240,7 +286,8 @@ class TestParseEquivalence:
             OcrFormatError, "line 3: token 'szó' has non-positive box 0x12")
         assert outcome(OCR_EDGE_TEXTS["negative index"]) == (
             OcrFormatError, "line 3: token 'szó' has a negative index")
-        assert outcome(OCR_EDGE_TEXTS["fullwidth digits"])[0][7] == 50  # int() reads them
+        assert outcome(OCR_EDGE_TEXTS["fullwidth digits"]) == (
+            OcrFormatError, "line 2: non-numeric width field '５０'")
         assert outcome(OCR_EDGE_TEXTS["unit separator"]) == (
             OcrFormatError, "line 2: non-numeric width field '50\\x1f'")
         assert outcome(OCR_EDGE_TEXTS["file separator"]) == (
@@ -431,7 +478,10 @@ class TestDbscan:
                     j = int(np.argmax(gaps))
                     want = (float(kd[-1]) * 1.001 if gaps[j] == 0.0
                             else float((kd[j] + kd[j + 1]) / 2.0))
-                assert _k_distance_eps(features, min_pts) == want
+                dist = _pairwise_distances(features)
+                before = dist.tobytes()
+                assert _k_distance_eps(dist, min_pts) == want
+                assert dist.tobytes() == before  # the matrix is shared with dbscan
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(LabelcalError):
@@ -491,6 +541,15 @@ class TestClassifyParagraphs:
         assert got[:5] == ["body"] * 5
         assert got[5:10] == ["footnote"] * 5
         assert got[10:] == ["aux1"] * 5
+
+
+    def test_distances_computed_once(self):
+        paragraphs = [make_paragraph(f"p{i}", 10.0 + i % 3, 5.0) for i in range(9)]
+        with mock.patch.object(
+            segmentation, "_pairwise_distances", wraps=_pairwise_distances
+        ) as pairwise:
+            classify_paragraphs(paragraphs, min_pts=3)
+        assert pairwise.call_count == 1
 
 
 class TestBodyMargins:
