@@ -46,7 +46,7 @@ pairs = [
 for w, a, b in sorted(pairs, reverse=True)[:5]:
     print(f"  P({b} | {a}) = {w:.2f}")
 
-layout = kamada_kawai_layout(net, seed=1)
+layout = kamada_kawai_layout(net)
 print(f"\nKamada-Kawai layout stress: {layout.stress:.4f}")
 for name, (x, y_) in zip(names, layout.positions):
     print(f"  {name:>10}: ({x:+.2f}, {y_:+.2f})")

@@ -105,9 +105,13 @@ def _cmd_segment(args) -> list[str]:
     files = sorted(path.glob("*.tsv")) if path.is_dir() else [path]
     if not files:
         raise LabelcalError(f"no .tsv files under {path}")
-    tokens = segmentation.OcrTokens.concat(
-        [segmentation.parse_ocr_tsv(f.read_text(encoding="utf-8")) for f in files]
-    )
+    pages = []
+    for f in files:
+        try:
+            pages.append(segmentation.parse_ocr_tsv(f.read_text(encoding="utf-8")))
+        except segmentation.OcrFormatError as exc:
+            raise type(exc)(f"{f}: {exc}") from None
+    tokens = segmentation.OcrTokens.concat(pages)
     paragraphs = segmentation.paragraphs_from_tokens(tokens)
     if not paragraphs:
         raise LabelcalError("no paragraphs found in the input")
@@ -303,7 +307,7 @@ def _cmd_relnet(args) -> list[str]:
             )
         net = relnet.network_from_probabilities(probs)
         inputs.append(args.probs)
-    layout = relnet.kamada_kawai_layout(net, seed=args.seed)
+    layout = relnet.kamada_kawai_layout(net)
     # both files or neither: a failed second write discards the first
     with atomic_write(args.out) as fh, (
         atomic_write(args.json_out) if args.json_out else nullcontext()
@@ -433,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-low", type=float, default=0.2)
     p.add_argument("--p-high", type=float, default=0.54)
     p.add_argument("--min-weight", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--json-out", default=None)
 

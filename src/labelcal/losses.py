@@ -105,7 +105,7 @@ def ldam_margins(
 
 def ldam_loss(
     logits: np.ndarray,
-    true_class: int,
+    true_class: int | np.ndarray,
     margins: np.ndarray,
     scale: float = 1.0,
 ) -> LossValue:
@@ -114,22 +114,32 @@ def ldam_loss(
     The true-class logit is replaced by z_y - margin_y before the
     softmax; ``scale`` multiplies all adjusted logits.  Zero margins and
     scale 1 reduce exactly to standard softmax cross-entropy.
+
+    Takes C logits with an int class, or (n, C) logits with an int array
+    of n classes; a batch's value is the batch total.
     """
     logits = np.asarray(logits, dtype=np.float64)
     margins = np.asarray(margins, dtype=np.float64)
-    if margins.shape != logits.shape:
+    true_class = np.asarray(true_class)
+    if logits.ndim not in (1, 2) or true_class.shape != logits.shape[:-1]:
+        raise ValueError(
+            f"need C logits and one class, or (n, C) logits and n classes; "
+            f"got {logits.shape} and {true_class.shape}"
+        )
+    if margins.shape != logits.shape[-1:]:
         raise ValueError(f"margin shape {margins.shape} != logit shape {logits.shape}")
-    if not 0 <= true_class < logits.size:
-        raise IndexError(f"true_class {true_class} out of range for {logits.size} classes")
+    if not ((0 <= true_class) & (true_class < logits.shape[-1])).all():
+        raise IndexError(f"true_class {true_class} out of range for {logits.shape[-1]} classes")
 
+    at = (np.arange(len(logits)), true_class) if logits.ndim == 2 else true_class
     adjusted = logits.copy()
-    adjusted[true_class] -= margins[true_class]
+    adjusted[at] -= margins[true_class]
     z = scale * adjusted
-    lse = logsumexp(z)
-    value = float(lse - z[true_class])
-    softmax = np.exp(z - lse)
+    lse = logsumexp(z, axis=-1)
+    value = float((lse - z[at]).sum())
+    softmax = np.exp(z - lse[..., None])
     grad = scale * softmax
-    grad[true_class] -= scale
+    grad[at] -= scale
     return LossValue(value, grad)
 
 
@@ -137,15 +147,16 @@ def confidence_penalty(logits: np.ndarray, beta: float) -> LossValue:
     """Penalty -beta * H(softmax(logits)) with H the Shannon entropy in nats.
 
     Most negative at the uniform distribution; added to ``ldam_loss`` it
-    discourages overconfident outputs.
+    discourages overconfident outputs.  Takes C logits or (n, C) logits,
+    one softmax per row; a batch's value is the batch total.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     logits = np.asarray(logits, dtype=np.float64)
     if beta == 0.0:
         return LossValue(0.0, np.zeros_like(logits))
-    log_q = logits - logsumexp(logits)
+    log_q = logits - logsumexp(logits, axis=-1)[..., None]
     q = np.exp(log_q)
-    entropy = float(-(q * log_q).sum())
+    entropy = -(q * log_q).sum(axis=-1, keepdims=True)
     grad = beta * q * (log_q + entropy)
-    return LossValue(-beta * entropy, grad)
+    return LossValue(float(-beta * entropy.sum()), grad)

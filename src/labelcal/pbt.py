@@ -19,9 +19,9 @@ from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from ._util import derive_rng, logsumexp
+from ._util import derive_rng
 from .core import LabelcalError
-from .losses import focal_loss, ldam_margins
+from .losses import confidence_penalty, focal_loss, ldam_loss, ldam_margins
 from .metrics import UndefinedMetricError, balanced_accuracy, roc_auc
 
 PERTURBATION_INTERVAL = (0.8, 1.2)
@@ -295,30 +295,6 @@ def make_toy_dataset(spec: ToyDataSpec):
     return x, classes
 
 
-def _batched_multiclass_loss(
-    logits: np.ndarray,
-    classes: np.ndarray,
-    margins: np.ndarray,
-    beta: float,
-) -> tuple[float, np.ndarray]:
-    """Mean over rows of ldam_loss + confidence_penalty, with gradient."""
-    n = logits.shape[0]
-    adjusted = logits.copy()
-    adjusted[np.arange(n), classes] -= margins[classes]
-    lse = logsumexp(adjusted, axis=1)
-    ce = float((lse - adjusted[np.arange(n), classes]).mean())
-    softmax = np.exp(adjusted - lse[:, None])
-    grad = softmax.copy()
-    grad[np.arange(n), classes] -= 1.0
-
-    log_q = logits - logsumexp(logits, axis=1)[:, None]
-    q = np.exp(log_q)
-    entropy = -(q * log_q).sum(axis=1)
-    penalty = float(-beta * entropy.mean())
-    grad += beta * q * (log_q + entropy[:, None])
-    return ce + penalty, grad / n
-
-
 class LinearTrainable:
     """Full-batch gradient descent on a linear model.
 
@@ -381,9 +357,9 @@ class LinearTrainable:
                     np.maximum(counts, 1),
                     max_margin=self.hyperparameters["max_margin"],
                 )
-                _, grad = _batched_multiclass_loss(
-                    logits, self.y[idx], margins, self.hyperparameters["beta"]
-                )
+                ldam = ldam_loss(logits, self.y[idx], margins)
+                penalty = confidence_penalty(logits, self.hyperparameters["beta"])
+                grad = (ldam.gradient + penalty.gradient) / idx.size
             self.weights -= lr * (self.x[idx].T @ grad)
             self.bias -= lr * grad.sum(axis=0)
 

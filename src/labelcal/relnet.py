@@ -3,20 +3,19 @@ carries the estimated conditional probability P(b|a).
 
 Estimation comes either from binary annotations (co-occurrence counts)
 or from predicted probabilities under within-row independence; the two
-coincide exactly on binary input.  Node positions come from a
-Kamada-Kawai stress minimization, and the graph exports to DOT with
-pinned positions and probability-proportional edge widths.
+coincide exactly on binary input.  Node positions minimise the
+Kamada-Kawai stress, by stress majorization from a classical-MDS start,
+and the graph exports to DOT with pinned positions and
+probability-proportional edge widths.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_rng
 from .core import LabelcalError, LabelMatrix, ProbMatrix
 
 DISTANCE_EPSILON = 0.05
@@ -130,12 +129,10 @@ def target_distances(
     if min_weight > 0.0:
         d[strength < min_weight] = np.inf
     np.fill_diagonal(d, 0.0)
-    n = d.shape[0]
-    for k in range(n):  # Floyd-Warshall
+    for k in range(len(d)):  # Floyd-Warshall; the diagonal stays 0
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.isinf(d[off_diag]).any():
-        a, b = np.argwhere(np.isinf(d) & off_diag)[0]
+    if np.isinf(d).any():
+        a, b = np.argwhere(np.isinf(d))[0]
         raise DisconnectedGraphError(
             f"labels {net.labels[a]!r} and {net.labels[b]!r} are unreachable; "
             "lower min_weight or add epsilon edges"
@@ -145,130 +142,57 @@ def target_distances(
 
 def layout_stress(positions: np.ndarray, dists: np.ndarray) -> float:
     """Kamada-Kawai stress: sum over pairs of k_ij (|x_i - x_j| - d_ij)^2
-    with spring constants k_ij = 1 / d_ij^2."""
-    delta = positions[:, None, :] - positions[None, :, :]
-    actual = np.sqrt((delta**2).sum(axis=2))
-    i, j = np.triu_indices(len(positions), k=1)
-    springs = 1.0 / dists[i, j] ** 2
-    return float((springs * (actual[i, j] - dists[i, j]) ** 2).sum())
-
-
-def _circular_init(n: int, radius: float, seed: int) -> np.ndarray:
-    order = derive_rng(seed).permutation(n)
-    angles = 2.0 * np.pi * np.argsort(order) / n
-    return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
-def _gradients(
-    pos: np.ndarray, rows: np.ndarray, dists: np.ndarray, springs: np.ndarray
-) -> np.ndarray:
-    """Stress gradient of each node in ``rows``, one row of the result each."""
-    r = np.arange(len(rows))
-    delta = pos[rows, None] - pos[None]
-    dist = np.sqrt((delta**2).sum(axis=2))
-    dist[r, rows] = 1.0
-    factor = springs[rows] * (1.0 - dists[rows] / np.maximum(dist, 1e-12))
-    factor[r, rows] = 0.0
-    return (factor[:, :, None] * delta).sum(axis=1)
-
-
-def _node_stress(
-    x: np.ndarray, m: int, pos: np.ndarray, dists: np.ndarray, springs: np.ndarray
-) -> float:
-    delta = x - pos
-    dist = np.sqrt((delta**2).sum(axis=1))
-    terms = springs[m] * (dist - dists[m]) ** 2
-    return float(np.delete(terms, m).sum())
-
-
-def _move_node(
-    pos: np.ndarray,
-    m: int,
-    dists: np.ndarray,
-    springs: np.ndarray,
-    tolerance: float,
-    max_inner: int = 50,
-) -> None:
-    """Newton steps on node m, backtracking so its local stress never rises."""
-    for _ in range(max_inner):
-        grad = _gradients(pos, np.array([m]), dists, springs)[0]
-        if math.hypot(*grad) < tolerance:
-            return
-        delta = pos[m] - pos
-        dist = np.sqrt((delta**2).sum(axis=1))
-        dist[m] = 1.0
-        dist = np.maximum(dist, 1e-12)
-        dx, dy = delta[:, 0], delta[:, 1]
-        k, l = springs[m].copy(), dists[m]
-        k[m] = 0.0
-        cube = dist**3
-        exx = (k * (1.0 - l * dy**2 / cube)).sum()
-        eyy = (k * (1.0 - l * dx**2 / cube)).sum()
-        exy = (k * l * dx * dy / cube).sum()
-        det = exx * eyy - exy**2
-        if abs(det) > 1e-12:
-            step = np.array(
-                [(-grad[0] * eyy + grad[1] * exy) / det,
-                 (grad[0] * exy - grad[1] * exx) / det]
-            )
-        else:
-            step = -grad
-        before = _node_stress(pos[m], m, pos, dists, springs)
-        scale = 1.0
-        for _ in range(30):
-            candidate = pos[m] + scale * step
-            if _node_stress(candidate, m, pos, dists, springs) < before:
-                pos[m] = candidate
-                break
-            scale *= 0.5
-        else:
-            # Newton direction failed; a small enough gradient step must work
-            scale = 1.0
-            for _ in range(40):
-                candidate = pos[m] - scale * grad
-                if _node_stress(candidate, m, pos, dists, springs) < before:
-                    pos[m] = candidate
-                    break
-                scale *= 0.5
-            else:
-                return
+    with spring constants k_ij = 1 / d_ij^2 (0 where d_ij = 0).  Every
+    pair is summed twice, as (i, j) and (j, i), and the total halved."""
+    x, y = positions.T
+    actual = np.hypot(x[:, None] - x, y[:, None] - y)
+    springs = 1.0 / np.where(dists > 0.0, dists, np.inf) ** 2
+    return float(0.5 * (springs * (actual - dists) ** 2).sum())
 
 
 def kamada_kawai_layout(
     net: RelationNetwork,
     iterations: int = 1000,
     tolerance: float = 1e-6,
-    seed: int = 0,
     epsilon: float = DISTANCE_EPSILON,
     min_weight: float = 0.0,
 ) -> Layout:
-    """Stress-minimizing 2-D layout, classic Kamada-Kawai style.
+    """2-D layout of least Kamada-Kawai stress (``layout_stress``).
 
-    Starts from a seeded circular arrangement and repeatedly relaxes the
-    node with the largest stress gradient; every accepted move lowers
-    the stress, so the final stress never exceeds the initial one.
+    The stress is minimised by stress majorization (SMACOF: de Leeuw,
+    1977; Gansner, Koren & North, GD 2004) from a classical-MDS start.
+    Each iteration moves every node at once, X <- V+ B(X) X, and never
+    raises the stress.  The loop stops after ``iterations`` updates, or
+    once an update lowers the stress by at most ``tolerance`` of it.
     """
     n = len(net.labels)
     if n < 2:
         raise LabelcalError(f"layout needs at least 2 labels, got {n}")
     dists = target_distances(net, epsilon=epsilon, min_weight=min_weight)
-    with np.errstate(divide="ignore"):
-        springs = 1.0 / dists**2
-    np.fill_diagonal(springs, 0.0)
+    springs = 1.0 / np.where(dists > 0.0, dists, np.inf) ** 2
+    v_pinv = np.linalg.pinv(np.diag(springs.sum(axis=1)) - springs)
 
-    pos = _circular_init(n, radius=float(dists.max()) / 2.0, seed=seed)
-    nodes = np.arange(n)
+    # classical MDS: the top two eigenvectors of the double-centred -D^2 / 2
+    centre = np.eye(n) - 1.0 / n
+    eigenvalues, eigenvectors = np.linalg.eigh(-0.5 * centre @ dists**2 @ centre)
+    top = [n - 1, n - 2]  # eigh sorts ascending
+    pos = eigenvectors[:, top] * np.sqrt(np.maximum(eigenvalues[top], 0.0))
+
+    stress = layout_stress(pos, dists)
     for _ in range(iterations):
-        grads = _gradients(pos, nodes, dists, springs).tolist()
-        norms = [math.hypot(gx, gy) for gx, gy in grads]
-        worst = int(np.argmax(norms))
-        if norms[worst] < tolerance:
+        x, y = pos.T
+        actual = np.hypot(x[:, None] - x, y[:, None] - y)
+        # b_ij = -k_ij d_ij / |x_i - x_j|, and 0 where two nodes coincide
+        b = -springs * dists / np.where(actual > 0.0, actual, np.inf)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        new_pos = v_pinv @ (b @ pos)
+        new_stress = layout_stress(new_pos, dists)
+        converged = stress - new_stress <= tolerance * stress
+        if new_stress <= stress:  # a rounding rise at the minimum is not taken
+            pos, stress = new_pos, new_stress
+        if converged:
             break
-        before = pos[worst].copy()
-        _move_node(pos, worst, dists, springs, tolerance)
-        if np.array_equal(before, pos[worst]):
-            break  # no accepted move possible; numerical floor reached
-    return Layout(pos, layout_stress(pos, dists))
+    return Layout(pos, stress)
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +222,15 @@ def export_dot(
     lines = ["digraph label_relations {", "  node [shape=ellipse];"]
     for name, (x, y) in zip(net.labels, layout.positions):
         lines.append(f'  {_dot_quote(name)} [pos="{x:.6g},{y:.6g}!"];')
-    for a, source in enumerate(net.labels):
-        if not net.defined[a]:
-            continue
-        for b, target in enumerate(net.labels):
-            if a == b:
-                continue
-            w = net.weights[a, b]
-            if w < min_weight:
-                continue
-            width = width_base + width_scale * w
-            lines.append(
-                f"  {_dot_quote(source)} -> {_dot_quote(target)} "
-                f'[penwidth={width:.6g}, label="{w:.3f}"];'
-            )
+    keep = net.weights >= min_weight  # False on undefined (NaN) rows
+    np.fill_diagonal(keep, False)
+    for a, b in zip(*np.nonzero(keep)):
+        w = net.weights[a, b]
+        width = width_base + width_scale * w
+        lines.append(
+            f"  {_dot_quote(net.labels[a])} -> {_dot_quote(net.labels[b])} "
+            f'[penwidth={width:.6g}, label="{w:.3f}"];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

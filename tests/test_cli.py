@@ -90,6 +90,11 @@ class TestExitCodes:
             assert dispatch(argv + ["--out", out]) == 0
             assert dispatch(argv + ["--threads", "2", "--out", out]) == 1
 
+    def test_relnet_seed_flag_is_usage_error(self, tmp_path, probs_csv):
+        argv = ["relnet", "--probs", probs_csv, "--out", str(tmp_path / "g.dot")]
+        assert dispatch(argv) == 0
+        assert dispatch(argv + ["--seed", "2"]) == 1
+
     def test_bad_years_line_is_data_error(self, tmp_path, probs_csv, truth_csv, capsys):
         years = tmp_path / "years.txt"
         years.write_text("1990\n\n19x1\n" + "1992\n" * 27, encoding="utf-8")
@@ -185,8 +190,23 @@ class TestExitCodes:
                         encoding="utf-8")
         code = dispatch(["segment", "--tsv", str(page), "--out", str(tmp_path / "p.jsonl")])
         assert code == 2
-        assert "line 2: non-numeric width field '５０'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{page}: line 2: non-numeric width field '５０'" in err
         assert sorted(os.listdir(tmp_path)) == ["page.tsv"]
+
+    def test_bad_second_page_of_a_directory_is_named(self, tmp_path, capsys):
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        good = "5\t1\t1\t1\t1\t1\t100\t100\t50\t12\t95\tszó\n"
+        (pages / "p1.tsv").write_text(HEADER + "\n" + good, encoding="utf-8")
+        (pages / "p2.tsv").write_text(HEADER + "\n" + good + good.replace("\t50\t", "\t5x\t"),
+                                      encoding="utf-8")
+        code = dispatch(["segment", "--tsv", str(pages), "--out", str(tmp_path / "p.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{pages / 'p2.tsv'}: line 3: non-numeric width field '5x'" in err
+        assert "p1.tsv" not in err
+        assert sorted(os.listdir(tmp_path)) == ["pages"]
 
 
 class TestFoldsCommand:
@@ -285,7 +305,7 @@ class TestRelnetCommand:
         out = str(tmp_path / "graph.dot")
         jout = str(tmp_path / "weights.json")
         argv = ["relnet", "--probs", probs_csv, "--min-weight", "0.2",
-                "--seed", "2", "--out", out, "--json-out", jout]
+                "--out", out, "--json-out", jout]
         first, second = run_twice(argv, [out, jout])
         assert first == second
         text = open(out).read()

@@ -30,9 +30,9 @@ def fd_grad(f, x, h=1e-5):
     grad = np.zeros_like(x)
     for i in range(x.size):
         up, down = x.copy(), x.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (f(up) - f(down)) / (2.0 * h)
+        up.flat[i] += h
+        down.flat[i] -= h
+        grad.flat[i] = (f(up) - f(down)) / (2.0 * h)
     return grad
 
 
@@ -156,6 +156,15 @@ class TestLdamLoss:
         with pytest.raises(IndexError):
             ldam_loss(np.zeros(3), 3, np.zeros(3))
 
+    def test_batch_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            ldam_loss(np.zeros((2, 3)), np.array([0, 3]), np.zeros(3))
+
+    def test_batch_needs_one_class_per_row(self):
+        for classes in (0, np.array([0, 1, 2])):
+            with pytest.raises(ValueError):
+                ldam_loss(np.zeros((2, 3)), classes, np.zeros(3))
+
 
 class TestConfidencePenalty:
     def test_uniform_logits_hit_max_entropy(self):
@@ -192,6 +201,32 @@ class TestConfidencePenalty:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
             confidence_penalty(np.zeros(2), beta=-0.5)
+
+
+class TestBatches:
+    """(n, C) logits: one softmax per row, the value the batch total."""
+
+    def test_ldam_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            z = rng.uniform(-5, 5, size=(n, k))
+            y = rng.integers(0, k, size=n)
+            margins = rng.uniform(0, 1, size=k)
+            scale = rng.uniform(0.5, 3.0)
+            out = ldam_loss(z, y, margins, scale=scale)
+            fd = fd_grad(lambda x: ldam_loss(x, y, margins, scale=scale).value, z)
+            np.testing.assert_allclose(out.gradient, fd, rtol=1e-4, atol=1e-9)
+
+    def test_penalty_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            z = rng.uniform(-5, 5, size=(n, k))
+            beta = rng.uniform(0.1, 3.0)
+            out = confidence_penalty(z, beta=beta)
+            fd = fd_grad(lambda x: confidence_penalty(x, beta=beta).value, z)
+            np.testing.assert_allclose(out.gradient, fd, rtol=1e-4, atol=1e-9)
 
 
 class TestLossValue:

@@ -12,7 +12,6 @@ from labelcal.losses import confidence_penalty, ldam_loss, ldam_margins
 from labelcal.pbt import (
     PbtConfig,
     ToyDataSpec,
-    _batched_multiclass_loss,
     pbt_run,
     perturb,
     roulette_select,
@@ -211,15 +210,19 @@ class TestBatchedMulticlassLoss:
         classes = rng.integers(0, k, size=n)
         margins = ldam_margins(np.array([40, 10, 5, 2]), max_margin=0.5)
         beta = 0.3
-        value, grad = _batched_multiclass_loss(logits, classes, margins, beta)
-        per_item_values, per_item_grads = [], []
-        for i in range(n):
-            ldam = ldam_loss(logits[i], int(classes[i]), margins)
-            pen = confidence_penalty(logits[i], beta)
-            per_item_values.append(ldam.value + pen.value)
-            per_item_grads.append(ldam.gradient + pen.gradient)
-        np.testing.assert_allclose(value, np.mean(per_item_values), rtol=1e-12)
-        np.testing.assert_allclose(grad, np.array(per_item_grads) / n, rtol=1e-10)
+        ldam = ldam_loss(logits, classes, margins)
+        pen = confidence_penalty(logits, beta)
+        per_row = [
+            (ldam_loss(logits[i], int(classes[i]), margins),
+             confidence_penalty(logits[i], beta))
+            for i in range(n)
+        ]
+        np.testing.assert_allclose(ldam.value, sum(l.value for l, _ in per_row), rtol=1e-12)
+        np.testing.assert_allclose(pen.value, sum(p.value for _, p in per_row), rtol=1e-12)
+        for i, (row_ldam, row_pen) in enumerate(per_row):
+            # one row of a batch is computed as the row alone: the same bits
+            assert ldam.gradient[i].tobytes() == row_ldam.gradient.tobytes()
+            assert pen.gradient[i].tobytes() == row_pen.gradient.tobytes()
 
 
 class TestToyTrainable:

@@ -29,6 +29,7 @@ from labelcal.core import (  # noqa: E402
     RaggedRowError,
     _parse_rows,
 )
+from labelcal.relnet import RelationNetwork, kamada_kawai_layout  # noqa: E402
 from labelcal.segmentation import (  # noqa: E402
     TSV_COLUMNS,
     LineBox,
@@ -367,3 +368,36 @@ def test_paragraph_assembly_equals_per_token_grouping(tokens):
     got = [p.to_json() for p in paragraphs_from_tokens(tokens)]
     want = [p.to_json() for p in paragraphs_per_token(tokens)]
     assert json.dumps(got) == json.dumps(want)  # floats by repr: the same bits
+
+
+@st.composite
+def relation_networks(draw):
+    """Networks of 2-30 labels.  With no weight floor every pair has a
+    direct edge, so each one is connected.  A third have one weight, so
+    every target distance is equal; a third draw from four weights, so
+    equal distances are common."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["one", "few", "any"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "one":
+        weights = np.full((n, n), draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])))
+    elif kind == "few":
+        weights = rng.choice([0.0, 0.1, 0.5, 1.0], size=(n, n))
+    else:
+        weights = rng.random((n, n))
+    np.fill_diagonal(weights, 1.0)
+    return RelationNetwork(tuple(f"l{j}" for j in range(n)), weights, np.ones(n))
+
+
+@settings(max_examples=60)
+@given(relation_networks())
+def test_layout_ends_at_most_at_its_start(net):
+    start = kamada_kawai_layout(net, iterations=0)  # the classical-MDS start
+    assert kamada_kawai_layout(net).stress <= start.stress
+
+
+@settings(max_examples=100)
+@given(relation_networks(), st.integers(0, 60))
+def test_one_more_iteration_never_raises_the_stress(net, k):
+    before = kamada_kawai_layout(net, iterations=k).stress
+    assert kamada_kawai_layout(net, iterations=k + 1).stress <= before * (1.0 + 1e-12)
