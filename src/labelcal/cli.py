@@ -274,6 +274,8 @@ def _cmd_sample(args) -> list[str]:
 
 
 def _cmd_size_curve(args) -> list[str]:
+    if args.sizes[2] < 1:
+        raise UsageError(f"--sizes STEP must be >= 1, got {args.sizes[2]}")
     scores = _load_lines(args.scores, float, "malformed number")
     sizes = range(args.sizes[0], args.sizes[1] + 1, args.sizes[2])
     curve = sampling.sizing_curve(

@@ -3,8 +3,8 @@
 All losses work on raw logits and return both the scalar value and its
 gradient with respect to the logits.  Formulations are numerically
 stable: log-probabilities go through ``np.logaddexp`` or the numpy
-``logsumexp`` port in ``labelcal._util``, never through a raw ``exp`` of
-a large logit.  Entropy is measured in nats.
+``logsumexp`` port, never through a raw ``exp`` of a large logit, and
+probabilities are exponentials of those logs.  Entropy is in nats.
 
 * ``focal_loss``            -- multilabel, independent sigmoid per label
 * ``ldam_loss``             -- multiclass, label-distribution-aware margins
@@ -54,10 +54,6 @@ def focal_loss(
     Accepts arrays of any shape (logits and targets elementwise); the
     value sums over all entries, so a batch gives the batch total.
     """
-    # scipy's expit, not 1 / (1 + np.exp(-x)): numpy's SIMD exp differs
-    # from it in the last bit; imported here to keep scipy off start-up
-    from scipy.special import expit
-
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if alpha is not None and not 0.0 < alpha <= 1.0:
@@ -69,9 +65,9 @@ def focal_loss(
 
     sign = 2.0 * targets - 1.0
     z_t = sign * logits
-    p_t = expit(z_t)
-    one_minus_pt = expit(-z_t)
     log_pt = -np.logaddexp(0.0, -z_t)
+    p_t = np.exp(log_pt)
+    one_minus_pt = np.exp(-np.logaddexp(0.0, z_t))
 
     if alpha is None:
         alpha_t = 1.0

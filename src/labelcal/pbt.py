@@ -13,6 +13,7 @@ the losses in :mod:`labelcal.losses`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, runtime_checkable
@@ -264,14 +265,15 @@ class ToyDataSpec:
             raise LabelcalError("eval_fraction must lie in (0, 1)")
 
 
-def make_toy_dataset(spec: ToyDataSpec):
-    """Features plus targets: a binary matrix (multilabel) or class vector."""
+@functools.lru_cache(maxsize=8)
+def make_toy_dataset(spec: ToyDataSpec) -> tuple[np.ndarray, ...]:
+    """Features, targets (binary matrix or class vector), eval rows and
+    train rows; built once per spec and shared read-only, since every PBT
+    snapshot makes a trainable on the same data."""
     rng = derive_rng(spec.seed)
     x = rng.normal(size=(spec.n_items, spec.n_features))
     if spec.mode == "multilabel":
-        rates = spec.positive_rates or tuple(
-            0.5 / (2.0**j) for j in range(spec.n_labels)
-        )
+        rates = spec.positive_rates or tuple(0.5 / 2.0**j for j in range(spec.n_labels))
         if len(rates) != spec.n_labels:
             raise LabelcalError(f"{len(rates)} rates for {spec.n_labels} labels")
         w = rng.normal(size=(spec.n_features, spec.n_labels))
@@ -281,18 +283,20 @@ def make_toy_dataset(spec: ToyDataSpec):
         y = (raw > cuts).astype(np.int8)
         flips = rng.random(y.shape) < spec.noise
         y = np.where(flips, 1 - y, y)
-        return x, y
-    weights = spec.class_weights or tuple(
-        1.0 / (2.0**j) for j in range(spec.n_labels)
-    )
-    weights = np.asarray(weights, dtype=np.float64)
-    classes = rng.choice(spec.n_labels, size=spec.n_items, p=weights / weights.sum())
-    means = rng.normal(scale=3.0, size=(spec.n_labels, spec.n_features))
-    x = means[classes] + x  # unit noise around well-separated class means
-    if spec.noise > 0:
-        flips = rng.random(spec.n_items) < spec.noise
-        classes = np.where(flips, rng.integers(spec.n_labels, size=spec.n_items), classes)
-    return x, classes
+    else:
+        weights = np.asarray(spec.class_weights or 0.5 ** np.arange(spec.n_labels), float)
+        y = rng.choice(spec.n_labels, size=spec.n_items, p=weights / weights.sum())
+        means = rng.normal(scale=3.0, size=(spec.n_labels, spec.n_features))
+        x = means[y] + x  # unit noise around well-separated class means
+        if spec.noise > 0:
+            flips = rng.random(spec.n_items) < spec.noise
+            y = np.where(flips, rng.integers(spec.n_labels, size=spec.n_items), y)
+    n_eval = max(1, int(round(spec.eval_fraction * spec.n_items)))
+    split = derive_rng(spec.seed, 1).permutation(spec.n_items)
+    arrays = (x, y, split[:n_eval], split[n_eval:])
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 class LinearTrainable:
@@ -313,11 +317,7 @@ class LinearTrainable:
     def __init__(self, data_spec: ToyDataSpec, steps_per_epoch: int = 5):
         self.spec = data_spec
         self.steps_per_epoch = steps_per_epoch
-        x, y = make_toy_dataset(data_spec)
-        n_eval = max(1, int(round(data_spec.eval_fraction * data_spec.n_items)))
-        split = derive_rng(data_spec.seed, 1).permutation(data_spec.n_items)
-        self.eval_idx, self.train_idx = split[:n_eval], split[n_eval:]
-        self.x, self.y = x, y
+        self.x, self.y, self.eval_idx, self.train_idx = make_toy_dataset(data_spec)
         self.weights = np.zeros((data_spec.n_features, data_spec.n_labels))
         self.bias = np.zeros(data_spec.n_labels)
         self.hyperparameters: dict[str, float] = {}
@@ -366,14 +366,12 @@ class LinearTrainable:
     def evaluate(self) -> float:
         logits = self._logits(self.eval_idx)
         if self.spec.mode == "multilabel":
-            from scipy.special import expit  # see losses.focal_loss
-
-            probs = expit(logits)
+            # AUC depends only on ranks, and the sigmoid keeps the order
             truth = self.y[self.eval_idx]
             aucs = []
             for j in range(self.spec.n_labels):
                 try:
-                    aucs.append(roc_auc(probs[:, j], truth[:, j]))
+                    aucs.append(roc_auc(logits[:, j], truth[:, j]))
                 except UndefinedMetricError:
                     continue
             if not aucs:

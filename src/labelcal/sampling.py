@@ -21,6 +21,7 @@ N_BINS = 5
 DEFAULT_SIZES = tuple(range(50, 301, 10))
 DEFAULT_REPS = 100
 DEFAULT_RESAMPLES = 10_000
+_BLOCK = 8192  # bootstrap indices per draw: 64 KiB of int64 that malloc reuses
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,14 @@ def bootstrap_std(
     if resamples < 1:
         raise LabelcalError(f"resamples must be >= 1, got {resamples}")
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
-    idx = rng.integers(0, values.size, size=(resamples, values.size))
-    if statistic is None:
-        replicates = values[idx].mean(axis=1)
-    else:
-        replicates = np.array([statistic(values[row]) for row in idx])
+    rows = max(1, _BLOCK // values.size)
+    replicates = np.empty(resamples)
+    for lo in range(0, resamples, rows):
+        idx = rng.integers(0, values.size, size=(min(rows, resamples - lo), values.size))
+        replicates[lo:lo + len(idx)] = (
+            values[idx].mean(axis=1) if statistic is None
+            else [statistic(values[row]) for row in idx]
+        )
     return float(replicates.std())
 
 
@@ -144,10 +148,10 @@ def sizing_curve(
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise LabelcalError("no sample sizes given")
+    if min(sizes) < 1 or reps < 1:
+        raise LabelcalError(f"sample sizes and reps must be >= 1, got {min(sizes)} and {reps}")
     if max(sizes) > values.size:
-        raise LabelcalError(
-            f"sample size {max(sizes)} exceeds population {values.size}"
-        )
+        raise LabelcalError(f"sample size {max(sizes)} exceeds population {values.size}")
     stds = np.empty((len(sizes), reps))
     for i, size in enumerate(sizes):
         for rep in range(reps):

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import chi2
 
 from labelcal._util import derive_rng
 from labelcal.core import LabelcalError
 from labelcal.losses import confidence_penalty, ldam_loss, ldam_margins
+from labelcal.metrics import roc_auc
 from labelcal.pbt import (
     PbtConfig,
     ToyDataSpec,
+    make_toy_dataset,
     pbt_run,
     perturb,
     roulette_select,
@@ -283,6 +286,37 @@ class TestToyTrainable:
         assert b.hyperparameters == a.hyperparameters
         b.weights[0, 0] += 1.0
         assert a.weights[0, 0] != b.weights[0, 0]
+
+    def test_trainables_on_one_spec_share_read_only_data(self):
+        spec = ToyDataSpec(n_items=100, n_labels=2, n_features=4, seed=3)
+        a, b = toy_trainable(spec), toy_trainable(spec)
+        for name in ("x", "y", "eval_idx", "train_idx"):
+            assert getattr(a, name) is getattr(b, name)
+            with pytest.raises(ValueError):
+                getattr(a, name)[0] = 0
+        a.init(seed=1)
+        a.hyperparameters = {"learning_rate": 0.5, "gamma": 2.0}
+        a.train_one_epoch()
+        shared = (a.x, a.y, a.eval_idx, a.train_idx)
+        fresh = make_toy_dataset.__wrapped__(spec)  # the uncached build
+        assert all(np.array_equal(x, y) for x, y in zip(fresh, shared))
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_multilabel_score_equals_auc_of_sigmoid(self, tied):
+        # the score ranks logits; the sigmoid keeps their order and ties
+        spec = ToyDataSpec(n_items=300, n_labels=4, n_features=6, seed=5)
+        t = toy_trainable(spec)
+        t.init(seed=2)
+        t.hyperparameters = {"learning_rate": 0.5, "gamma": 2.0}
+        t.train_one_epoch()
+        if tied:  # one logit per label column: every item ties
+            t.weights[:] = 0.0
+        probs = expit(t.x[t.eval_idx] @ t.weights + t.bias)
+        truth = t.y[t.eval_idx]
+        expected = np.mean([roc_auc(probs[:, j], truth[:, j]) for j in range(4)])
+        assert t.evaluate() == float(expected)
+        if tied:
+            assert t.evaluate() == 0.5
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(LabelcalError):

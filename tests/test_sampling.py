@@ -152,7 +152,32 @@ class TestWeightedSample:
             weighted_sample(np.ones(3), n=4, seed=0)
 
 
+def bootstrap_one_call(values, resamples, seed, statistic=None):
+    """The unblocked form: every resample's indices from one draw."""
+    idx = derive_rng(seed).integers(0, values.size, size=(resamples, values.size))
+    if statistic is None:
+        return float(values[idx].mean(axis=1).std())
+    return float(np.array([statistic(values[row]) for row in idx]).std())
+
+
 class TestBootstrapStd:
+    @pytest.mark.parametrize("n,resamples", [
+        (1, 9001), (2, 9001), (7, 2001), (125, 2000), (301, 111),
+        (8191, 5), (8192, 5), (8193, 5),
+    ])
+    def test_blocked_draws_equal_one_call_bit_for_bit(self, n, resamples):
+        # block heights 8192 // n: one full block, several with a partial
+        # last one, and one row per block from n = 8192 on
+        values = np.random.default_rng(n).normal(size=n)
+        assert bootstrap_std(values, resamples, seed=n) == bootstrap_one_call(
+            values, resamples, seed=n)
+
+    def test_blocked_custom_statistic_equals_one_call(self):
+        values = np.random.default_rng(9).normal(size=301)
+        for statistic in (np.median, lambda v: float(v.max() - v.min())):
+            assert bootstrap_std(values, 111, seed=4, statistic=statistic) == (
+                bootstrap_one_call(values, 111, seed=4, statistic=statistic))
+
     def test_constant_values(self):
         assert bootstrap_std(np.full(50, 3.3), resamples=200, seed=0) == 0.0
 
@@ -215,6 +240,11 @@ class TestSizingCurve:
     def test_oversized_request_rejected(self):
         with pytest.raises(LabelcalError, match="exceeds"):
             sizing_curve(np.ones(40), sizes=(50,), reps=2, resamples=10, seed=0)
+
+    @pytest.mark.parametrize("sizes,reps", [((5, 10), 0), ((5, 10), -1), ((0, 5), 2), ((-5, 5), 2)])
+    def test_nonpositive_reps_or_size_rejected(self, sizes, reps):
+        with pytest.raises(LabelcalError, match="must be >= 1"):
+            sizing_curve(np.ones(40), sizes=sizes, reps=reps, resamples=10, seed=0)
 
     def test_curve_invariants(self):
         with pytest.raises(LabelcalError):
