@@ -14,7 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EnsembleSet, LabelcalError, LabelMatrix, ProbMatrix
+from .core import (
+    DEFAULT_GRID_STEP,
+    DEFAULT_HIGH_RANGE,
+    DEFAULT_LOW_RANGE,
+    EnsembleSet,
+    LabelcalError,
+    LabelMatrix,
+    ProbMatrix,
+)
 from .metrics import (
     DEFAULT_TICK_DIVISOR,
     UndefinedMetricError,
@@ -22,10 +30,6 @@ from .metrics import (
     tendency_error,
     tendency_series_from_matrix,
 )
-
-DEFAULT_GRID_STEP = 0.01
-DEFAULT_LOW_RANGE = (0.0, 0.5)
-DEFAULT_HIGH_RANGE = (0.5, 1.0)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,13 @@ import numpy as np
 from . import __version__
 from . import calibration, folds, metrics, pbt, relnet, sampling, segmentation
 from .core import (
+    DEFAULT_CANDIDATES,
+    DEFAULT_ECE_BINS,
+    DEFAULT_GRID_STEP,
+    DEFAULT_HIGH_RANGE,
+    DEFAULT_LOW_RANGE,
+    DEFAULT_REPS,
+    DEFAULT_RESAMPLES,
     LabelcalError,
     atomic_write,
     load_label_matrix,
@@ -386,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--kind", choices=["multilabel", "multiclass"], default="multilabel")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--candidates", type=int, default=folds.DEFAULT_CANDIDATES)
+    p.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -394,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--kind", choices=["multilabel", "multiclass"], default="multilabel")
-    p.add_argument("--bins", type=int, default=metrics.DEFAULT_ECE_BINS)
+    p.add_argument("--bins", type=int, default=DEFAULT_ECE_BINS)
     p.add_argument("--years", default=None,
                    help="one year per item; adds the tendency error")
     p.add_argument("--out", "--report", dest="out", required=True)
@@ -402,11 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("calibrate", _cmd_calibrate, help="grid-search truncation thresholds")
     p.add_argument("--oof", required=True, help="out-of-fold predictions")
     p.add_argument("--truth", required=True)
-    p.add_argument("--step", type=float, default=calibration.DEFAULT_GRID_STEP)
+    p.add_argument("--step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--low-range", type=float, nargs=2,
-                   default=list(calibration.DEFAULT_LOW_RANGE))
+                   default=list(DEFAULT_LOW_RANGE))
     p.add_argument("--high-range", type=float, nargs=2,
-                   default=list(calibration.DEFAULT_HIGH_RANGE))
+                   default=list(DEFAULT_HIGH_RANGE))
     p.add_argument("--years", default=None,
                    help="one year per item; enables the tendency table")
     p.add_argument("--out", required=True)
@@ -427,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="one metric value per line")
     p.add_argument("--sizes", type=int, nargs=3, default=[50, 300, 10],
                    metavar=("START", "STOP", "STEP"))
-    p.add_argument("--reps", type=int, default=sampling.DEFAULT_REPS)
-    p.add_argument("--resamples", type=int, default=sampling.DEFAULT_RESAMPLES)
+    p.add_argument("--reps", type=int, default=DEFAULT_REPS)
+    p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 

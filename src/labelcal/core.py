@@ -26,6 +26,16 @@ import numpy as np
 # noise and clamped; anything larger is a data error.
 RANGE_TOLERANCE = 1e-9
 
+# Defaults of the stage modules, kept here so that building the command
+# line parser loads no stage module.
+DEFAULT_CANDIDATES = 100_000  # folds
+DEFAULT_GRID_STEP = 0.01  # calibration
+DEFAULT_LOW_RANGE = (0.0, 0.5)
+DEFAULT_HIGH_RANGE = (0.5, 1.0)
+DEFAULT_ECE_BINS = 10  # metrics
+DEFAULT_REPS = 100  # sampling
+DEFAULT_RESAMPLES = 10_000
+
 
 class LabelcalError(Exception):
     """Base class for data and usage errors raised by this package."""

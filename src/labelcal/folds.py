@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import derive_rng
-from .core import LabelcalError, LabelMatrix
+from .core import DEFAULT_CANDIDATES, LabelcalError, LabelMatrix
 
-DEFAULT_CANDIDATES = 100_000
 _CHUNK = 1024
 
 

@@ -76,8 +76,10 @@ def focal_loss(
 
     focus = np.power(one_minus_pt, gamma)
     terms = -alpha_t * focus * log_pt
-    # d term / d logit, via d p_t / d logit = sign * p_t * (1 - p_t)
-    grad = sign * alpha_t * (gamma * p_t * focus * log_pt - one_minus_pt * focus)
+    # d term / d logit, via d p_t / d logit = sign * p_t * (1 - p_t);
+    # p_t * log(p_t) -> 0 as p_t -> 0, where the product would be 0 * -inf
+    focal_part = np.multiply(gamma * p_t * focus, log_pt, out=np.zeros_like(log_pt), where=p_t > 0)
+    grad = sign * alpha_t * (focal_part - one_minus_pt * focus)
     return LossValue(float(terms.sum()), grad)
 
 

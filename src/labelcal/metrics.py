@@ -15,9 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._util import average_ranks
-from .core import LabelcalError, LabelMatrix, ProbMatrix
+from .core import DEFAULT_ECE_BINS, LabelcalError, LabelMatrix, ProbMatrix
 
-DEFAULT_ECE_BINS = 10
 DEFAULT_TICK_DIVISOR = 40.0
 
 

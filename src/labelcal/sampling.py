@@ -15,12 +15,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._util import derive_rng
-from .core import LabelcalError, ProbMatrix
+from .core import DEFAULT_REPS, DEFAULT_RESAMPLES, LabelcalError, ProbMatrix
 
 N_BINS = 5
 DEFAULT_SIZES = tuple(range(50, 301, 10))
-DEFAULT_REPS = 100
-DEFAULT_RESAMPLES = 10_000
 _BLOCK = 8192  # bootstrap indices per draw: 64 KiB of int64 that malloc reuses
 
 
@@ -152,6 +150,8 @@ def sizing_curve(
         raise LabelcalError(f"sample sizes and reps must be >= 1, got {min(sizes)} and {reps}")
     if max(sizes) > values.size:
         raise LabelcalError(f"sample size {max(sizes)} exceeds population {values.size}")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise LabelcalError("sizes must be strictly increasing")
     stds = np.empty((len(sizes), reps))
     for i, size in enumerate(sizes):
         for rep in range(reps):

@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, outputs, manifests, determinism."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -452,7 +454,8 @@ class TestStartup:
     def test_cli_loads_every_submodule_and_no_scipy(self):
         # importing scipy.special adds ~0.3 s to a CLI run (0.29 s, median
         # of 15, 2-vCPU VM); the bench tracer wraps only labelcal modules
-        # loaded at import, so all must be
+        # in sys.modules, so all must be registered at import (they load
+        # on first access)
         version, report = _probe(STARTUP_PROBE)
         assert version == f"labelcal {labelcal.__version__}"
         assert json.loads(report) == {"scipy": [], "not_loaded": []}
@@ -461,3 +464,152 @@ class TestStartup:
         # focal loss and the multilabel PBT score are numpy-only
         (report,) = _probe(PBT_PROBE, str(tmp_path))
         assert json.loads(report) == []
+
+
+# the names ``from labelcal import *`` gave before submodules loaded lazily
+OLD_ALL = [
+    "EnsembleSet", "FoldAssignment", "LabelMatrix", "LabelcalError", "Layout", "LossValue",
+    "MacroScore", "Member", "OcrToken", "OcrTokens", "ParagraphRecord", "PbtConfig",
+    "PbtResult", "ProbMatrix", "RelationNetwork", "SizingCurve", "TendencySeries",
+    "Thresholds", "ToyDataSpec", "balanced_accuracy", "bootstrap_std", "bow_match",
+    "bow_match_many", "calibration", "classify_paragraphs", "concat_labels",
+    "confidence_penalty", "core", "dbscan", "ensemble_average", "expected_calibration_error",
+    "export_dot", "focal_loss", "folds", "grid_search_thresholds", "importance_weights",
+    "kamada_kawai_layout", "label_count_error_rate", "ldam_loss", "ldam_margins",
+    "load_label_matrix", "load_prob_matrix", "losses", "macro_roc_auc", "merge_cross_page",
+    "metrics", "network_from_annotations", "network_from_probabilities", "out_of_fold",
+    "parse_ocr_tsv", "partition_score", "pbt", "pbt_run", "perturb", "relnet", "roc_auc",
+    "roulette_select", "sampling", "save_label_matrix", "save_prob_matrix", "segmentation",
+    "sizing_curve", "stratified_kfold", "stratified_single_label", "substring_filter",
+    "tendency_error", "tendency_values", "threshold_at_half", "toy_trainable", "truncate",
+    "warmup_steps", "weighted_sample",
+]
+SUBMODULES = ["_util", "calibration", "core", "folds", "losses", "metrics", "pbt", "relnet",
+              "sampling", "segmentation"]
+
+EXECUTED = """
+[n.split(".", 1)[1] for n, m in sorted(sys.modules.items())
+ if n.startswith("labelcal.") and type(m) is types.ModuleType]
+"""
+
+IMPORT_PROBE = f"""
+import json, sys, types
+import labelcal
+print(json.dumps({{
+    "numpy": "numpy" in sys.modules,
+    "registered": sorted(n.split(".", 1)[1] for n in sys.modules if n.startswith("labelcal.")),
+    "executed": {EXECUTED},
+}}))
+"""
+
+COMMAND_PROBE = f"""
+import json, sys, types
+import labelcal.cli
+try:
+    code = labelcal.cli.dispatch(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    code = exc.code
+assert code == 0, code
+print(json.dumps({EXECUTED}))
+"""
+
+TRACER_VIEW_PROBE = """
+import json, sys, types
+import labelcal.cli
+print(json.dumps({
+    name: sorted(attr for attr, value in vars(module).items()
+                 if isinstance(value, types.FunctionType) and not attr.startswith("_")
+                 and value.__module__ == name)
+    for name, module in sorted(sys.modules.items()) if name.startswith("labelcal.")
+}))
+"""
+
+
+def _plain_public_defs(path):
+    """Top-level public functions defined without a decorator."""
+    tree = ast.parse(open(path, encoding="utf-8").read())
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and not node.decorator_list}
+
+
+@pytest.fixture
+def stage_inputs(tmp_path, probs_csv, truth_csv):
+    rng = np.random.default_rng(93)
+    (tmp_path / "scores.txt").write_text(
+        "\n".join("%.17g" % v for v in rng.normal(size=100)), "utf-8")
+    (tmp_path / "years.txt").write_text("\n".join(["2000"] * 15 + ["2001"] * 15), "utf-8")
+    (tmp_path / "pages.tsv").write_text("\n".join([HEADER] + [
+        f"5\t1\t1\t{par}\t1\t{word}\t{60 * word}\t{40 * par}\t50\t12\t95\tszo{par}{word}"
+        for par in (1, 2, 3) for word in (1, 2, 3)
+    ]) + "\n", "utf-8")
+    texts = "".join(json.dumps({"id": i, "text": f"szo{i}1 szo{i}2"}) + "\n" for i in (1, 2))
+    (tmp_path / "texts.jsonl").write_text(texts, "utf-8")
+    return {"in": tmp_path, "probs": probs_csv, "truth": truth_csv}
+
+
+# subcommand arguments -> the labelcal modules its run executes
+STAGE_MODULES = [
+    (["--version"], ["cli", "core"]),
+    (["filter", "--texts", "{in}/texts.jsonl", "--needle", "szo1"], ["cli", "core"]),
+    (["match", "--quotes", "{in}/texts.jsonl", "--paragraphs", "{in}/texts.jsonl"],
+     ["cli", "core", "segmentation"]),
+    (["segment", "--tsv", "{in}/pages.tsv", "--min-pts", "2"], ["cli", "core", "segmentation"]),
+    (["folds", "--labels", "{truth}", "--k", "3", "--candidates", "8"],
+     ["_util", "cli", "core", "folds"]),
+    (["metrics", "--probs", "{probs}", "--truth", "{truth}", "--years", "{in}/years.txt"],
+     ["_util", "cli", "core", "metrics"]),
+    (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "0.1"],
+     ["_util", "calibration", "cli", "core", "metrics"]),
+    (["truncate", "--probs", "{probs}", "--p-low", "0.2", "--p-high", "0.6"],
+     ["_util", "calibration", "cli", "core", "metrics"]),
+    (["sample", "--probs", "{probs}", "--n", "5"], ["_util", "cli", "core", "sampling"]),
+    (["size-curve", "--scores", "{in}/scores.txt", "--sizes", "10", "20", "10", "--reps", "2",
+      "--resamples", "10"], ["_util", "cli", "core", "sampling"]),
+    (["relnet", "--probs", "{probs}"], ["cli", "core", "relnet"]),
+    (["relnet", "--probs", "{probs}", "--calibrate", "half"],
+     ["_util", "calibration", "cli", "core", "metrics", "relnet"]),
+    (["pbt-demo", "--population", "2", "--generations", "1", "--items", "40", "--labels", "2",
+      "--features", "2"], ["_util", "cli", "core", "losses", "metrics", "pbt"]),
+]
+
+
+class TestLazyLoading:
+    def test_import_executes_no_submodule_and_loads_no_numpy(self):
+        (report,) = _probe(IMPORT_PROBE)
+        assert json.loads(report) == {"numpy": False, "registered": SUBMODULES, "executed": []}
+
+    @pytest.mark.parametrize("argv, modules", STAGE_MODULES, ids=[
+        argv[0] + ("-" + argv[-1] if "--calibrate" in argv else "") for argv, _ in STAGE_MODULES])
+    def test_stage_executes_only_its_modules(self, tmp_path, stage_inputs, argv, modules):
+        argv = [a.format(**stage_inputs) for a in argv]
+        if argv[0] != "--version":
+            argv += ["--out", str(tmp_path / "out")]
+        lines = _probe(COMMAND_PROBE, json.dumps(argv))
+        assert json.loads(lines[-1]) == modules
+
+    def test_all_keeps_every_name_and_each_resolves(self):
+        assert labelcal.__all__ == OLD_ALL
+        for name in OLD_ALL:
+            value = getattr(labelcal, name)
+            if isinstance(value, types.ModuleType):
+                assert value is sys.modules[f"labelcal.{name}"]
+            else:
+                assert value is getattr(sys.modules[value.__module__], name)
+
+    def test_dir_lists_every_name_and_unknown_names_raise(self):
+        assert set(OLD_ALL) <= set(dir(labelcal))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            labelcal.no_such_name
+
+    def test_tracer_view_sees_every_public_function(self):
+        # the bench tracer wraps what vars() of each module in sys.modules
+        # shows after ``import labelcal.cli``; a lazy module must show its
+        # functions, not an empty namespace
+        (report,) = _probe(TRACER_VIEW_PROBE)
+        view = json.loads(report)
+        assert sorted(view) == sorted(["labelcal.cli"] + [f"labelcal.{m}" for m in SUBMODULES])
+        folder = os.path.dirname(labelcal.__file__)
+        for name, functions in view.items():
+            path = os.path.join(folder, name.split(".", 1)[1] + ".py")
+            assert _plain_public_defs(path) <= set(functions), name

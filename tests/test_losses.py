@@ -112,6 +112,17 @@ class TestFocalLoss:
         weighted = focal_loss(z, t, gamma=0.0, alpha=0.25).value
         np.testing.assert_allclose(weighted, 0.25 * full, rtol=1e-12)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("alpha", [None, 0.25])
+    def test_infinite_logit_on_wrong_side_has_limit_gradient(self, gamma, alpha):
+        # the gradient tends to -sign * alpha_t; p_t * log(p_t) -> 0
+        with np.errstate(all="raise"):
+            out = focal_loss(np.array([np.inf, -np.inf]), np.array([0, 1]), gamma=gamma,
+                             alpha=alpha)
+        alpha_neg, alpha_pos = (1.0, 1.0) if alpha is None else (1.0 - alpha, alpha)
+        assert out.value == np.inf
+        assert np.array_equal(out.gradient, [alpha_neg, -alpha_pos])
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             focal_loss(np.array([0.0]), np.array([1]), gamma=-1.0)
@@ -131,12 +142,19 @@ class TestFocalAgainstExpit:
 
     @staticmethod
     def check(z, t, gamma, alpha):
-        out = focal_loss(z, t, gamma=gamma, alpha=alpha)
-        terms, grad = focal_expit_reference(z, t, gamma, alpha)
+        with np.errstate(invalid="raise"):
+            out = focal_loss(z, t, gamma=gamma, alpha=alpha)
+        with np.errstate(invalid="ignore"):  # 0 * -inf at z_t = -inf
+            terms, grad = focal_expit_reference(z, t, gamma, alpha)
         budget = 2.0 * (1.0 + gamma) * (np.minimum(np.abs(z), 40.0) + 2.0) * np.finfo(float).eps
-        assert np.array_equal(np.isnan(out.gradient), np.isnan(grad))
+        # the expit form takes 0 * -inf at an infinite logit on the wrong
+        # side of its target; there the gradient is its limit -sign * alpha_t
+        nan = np.isnan(grad)
+        alpha_t = 1.0 if alpha is None else np.where(t == 1, alpha, 1.0 - alpha)
+        limit = np.broadcast_to(-(2.0 * t - 1.0) * alpha_t, grad.shape)
+        assert np.array_equal(out.gradient[nan], limit[nan])
         fin = np.isfinite(grad)
-        assert np.array_equal(out.gradient[~fin], grad[~fin], equal_nan=True)
+        assert np.array_equal(out.gradient[~fin & ~nan], grad[~fin & ~nan])
         g, r = out.gradient[fin], grad[fin]
         tol = budget[fin] * np.maximum(np.abs(g), np.abs(r)) + 1e-300
         assert np.all(np.abs(g - r) <= tol)
@@ -162,8 +180,7 @@ class TestFocalAgainstExpit:
             t = np.full(z.size, target)
             for gamma in (0.0, 2.0):
                 for alpha in (None, 0.25):
-                    with np.errstate(invalid="ignore"):  # 0 * inf at z_t = -inf
-                        self.check(z, t, gamma, alpha)
+                    self.check(z, t, gamma, alpha)
 
     def test_zero_logit_is_exact(self):
         for target in (0, 1):

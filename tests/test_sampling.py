@@ -246,6 +246,16 @@ class TestSizingCurve:
         with pytest.raises(LabelcalError, match="must be >= 1"):
             sizing_curve(np.ones(40), sizes=sizes, reps=reps, resamples=10, seed=0)
 
+    def test_unordered_sizes_rejected_before_any_draw(self, monkeypatch):
+        # 10**9 resamples per point would take hours; a draw fails the test at once
+        def no_draws(*args):
+            raise AssertionError("sizing_curve drew before checking its sizes")
+
+        monkeypatch.setattr("labelcal.sampling.derive_rng", no_draws)
+        for sizes in ((300, 50), (50, 50)):
+            with pytest.raises(LabelcalError, match="sizes must be strictly increasing"):
+                sizing_curve(np.ones(400), sizes=sizes, reps=10, resamples=10**9, seed=0)
+
     def test_curve_invariants(self):
         with pytest.raises(LabelcalError):
             SizingCurve(sizes=(100, 50), mean_std=(0.1, 0.2), reps=1, resamples=1)
