@@ -420,7 +420,7 @@ print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "not_loaded": sorted(
         f"labelcal.{m.name}" for m in pkgutil.iter_modules(labelcal.__path__)
-        if f"labelcal.{m.name}" not in sys.modules
+        if m.name != "__main__" and f"labelcal.{m.name}" not in sys.modules
     ),
 }))
 """
@@ -440,12 +440,50 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _probe(*argv):
+THREAD_PROBE = """
+import json, os
+import labelcal.cli
+import numpy as np
+np.linalg.eigh(np.eye(50) + np.ones((50, 50)))
+tasks = "/proc/self/task"
+print(json.dumps({
+    "value": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+"""
+
+
+LIBRARY_ENV_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+import labelcal
+labelcal.relnet.kamada_kawai_layout
+print(json.dumps({"numpy": "numpy" in sys.modules, "environ_unchanged": dict(os.environ) == before}))
+"""
+
+
+# every variable OpenBLAS reads its thread count from; a probe drops them
+# all, so a value the test process holds cannot mask the CLI's default
+NO_BLAS_THREADS = dict.fromkeys(["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+
+
+def _child(*args, env=None):
+    """A fresh interpreter on this source tree; ``env`` overrides variables,
+    and a None value removes one."""
     src = os.path.dirname(os.path.dirname(labelcal.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", *argv], env=env,
-                         capture_output=True, text=True, timeout=120)
+    environ = dict(os.environ, PYTHONPATH=path)
+    for name, value in (env or {}).items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    return subprocess.run([sys.executable, *args], env=environ,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _probe(*argv, env=None):
+    run = _child("-c", *argv, env=env)
     assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()
 
@@ -455,7 +493,7 @@ class TestStartup:
         # importing scipy.special adds ~0.3 s to a CLI run (0.29 s, median
         # of 15, 2-vCPU VM); the bench tracer wraps only labelcal modules
         # in sys.modules, so all must be registered at import (they load
-        # on first access)
+        # on first access); ``__main__`` is the ``python -m`` entry only
         version, report = _probe(STARTUP_PROBE)
         assert version == f"labelcal {labelcal.__version__}"
         assert json.loads(report) == {"scipy": [], "not_loaded": []}
@@ -464,6 +502,88 @@ class TestStartup:
         # focal loss and the multilabel PBT score are numpy-only
         (report,) = _probe(PBT_PROBE, str(tmp_path))
         assert json.loads(report) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_runs_blas_on_one_thread(self):
+        # an OpenBLAS worker pool costs about half of ``import numpy``
+        # (161 -> 92 ms, median of 15, 2-vCPU VM), more than any stage's
+        # BLAS work
+        (report,) = _probe(THREAD_PROBE, env=NO_BLAS_THREADS)
+        assert json.loads(report) == {"value": "1", "threads": 1}
+
+    def test_preset_blas_threads_win(self):
+        (report,) = _probe(THREAD_PROBE, env=dict(NO_BLAS_THREADS, OPENBLAS_NUM_THREADS="2"))
+        assert json.loads(report)["value"] == "2"
+
+    def test_library_import_leaves_the_environment_alone(self):
+        (report,) = _probe(LIBRARY_ENV_PROBE, env=NO_BLAS_THREADS)
+        assert json.loads(report) == {"numpy": True, "environ_unchanged": True}
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["labelcal", "labelcal.cli"])
+    def test_version(self, module):
+        run = _child("-m", module, "--version")
+        assert (run.returncode, run.stdout) == (0, f"labelcal {labelcal.__version__}\n")
+
+    def test_truncate_writes_output_and_manifest(self, tmp_path, probs_csv):
+        out = tmp_path / "q.csv"
+        run = _child("-m", "labelcal", "truncate", "--probs", probs_csv, "--p-low", "0.2",
+                     "--p-high", "0.54", "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        assert sorted(os.listdir(tmp_path)) == ["probs.csv", "q.csv", "q.csv.manifest.json"]
+        expected = str(tmp_path / "expected.csv")
+        assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2",
+                         "--p-high", "0.54", "--out", expected]) == 0
+        assert out.read_bytes() == open(expected, "rb").read()
+
+    def test_unknown_flag_is_usage_error(self, tmp_path, probs_csv):
+        run = _child("-m", "labelcal", "truncate", "--probs", probs_csv, "--p-low", "0.2",
+                     "--p-high", "0.54", "--out", str(tmp_path / "q.csv"), "--frobnicate")
+        assert run.returncode == 1
+        assert "unrecognized arguments: --frobnicate" in run.stderr
+        assert not (tmp_path / "q.csv").exists()
+
+
+@pytest.fixture
+def bench_sized_probs(tmp_path):
+    # 50 labels as in the bench's relnet stage, and enough items that the
+    # co-occurrence product runs ~1.5x faster on two OpenBLAS threads
+    # than on one, so the two runs below take different BLAS paths
+    rng = np.random.default_rng(94)
+    path = tmp_path / "probs50.csv"
+    names = ",".join(f"l{j}" for j in range(50))
+    rows = ["%.17g" % v for v in rng.beta(0.3, 2.0, size=(3000, 50)).ravel()]
+    body = "\n".join(",".join(rows[i:i + 50]) for i in range(0, len(rows), 50))
+    path.write_text(f"{names}\n{body}\n", encoding="utf-8")
+    return str(path)
+
+
+# the stages that call BLAS, with the files they write
+BLAS_STAGES = {
+    "relnet": (["relnet", "--probs", "{probs}", "--min-weight", "0.1",
+                "--out", "{out}/graph.dot", "--json-out", "{out}/weights.json"],
+               ["graph.dot", "weights.json"]),
+    "pbt-demo": (["pbt-demo", "--mode", "multilabel", "--population", "8",
+                  "--generations", "3", "--items", "400", "--labels", "5",
+                  "--out", "{out}/history.json"], ["history.json"]),
+}
+
+
+class TestBlasThreadEquivalence:
+    @pytest.mark.parametrize("stage", sorted(BLAS_STAGES))
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, bench_sized_probs, stage):
+        argv, files = BLAS_STAGES[stage]
+        outputs = []
+        for threads in (None, "2"):  # the CLI default (one), then a preset pool
+            out = tmp_path / f"threads-{threads or 'default'}"
+            out.mkdir()
+            run = _child("-m", "labelcal", *[a.format(probs=bench_sized_probs, out=out)
+                                             for a in argv],
+                         env=dict(NO_BLAS_THREADS, OPENBLAS_NUM_THREADS=threads))
+            assert run.returncode == 0, run.stderr
+            outputs.append([(out / name).read_bytes() for name in files])
+        assert outputs[0] == outputs[1]
 
 
 # the names ``from labelcal import *`` gave before submodules loaded lazily
