@@ -6,6 +6,10 @@ version, and wall-clock duration.  All randomness is seeded (default 0,
 never wall-clock), so a rerun with the same manifest inputs reproduces
 the outputs byte for byte.
 
+A subcommand returns its outputs as text and ``dispatch`` writes them with
+the manifest as one group: a run leaves all of them or none.  Outputs that
+name the same file are a usage error.
+
 BLAS runs on one thread: ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value
 already set wins), as starting OpenBLAS's worker pool costs about half of
 ``import numpy``, more than any stage's BLAS work.  Outputs are the same.
@@ -21,7 +25,6 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -43,14 +46,16 @@ from .core import (
     DEFAULT_REPS,
     DEFAULT_RESAMPLES,
     LabelcalError,
-    atomic_write,
+    atomic_files,
+    format_matrix,
+    format_texts,
     load_label_matrix,
     load_prob_matrix,
     load_texts,
-    save_prob_matrix,
-    save_texts,
     substring_filter,
 )
+
+Run = tuple[list[tuple[str, str]], list[str]]  # outputs (path, text) in write order, inputs
 
 
 class UsageError(LabelcalError):
@@ -62,14 +67,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_json(payload, fh) -> None:
-    json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def _json_dump(payload, path: str) -> None:
-    with atomic_write(path) as fh:
-        _write_json(payload, fh)
+def _json(payload) -> str:
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 def _sha256(path: str) -> str:
@@ -80,19 +79,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list[str], started: float) -> None:
-    params = {
-        k: v for k, v in vars(args).items() if k not in ("func", "inputs_", "command")
-    }
-    manifest = {
+def _manifest(args: argparse.Namespace, inputs: list[str], started: float) -> str:
+    return _json({
         "subcommand": args.command,
-        "parameters": params,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "seed": getattr(args, "seed", None),
         "inputs": {p: _sha256(p) for p in sorted(set(inputs))},
         "version": __version__,
         "duration_seconds": time.monotonic() - started,
-    }
-    _json_dump(manifest, args.out + ".manifest.json")
+    })
 
 
 def _load_lines(path: str, parse: Callable[[str], object], what: str) -> list:
@@ -115,7 +110,7 @@ def _load_lines(path: str, parse: Callable[[str], object], what: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_segment(args) -> list[str]:
+def _cmd_segment(args) -> Run:
     path = Path(args.tsv)
     files = sorted(path.glob("*.tsv")) if path.is_dir() else [path]
     if not files:
@@ -137,11 +132,11 @@ def _cmd_segment(args) -> list[str]:
     # paragraphs come in page order: one pass splits them into pages
     per_page = [list(page) for _, page in groupby(paragraphs, key=attrgetter("first_page"))]
     merged = segmentation.merge_cross_page(per_page, mode=args.merge_mode)
-    save_texts([record.to_json() for record in merged], args.out)
-    return [str(f) for f in files]
+    texts = format_texts(record.to_json() for record in merged)
+    return [(args.out, texts)], [str(f) for f in files]
 
 
-def _cmd_match(args) -> list[str]:
+def _cmd_match(args) -> Run:
     quotes = load_texts(args.quotes)
     paragraphs = load_texts(args.paragraphs)
     matches = segmentation.bow_match_many(
@@ -156,20 +151,18 @@ def _cmd_match(args) -> list[str]:
         }
         for quote, (index, distance) in zip(quotes, matches)
     ]
-    _json_dump(results, args.out)
-    return [args.quotes, args.paragraphs]
+    return [(args.out, _json(results))], [args.quotes, args.paragraphs]
 
 
-def _cmd_filter(args) -> list[str]:
+def _cmd_filter(args) -> Run:
     records = load_texts(args.texts)
     hits = substring_filter(
         [r["text"] for r in records], args.needle, case_fold=args.case_fold
     )
-    save_texts([records[i] for i in hits], args.out)
-    return [args.texts]
+    return [(args.out, format_texts(records[i] for i in hits))], [args.texts]
 
 
-def _cmd_folds(args) -> list[str]:
+def _cmd_folds(args) -> Run:
     labels = load_label_matrix(args.labels, kind=args.kind)
     if args.kind == "multiclass":
         assignment = folds.stratified_single_label(
@@ -179,16 +172,12 @@ def _cmd_folds(args) -> list[str]:
         assignment = folds.stratified_kfold(
             labels, k=args.k, candidates=args.candidates, seed=args.seed
         )
-    # both files or neither: a failed second write discards the first
-    with atomic_write(args.out) as fh, atomic_write(args.out + ".score.json") as score_fh:
-        fh.write("id,fold\n")
-        for i, fold in enumerate(assignment.fold_of):
-            fh.write(f"{i},{fold}\n")
-        _write_json({"k": assignment.k, "score": list(assignment.score)}, score_fh)
-    return [args.labels]
+    table = "id,fold\n" + "".join(f"{i},{fold}\n" for i, fold in enumerate(assignment.fold_of))
+    score = _json({"k": assignment.k, "score": list(assignment.score)})
+    return [(args.out, table), (args.out + ".score.json", score)], [args.labels]
 
 
-def _cmd_metrics(args) -> list[str]:
+def _cmd_metrics(args) -> Run:
     probs = load_prob_matrix(args.probs)
     truth = load_label_matrix(args.truth, kind=args.kind)
     report: dict = {"n_items": probs.n_items, "n_labels": probs.n_labels}
@@ -229,11 +218,10 @@ def _cmd_metrics(args) -> list[str]:
             },
         }
         inputs.append(args.years)
-    _json_dump(report, args.out)
-    return inputs
+    return [(args.out, _json(report))], inputs
 
 
-def _cmd_calibrate(args) -> list[str]:
+def _cmd_calibrate(args) -> Run:
     oof = load_prob_matrix(args.oof)
     truth = load_label_matrix(args.truth)
     thresholds, error = calibration.grid_search_thresholds(
@@ -260,35 +248,27 @@ def _cmd_calibrate(args) -> list[str]:
         inputs.append(args.years)
     else:
         report["tendency_table"] = None
-    _json_dump(report, args.out)
-    return inputs
+    return [(args.out, _json(report))], inputs
 
 
-def _cmd_truncate(args) -> list[str]:
+def _cmd_truncate(args) -> Run:
     probs = load_prob_matrix(args.probs)
     out = calibration.truncate(
         probs, calibration.Thresholds(args.p_low, args.p_high)
     )
-    save_prob_matrix(out, args.out)
-    return [args.probs]
+    return [(args.out, format_matrix(out.labels, out.values))], [args.probs]
 
 
-def _cmd_sample(args) -> list[str]:
+def _cmd_sample(args) -> Run:
     probs = load_prob_matrix(args.probs)
     weights = sampling.importance_weights(probs)
     indices = sampling.weighted_sample(weights, n=args.n, seed=args.seed)
-    _json_dump(
-        {
-            "indices": [int(i) for i in indices],
-            "weights": [float(w) for w in weights],
-            "n": args.n,
-        },
-        args.out,
-    )
-    return [args.probs]
+    sample = {"indices": [int(i) for i in indices], "weights": [float(w) for w in weights],
+              "n": args.n}
+    return [(args.out, _json(sample))], [args.probs]
 
 
-def _cmd_size_curve(args) -> list[str]:
+def _cmd_size_curve(args) -> Run:
     if args.sizes[2] < 1:
         raise UsageError(f"--sizes STEP must be >= 1, got {args.sizes[2]}")
     scores = _load_lines(args.scores, float, "malformed number")
@@ -296,24 +276,14 @@ def _cmd_size_curve(args) -> list[str]:
     curve = sampling.sizing_curve(
         scores, sizes=sizes, reps=args.reps, resamples=args.resamples, seed=args.seed
     )
-    _json_dump(
-        {
-            "sizes": list(curve.sizes),
-            "mean_std": list(curve.mean_std),
-            "reps": curve.reps,
-            "resamples": curve.resamples,
-        },
-        args.out,
-    )
-    return [args.scores]
+    payload = {"sizes": list(curve.sizes), "mean_std": list(curve.mean_std), "reps": curve.reps,
+               "resamples": curve.resamples}
+    return [(args.out, _json(payload))], [args.scores]
 
 
-def _cmd_relnet(args) -> list[str]:
-    inputs = []
-    if args.truth:
-        truth = load_label_matrix(args.truth)
-        net = relnet.network_from_annotations(truth)
-        inputs.append(args.truth)
+def _cmd_relnet(args) -> Run:
+    if args.truth is not None:
+        net = relnet.network_from_annotations(load_label_matrix(args.truth))
     else:
         probs = load_prob_matrix(args.probs)
         if args.calibrate == "half":
@@ -323,19 +293,14 @@ def _cmd_relnet(args) -> list[str]:
                 probs, calibration.Thresholds(args.p_low, args.p_high)
             )
         net = relnet.network_from_probabilities(probs)
-        inputs.append(args.probs)
     layout = relnet.kamada_kawai_layout(net)
-    # both files or neither: a failed second write discards the first
-    with atomic_write(args.out) as fh, (
-        atomic_write(args.json_out) if args.json_out else nullcontext()
-    ) as json_fh:
-        fh.write(relnet.export_dot(net, layout, min_weight=args.min_weight))
-        if json_fh is not None:
-            json_fh.write(relnet.export_weights_json(net))
-    return inputs
+    outputs = [(args.out, relnet.export_dot(net, layout, min_weight=args.min_weight))]
+    if args.json_out:
+        outputs.append((args.json_out, relnet.export_weights_json(net)))
+    return outputs, [path for path in (args.probs, args.truth) if path is not None]
 
 
-def _cmd_pbt_demo(args) -> list[str]:
+def _cmd_pbt_demo(args) -> Run:
     spec = pbt.ToyDataSpec(
         n_items=args.items, n_labels=args.labels, n_features=args.features,
         mode=args.mode, seed=args.seed,
@@ -348,19 +313,16 @@ def _cmd_pbt_demo(args) -> list[str]:
         mode="fixed" if args.mode == "multilabel" else "patience",
     )
     result = pbt.pbt_run(lambda: pbt.toy_trainable(spec), config)
-    _json_dump(
-        {
-            "mode": args.mode,
-            "best_score": result.best_score,
-            "best_hyperparameters": result.best_hyperparameters,
-            "best_member": result.best_member,
-            "best_generation": result.best_generation,
-            "generations": result.generations,
-            "history": result.history,
-        },
-        args.out,
-    )
-    return []
+    history = {
+        "mode": args.mode,
+        "best_score": result.best_score,
+        "best_hyperparameters": result.best_hyperparameters,
+        "best_member": result.best_member,
+        "best_generation": result.best_generation,
+        "generations": result.generations,
+        "history": result.history,
+    }
+    return [(args.out, _json(history))], []
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("relnet", _cmd_relnet, help="label relation network export")
-    p.add_argument("--probs", default=None)
-    p.add_argument("--truth", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--probs", default=None)
+    source.add_argument("--truth", default=None)
     p.add_argument("--calibrate", choices=["none", "half", "truncate"], default="none")
     p.add_argument("--p-low", type=float, default=0.2)
     p.add_argument("--p-high", type=float, default=0.54)
@@ -477,10 +440,18 @@ def dispatch(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
-        if args.command == "relnet" and not (args.probs or args.truth):
-            raise UsageError("relnet needs --probs or --truth")
-        inputs = args.func(args)
-        _write_manifest(args, inputs, started)
+        outputs, inputs = args.func(args)
+        paths = [path for path, _ in outputs] + [args.out + ".manifest.json"]
+        real = [os.path.realpath(path) for path in paths]
+        for i, path in enumerate(paths):
+            if real[i] in real[:i]:
+                other = paths[real.index(real[i])]
+                raise UsageError(f"outputs {other!r} and {path!r} name the same file")
+        with atomic_files(paths) as handles:
+            for fh, (_, text) in zip(handles, outputs):
+                fh.write(text)
+            # built before any output replaces an input, so it digests the inputs as read
+            handles[-1].write(_manifest(args, inputs, started))
         return 0
     except UsageError as exc:
         print(f"labelcal: error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ written with 17 significant digits so that a load -> save -> load cycle
 is bit-identical, and read by numpy's C parser (``read_numbers`` gives
 the number grammar); a file it rejects is walked again only to name the
 first bad row and cell.  Text corpora are JSON-lines records with ``id``
-and ``text`` fields.  Every output file is written through
-``atomic_write``, so a failed write leaves no partial file behind.
+and ``text`` fields.  Files are written through ``atomic_files``, which
+moves a group of distinct files (a command-line run's outputs and its
+manifest) in whole or not at all, so a failure leaves no partial output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import io
 import json
 import os
 import unicodedata
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -253,31 +254,47 @@ def concat_labels(*matrices: ProbMatrix) -> ProbMatrix:
 
 
 @contextmanager
-def atomic_write(path: str, newline: str | None = None) -> Iterator[IO[str]]:
-    """Open a UTF-8 text file that replaces ``path`` only once the block succeeds.
+def atomic_files(paths: Sequence[str]) -> Iterator[list[IO[str]]]:
+    """One UTF-8 text file per path, moved onto ``paths`` together or not at all.
 
-    Writes go to a fresh temporary file in the target's directory, which
-    ``os.replace`` moves onto ``path`` when the block exits normally.  If
-    the block raises, the temporary file is removed and ``path`` (absent
-    or not) is left as it was.
+    Text goes untranslated to a new temporary file beside each target.  On
+    normal exit all of them are closed, then ``os.replace``d in order.  If
+    the block or a replace fails, the temporary files and the targets
+    already moved in are removed, and the error, naming the target, goes on.
     """
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    paths = [os.fspath(path) for path in paths]
+    handles, moved = [], 0
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:  # name the target, not the temporary file
-            raise type(exc)(exc.errno, exc.strerror, path) from None
+        for path in paths:
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+            try:
+                handles.append(open(tmp, "x", encoding="utf-8", newline=""))
+            except FileNotFoundError as exc:  # name the target, not the temporary file
+                raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+        yield handles
+        for fh in handles:
+            fh.close()
+        for fh, path in zip(handles, paths):
+            try:
+                os.replace(fh.name, path)
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            moved += 1
     except BaseException:
-        os.unlink(tmp)
+        for fh in handles:
+            with suppress(OSError):  # a failed flush must not stop the cleanup
+                fh.close()
+        for name in paths[:moved] + [fh.name for fh in handles[moved:]]:
+            os.unlink(name)
         raise
+
+
+@contextmanager
+def atomic_write(path: str) -> Iterator[IO[str]]:
+    """One file through ``atomic_files``: ``path`` is replaced only once the block succeeds."""
+    with atomic_files([path]) as (fh,):
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +424,7 @@ def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
 
 def save_prob_matrix(matrix: ProbMatrix | LabelMatrix, path: str) -> None:
     """Write a probability or annotation matrix as CSV (see ``format_matrix``)."""
-    with atomic_write(path, newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(format_matrix(matrix.labels, matrix.values))
 
 
@@ -437,10 +454,15 @@ def load_texts(path: str) -> list[dict]:
     return records
 
 
+def format_texts(records: Iterable[dict]) -> str:
+    """Render records as JSON lines, one sorted-key record per line."""
+    return "".join(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+                   for record in records)
+
+
 def save_texts(records: Iterable[dict], path: str) -> None:
     with atomic_write(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        fh.write(format_texts(records))
 
 
 def substring_filter(

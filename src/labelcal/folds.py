@@ -128,6 +128,8 @@ def stratified_kfold(
     given (labels, k, candidates, seed).  Candidates are scored
     ``_CHUNK`` at a time, which bounds memory at O(_CHUNK * (N + nnz)).
     """
+    if k < 2:
+        raise LabelcalError(f"k must be >= 2, got {k}")
     n = labels.n_items
     if n < k:
         raise LabelcalError(f"cannot split {n} items into {k} folds")
@@ -155,6 +157,8 @@ def stratified_single_label(
     order, and the concatenated sequence is dealt round-robin, so both
     overall and per-class fold counts differ by at most 1.
     """
+    if k < 2:
+        raise LabelcalError(f"k must be >= 2, got {k}")
     classes = np.asarray(classes, dtype=np.int64)
     n = classes.size
     if n < k:

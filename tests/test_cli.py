@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, manifests, determinism."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import labelcal
-from labelcal.cli import dispatch
+from labelcal.cli import build_parser, dispatch
 
 HEADER = "level\tpage_num\tblock_num\tpar_num\tline_num\tword_num\tleft\ttop\twidth\theight\tconf\ttext"
 
@@ -69,6 +70,15 @@ class TestTruncateCommand:
         assert manifest["subcommand"] == "truncate"
         assert probs_csv in manifest["inputs"]
         assert manifest["parameters"]["p_low"] == 0.1
+
+    def test_in_place_run_digests_the_input_as_read(self, tmp_path, probs_csv):
+        probs = tmp_path / "probs.csv"
+        digest = hashlib.sha256(probs.read_bytes()).hexdigest()
+        assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2",
+                         "--p-high", "0.54", "--out", probs_csv]) == 0
+        assert hashlib.sha256(probs.read_bytes()).hexdigest() != digest  # replaced
+        manifest = json.loads((tmp_path / "probs.csv.manifest.json").read_text("utf-8"))
+        assert manifest["inputs"] == {probs_csv: digest}
 
 
 class TestExitCodes:
@@ -164,6 +174,17 @@ class TestExitCodes:
         assert code == 2
         assert "labelcal: error:" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["folds.csv.score.json", "truth.csv"]
+
+    @pytest.mark.parametrize("kind", ["multilabel", "multiclass"])
+    @pytest.mark.parametrize("k", ["0", "1", "-1"])
+    def test_folds_k_below_two_is_data_error(self, tmp_path, capsys, kind, k):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("a,b\n1,0\n0,1\n1,0\n0,1\n", encoding="utf-8")
+        code = dispatch(["folds", "--labels", str(labels), "--kind", kind, "--k", k,
+                         "--candidates", "4", "--out", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert f"labelcal: error: k must be >= 2, got {k}\n" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["labels.csv"]
 
     def test_output_path_that_is_a_directory_is_data_error(self, tmp_path, probs_csv, capsys):
         out = tmp_path / "q.csv"
@@ -343,6 +364,23 @@ class TestRelnetCommand:
     def test_truth_input(self, tmp_path, truth_csv):
         out = str(tmp_path / "g.dot")
         assert dispatch(["relnet", "--truth", truth_csv, "--out", out]) == 0
+
+    def test_both_inputs_is_usage_error(self, tmp_path, probs_csv, truth_csv, capsys):
+        code = dispatch(["relnet", "--probs", probs_csv, "--truth", truth_csv,
+                         "--out", str(tmp_path / "g.dot")])
+        assert code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["probs.csv", "truth.csv"]
+
+    @pytest.mark.parametrize("out, json_out", [
+        ("g", "g"), ("g", "./g"), ("h.dot", "h.dot.manifest.json")])
+    def test_outputs_naming_the_same_file_are_usage_error(
+            self, tmp_path, monkeypatch, probs_csv, capsys, out, json_out):
+        monkeypatch.chdir(tmp_path)
+        code = dispatch(["relnet", "--probs", probs_csv, "--out", out, "--json-out", json_out])
+        assert code == 1
+        assert "name the same file" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["probs.csv"]
 
 
 class TestSegmentAndMatchCommands:
@@ -733,3 +771,42 @@ class TestLazyLoading:
         for name, functions in view.items():
             path = os.path.join(folder, name.split(".", 1)[1] + ".py")
             assert _plain_public_defs(path) <= set(functions), name
+
+
+# every subcommand with the outputs its run writes besides the manifest
+ALL_OR_NOTHING = [
+    (["segment", "--tsv", "{in}/pages.tsv", "--min-pts", "2"], ["o"]),
+    (["match", "--quotes", "{in}/texts.jsonl", "--paragraphs", "{in}/texts.jsonl"], ["o"]),
+    (["filter", "--texts", "{in}/texts.jsonl", "--needle", "szo1"], ["o"]),
+    (["folds", "--labels", "{truth}", "--k", "3", "--candidates", "8"], ["o", "o.score.json"]),
+    (["metrics", "--probs", "{probs}", "--truth", "{truth}", "--years", "{in}/years.txt"], ["o"]),
+    (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "0.1"], ["o"]),
+    (["truncate", "--probs", "{probs}", "--p-low", "0.2", "--p-high", "0.6"], ["o"]),
+    (["sample", "--probs", "{probs}", "--n", "5"], ["o"]),
+    (["size-curve", "--scores", "{in}/scores.txt", "--sizes", "10", "20", "10", "--reps", "2",
+      "--resamples", "10"], ["o"]),
+    (["relnet", "--probs", "{probs}", "--json-out", "{out}/w.json"], ["o", "w.json"]),
+    (["pbt-demo", "--population", "2", "--generations", "1", "--items", "40", "--labels", "2",
+      "--features", "2"], ["o"]),
+]
+TARGETS = [(argv, target) for argv, outputs in ALL_OR_NOTHING
+           for target in outputs + ["o.manifest.json"]]
+
+
+class TestAllOrNothing:
+    def test_every_subcommand_is_covered(self):
+        assert sorted(argv[0] for argv, _ in ALL_OR_NOTHING) == sorted(
+            build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("argv, target", TARGETS,
+                             ids=[f"{argv[0]}-{target}" for argv, target in TARGETS])
+    def test_a_target_that_cannot_be_replaced_leaves_no_file(
+            self, tmp_path, stage_inputs, capsys, argv, target):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / target).mkdir()  # no file can replace a directory
+        argv = [a.format(out=out, **stage_inputs) for a in argv] + ["--out", str(out / "o")]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("labelcal: error:") and f"'{out / target}'" in err
+        assert os.listdir(out) == [target] and not os.listdir(out / target)

@@ -1,6 +1,7 @@
 """Data model and file I/O tests."""
 
 import csv
+import errno
 import io
 import os
 import warnings
@@ -19,6 +20,7 @@ from labelcal.core import (
     RaggedRowError,
     ValueRangeError,
     _parse_rows,
+    atomic_files,
     atomic_write,
     concat_labels,
     ensemble_average,
@@ -401,3 +403,38 @@ class TestAtomicWrite:
             with atomic_write(str(target)) as fh:
                 fh.write("x")
         assert info.value.filename == str(target)
+
+
+class TestAtomicFiles:
+    def test_success_moves_every_file_in_untranslated(self, tmp_path):
+        targets = [tmp_path / name for name in ("a.txt", "b.txt", "c.txt")]
+        with atomic_files(targets) as handles:
+            for fh, text in zip(handles, ("a\n", "b\r\n", "")):
+                fh.write(text)
+        assert [t.read_bytes() for t in targets] == [b"a\n", b"b\r\n", b""]
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt", "c.txt"]
+
+    def test_failed_replace_removes_the_files_already_moved_in(self, tmp_path):
+        targets = [str(tmp_path / name) for name in ("a.txt", "b.txt", "c.txt")]
+        replace = os.replace
+
+        def fail_on_second(src, dst):
+            if dst == targets[1]:
+                raise PermissionError(errno.EACCES, "Permission denied", src)
+            replace(src, dst)
+
+        with mock.patch("os.replace", side_effect=fail_on_second):
+            with pytest.raises(PermissionError) as info:
+                with atomic_files(targets) as handles:
+                    for fh, text in zip(handles, "abc"):
+                        fh.write(text)
+        assert info.value.filename == targets[1]  # the target, not the temporary file
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_open_removes_the_files_already_made(self, tmp_path):
+        targets = [str(tmp_path / "a.txt"), str(tmp_path / "missing" / "b.txt")]
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_files(targets):
+                pass
+        assert info.value.filename == targets[1]
+        assert os.listdir(tmp_path) == []

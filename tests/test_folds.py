@@ -199,3 +199,19 @@ class TestFoldAssignmentInvariants:
     def test_descending_score_enforced(self):
         with pytest.raises(LabelcalError, match="descending"):
             FoldAssignment(np.array([0, 1]), k=2, score=np.array([0.1, 0.2]))
+
+
+class TestFoldCountChecked:
+    # k is checked before any other argument: candidates=0 and too few
+    # items would fail later checks, k=0 used to divide by zero
+    @pytest.mark.parametrize("k", [0, 1, -1])
+    def test_multilabel(self, k):
+        labels = LabelMatrix(("a",), np.array([[1], [0], [1]]))
+        with pytest.raises(LabelcalError, match=f"^k must be >= 2, got {k}$"):
+            stratified_kfold(labels, k=k, candidates=0, seed=0)
+
+    @pytest.mark.parametrize("k", [0, 1, -1])
+    def test_single_label(self, k):
+        for classes in ([], [0, 1, 1]):
+            with pytest.raises(LabelcalError, match=f"^k must be >= 2, got {k}$"):
+                stratified_single_label(classes, k=k, seed=0)
