@@ -10,7 +10,7 @@ label-count error rate on out-of-fold predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,12 +24,14 @@ from .core import (
     ProbMatrix,
 )
 from .metrics import (
-    DEFAULT_TICK_DIVISOR,
     UndefinedMetricError,
+    check_pair,
     relative_count_errors,
     tendency_error,
     tendency_series_from_matrix,
 )
+
+N_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,7 @@ def grid_search_thresholds(
     screened with prefix sums of the sorted columns; those that screen
     near the minimum are scored again with the direct formula.
     """
-    if oof_probs.values.shape != truth.values.shape:
-        raise LabelcalError(
-            f"probability matrix {oof_probs.values.shape} does not match "
-            f"annotation matrix {truth.values.shape}"
-        )
+    check_pair(oof_probs, truth)
     lows, highs = threshold_grid(low_range, high_range, grid_step)
     lo_idx, hi_idx = np.nonzero(lows[:, None] <= highs[None, :])  # row-major pairs
     if lo_idx.size == 0:
@@ -176,25 +174,19 @@ def grid_search_thresholds(
 # ---------------------------------------------------------------------------
 
 
-def frequency_blocks(
-    truth: LabelMatrix, n_blocks: int = 4
-) -> list[tuple[str, np.ndarray]]:
-    """Label column indices grouped into blocks by decreasing frequency.
+def frequency_blocks(truth: LabelMatrix) -> list[tuple[str, np.ndarray]]:
+    """Label column indices grouped into ``N_BLOCKS`` blocks by decreasing
+    frequency, then all of them.
 
-    Returns (rank-range name, column indices) pairs, e.g. ("1-10", ...);
-    blocks are as even as possible.  The table builders append the
-    cumulated all-labels row themselves.
+    Returns (rank-range name, column indices) pairs, e.g. ("1-10", ...),
+    with blocks as even as possible, and last ("1-L (cumulated)", all).
     """
-    counts = truth.values.sum(axis=0)
-    order = np.argsort(-counts, kind="stable")
-    blocks = []
-    start = 1
-    for part in np.array_split(order, min(n_blocks, order.size)):
-        if part.size == 0:
-            continue
+    order = np.argsort(-truth.values.sum(axis=0), kind="stable")
+    blocks, start = [], 1
+    for part in np.array_split(order, min(N_BLOCKS, order.size)):
         blocks.append((f"{start}-{start + part.size - 1}", part))
         start += part.size
-    return blocks
+    return blocks + [(f"1-{truth.n_labels} (cumulated)", np.arange(truth.n_labels))]
 
 
 def _treatments(probs: ProbMatrix, thresholds: Thresholds) -> list[tuple[str, ProbMatrix]]:
@@ -203,6 +195,18 @@ def _treatments(probs: ProbMatrix, thresholds: Thresholds) -> list[tuple[str, Pr
         ("low_only", truncate(probs, Thresholds(thresholds.p_low, 1.0))),
         ("low_and_high", truncate(probs, thresholds)),
     ]
+
+
+def _block_table(
+    oof_probs: ProbMatrix, truth: LabelMatrix, thresholds: Thresholds,
+    per_treatment: Callable[[ProbMatrix], object], cell: Callable[[object, np.ndarray], object],
+) -> dict:
+    """One row per frequency block, one column per treatment: ``cell`` of
+    the treatment's ``per_treatment`` value and the block's columns."""
+    values = {name: per_treatment(matrix) for name, matrix in _treatments(oof_probs, thresholds)}
+    rows = [{"labels": block, **{name: cell(value, cols) for name, value in values.items()}}
+            for block, cols in frequency_blocks(truth)]
+    return {"thresholds": {"p_low": thresholds.p_low, "p_high": thresholds.p_high}, "rows": rows}
 
 
 def count_error_table(
@@ -214,45 +218,28 @@ def count_error_table(
     are no truncation / low threshold only / both thresholds.
     """
     true_counts = truth.values.sum(axis=0).astype(np.float64)
-    errors = {
-        treatment: relative_count_errors(matrix.values.sum(axis=0), true_counts)
-        for treatment, matrix in _treatments(oof_probs, thresholds)
-    }
-    rows = frequency_blocks(truth) + [(f"1-{truth.n_labels} (cumulated)", np.arange(truth.n_labels))]
-    table = {"thresholds": {"p_low": thresholds.p_low, "p_high": thresholds.p_high}, "rows": []}
-    for name, cols in rows:
-        row = {"labels": name}
-        for treatment, per_label in errors.items():
-            block = per_label[cols]
-            row[treatment] = (
-                float(np.nanmean(block)) if not np.all(np.isnan(block)) else None
-            )
-        table["rows"].append(row)
-    return table
+
+    def mean_error(per_label: np.ndarray, cols: np.ndarray) -> float | None:
+        block = per_label[cols]
+        return None if np.all(np.isnan(block)) else float(np.nanmean(block))
+
+    return _block_table(
+        oof_probs, truth, thresholds,
+        lambda matrix: relative_count_errors(matrix.values.sum(axis=0), true_counts), mean_error,
+    )
 
 
 def tendency_error_table(
-    oof_probs: ProbMatrix,
-    truth: LabelMatrix,
-    years: Sequence[int],
-    thresholds: Thresholds,
-    tick_divisor: float = DEFAULT_TICK_DIVISOR,
+    oof_probs: ProbMatrix, truth: LabelMatrix, years: Sequence[int], thresholds: Thresholds
 ) -> dict:
     """Tendency error rates per frequency block and treatment (percent)."""
-    truth_series = tendency_series_from_matrix(truth, years, tick_divisor)
-    pred_series = {
-        treatment: tendency_series_from_matrix(matrix, years, tick_divisor)
-        for treatment, matrix in _treatments(oof_probs, thresholds)
-    }
-    rows = frequency_blocks(truth) + [(f"1-{truth.n_labels} (cumulated)", np.arange(truth.n_labels))]
-    table = {"thresholds": {"p_low": thresholds.p_low, "p_high": thresholds.p_high}, "rows": []}
-    for name, cols in rows:
+    truth_series = tendency_series_from_matrix(truth, years)
+
+    def error(series: dict, cols: np.ndarray) -> float:
         names = [truth.labels[j] for j in cols]
-        row = {"labels": name}
-        for treatment, series in pred_series.items():
-            row[treatment] = tendency_error(
-                {n: series[n] for n in names},
-                {n: truth_series[n] for n in names},
-            )
-        table["rows"].append(row)
-    return table
+        return tendency_error({n: series[n] for n in names}, {n: truth_series[n] for n in names})
+
+    return _block_table(
+        oof_probs, truth, thresholds,
+        lambda matrix: tendency_series_from_matrix(matrix, years), error,
+    )

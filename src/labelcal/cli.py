@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable
 
 # OpenBLAS sizes its thread pool when numpy loads, so this must come first
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -45,13 +43,16 @@ from .core import (
     DEFAULT_LOW_RANGE,
     DEFAULT_REPS,
     DEFAULT_RESAMPLES,
+    DEFAULT_SIZE_GRID,
     LabelcalError,
     atomic_files,
+    format_json,
     format_matrix,
     format_texts,
     load_label_matrix,
     load_prob_matrix,
     load_texts,
+    read_numbers,
     substring_filter,
 )
 
@@ -67,10 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -80,7 +77,7 @@ def _sha256(path: str) -> str:
 
 
 def _manifest(args: argparse.Namespace, inputs: list[str], started: float) -> str:
-    return _json({
+    return format_json({
         "subcommand": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "seed": getattr(args, "seed", None),
@@ -90,18 +87,15 @@ def _manifest(args: argparse.Namespace, inputs: list[str], started: float) -> st
     })
 
 
-def _load_lines(path: str, parse: Callable[[str], object], what: str) -> list:
-    """One value per non-blank line; a bad line is reported by number."""
-    values = []
+def _load_lines(path: str, dtype: type, what: str) -> np.ndarray:
+    """One number per non-blank line, in the grammar of ``read_numbers``;
+    the lines are walked again only to name the first bad one."""
     with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(parse(line))
-            except ValueError:
-                raise LabelcalError(f"{path}: {what} on line {n}") from None
+        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+    values = read_numbers([line for _, line in lines], dtype)
+    if values is None:
+        n = next(n for n, line in lines if read_numbers([line], dtype) is None)
+        raise LabelcalError(f"{path}: {what} on line {n}")
     return values
 
 
@@ -151,7 +145,7 @@ def _cmd_match(args) -> Run:
         }
         for quote, (index, distance) in zip(quotes, matches)
     ]
-    return [(args.out, _json(results))], [args.quotes, args.paragraphs]
+    return [(args.out, format_json(results))], [args.quotes, args.paragraphs]
 
 
 def _cmd_filter(args) -> Run:
@@ -173,7 +167,7 @@ def _cmd_folds(args) -> Run:
             labels, k=args.k, candidates=args.candidates, seed=args.seed
         )
     table = "id,fold\n" + "".join(f"{i},{fold}\n" for i, fold in enumerate(assignment.fold_of))
-    score = _json({"k": assignment.k, "score": list(assignment.score)})
+    score = format_json({"k": assignment.k, "score": list(assignment.score)})
     return [(args.out, table), (args.out + ".score.json", score)], [args.labels]
 
 
@@ -205,7 +199,7 @@ def _cmd_metrics(args) -> Run:
         )
     inputs = [args.probs, args.truth]
     if args.years:
-        years = _load_lines(args.years, int, "non-integer year")
+        years = _load_lines(args.years, np.int64, "non-integer year")
         pred_series = metrics.tendency_series_from_matrix(probs, years)
         true_series = metrics.tendency_series_from_matrix(truth, years)
         report["tendency_error"] = {
@@ -218,7 +212,7 @@ def _cmd_metrics(args) -> Run:
             },
         }
         inputs.append(args.years)
-    return [(args.out, _json(report))], inputs
+    return [(args.out, format_json(report))], inputs
 
 
 def _cmd_calibrate(args) -> Run:
@@ -241,14 +235,14 @@ def _cmd_calibrate(args) -> Run:
     }
     inputs = [args.oof, args.truth]
     if args.years:
-        years = _load_lines(args.years, int, "non-integer year")
+        years = _load_lines(args.years, np.int64, "non-integer year")
         report["tendency_table"] = calibration.tendency_error_table(
             oof, truth, years, thresholds
         )
         inputs.append(args.years)
     else:
         report["tendency_table"] = None
-    return [(args.out, _json(report))], inputs
+    return [(args.out, format_json(report))], inputs
 
 
 def _cmd_truncate(args) -> Run:
@@ -265,20 +259,20 @@ def _cmd_sample(args) -> Run:
     indices = sampling.weighted_sample(weights, n=args.n, seed=args.seed)
     sample = {"indices": [int(i) for i in indices], "weights": [float(w) for w in weights],
               "n": args.n}
-    return [(args.out, _json(sample))], [args.probs]
+    return [(args.out, format_json(sample))], [args.probs]
 
 
 def _cmd_size_curve(args) -> Run:
     if args.sizes[2] < 1:
         raise UsageError(f"--sizes STEP must be >= 1, got {args.sizes[2]}")
-    scores = _load_lines(args.scores, float, "malformed number")
+    scores = _load_lines(args.scores, np.float64, "malformed number")
     sizes = range(args.sizes[0], args.sizes[1] + 1, args.sizes[2])
     curve = sampling.sizing_curve(
         scores, sizes=sizes, reps=args.reps, resamples=args.resamples, seed=args.seed
     )
     payload = {"sizes": list(curve.sizes), "mean_std": list(curve.mean_std), "reps": curve.reps,
                "resamples": curve.resamples}
-    return [(args.out, _json(payload))], [args.scores]
+    return [(args.out, format_json(payload))], [args.scores]
 
 
 def _cmd_relnet(args) -> Run:
@@ -322,7 +316,7 @@ def _cmd_pbt_demo(args) -> Run:
         "generations": result.generations,
         "history": result.history,
     }
-    return [(args.out, _json(history))], []
+    return [(args.out, format_json(history))], []
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("size-curve", _cmd_size_curve, help="bootstrap sample-size planning")
     p.add_argument("--scores", required=True, help="one metric value per line")
-    p.add_argument("--sizes", type=int, nargs=3, default=[50, 300, 10],
+    p.add_argument("--sizes", type=int, nargs=3, default=list(DEFAULT_SIZE_GRID),
                    metavar=("START", "STOP", "STEP"))
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
     p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)

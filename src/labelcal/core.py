@@ -7,7 +7,8 @@ the number grammar); a file it rejects is walked again only to name the
 first bad row and cell.  Text corpora are JSON-lines records with ``id``
 and ``text`` fields.  Files are written through ``atomic_files``, which
 moves a group of distinct files (a command-line run's outputs and its
-manifest) in whole or not at all, so a failure leaves no partial output.
+manifest) in whole or not at all: a failure leaves no partial output and
+keeps the files it would have replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import unicodedata
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,6 +37,7 @@ DEFAULT_HIGH_RANGE = (0.5, 1.0)
 DEFAULT_ECE_BINS = 10  # metrics
 DEFAULT_REPS = 100  # sampling
 DEFAULT_RESAMPLES = 10_000
+DEFAULT_SIZE_GRID = (50, 300, 10)  # first size, last size, step
 
 
 class LabelcalError(Exception):
@@ -77,6 +79,16 @@ def _check_labels(labels: Sequence[str], where: str = "") -> tuple[str, ...]:
     return labels
 
 
+def _check_shape(labels: Sequence[str], values: np.ndarray) -> tuple[str, ...]:
+    """The checked ``labels`` of a 2-D ``values`` with one column per label."""
+    labels = _check_labels(labels)
+    if values.ndim != 2:
+        raise MatrixFormatError(f"expected a 2-D array, got shape {values.shape}")
+    if values.shape[1] != len(labels):
+        raise RaggedRowError(f"matrix has {values.shape[1]} columns but {len(labels)} labels")
+    return labels
+
+
 @dataclass(frozen=True)
 class ProbMatrix:
     """N x L matrix of prediction probabilities in [0, 1].
@@ -89,14 +101,8 @@ class ProbMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = _check_labels(self.labels)
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise MatrixFormatError(f"expected a 2-D array, got shape {values.shape}")
-        if values.shape[1] != len(labels):
-            raise RaggedRowError(
-                f"matrix has {values.shape[1]} columns but {len(labels)} labels"
-            )
+        labels = _check_shape(self.labels, values)
         if not np.all(np.isfinite(values)):
             i, j = np.argwhere(~np.isfinite(values))[0]
             raise MalformedNumberError(
@@ -126,9 +132,6 @@ class ProbMatrix:
     def n_labels(self) -> int:
         return self.values.shape[1]
 
-    def column(self, label: str) -> np.ndarray:
-        return self.values[:, self.labels.index(label)]
-
 
 @dataclass(frozen=True)
 class LabelMatrix:
@@ -145,14 +148,8 @@ class LabelMatrix:
     def __post_init__(self) -> None:
         if self.kind not in ("multilabel", "multiclass"):
             raise MatrixFormatError(f"unknown label matrix kind {self.kind!r}")
-        labels = _check_labels(self.labels)
         values = np.asarray(self.values)
-        if values.ndim != 2:
-            raise MatrixFormatError(f"expected a 2-D array, got shape {values.shape}")
-        if values.shape[1] != len(labels):
-            raise RaggedRowError(
-                f"matrix has {values.shape[1]} columns but {len(labels)} labels"
-            )
+        labels = _check_shape(self.labels, values)
         as_float = values.astype(np.float64)
         bad = (as_float != 0.0) & (as_float != 1.0)
         if bad.any():
@@ -253,29 +250,38 @@ def concat_labels(*matrices: ProbMatrix) -> ProbMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _sibling(path: str) -> str:
+    """A new hidden file name in the directory of ``path``."""
+    head, tail = os.path.split(path)
+    return os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+
+
 @contextmanager
 def atomic_files(paths: Sequence[str]) -> Iterator[list[IO[str]]]:
     """One UTF-8 text file per path, moved onto ``paths`` together or not at all.
 
     Text goes untranslated to a new temporary file beside each target.  On
-    normal exit all of them are closed, then ``os.replace``d in order.  If
-    the block or a replace fails, the temporary files and the targets
-    already moved in are removed, and the error, naming the target, goes on.
+    normal exit all of them are closed, then ``os.replace``d in order, each
+    existing target first hard-linked to a name beside it.  If the block or
+    a replace fails, the temporary files are removed, the targets already
+    replaced get their old file back (or are removed if there was none),
+    and the error, naming the target, goes on.
     """
     paths = [os.fspath(path) for path in paths]
-    handles, moved = [], 0
+    handles, kept, moved = [], [None] * len(paths), 0
     try:
         for path in paths:
-            head, tail = os.path.split(path)
-            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
             try:
-                handles.append(open(tmp, "x", encoding="utf-8", newline=""))
+                handles.append(open(_sibling(path), "x", encoding="utf-8", newline=""))
             except FileNotFoundError as exc:  # name the target, not the temporary file
                 raise FileNotFoundError(exc.errno, exc.strerror, path) from None
         yield handles
         for fh in handles:
             fh.close()
-        for fh, path in zip(handles, paths):
+        for i, (fh, path) in enumerate(zip(handles, paths)):
+            with suppress(OSError):  # none to keep: no file, a directory, or no hard links here
+                os.link(path, old := _sibling(path), follow_symlinks=False)
+                kept[i] = old
             try:
                 os.replace(fh.name, path)
             except OSError as exc:
@@ -285,9 +291,18 @@ def atomic_files(paths: Sequence[str]) -> Iterator[list[IO[str]]]:
         for fh in handles:
             with suppress(OSError):  # a failed flush must not stop the cleanup
                 fh.close()
-        for name in paths[:moved] + [fh.name for fh in handles[moved:]]:
-            os.unlink(name)
+        for i, (fh, path, old) in enumerate(zip(handles, paths, kept)):
+            if i >= moved:
+                os.unlink(fh.name)
+                if old:
+                    os.unlink(old)
+            elif old:  # the target gets its old file back
+                os.replace(old, path)
+            else:
+                os.unlink(path)
         raise
+    for old in filter(None, kept):
+        os.unlink(old)
 
 
 @contextmanager
@@ -315,6 +330,8 @@ def read_numbers(fields: Sequence[str], dtype: type = np.float64) -> np.ndarray 
     ``" +1.5e3"`` or ``"nan"``, but not ``"1_0"`` or non-ASCII digits,
     which ``float()`` reads.  The error paths use it to find the bad cell.
     """
+    if not fields:  # np.loadtxt would warn of an empty input
+        return np.empty(0, dtype)
     if not all(field and field.isascii() and field.isprintable() for field in fields):
         return None
     try:
@@ -394,24 +411,26 @@ def _matrix_error(body: str, labels: tuple[str, ...], what: str, line: int) -> M
     return MatrixFormatError(f"{what}: numpy cannot read the matrix body")
 
 
-def load_prob_matrix(path: str) -> ProbMatrix:
-    """Read a probability matrix from a CSV file with a label header."""
+_Matrix = TypeVar("_Matrix", ProbMatrix, LabelMatrix)
+
+
+def _load_matrix(path: str, build: Callable[[tuple[str, ...], np.ndarray], _Matrix]) -> _Matrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         labels, data = _parse_rows(fh.read(), str(path))
     try:
-        return ProbMatrix(labels, data)
+        return build(labels, data)
     except MatrixFormatError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def load_prob_matrix(path: str) -> ProbMatrix:
+    """Read a probability matrix from a CSV file with a label header."""
+    return _load_matrix(path, ProbMatrix)
 
 
 def load_label_matrix(path: str, kind: str = "multilabel") -> LabelMatrix:
     """Read a binary annotation matrix from a CSV file with a label header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        labels, data = _parse_rows(fh.read(), str(path))
-    try:
-        return LabelMatrix(labels, data, kind=kind)
-    except MatrixFormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return _load_matrix(path, lambda labels, data: LabelMatrix(labels, data, kind))
 
 
 def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
@@ -452,6 +471,11 @@ def load_texts(path: str) -> list[dict]:
                 raise LabelcalError(f"{path}: line {n} lacks 'id' or 'text' field")
             records.append(record)
     return records
+
+
+def format_json(payload) -> str:
+    """Render a payload as pretty JSON: sorted keys, two-space indent."""
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 def format_texts(records: Iterable[dict]) -> str:

@@ -55,6 +55,13 @@ class FoldAssignment:
         return np.nonzero(self.fold_of == fold)[0]
 
 
+def _check_fold_count(n: int, k: int) -> None:
+    if k < 2:
+        raise LabelcalError(f"k must be >= 2, got {k}")
+    if n < k:
+        raise LabelcalError(f"cannot split {n} items into {k} folds")
+
+
 def partition_score(labels: LabelMatrix, fold_of: np.ndarray, k: int) -> np.ndarray:
     """|fold label proportion - global label proportion| over all (label, fold).
 
@@ -128,11 +135,8 @@ def stratified_kfold(
     given (labels, k, candidates, seed).  Candidates are scored
     ``_CHUNK`` at a time, which bounds memory at O(_CHUNK * (N + nnz)).
     """
-    if k < 2:
-        raise LabelcalError(f"k must be >= 2, got {k}")
     n = labels.n_items
-    if n < k:
-        raise LabelcalError(f"cannot split {n} items into {k} folds")
+    _check_fold_count(n, k)
     if candidates < 1:
         raise LabelcalError(f"candidates must be >= 1, got {candidates}")
     items, cols = np.nonzero(labels.values)
@@ -157,12 +161,9 @@ def stratified_single_label(
     order, and the concatenated sequence is dealt round-robin, so both
     overall and per-class fold counts differ by at most 1.
     """
-    if k < 2:
-        raise LabelcalError(f"k must be >= 2, got {k}")
     classes = np.asarray(classes, dtype=np.int64)
     n = classes.size
-    if n < k:
-        raise LabelcalError(f"cannot split {n} items into {k} folds")
+    _check_fold_count(n, k)
     rng = derive_rng(seed)
     order = []
     for c in np.unique(classes):

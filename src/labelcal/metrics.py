@@ -17,11 +17,16 @@ import numpy as np
 from ._util import average_ranks
 from .core import DEFAULT_ECE_BINS, LabelcalError, LabelMatrix, ProbMatrix
 
-DEFAULT_TICK_DIVISOR = 40.0
+TICK_DIVISOR = 40.0
 
 
 class UndefinedMetricError(LabelcalError):
     """The metric has no defined value on this input (e.g. one-class AUC)."""
+
+
+def _check_vectors(name: str, a: np.ndarray, other: str, b: np.ndarray) -> None:
+    if a.shape != b.shape or a.ndim != 1:
+        raise LabelcalError(f"{name} {a.shape} and {other} {b.shape} must be equal-length vectors")
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -31,10 +36,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise LabelcalError(
-            f"scores {scores.shape} and labels {labels.shape} must be equal-length vectors"
-        )
+    _check_vectors("scores", scores, "labels", labels)
     positive = labels == 1
     n_pos = int(positive.sum())
     n_neg = scores.size - n_pos
@@ -57,7 +59,7 @@ class MacroScore:
 
 def macro_roc_auc(probs: ProbMatrix, labels: LabelMatrix) -> MacroScore:
     """Mean per-label ROC AUC over labels where it is defined."""
-    _check_pair(probs, labels)
+    check_pair(probs, labels)
     per_label: dict[str, float] = {}
     undefined: list[str] = []
     for j, name in enumerate(probs.labels):
@@ -75,10 +77,7 @@ def balanced_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Unweighted mean of per-class recall over classes present in truth."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise LabelcalError(
-            f"pred {pred.shape} and truth {truth.shape} must be equal-length vectors"
-        )
+    _check_vectors("pred", pred, "truth", truth)
     if truth.size == 0:
         raise LabelcalError("balanced_accuracy of empty input")
     recalls = [float(np.mean(pred[truth == c] == c)) for c in np.unique(truth)]
@@ -97,10 +96,7 @@ def expected_calibration_error(
         raise LabelcalError(f"bins must be >= 1, got {bins}")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if probs.shape != labels.shape or probs.ndim != 1:
-        raise LabelcalError(
-            f"probs {probs.shape} and labels {labels.shape} must be equal-length vectors"
-        )
+    _check_vectors("probs", probs, "labels", labels)
     if probs.size == 0:
         return 0.0
     idx = np.minimum((probs * bins).astype(np.int64), bins - 1)
@@ -115,7 +111,8 @@ def expected_calibration_error(
     return ece
 
 
-def _check_pair(probs: ProbMatrix, truth: LabelMatrix) -> None:
+def check_pair(probs: ProbMatrix, truth: LabelMatrix) -> None:
+    """Raise unless predictions and annotations have one shape and one label list."""
     if probs.values.shape != truth.values.shape:
         raise LabelcalError(
             f"probability matrix {probs.values.shape} does not match "
@@ -156,7 +153,7 @@ def label_count_error_rate(probs: ProbMatrix, truth: LabelMatrix) -> LabelCountE
 
     Labels with zero true count are excluded from the mean and reported.
     """
-    _check_pair(probs, truth)
+    check_pair(probs, truth)
     pred_sums = probs.values.sum(axis=0)
     true_counts = truth.values.sum(axis=0).astype(np.float64)
     errors = relative_count_errors(pred_sums, true_counts)
@@ -174,7 +171,7 @@ def label_count_error_rate(probs: ProbMatrix, truth: LabelMatrix) -> LabelCountE
 class TendencySeries:
     """Discretized year-over-year movement of one label's counts.
 
-    The tick is max(total / tick_divisor, 1); the tendency value for the
+    The tick is max(total / TICK_DIVISOR, 1); the tendency value for the
     pair (y, y+1) is +1 when the count rose by at least a tick, -1 when
     it fell by at least a tick, 0 otherwise.
     """
@@ -193,10 +190,7 @@ class TendencySeries:
 
 
 def tendency_values(
-    yearly_counts: Mapping[int, float],
-    total: float,
-    label: str = "",
-    tick_divisor: float = DEFAULT_TICK_DIVISOR,
+    yearly_counts: Mapping[int, float], total: float, label: str = ""
 ) -> TendencySeries:
     """Tendency values in {-1, 0, +1} for consecutive year pairs.
 
@@ -209,7 +203,7 @@ def tendency_values(
     if any(b - a != 1 for a, b in zip(years, years[1:])):
         raise LabelcalError(f"years must be consecutive, got {years}")
     counts = np.array([yearly_counts[y] for y in years], dtype=np.float64)
-    tick = max(float(total) / tick_divisor, 1.0)
+    tick = max(float(total) / TICK_DIVISOR, 1.0)
     diffs = np.diff(counts)
     values = np.zeros(diffs.size, dtype=np.int8)
     values[diffs >= tick] = 1
@@ -247,9 +241,7 @@ def tendency_error(
 
 
 def tendency_series_from_matrix(
-    matrix: ProbMatrix | LabelMatrix,
-    years: Sequence[int],
-    tick_divisor: float = DEFAULT_TICK_DIVISOR,
+    matrix: ProbMatrix | LabelMatrix, years: Sequence[int]
 ) -> dict[str, TendencySeries]:
     """Per-label tendency series from per-item values and item years.
 
@@ -266,7 +258,5 @@ def tendency_series_from_matrix(
     for j, name in enumerate(matrix.labels):
         column = matrix.values[:, j].astype(np.float64)
         per_year = {y: float(column[years == y].sum()) for y in span}
-        out[name] = tendency_values(
-            per_year, total=float(column.sum()), label=name, tick_divisor=tick_divisor
-        )
+        out[name] = tendency_values(per_year, total=float(column.sum()), label=name)
     return out

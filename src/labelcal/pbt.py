@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
@@ -61,13 +61,12 @@ def perturb(
     hyperparameters: Mapping[str, float],
     rng: np.random.Generator,
     bounds: Mapping[str, tuple[float, float]] | None = None,
-    interval: tuple[float, float] = PERTURBATION_INTERVAL,
 ) -> dict[str, float]:
-    """Each value times an independent uniform draw from ``interval``,
-    clipped to its declared bounds."""
+    """Each value times an independent uniform draw from
+    ``PERTURBATION_INTERVAL``, clipped to its declared bounds."""
     out = {}
     for key in sorted(hyperparameters):
-        value = hyperparameters[key] * rng.uniform(*interval)
+        value = hyperparameters[key] * rng.uniform(*PERTURBATION_INTERVAL)
         if bounds and key in bounds:
             lo, hi = bounds[key]
             value = min(max(value, lo), hi)
@@ -93,12 +92,11 @@ class Trainable(Protocol):
 
 @dataclass
 class Member:
-    """One population slot: a trainable plus its score and history."""
+    """One population slot: a trainable plus its latest score."""
 
     member_id: int
     trainable: Trainable
     score: float = math.nan
-    history: list[tuple[dict[str, float], float]] = field(default_factory=list)
 
     @property
     def hyperparameters(self) -> dict[str, float]:
@@ -111,7 +109,6 @@ class PbtConfig:
     elite_fraction: float = 0.10
     min_generations: int = 30
     patience: int = 10
-    perturbation: tuple[float, float] = PERTURBATION_INTERVAL
     seed: int = 0
     mode: str = "patience"  # "fixed": exactly min_generations, no patience
 
@@ -120,8 +117,6 @@ class PbtConfig:
             raise LabelcalError("population_size must be >= 1")
         if not 0.0 < self.elite_fraction < 1.0:
             raise LabelcalError("elite_fraction must lie in (0, 1)")
-        if not self.perturbation[0] <= 1.0 <= self.perturbation[1]:
-            raise LabelcalError("perturbation interval must contain 1")
         if self.mode not in ("fixed", "patience"):
             raise LabelcalError(f"unknown stopping mode {self.mode!r}")
 
@@ -174,7 +169,6 @@ def pbt_run(
                     f"member {member.member_id} returned non-finite score "
                     f"at generation {generation}"
                 )
-            member.history.append((dict(member.hyperparameters), member.score))
 
         ranked = sorted(population, key=lambda m: (-m.score, m.member_id))
         elite = ranked[:n_elite]
@@ -219,10 +213,7 @@ def pbt_run(
             for target, source in zip(targets, sources):
                 target.trainable.copy_from(snapshots[source.member_id])
                 target.trainable.hyperparameters = perturb(
-                    target.trainable.hyperparameters,
-                    rng,
-                    bounds=getattr(target.trainable, "bounds", None),
-                    interval=config.perturbation,
+                    target.trainable.hyperparameters, rng, getattr(target.trainable, "bounds", None)
                 )
 
     return PbtResult(

@@ -11,16 +11,16 @@ probability-proportional edge widths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelcalError, LabelMatrix, ProbMatrix
+from .core import LabelcalError, LabelMatrix, ProbMatrix, format_json
 
 DISTANCE_EPSILON = 0.05
-DEFAULT_WIDTH_BASE = 1.0
-DEFAULT_WIDTH_SCALE = 4.0
+TOLERANCE = 1e-6
+WIDTH_BASE = 1.0
+WIDTH_SCALE = 4.0
 
 
 class DisconnectedGraphError(LabelcalError):
@@ -112,20 +112,16 @@ class Layout:
         object.__setattr__(self, "positions", positions)
 
 
-def target_distances(
-    net: RelationNetwork,
-    epsilon: float = DISTANCE_EPSILON,
-    min_weight: float = 0.0,
-) -> np.ndarray:
+def target_distances(net: RelationNetwork, min_weight: float = 0.0) -> np.ndarray:
     """Weight -> distance map plus all-pairs shortest paths.
 
     Symmetrized strength s = max(w_ab, w_ba); direct distance 1 - s +
-    epsilon; pairs under ``min_weight`` get no direct edge.  Raises
-    ``DisconnectedGraphError`` when some pair stays unreachable.
+    ``DISTANCE_EPSILON``; pairs under ``min_weight`` get no direct edge.
+    Raises ``DisconnectedGraphError`` when some pair stays unreachable.
     """
     w = np.nan_to_num(net.weights, nan=0.0)
     strength = np.maximum(w, w.T)
-    d = 1.0 - strength + epsilon
+    d = 1.0 - strength + DISTANCE_EPSILON
     if min_weight > 0.0:
         d[strength < min_weight] = np.inf
     np.fill_diagonal(d, 0.0)
@@ -153,8 +149,6 @@ def layout_stress(positions: np.ndarray, dists: np.ndarray) -> float:
 def kamada_kawai_layout(
     net: RelationNetwork,
     iterations: int = 1000,
-    tolerance: float = 1e-6,
-    epsilon: float = DISTANCE_EPSILON,
     min_weight: float = 0.0,
 ) -> Layout:
     """2-D layout of least Kamada-Kawai stress (``layout_stress``).
@@ -163,12 +157,12 @@ def kamada_kawai_layout(
     1977; Gansner, Koren & North, GD 2004) from a classical-MDS start.
     Each iteration moves every node at once, X <- V+ B(X) X, and never
     raises the stress.  The loop stops after ``iterations`` updates, or
-    once an update lowers the stress by at most ``tolerance`` of it.
+    once an update lowers the stress by at most ``TOLERANCE`` of it.
     """
     n = len(net.labels)
     if n < 2:
         raise LabelcalError(f"layout needs at least 2 labels, got {n}")
-    dists = target_distances(net, epsilon=epsilon, min_weight=min_weight)
+    dists = target_distances(net, min_weight=min_weight)
     springs = 1.0 / np.where(dists > 0.0, dists, np.inf) ** 2
     v_pinv = np.linalg.pinv(np.diag(springs.sum(axis=1)) - springs)
 
@@ -187,7 +181,7 @@ def kamada_kawai_layout(
         np.fill_diagonal(b, -b.sum(axis=1))
         new_pos = v_pinv @ (b @ pos)
         new_stress = layout_stress(new_pos, dists)
-        converged = stress - new_stress <= tolerance * stress
+        converged = stress - new_stress <= TOLERANCE * stress
         if new_stress <= stress:  # a rounding rise at the minimum is not taken
             pos, stress = new_pos, new_stress
         if converged:
@@ -204,16 +198,10 @@ def _dot_quote(name: str) -> str:
     return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(
-    net: RelationNetwork,
-    layout: Layout,
-    min_weight: float = 0.0,
-    width_base: float = DEFAULT_WIDTH_BASE,
-    width_scale: float = DEFAULT_WIDTH_SCALE,
-) -> str:
+def export_dot(net: RelationNetwork, layout: Layout, min_weight: float = 0.0) -> str:
     """DOT text with pinned node positions and width-weighted edges.
 
-    Edge width is width_base + width_scale * P(b|a); edges below
+    Edge width is WIDTH_BASE + WIDTH_SCALE * P(b|a); edges below
     ``min_weight``, self-loops, and undefined rows are omitted.  Output
     is deterministic for identical inputs.
     """
@@ -226,7 +214,7 @@ def export_dot(
     np.fill_diagonal(keep, False)
     for a, b in zip(*np.nonzero(keep)):
         w = net.weights[a, b]
-        width = width_base + width_scale * w
+        width = WIDTH_BASE + WIDTH_SCALE * w
         lines.append(
             f"  {_dot_quote(net.labels[a])} -> {_dot_quote(net.labels[b])} "
             f'[penwidth={width:.6g}, label="{w:.3f}"];'
@@ -240,9 +228,6 @@ def export_weights_json(net: RelationNetwork) -> str:
     weights = [
         [None if np.isnan(w) else float(w) for w in row] for row in net.weights
     ]
-    payload = {
-        "labels": list(net.labels),
-        "weights": weights,
-        "support": [float(s) for s in net.support],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return format_json(
+        {"labels": list(net.labels), "weights": weights, "support": [float(s) for s in net.support]}
+    )

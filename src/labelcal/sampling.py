@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._util import derive_rng
-from .core import DEFAULT_REPS, DEFAULT_RESAMPLES, LabelcalError, ProbMatrix
+from .core import DEFAULT_REPS, DEFAULT_RESAMPLES, DEFAULT_SIZE_GRID, LabelcalError, ProbMatrix
 
 N_BINS = 5
-DEFAULT_SIZES = tuple(range(50, 301, 10))
+DEFAULT_SIZES = tuple(range(DEFAULT_SIZE_GRID[0], DEFAULT_SIZE_GRID[1] + 1, DEFAULT_SIZE_GRID[2]))
 _BLOCK = 8192  # bootstrap indices per draw: 64 KiB of int64 that malloc reuses
 
 
@@ -143,6 +143,9 @@ def sizing_curve(
     point of the curve is independent of the other sizes requested.
     """
     values = np.asarray(eval_scores, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        i = int(np.argmin(np.isfinite(values)))
+        raise LabelcalError(f"score {i + 1} is not finite: {values[i]}")
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise LabelcalError("no sample sizes given")

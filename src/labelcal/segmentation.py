@@ -163,14 +163,6 @@ class ParagraphRecord:
                 f"paragraph {self.record_id}: text does not equal its lines joined by spaces"
             )
 
-    @property
-    def left_margin(self) -> int:
-        return min(line.left for line in self.lines)
-
-    @property
-    def right_extent(self) -> int:
-        return max(line.right for line in self.lines)
-
     def to_json(self) -> dict:
         return {
             "id": self.record_id,

@@ -134,6 +134,13 @@ class TestOutOfFold:
 
 
 class TestGridSearch:
+    def test_label_names_must_match(self):
+        y = np.array([[1, 0], [0, 1], [1, 1]])
+        probs = ProbMatrix(("a", "b"), y.astype(float))
+        truth = LabelMatrix(("a", "c"), y)
+        with pytest.raises(LabelcalError, match="^probability and annotation label names differ$"):
+            grid_search_thresholds(probs, truth, grid_step=0.1)
+
     def test_binary_probs_equal_truth(self):
         y = np.array([[1, 0], [0, 1], [1, 1]])
         probs = ProbMatrix(("a", "b"), y.astype(float))

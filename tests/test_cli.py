@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,25 @@ class TestTruncateCommand:
         assert manifest["subcommand"] == "truncate"
         assert probs_csv in manifest["inputs"]
         assert manifest["parameters"]["p_low"] == 0.1
+
+    def test_failed_run_keeps_an_earlier_output(self, tmp_path, probs_csv, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"a,b,c\n0,0,0\n")
+        (tmp_path / "out.csv.manifest.json").mkdir()  # the manifest cannot replace it
+        assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2",
+                         "--p-high", "0.5", "--out", str(out)]) == 2
+        assert "out.csv.manifest.json" in capsys.readouterr().err
+        assert out.read_bytes() == b"a,b,c\n0,0,0\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.csv.manifest.json", "probs.csv"]
+
+    def test_failed_in_place_run_keeps_the_input(self, tmp_path, probs_csv, capsys):
+        before = open(probs_csv, "rb").read()
+        (tmp_path / "probs.csv.manifest.json").mkdir()
+        assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2",
+                         "--p-high", "0.5", "--out", probs_csv]) == 2
+        assert "probs.csv.manifest.json" in capsys.readouterr().err
+        assert open(probs_csv, "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == ["probs.csv", "probs.csv.manifest.json"]
 
     def test_in_place_run_digests_the_input_as_read(self, tmp_path, probs_csv):
         probs = tmp_path / "probs.csv"
@@ -145,6 +166,60 @@ class TestExitCodes:
                          "--out", str(tmp_path / "curve.json")])
         assert code == 2
         assert "malformed number on line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["1_0", "\uff11\uff10"])  # float() reads both as 10.0
+    def test_score_outside_the_number_grammar_is_data_error(self, tmp_path, capsys, line):
+        scores = tmp_path / "scores.txt"
+        scores.write_text(f"0.5\n\n{line}\n0.25\n", encoding="utf-8")
+        out = tmp_path / "curve.json"
+        code = dispatch(["size-curve", "--scores", str(scores), "--sizes", "1", "2", "1",
+                         "--out", str(out)])
+        assert code == 2
+        assert "malformed number on line 3" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["scores.txt"]
+
+    @pytest.mark.parametrize("command", ["metrics", "calibrate"])
+    @pytest.mark.parametrize("line", ["198_1", "\uff11\uff19\uff18\uff11"])  # int() reads both
+    def test_year_outside_the_number_grammar_is_data_error(
+            self, tmp_path, probs_csv, truth_csv, capsys, command, line):
+        years = tmp_path / "years.txt"
+        years.write_text("1980\n" + line + "\n" + "1982\n" * 28, encoding="utf-8")
+        source = "--probs" if command == "metrics" else "--oof"
+        code = dispatch([command, source, probs_csv, "--truth", truth_csv,
+                         "--years", str(years), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "non-integer year on line 2" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_scores_file_is_data_error_without_warning(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["size-curve", "--scores", str(scores), "--sizes", "1", "2", "1",
+                             "--out", str(tmp_path / "curve.json")])
+        assert code == 2
+        assert "exceeds population 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_is_data_error(self, tmp_path, capsys, bad):
+        scores = tmp_path / "scores.txt"
+        scores.write_text(f"0.5\n{bad}\n0.25\n", encoding="utf-8")
+        code = dispatch(["size-curve", "--scores", str(scores), "--sizes", "1", "2", "1",
+                         "--out", str(tmp_path / "curve.json")])
+        assert code == 2
+        assert "score 2 is not finite" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["scores.txt"]
+
+    def test_calibrate_label_names_must_match(self, tmp_path, probs_csv, truth_csv, capsys):
+        renamed = tmp_path / "renamed.csv"
+        body = Path(truth_csv).read_text("utf-8").split("\n", 1)[1]
+        renamed.write_text("a,b,d\n" + body, "utf-8")
+        code = dispatch(["calibrate", "--oof", probs_csv, "--truth", str(renamed),
+                         "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert "probability and annotation label names differ" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = dispatch(

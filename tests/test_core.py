@@ -431,6 +431,34 @@ class TestAtomicFiles:
         assert info.value.filename == targets[1]  # the target, not the temporary file
         assert os.listdir(tmp_path) == []
 
+    def test_failed_replace_gives_an_existing_target_its_old_file_back(self, tmp_path):
+        targets = [str(tmp_path / name) for name in ("a.txt", "b.txt", "c.txt")]
+        with open(targets[0], "w", encoding="utf-8") as fh:
+            fh.write("old a\n")
+        replace = os.replace
+
+        def fail_on_second(src, dst):
+            if dst == targets[1]:
+                raise PermissionError(errno.EACCES, "Permission denied", src)
+            replace(src, dst)
+
+        with mock.patch("os.replace", side_effect=fail_on_second):
+            with pytest.raises(PermissionError):
+                with atomic_files(targets) as handles:
+                    for fh, text in zip(handles, "abc"):
+                        fh.write(text)
+        assert os.listdir(tmp_path) == ["a.txt"]  # no temporary file or kept link is left
+        with open(targets[0], encoding="utf-8") as fh:
+            assert fh.read() == "old a\n"
+
+    def test_success_removes_the_kept_old_files(self, tmp_path):
+        target = tmp_path / "a.txt"
+        target.write_text("old\n", encoding="utf-8")
+        with atomic_files([target]) as (fh,):
+            fh.write("new\n")
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert os.listdir(tmp_path) == ["a.txt"]
+
     def test_failed_open_removes_the_files_already_made(self, tmp_path):
         targets = [str(tmp_path / "a.txt"), str(tmp_path / "missing" / "b.txt")]
         with pytest.raises(FileNotFoundError) as info:

@@ -252,7 +252,7 @@ class TestExportDot:
     def test_weight_one_gets_maximum_width(self):
         net = self.two_label_net(1.0, 0.0)
         layout = Layout(np.zeros((2, 2)), stress=0.0)
-        text = export_dot(net, layout, min_weight=0.5, width_base=1.0, width_scale=4.0)
+        text = export_dot(net, layout, min_weight=0.5)
         assert "penwidth=5" in text  # 1.0 + 4.0 * 1.0
 
     def test_reexport_is_stable(self):

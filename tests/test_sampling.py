@@ -200,6 +200,13 @@ class TestBootstrapStd:
 
 
 class TestSizingCurve:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_named(self, bad):
+        scores = np.linspace(0.0, 1.0, 20)
+        scores[[6, 11]] = bad
+        with pytest.raises(LabelcalError, match=f"^score 7 is not finite: {bad}$"):
+            sizing_curve(scores, sizes=(5,), reps=1, resamples=5)
+
     def test_constant_scores_flat_zero(self):
         curve = sizing_curve(
             np.full(400, 1.0), sizes=(50, 100), reps=5, resamples=50, seed=0
