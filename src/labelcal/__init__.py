@@ -34,7 +34,7 @@ _EXPORTS = {
     "relnet": "Layout RelationNetwork export_dot kamada_kawai_layout"
               " network_from_annotations network_from_probabilities",
     "sampling": "SizingCurve bootstrap_std importance_weights sizing_curve weighted_sample",
-    "segmentation": "OcrToken OcrTokens ParagraphRecord bow_match bow_match_many"
+    "segmentation": "OcrTokens ParagraphRecord bow_match bow_match_many"
                     " classify_paragraphs dbscan merge_cross_page parse_ocr_tsv",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -94,7 +94,7 @@ def threshold_grid(
     step: float = DEFAULT_GRID_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid values low_start + i*step (resp. high); inclusive of endpoints."""
-    if step <= 0:
+    if not step > 0:  # NaN fails too
         raise LabelcalError(f"grid step must be > 0, got {step}")
 
     def axis(lo: float, hi: float) -> np.ndarray:

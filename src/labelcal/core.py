@@ -456,7 +456,7 @@ save_label_matrix = save_prob_matrix
 
 
 def load_texts(path: str) -> list[dict]:
-    """Read a JSON-lines corpus; every record needs ``id`` and ``text``."""
+    """Read a JSON-lines corpus; every record needs ``id`` and a string ``text``."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
@@ -469,6 +469,8 @@ def load_texts(path: str) -> list[dict]:
                 raise LabelcalError(f"{path}: invalid JSON on line {n}: {exc}") from None
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise LabelcalError(f"{path}: line {n} lacks 'id' or 'text' field")
+            if not isinstance(record["text"], str):
+                raise LabelcalError(f"{path}: line {n}: 'text' is not a string")
             records.append(record)
     return records
 

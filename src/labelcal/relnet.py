@@ -207,6 +207,8 @@ def export_dot(net: RelationNetwork, layout: Layout, min_weight: float = 0.0) ->
     """
     if layout.positions.shape != (len(net.labels), 2):
         raise LabelcalError("layout does not match network labels")
+    if np.isnan(min_weight):  # it would keep no edge
+        raise LabelcalError(f"min_weight must be a number, got {min_weight}")
     lines = ["digraph label_relations {", "  node [shape=ellipse];"]
     for name, (x, y) in zip(net.labels, layout.positions):
         lines.append(f'  {_dot_quote(name)} [pos="{x:.6g},{y:.6g}!"];')

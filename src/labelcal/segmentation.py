@@ -3,14 +3,15 @@ type classification, cross-page paragraph merging, and quote matching.
 
 Input is the standard 12-column word-box table (level, page_num,
 block_num, par_num, line_num, word_num, left, top, width, height, conf,
-text).  It is read into columns (``OcrTokens``) by numpy's C parser; a
-table it rejects is walked again row by row only to name the first bad
-line.  Paragraphs are assembled from one stable sort of the word keys
-and per-line array reductions.  Paragraph classes come from density
-clustering (DBSCAN over a dense distance matrix, one breadth-first
-frontier per array step) on character-size statistics; page-boundary
-merges use the two typographic cues - the last line reaching the right
-margin and the next page's first line not being indented.
+text).  It is read by numpy's C parser into ``OcrTokens`` columns, the
+only form word boxes take; a table it rejects is walked again row by row
+only to name the first bad line.  Paragraphs are assembled from one
+stable sort of the word keys and per-line array reductions.  Paragraph
+classes come from density clustering (DBSCAN over a dense distance
+matrix, one breadth-first frontier per array step) on character-size
+statistics; page-boundary merges use the two typographic cues - the last
+line reaching the right margin and the next page's first line not being
+indented.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import compress
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,15 +32,12 @@ TSV_COLUMNS = (
     "level", "page_num", "block_num", "par_num", "line_num", "word_num",
     "left", "top", "width", "height", "conf", "text",
 )
-# The integer fields, in ``OcrToken`` field order (page ... height).
+# The integer fields, in ``OcrTokens.fields`` column order (page ... height).
 _INT_FIELDS = TSV_COLUMNS[1:10]
 # Integer fields must lie strictly inside +-2**31, so that box edges, width
 # sums and the float64 statistics made from them are exact.
 _FIELD_LIMIT = 2**31
 _ROW_DTYPE = np.dtype([("fields", np.int64, (len(_INT_FIELDS),)), ("conf", np.float64)])
-_int_fields = attrgetter(
-    "page", "block", "paragraph", "line", "word", "left", "top", "width", "height"
-)
 RIGHT_TOL_CHAR_WIDTHS = 1.5
 INDENT_TOL_CHAR_WIDTHS = 1.0
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -50,62 +47,19 @@ class OcrFormatError(LabelcalError):
     """Malformed OCR word-box table."""
 
 
-@dataclass(frozen=True)
-class OcrToken:
-    """One OCR word box."""
-
-    page: int
-    block: int
-    paragraph: int
-    line: int
-    word: int
-    left: int
-    top: int
-    width: int
-    height: int
-    confidence: float
-    text: str
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise OcrFormatError(
-                f"token {self.text!r} has non-positive box {self.width}x{self.height}"
-            )
-        if min(self.page, self.block, self.paragraph, self.line, self.word) < 0:
-            raise OcrFormatError(f"token {self.text!r} has a negative index")
-        if not all(-_FIELD_LIMIT < v < _FIELD_LIMIT for v in _int_fields(self)):
-            raise OcrFormatError(f"token {self.text!r} has a field outside +-2**31")
-
-    @property
-    def right(self) -> int:
-        return self.left + self.width
-
-
 @dataclass(frozen=True, eq=False)
-class OcrTokens(Sequence[OcrToken]):
-    """Word boxes held as columns; ``tokens[i]`` is the ``OcrToken`` of row i.
+class OcrTokens:
+    """Word boxes held as columns.
 
-    ``fields`` is an (n, 9) int64 array of the integer fields in
-    ``OcrToken`` order (page, block, paragraph, line, word, left, top,
-    width, height), ``confidence`` an (n,) float64 array and ``texts``
-    the n word texts.
+    ``fields`` is an (n, 9) int64 array of the integer fields (page, block,
+    paragraph, line, word, left, top, width, height), ``confidence`` an
+    (n,) float64 array and ``texts`` the n word texts.  ``parse_ocr_tsv``
+    checks the word-box rules; the columns are not checked again.
     """
 
     fields: np.ndarray
     confidence: np.ndarray
     texts: list[str]
-
-    @classmethod
-    def of(cls, tokens: Iterable[OcrToken]) -> OcrTokens:
-        """The tokens as columns (``tokens`` itself when it already is)."""
-        if isinstance(tokens, cls):
-            return tokens
-        tokens = list(tokens)
-        return cls(
-            np.array([_int_fields(t) for t in tokens], dtype=np.int64).reshape(-1, 9),
-            np.array([t.confidence for t in tokens], dtype=np.float64),
-            [t.text for t in tokens],
-        )
 
     @classmethod
     def concat(cls, parts: Sequence[OcrTokens]) -> OcrTokens:
@@ -118,9 +72,6 @@ class OcrTokens(Sequence[OcrToken]):
 
     def __len__(self) -> int:
         return len(self.texts)
-
-    def __getitem__(self, i: int) -> OcrToken:
-        return OcrToken(*self.fields[i].tolist(), float(self.confidence[i]), self.texts[i])
 
 
 @dataclass(frozen=True)
@@ -203,7 +154,7 @@ def parse_ocr_tsv(text: str) -> OcrTokens:
     n_cols = len(header)
     rows = list(filter(str.strip, lines[1:]))
     if not rows:
-        return OcrTokens.of(())
+        return OcrTokens(np.empty((0, len(_INT_FIELDS)), np.int64), np.empty(0), [])
     tabs = np.array([row.count("\t") for row in rows])
     # a writer may swallow the tab before an empty last field
     swallowed = (tabs == n_cols - 2) & (index["text"] == n_cols - 1)
@@ -229,19 +180,36 @@ def parse_ocr_tsv(text: str) -> OcrTokens:
     texts = fields[index["text"] :: n_cols]
     keep = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=len(texts))
     values = table["fields"][keep]
-    if not (
-        (values[:, :5] >= 0).all()
-        and (values[:, 7:] > 0).all()
-        and ((-_FIELD_LIMIT < values) & (values < _FIELD_LIMIT)).all()
-    ):
+    texts = list(compress(texts, keep))
+    if _word_box_error(values, texts) is not None:
         raise _ocr_error(lines, header, index)
-    return OcrTokens(values, table["conf"][keep], list(compress(texts, keep)))
+    return OcrTokens(values, table["conf"][keep], texts)
+
+
+def _word_box_error(fields: np.ndarray, texts: Sequence[str]) -> str | None:
+    """The rule the first bad row of the (n, 9) word-box ``fields`` breaks,
+    or None.  A row's box must be positive, then its indices non-negative,
+    then every field strictly inside +-2**31; the first rule it breaks in
+    that order is the one named."""
+    bad_box = (fields[:, 7:] <= 0).any(axis=1)
+    negative = (fields[:, :5] < 0).any(axis=1)
+    # two comparisons: abs() of int64's minimum wraps to itself
+    outside = ((fields <= -_FIELD_LIMIT) | (fields >= _FIELD_LIMIT)).any(axis=1)
+    bad = bad_box | negative | outside
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if bad_box[i]:
+        return f"token {texts[i]!r} has non-positive box {fields[i, 7]}x{fields[i, 8]}"
+    if negative[i]:
+        return f"token {texts[i]!r} has a negative index"
+    return f"token {texts[i]!r} has a field outside +-2**31"
 
 
 def _ocr_error(lines: list[str], header: list[str], index: dict[str, int]) -> OcrFormatError:
     """The error of the first bad line of a table ``parse_ocr_tsv`` rejected:
     a wrong field count, a field that is not a number, or, in a row with
-    text, a failed ``OcrToken`` check."""
+    text, a broken word-box rule."""
     for n, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) == len(header) - 1 and index["text"] == len(header) - 1:
@@ -250,29 +218,27 @@ def _ocr_error(lines: list[str], header: list[str], index: dict[str, int]) -> Oc
             continue
         if len(fields) != len(header):
             return OcrFormatError(f"line {n}: {len(fields)} fields, expected {len(header)}")
-        values = {}
+        values = []
         for name in ("conf", *_INT_FIELDS):
             value = read_numbers([fields[index[name]]], np.float64 if name == "conf" else np.int64)
             if value is None:
                 return OcrFormatError(f"line {n}: non-numeric {name} field {fields[index[name]]!r}")
-            values[name] = value.item()
-        if fields[index["text"]].strip():
-            try:
-                OcrToken(*map(values.get, _INT_FIELDS), values["conf"], fields[index["text"]])
-            except OcrFormatError as exc:
-                return OcrFormatError(f"line {n}: {exc}")
+            values.append(value.item())
+        text = fields[index["text"]]
+        message = text.strip() and _word_box_error(np.array([values[1:]], np.int64), [text])
+        if message:
+            return OcrFormatError(f"line {n}: {message}")
     return OcrFormatError("numpy cannot read the word-box table")
 
 
-def paragraphs_from_tokens(tokens: Iterable[OcrToken]) -> list[ParagraphRecord]:
-    """Group word boxes into per-page paragraphs with layout statistics.
+def paragraphs_from_tokens(tokens: OcrTokens) -> list[ParagraphRecord]:
+    """Group the word boxes of ``OcrTokens`` columns into per-page
+    paragraphs with layout statistics.
 
     One stable sort puts the words in (page, block, paragraph, line, word)
     order, so words with equal keys keep their input order; the lines of
-    a paragraph are its runs of equal line numbers.  Works on the columns
-    of ``OcrTokens``; any other iterable of tokens is converted first.
+    a paragraph are its runs of equal line numbers.
     """
-    tokens = OcrTokens.of(tokens)
     if not len(tokens):
         return []
     order = np.lexsort(tokens.fields[:, 4::-1].T)  # the page column is the primary key
@@ -376,7 +342,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
 def _dbscan(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """``dbscan`` of the points whose pairwise distances are ``dist``."""
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise LabelcalError(f"eps must be > 0, got {eps}")
     if min_pts < 1:
         raise LabelcalError(f"min_pts must be >= 1, got {min_pts}")

@@ -329,6 +329,37 @@ class TestExitCodes:
         assert "p1.tsv" not in err
         assert sorted(os.listdir(tmp_path)) == ["pages"]
 
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--texts", "{texts}", "--needle", "al"],
+        ["match", "--quotes", "{texts}", "--paragraphs", "{texts}"],
+    ], ids=["filter", "match"])
+    def test_non_string_text_is_data_error(self, tmp_path, capsys, argv):
+        texts = tmp_path / "texts.jsonl"
+        texts.write_text('{"id": "a", "text": "alma"}\n{"id": "b", "text": 5}\n', "utf-8")
+        code = dispatch([a.format(texts=texts) for a in argv] + ["--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{texts}: line 2: 'text' is not a string" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["texts.jsonl"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "nan"],
+         "grid step must be > 0, got nan"),
+        (["segment", "--tsv", "{tsv}", "--eps", "nan"], "eps must be > 0, got nan"),
+        (["relnet", "--probs", "{probs}", "--min-weight", "nan"],
+         "min_weight must be a number, got nan"),
+    ], ids=["calibrate-step", "segment-eps", "relnet-min-weight"])
+    def test_nan_option_is_data_error(self, tmp_path, probs_csv, truth_csv, capsys,
+                                      argv, message):
+        page = tmp_path / "page.tsv"
+        page.write_text(HEADER + "".join(
+            f"\n5\t1\t1\t{par}\t1\t1\t100\t{20 * par}\t50\t12\t95\tszó" for par in (1, 2, 3)),
+            encoding="utf-8")
+        before = sorted(os.listdir(tmp_path))
+        argv = [a.format(probs=probs_csv, truth=truth_csv, tsv=page) for a in argv]
+        assert dispatch(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
 
 class TestFoldsCommand:
     def test_byte_identical_across_runs(self, tmp_path, truth_csv):
@@ -699,10 +730,11 @@ class TestBlasThreadEquivalence:
         assert outputs[0] == outputs[1]
 
 
-# the names ``from labelcal import *`` gave before submodules loaded lazily
+# the names ``from labelcal import *`` gave before submodules loaded lazily,
+# less ``OcrToken``, which was removed since
 OLD_ALL = [
     "EnsembleSet", "FoldAssignment", "LabelMatrix", "LabelcalError", "Layout", "LossValue",
-    "MacroScore", "Member", "OcrToken", "OcrTokens", "ParagraphRecord", "PbtConfig",
+    "MacroScore", "Member", "OcrTokens", "ParagraphRecord", "PbtConfig",
     "PbtResult", "ProbMatrix", "RelationNetwork", "SizingCurve", "TendencySeries",
     "Thresholds", "ToyDataSpec", "balanced_accuracy", "bootstrap_std", "bow_match",
     "bow_match_many", "calibration", "classify_paragraphs", "concat_labels",

@@ -7,6 +7,7 @@ import re
 from collections import Counter
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from labelcal.segmentation import (  # noqa: E402
     TSV_COLUMNS,
     LineBox,
     OcrFormatError,
-    OcrToken,
+    OcrTokens,
     ParagraphRecord,
     bow_match_many,
     bow_tokens,
@@ -229,7 +230,8 @@ def test_c_parser_path_equals_per_cell_parser(text):
 def ocr_reference(text):
     """Token fields of a word-box table, read row by row from the grammar:
     ``INT``/``FLOAT`` and ``int()``/``float()`` per field, int64 at most,
-    then, for rows with text, the ``OcrToken`` checks."""
+    then, for rows with text, the word-box rules: a positive box, then
+    non-negative indices, then every integer field inside +-2**31."""
     lines = text.splitlines()
     header = lines[0].split("\t")
     column = {name: header.index(name) for name in TSV_COLUMNS}
@@ -248,23 +250,25 @@ def ocr_reference(text):
             if not number.fullmatch(field[name]) or (
                     number is INT and not -(2**63) <= int(field[name]) < 2**63):
                 raise OcrFormatError(f"line {n}: non-numeric {name} field {field[name]!r}")
-        if not field["text"].strip():
+        text = field["text"]
+        if not text.strip():
             continue
-        try:
-            tokens.append(OcrToken(*(int(field[name]) for name in TSV_COLUMNS[1:10]),
-                                   float(field["conf"]), field["text"]))
-        except OcrFormatError as exc:
-            raise OcrFormatError(f"line {n}: {exc}") from None
-    return [(*token[:9], token[9].hex(), token[10]) for token in map(tuple_of, tokens)]
+        ints = [int(field[name]) for name in TSV_COLUMNS[1:10]]
+        width, height = ints[7:]
+        if width <= 0 or height <= 0:
+            raise OcrFormatError(f"line {n}: token {text!r} has non-positive box {width}x{height}")
+        if min(ints[:5]) < 0:
+            raise OcrFormatError(f"line {n}: token {text!r} has a negative index")
+        if not all(-(2**31) < v < 2**31 for v in ints):
+            raise OcrFormatError(f"line {n}: token {text!r} has a field outside +-2**31")
+        tokens.append((*ints, float(field["conf"]).hex(), text))
+    return tokens
 
 
 def ocr_parse(text):
-    return [(*token[:9], token[9].hex(), token[10]) for token in map(tuple_of, parse_ocr_tsv(text))]
-
-
-def tuple_of(token):
-    return (token.page, token.block, token.paragraph, token.line, token.word, token.left,
-            token.top, token.width, token.height, token.confidence, token.text)
+    tokens = parse_ocr_tsv(text)
+    return [(*fields, conf.hex(), text) for fields, conf, text in
+            zip(tokens.fields.tolist(), tokens.confidence.tolist(), tokens.texts)]
 
 
 INT_CELLS = st.one_of(
@@ -333,7 +337,7 @@ def paragraphs_per_token(tokens):
                 page=page,
                 left=min(w.left for w in in_line),
                 top=min(w.top for w in in_line),
-                right=max(w.right for w in in_line),
+                right=max(w.left + w.width for w in in_line),
                 bottom=max(w.top + w.height for w in in_line),
                 text=" ".join(w.text for w in in_line),
             ))
@@ -348,6 +352,22 @@ def paragraphs_per_token(tokens):
     return records
 
 
+class Word(NamedTuple):
+    """One word box, as the per-token grouping reads it."""
+
+    page: int
+    block: int
+    paragraph: int
+    line: int
+    word: int
+    left: int
+    top: int
+    width: int
+    height: int
+    confidence: float
+    text: str
+
+
 @st.composite
 def token_lists(draw):
     """Word boxes over few page/block/paragraph/line/word values, so equal
@@ -356,7 +376,7 @@ def token_lists(draw):
     coord = st.one_of(st.integers(-50, 50), st.sampled_from([-(2**31) + 1, 2**31 - 1]))
     size = st.one_of(st.integers(1, 30), st.just(2**31 - 1))
     token = st.builds(
-        OcrToken, small, small, small, small, small, coord, coord, size, size,
+        Word, small, small, small, small, small, coord, coord, size, size,
         st.floats(-1, 100), st.text("abcé#", min_size=1, max_size=6),
     )
     return draw(st.lists(token, min_size=1, max_size=30))
@@ -365,7 +385,9 @@ def token_lists(draw):
 @settings(max_examples=300)
 @given(token_lists())
 def test_paragraph_assembly_equals_per_token_grouping(tokens):
-    got = [p.to_json() for p in paragraphs_from_tokens(tokens)]
+    columns = OcrTokens(np.array([t[:9] for t in tokens], dtype=np.int64),
+                        np.array([t.confidence for t in tokens]), [t.text for t in tokens])
+    got = [p.to_json() for p in paragraphs_from_tokens(columns)]
     want = [p.to_json() for p in paragraphs_per_token(tokens)]
     assert json.dumps(got) == json.dumps(want)  # floats by repr: the same bits
 

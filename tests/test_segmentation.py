@@ -12,7 +12,6 @@ from labelcal.core import LabelcalError
 from labelcal.segmentation import (
     LineBox,
     OcrFormatError,
-    OcrToken,
     OcrTokens,
     ParagraphRecord,
     _k_distance_eps,
@@ -113,8 +112,7 @@ class TestParseOcrTsv:
     def test_single_valid_row(self):
         tokens = parse_ocr_tsv(tsv(word_row()))
         assert len(tokens) == 1
-        assert tokens[0].text == "szó"
-        assert tokens[0].right == 150
+        assert tokens.texts == ["szó"]
 
     def test_empty_file_is_missing_header(self):
         with pytest.raises(OcrFormatError, match="header"):
@@ -142,10 +140,16 @@ class TestParseOcrTsv:
 def token_fields(tokens):
     """Every field of every token, the confidence as its bits."""
     return [
-        (t.page, t.block, t.paragraph, t.line, t.word, t.left, t.top, t.width,
-         t.height, t.confidence.hex(), t.text)
-        for t in tokens
+        (*fields, confidence.hex(), text)
+        for fields, confidence, text in zip(
+            tokens.fields.tolist(), tokens.confidence.tolist(), tokens.texts)
     ]
+
+
+def columns(fields, texts):
+    """``OcrTokens`` of the given integer field rows and texts, confidence 90."""
+    return OcrTokens(np.array(fields, dtype=np.int64).reshape(-1, 9),
+                     np.full(len(texts), 90.0), list(texts))
 
 
 def parse_outcome(text):
@@ -247,6 +251,15 @@ OCR_EDGE_CASES = {
     "nul in text": (tsv(word_row(text="a\x00b")), [word(text="a\x00b")]),
     "lone surrogate in text": (tsv(word_row(text="a\ud800b")), [word(text="a\ud800b")]),
     "non-ascii in level": (tsv(word_row().replace("5", "\u0665", 1)), [word()]),
+    # the rule checked first is the one named
+    "two rules broken": (tsv(word_row(width=0, line=-1)),
+                         error("line 2: token 'szó' has non-positive box 0x12")),
+    "int64 minimum": (tsv(word_row(left=-(2**63))),
+                      error("line 2: token 'szó' has a field outside +-2**31")),
+    "bad box, then too few fields": (tsv(word_row(width=0), "5\t1\t1"),
+                                     error("line 2: token 'szó' has non-positive box 0x12")),
+    "zero width, blank text": (tsv(word_row(width=0, text=" "), word_row(word=2)),
+                               [word(word=2)]),
 }
 OCR_EDGE_TEXTS = {name: text for name, (text, _) in OCR_EDGE_CASES.items()}
 # tables with words: read by one np.loadtxt call
@@ -300,13 +313,9 @@ class TestParseEquivalence:
     def test_token_sequence(self):
         tokens = parse_ocr_tsv(OCR_EDGE_TEXTS["plain"])
         assert isinstance(tokens, OcrTokens) and len(tokens) == 2
-        assert tokens[1] == OcrToken(1, 1, 1, 1, 2, 160, 100, 50, 12, 95.0, "szó")
-        assert tokens[-1] == tokens[1] and list(tokens) == [tokens[0], tokens[1]]
-        assert token_fields(OcrTokens.of(list(tokens))) == token_fields(tokens)
         both = OcrTokens.concat([tokens, parse_ocr_tsv(tsv(word_row(page=2)))])
-        assert [t.page for t in both] == [1, 1, 2]
-        with pytest.raises(IndexError):
-            tokens[2]
+        assert len(both) == 3
+        assert token_fields(both) == [word(), word(word=2, left=160), word(page=2)]
 
 
 class TestParagraphAssembly:
@@ -370,14 +379,14 @@ class TestParagraphAssembly:
         assert paragraphs_from_tokens(parse_ocr_tsv(tsv(*rows)))[0].char_height == 11.0
 
     def test_token_objects_are_accepted(self):
-        tokens = [OcrToken(3, 1, 2, 1, 1, 10, 10, 30, 12, 90.0, "egy"),
-                  OcrToken(3, 1, 1, 1, 1, 10, 10, 30, 12, 90.0, "kettő")]
-        assert [p.text for p in paragraphs_from_tokens(iter(tokens))] == ["kettő", "egy"]
-        assert paragraphs_from_tokens([]) == []
+        tokens = columns([[3, 1, 2, 1, 1, 10, 10, 30, 12], [3, 1, 1, 1, 1, 10, 10, 30, 12]],
+                         ["egy", "kettő"])
+        assert [p.text for p in paragraphs_from_tokens(tokens)] == ["kettő", "egy"]
+        assert paragraphs_from_tokens(columns([], [])) == []
 
     def test_paragraph_without_text_rejected(self):
         with pytest.raises(LabelcalError, match="no text"):
-            paragraphs_from_tokens([OcrToken(1, 1, 1, 1, 1, 10, 10, 30, 12, 90.0, "")])
+            paragraphs_from_tokens(columns([[1, 1, 1, 1, 1, 10, 10, 30, 12]], [""]))
 
     def test_record_invariant_enforced(self):
         line = LineBox(1, 0, 0, 10, 10, "abc")
