@@ -10,6 +10,7 @@ roulette-wheel selection plus multiplicative hyperparameter perturbation.
 import numpy as np
 
 from labelcal import (
+    LinearTrainable,
     PbtConfig,
     ToyDataSpec,
     confidence_penalty,
@@ -17,7 +18,6 @@ from labelcal import (
     ldam_loss,
     ldam_margins,
     pbt_run,
-    toy_trainable,
     warmup_steps,
 )
 
@@ -53,7 +53,7 @@ spec = ToyDataSpec(
     positive_rates=(0.4, 0.2, 0.1, 0.05, 0.05), noise=0.05, seed=0,
 )
 config = PbtConfig(population_size=12, min_generations=18, seed=0, mode="fixed")
-result = pbt_run(lambda: toy_trainable(spec, steps_per_epoch=2), config)
+result = pbt_run(lambda: LinearTrainable(spec, steps_per_epoch=2), config)
 
 print(f"generations: {result.generations}")
 best_so_far = -np.inf

@@ -7,15 +7,16 @@ and headings, merge paragraphs that continue across page boundaries,
 and finally match an annotation quote back to its paragraph.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from labelcal.segmentation import (
-    bow_match,
+    bow_match_many,
     classify_paragraphs,
     merge_cross_page,
     paragraphs_from_tokens,
     parse_ocr_tsv,
-    with_classes,
 )
 
 rng = np.random.default_rng(0)
@@ -72,7 +73,7 @@ for p in paragraphs[:3]:
           f"char width {p.char_width:.1f}, {len(p.lines)} lines")
 
 classes = classify_paragraphs(paragraphs, min_pts=3)
-paragraphs = with_classes(paragraphs, classes)
+paragraphs = [replace(p, cls=c) for p, c in zip(paragraphs, classes)]
 # the lone heading has no density neighbors, so DBSCAN calls it noise
 print("\nparagraph classes per page (reading order):")
 for page in range(1, 7):
@@ -94,6 +95,6 @@ for p in spanning:
 # match a quote (a fragment of some paragraph) back to its source
 source = max(merged, key=lambda p: len(p.text))
 quote = " ".join(source.text.split()[:12])
-index, distance = bow_match(quote, [p.text for p in merged])
+index, distance = bow_match_many([quote], [p.text for p in merged])[0]
 print(f"\nquote of 12 words matched to {merged[index].record_id} "
       f"(distance {distance:.3f}); correct: {merged[index] is source}")

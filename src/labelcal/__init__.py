@@ -23,18 +23,18 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "calibration": "Thresholds grid_search_thresholds out_of_fold threshold_at_half truncate",
     "core": "EnsembleSet LabelcalError LabelMatrix ProbMatrix concat_labels ensemble_average"
-            " load_label_matrix load_prob_matrix save_label_matrix save_prob_matrix"
+            " load_label_matrix load_prob_matrix save_prob_matrix"
             " substring_filter",
     "folds": "FoldAssignment partition_score stratified_kfold stratified_single_label",
     "losses": "LossValue confidence_penalty focal_loss ldam_loss ldam_margins",
     "metrics": "MacroScore TendencySeries balanced_accuracy expected_calibration_error"
                " label_count_error_rate macro_roc_auc roc_auc tendency_error tendency_values",
-    "pbt": "Member PbtConfig PbtResult ToyDataSpec pbt_run perturb roulette_select"
-           " toy_trainable warmup_steps",
+    "pbt": "LinearTrainable PbtConfig PbtResult ToyDataSpec pbt_run perturb roulette_select"
+           " warmup_steps",
     "relnet": "Layout RelationNetwork export_dot kamada_kawai_layout"
               " network_from_annotations network_from_probabilities",
     "sampling": "SizingCurve bootstrap_std importance_weights sizing_curve weighted_sample",
-    "segmentation": "OcrTokens ParagraphRecord bow_match bow_match_many"
+    "segmentation": "OcrTokens ParagraphRecord bow_match_many"
                     " classify_paragraphs dbscan merge_cross_page parse_ocr_tsv",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

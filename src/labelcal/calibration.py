@@ -26,6 +26,7 @@ from .core import (
 from .metrics import (
     UndefinedMetricError,
     check_pair,
+    mean_count_error,
     relative_count_errors,
     tendency_error,
     tendency_series_from_matrix,
@@ -110,8 +111,7 @@ def _mean_count_error(
     values: np.ndarray, true_counts: np.ndarray, p_low: float, p_high: float
 ) -> float:
     sums = truncate_values(values, p_low, p_high).sum(axis=0)
-    errors = relative_count_errors(sums, true_counts)
-    return float(np.nanmean(errors))
+    return mean_count_error(relative_count_errors(sums, true_counts))
 
 
 def grid_search_thresholds(
@@ -221,7 +221,7 @@ def count_error_table(
 
     def mean_error(per_label: np.ndarray, cols: np.ndarray) -> float | None:
         block = per_label[cols]
-        return None if np.all(np.isnan(block)) else float(np.nanmean(block))
+        return None if np.all(np.isnan(block)) else mean_count_error(block)
 
     return _block_table(
         oof_probs, truth, thresholds,

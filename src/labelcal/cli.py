@@ -24,6 +24,7 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -122,7 +123,7 @@ def _cmd_segment(args) -> Run:
     classes = segmentation.classify_paragraphs(
         paragraphs, eps=args.eps, min_pts=args.min_pts
     )
-    paragraphs = segmentation.with_classes(paragraphs, classes)
+    paragraphs = [replace(p, cls=c) for p, c in zip(paragraphs, classes)]
     # paragraphs come in page order: one pass splits them into pages
     per_page = [list(page) for _, page in groupby(paragraphs, key=attrgetter("first_page"))]
     merged = segmentation.merge_cross_page(per_page, mode=args.merge_mode)
@@ -306,7 +307,7 @@ def _cmd_pbt_demo(args) -> Run:
         seed=args.seed,
         mode="fixed" if args.mode == "multilabel" else "patience",
     )
-    result = pbt.pbt_run(lambda: pbt.toy_trainable(spec), config)
+    result = pbt.pbt_run(lambda: pbt.LinearTrainable(spec), config)
     history = {
         "mode": args.mode,
         "best_score": result.best_score,

@@ -305,13 +305,6 @@ def atomic_files(paths: Sequence[str]) -> Iterator[list[IO[str]]]:
         os.unlink(old)
 
 
-@contextmanager
-def atomic_write(path: str) -> Iterator[IO[str]]:
-    """One file through ``atomic_files``: ``path`` is replaced only once the block succeeds."""
-    with atomic_files([path]) as (fh,):
-        yield fh
-
-
 # ---------------------------------------------------------------------------
 # Matrix file I/O
 # ---------------------------------------------------------------------------
@@ -443,11 +436,8 @@ def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
 
 def save_prob_matrix(matrix: ProbMatrix | LabelMatrix, path: str) -> None:
     """Write a probability or annotation matrix as CSV (see ``format_matrix``)."""
-    with atomic_write(path) as fh:
+    with atomic_files([path]) as (fh,):
         fh.write(format_matrix(matrix.labels, matrix.values))
-
-
-save_label_matrix = save_prob_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +474,6 @@ def format_texts(records: Iterable[dict]) -> str:
     """Render records as JSON lines, one sorted-key record per line."""
     return "".join(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
                    for record in records)
-
-
-def save_texts(records: Iterable[dict], path: str) -> None:
-    with atomic_write(path) as fh:
-        fh.write(format_texts(records))
 
 
 def substring_filter(

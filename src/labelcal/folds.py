@@ -51,9 +51,6 @@ class FoldAssignment:
         object.__setattr__(self, "fold_of", fold_of)
         object.__setattr__(self, "score", score)
 
-    def members(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.fold_of == fold)[0]
-
 
 def _check_fold_count(n: int, k: int) -> None:
     if k < 2:

@@ -139,6 +139,12 @@ def relative_count_errors(
     return out
 
 
+def mean_count_error(errors: np.ndarray) -> float:
+    """Mean of the defined (non-NaN) ``relative_count_errors``: the label-count
+    error rate.  ``np.nanmean`` sums zeros in place of NaN and can differ in the last bit."""
+    return float(errors[~np.isnan(errors)].mean())
+
+
 @dataclass(frozen=True)
 class LabelCountError:
     """Mean relative error between summed probabilities and true counts."""
@@ -164,22 +170,21 @@ def label_count_error_rate(probs: ProbMatrix, truth: LabelMatrix) -> LabelCountE
         name: float(errors[j]) for j, name in enumerate(probs.labels) if defined[j]
     }
     excluded = tuple(name for j, name in enumerate(probs.labels) if not defined[j])
-    return LabelCountError(float(errors[defined].mean()), per_label, excluded)
+    return LabelCountError(mean_count_error(errors), per_label, excluded)
 
 
 @dataclass(frozen=True)
 class TendencySeries:
     """Discretized year-over-year movement of one label's counts.
 
-    The tick is max(total / TICK_DIVISOR, 1); the tendency value for the
-    pair (y, y+1) is +1 when the count rose by at least a tick, -1 when
-    it fell by at least a tick, 0 otherwise.
+    The tick is max(total / TICK_DIVISOR, 1), with the label's total count
+    given to ``tendency_values``; the tendency value for the pair (y, y+1)
+    is +1 when the count rose by at least a tick, -1 when it fell by at
+    least a tick, 0 otherwise.
     """
 
-    label: str
     years: tuple[int, ...]
     yearly_counts: tuple[float, ...]
-    total: float
     tick: float
     values: np.ndarray
 
@@ -189,9 +194,7 @@ class TendencySeries:
         object.__setattr__(self, "values", values)
 
 
-def tendency_values(
-    yearly_counts: Mapping[int, float], total: float, label: str = ""
-) -> TendencySeries:
+def tendency_values(yearly_counts: Mapping[int, float], total: float) -> TendencySeries:
     """Tendency values in {-1, 0, +1} for consecutive year pairs.
 
     ``total`` is the label's total count (predicted or true); the tick is
@@ -209,10 +212,8 @@ def tendency_values(
     values[diffs >= tick] = 1
     values[diffs <= -tick] = -1
     return TendencySeries(
-        label=label,
         years=tuple(years),
         yearly_counts=tuple(float(c) for c in counts),
-        total=float(total),
         tick=tick,
         values=values,
     )
@@ -258,5 +259,5 @@ def tendency_series_from_matrix(
     for j, name in enumerate(matrix.labels):
         column = matrix.values[:, j].astype(np.float64)
         per_year = {y: float(column[years == y].sum()) for y in span}
-        out[name] = tendency_values(per_year, total=float(column.sum()), label=name)
+        out[name] = tendency_values(per_year, total=float(column.sum()))
     return out

@@ -1,5 +1,6 @@
 """Population-Based Training with elitism and roulette-wheel selection.
 
+The population is a list of trainables, member ``i`` at index ``i``.
 Every generation each member trains one epoch and is scored; the top
 elite fraction is kept untouched, and every other member copies
 parameters and hyperparameters from a fitness-proportionally selected
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .losses import confidence_penalty, focal_loss, ldam_loss, ldam_margins
 from .metrics import UndefinedMetricError, balanced_accuracy, roc_auc
 
 PERTURBATION_INTERVAL = (0.8, 1.2)
+EVAL_FRACTION = 0.25  # share of toy items held out for evaluation
 
 # stream tags for derived generators
 _INIT, _GENERATION = 0, 1
@@ -74,12 +76,12 @@ def perturb(
     return out
 
 
-@runtime_checkable
 class Trainable(Protocol):
     """What the scheduler needs from a training run.
 
-    ``hyperparameters`` is a mutable name -> positive value mapping;
-    ``bounds`` (optional) declares clipping ranges for perturbation.
+    ``pbt_run`` holds one per population slot and keeps their scores
+    itself.  ``hyperparameters`` is a mutable name -> positive value
+    mapping; ``bounds`` (optional) declares clipping ranges for perturbation.
     """
 
     hyperparameters: dict[str, float]
@@ -88,19 +90,6 @@ class Trainable(Protocol):
     def train_one_epoch(self) -> None: ...
     def evaluate(self) -> float: ...
     def copy_from(self, other: "Trainable") -> None: ...
-
-
-@dataclass
-class Member:
-    """One population slot: a trainable plus its latest score."""
-
-    member_id: int
-    trainable: Trainable
-    score: float = math.nan
-
-    @property
-    def hyperparameters(self) -> dict[str, float]:
-        return self.trainable.hyperparameters
 
 
 @dataclass(frozen=True)
@@ -141,10 +130,9 @@ def pbt_run(
     best-so-far score has not improved for ``patience`` further
     generations.  Deterministic given ``config.seed``.
     """
-    population = [Member(i, trainable_factory()) for i in range(config.population_size)]
-    for member in population:
-        seed = derive_rng(config.seed, _INIT, member.member_id).integers(2**63)
-        member.trainable.init(int(seed))
+    trainables = [trainable_factory() for _ in range(config.population_size)]
+    for i, trainable in enumerate(trainables):
+        trainable.init(int(derive_rng(config.seed, _INIT, i).integers(2**63)))
 
     n_elite = math.ceil(config.elite_fraction * config.population_size)
     best_score = -math.inf
@@ -156,64 +144,56 @@ def pbt_run(
 
     while True:
         generation += 1
-        for member in population:
+        scores: list[float] = []
+        for i, trainable in enumerate(trainables):
             try:
-                member.trainable.train_one_epoch()
-                member.score = float(member.trainable.evaluate())
+                trainable.train_one_epoch()
+                scores.append(float(trainable.evaluate()))
             except Exception as exc:
                 raise LabelcalError(
-                    f"member {member.member_id} failed at generation {generation}: {exc}"
+                    f"member {i} failed at generation {generation}: {exc}"
                 ) from exc
-            if not math.isfinite(member.score):
+            if not math.isfinite(scores[i]):
                 raise LabelcalError(
-                    f"member {member.member_id} returned non-finite score "
-                    f"at generation {generation}"
+                    f"member {i} returned non-finite score at generation {generation}"
                 )
 
-        ranked = sorted(population, key=lambda m: (-m.score, m.member_id))
+        ranked = sorted(range(config.population_size), key=lambda i: (-scores[i], i))
         elite = ranked[:n_elite]
-        history.append(
-            {
-                "generation": generation,
-                "scores": [m.score for m in population],
-                "hyperparameters": [dict(m.hyperparameters) for m in population],
-                "elite": [m.member_id for m in elite],
-            }
-        )
+        history.append({"generation": generation, "scores": scores, "elite": elite,
+                        "hyperparameters": [dict(t.hyperparameters) for t in trainables]})
 
-        improved = ranked[0].score > best_score
+        improved = scores[ranked[0]] > best_score
         if improved:
-            best_score = ranked[0].score
-            best_hypers = dict(ranked[0].hyperparameters)
-            best_member = ranked[0].member_id
+            best_member = ranked[0]
+            best_score = scores[best_member]
+            best_hypers = dict(trainables[best_member].hyperparameters)
             best_generation = generation
 
         if config.mode == "fixed":
             if generation >= config.min_generations:
                 break
-        else:
-            if generation > config.min_generations:
-                stall = 0 if improved else stall + 1
-                if stall >= config.patience:
-                    break
+        elif generation > config.min_generations:
+            stall = 0 if improved else stall + 1
+            if stall >= config.patience:
+                break
 
         if config.population_size > n_elite:
             rng = derive_rng(config.seed, _GENERATION, generation)
-            scores = np.array([m.score for m in ranked])
-            elite_ids = {m.member_id for m in elite}
-            targets = [m for m in population if m.member_id not in elite_ids]
-            sources = [ranked[roulette_select(scores, rng)] for _ in targets]
+            ranked_scores = np.array([scores[i] for i in ranked])
+            targets = [i for i in range(config.population_size) if i not in elite]
+            sources = [ranked[roulette_select(ranked_scores, rng)] for _ in targets]
             # snapshot sources before any overwrite so copies cannot alias
             snapshots: dict[int, Trainable] = {}
             for source in sources:
-                if source.member_id not in snapshots:
-                    snap = trainable_factory()
-                    snap.copy_from(source.trainable)
-                    snapshots[source.member_id] = snap
+                if source not in snapshots:
+                    snapshots[source] = trainable_factory()
+                    snapshots[source].copy_from(trainables[source])
             for target, source in zip(targets, sources):
-                target.trainable.copy_from(snapshots[source.member_id])
-                target.trainable.hyperparameters = perturb(
-                    target.trainable.hyperparameters, rng, getattr(target.trainable, "bounds", None)
+                trainable = trainables[target]
+                trainable.copy_from(snapshots[source])
+                trainable.hyperparameters = perturb(
+                    trainable.hyperparameters, rng, getattr(trainable, "bounds", None)
                 )
 
     return PbtResult(
@@ -233,16 +213,19 @@ def pbt_run(
 
 @dataclass(frozen=True)
 class ToyDataSpec:
-    """Synthetic linearly-separable-with-noise dataset description."""
+    """Synthetic linearly-separable-with-noise dataset description.
+
+    In multiclass mode class ``j`` is drawn with weight ``0.5 ** j``
+    (normalised to sum to 1).  ``EVAL_FRACTION`` of the items, rounded
+    and at least one, form the eval split.
+    """
 
     n_items: int = 600
     n_labels: int = 6
     n_features: int = 10
     mode: str = "multilabel"  # or "multiclass"
     positive_rates: tuple[float, ...] | None = None  # multilabel imbalance
-    class_weights: tuple[float, ...] | None = None   # multiclass imbalance
     noise: float = 0.05
-    eval_fraction: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -252,8 +235,6 @@ class ToyDataSpec:
             raise LabelcalError(f"degenerate toy data spec {self}")
         if not 0.0 <= self.noise < 0.5:
             raise LabelcalError(f"noise must lie in [0, 0.5), got {self.noise}")
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise LabelcalError("eval_fraction must lie in (0, 1)")
 
 
 @functools.lru_cache(maxsize=8)
@@ -275,14 +256,14 @@ def make_toy_dataset(spec: ToyDataSpec) -> tuple[np.ndarray, ...]:
         flips = rng.random(y.shape) < spec.noise
         y = np.where(flips, 1 - y, y)
     else:
-        weights = np.asarray(spec.class_weights or 0.5 ** np.arange(spec.n_labels), float)
+        weights = 0.5 ** np.arange(spec.n_labels)
         y = rng.choice(spec.n_labels, size=spec.n_items, p=weights / weights.sum())
         means = rng.normal(scale=3.0, size=(spec.n_labels, spec.n_features))
         x = means[y] + x  # unit noise around well-separated class means
         if spec.noise > 0:
             flips = rng.random(spec.n_items) < spec.noise
             y = np.where(flips, rng.integers(spec.n_labels, size=spec.n_items), y)
-    n_eval = max(1, int(round(spec.eval_fraction * spec.n_items)))
+    n_eval = max(1, int(round(EVAL_FRACTION * spec.n_items)))
     split = derive_rng(spec.seed, 1).permutation(spec.n_items)
     arrays = (x, y, split[:n_eval], split[n_eval:])
     for array in arrays:
@@ -375,7 +356,3 @@ class LinearTrainable:
         self.bias = other.bias.copy()
         self.hyperparameters = dict(other.hyperparameters)
 
-
-def toy_trainable(spec: ToyDataSpec, steps_per_epoch: int = 5) -> LinearTrainable:
-    """A fresh linear trainable on the synthetic dataset for ``spec``."""
-    return LinearTrainable(spec, steps_per_epoch=steps_per_epoch)

@@ -20,7 +20,7 @@ import io
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
@@ -434,12 +434,6 @@ def classify_paragraphs(
     return ["noise" if i == -1 else names[i] for i in ids]
 
 
-def with_classes(
-    paragraphs: Sequence[ParagraphRecord], classes: Sequence[str]
-) -> list[ParagraphRecord]:
-    return [replace(p, cls=c) for p, c in zip(paragraphs, classes)]
-
-
 # ---------------------------------------------------------------------------
 # Cross-page merging
 # ---------------------------------------------------------------------------
@@ -567,7 +561,7 @@ def bow_match_many(
     if not quotes:
         return []
     if not paragraphs:
-        raise LabelcalError("bow_match needs at least one paragraph")
+        raise LabelcalError("bow_match_many needs at least one paragraph")
     quote_counts = [Counter(bow_tokens(quote)) for quote in quotes]
     if not all(quote_counts):
         raise LabelcalError("quote contains no alphanumeric tokens")
@@ -599,8 +593,3 @@ def bow_match_many(
         best = int(np.argmin(distance))
         results.append((best, float(distance[best])))
     return results
-
-
-def bow_match(quote: str, paragraphs: Sequence[str]) -> tuple[int, float]:
-    """Best paragraph for one quote; see ``bow_match_many``."""
-    return bow_match_many([quote], paragraphs)[0]

@@ -246,3 +246,20 @@ class TestReportTables:
         years = [1980 + i % 4 for i in range(40)]
         table = tendency_error_table(probs, truth, years, Thresholds(0.2, 0.54))
         assert all(row["low_and_high"] == 0.0 for row in table["rows"])
+
+    def test_cumulated_cells_and_search_error_equal_the_metric(self):
+        # with zero-count labels np.nanmean and the mean over the defined
+        # labels can differ in the last bit; every report uses the latter
+        rng = np.random.default_rng(48)
+        for _ in range(40):
+            n_labels = int(rng.integers(9, 40))
+            y = (rng.random((60, n_labels)) < 0.2).astype(int)
+            y[:, rng.choice(n_labels, size=3, replace=False)] = 0
+            names = tuple(f"l{j}" for j in range(n_labels))
+            probs, truth = ProbMatrix(names, rng.random((60, n_labels))), LabelMatrix(names, y)
+            t, err = grid_search_thresholds(probs, truth, grid_step=0.1)
+            assert err == label_count_error_rate(truncate(probs, t), truth).value
+            row = count_error_table(probs, truth, t)["rows"][-1]
+            for name, matrix in [("no_truncation", probs), ("low_and_high", truncate(probs, t)),
+                                 ("low_only", truncate(probs, Thresholds(t.p_low, 1.0)))]:
+                assert row[name] == label_count_error_rate(matrix, truth).value

@@ -21,15 +21,14 @@ from labelcal.core import (
     ValueRangeError,
     _parse_rows,
     atomic_files,
-    atomic_write,
     concat_labels,
     ensemble_average,
     format_matrix,
+    format_texts,
     load_label_matrix,
     load_prob_matrix,
     load_texts,
     save_prob_matrix,
-    save_texts,
     substring_filter,
 )
 
@@ -351,7 +350,8 @@ class TestTextRecords:
     def test_jsonl_round_trip(self, tmp_path):
         records = [{"id": 1, "text": "első"}, {"id": 2, "text": "második"}]
         path = str(tmp_path / "t.jsonl")
-        save_texts(records, path)
+        with atomic_files([path]) as (fh,):
+            fh.write(format_texts(records))
         assert load_texts(path) == records
 
     def test_missing_field_rejected(self, tmp_path):
@@ -365,7 +365,7 @@ class TestAtomicWrite:
     def test_success_replaces_target_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "out.txt"
         target.write_text("old\n", encoding="utf-8")
-        with atomic_write(str(target)) as fh:
+        with atomic_files([target]) as (fh,):
             fh.write("new\n")
         assert target.read_text(encoding="utf-8") == "new\n"
         assert os.listdir(tmp_path) == ["out.txt"]
@@ -373,7 +373,7 @@ class TestAtomicWrite:
     def test_failure_mid_write_leaves_no_file(self, tmp_path):
         target = tmp_path / "out.txt"
         with pytest.raises(RuntimeError):
-            with atomic_write(str(target)) as fh:
+            with atomic_files([target]) as (fh,):
                 fh.write("partial\n" * 1000)
                 raise RuntimeError("stage failed")
         assert os.listdir(tmp_path) == []
@@ -382,7 +382,7 @@ class TestAtomicWrite:
         target = tmp_path / "out.txt"
         target.write_text("old\n", encoding="utf-8")
         with pytest.raises(RuntimeError):
-            with atomic_write(str(target)) as fh:
+            with atomic_files([target]) as (fh,):
                 fh.write("partial\n")
                 raise RuntimeError("stage failed")
         assert target.read_text(encoding="utf-8") == "old\n"
@@ -390,17 +390,19 @@ class TestAtomicWrite:
 
     def test_writer_failing_on_a_later_record_writes_nothing(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        save_texts([{"id": 1, "text": "a"}], str(path))
+        with atomic_files([path]) as (fh,):
+            fh.write(format_texts([{"id": 1, "text": "a"}]))
         with pytest.raises(TypeError):
-            save_texts([{"id": 2, "text": "b"}, {"id": 3, "text": {"not", "json"}}],
-                       str(path))
+            with atomic_files([path]) as (fh,):
+                fh.write(format_texts([{"id": 2, "text": "b"},
+                                       {"id": 3, "text": {"not", "json"}}]))
         assert load_texts(str(path)) == [{"id": 1, "text": "a"}]
         assert os.listdir(tmp_path) == ["t.jsonl"]
 
     def test_missing_directory_names_the_target(self, tmp_path):
         target = tmp_path / "missing" / "out.txt"
         with pytest.raises(FileNotFoundError) as info:
-            with atomic_write(str(target)) as fh:
+            with atomic_files([target]) as (fh,):
                 fh.write("x")
         assert info.value.filename == str(target)
 

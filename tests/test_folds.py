@@ -158,7 +158,7 @@ class TestStratifiedSingleLabel:
     def test_two_by_two(self):
         out = stratified_single_label([0, 0, 1, 1], k=2, seed=0)
         for fold in (0, 1):
-            members = out.members(fold)
+            members = np.flatnonzero(out.fold_of == fold)
             assert len(members) == 2
             assert sorted(np.array([0, 0, 1, 1])[members]) == [0, 1]
 

@@ -12,13 +12,13 @@ from labelcal.core import LabelcalError
 from labelcal.losses import confidence_penalty, ldam_loss, ldam_margins
 from labelcal.metrics import roc_auc
 from labelcal.pbt import (
+    LinearTrainable,
     PbtConfig,
     ToyDataSpec,
     make_toy_dataset,
     pbt_run,
     perturb,
     roulette_select,
-    toy_trainable,
     warmup_steps,
 )
 
@@ -234,7 +234,7 @@ class TestToyTrainable:
             n_items=400, n_labels=4, n_features=8, mode="multilabel",
             positive_rates=(0.5, 0.3, 0.2, 0.1), noise=0.0, seed=0,
         )
-        t = toy_trainable(spec, steps_per_epoch=10)
+        t = LinearTrainable(spec, steps_per_epoch=10)
         t.init(seed=0)
         t.hyperparameters = {"learning_rate": 0.5, "gamma": 2.0}
         for _ in range(40):
@@ -246,7 +246,7 @@ class TestToyTrainable:
             n_items=400, n_labels=3, n_features=6, mode="multiclass",
             noise=0.0, seed=1,
         )
-        t = toy_trainable(spec, steps_per_epoch=10)
+        t = LinearTrainable(spec, steps_per_epoch=10)
         t.init(seed=0)
         t.hyperparameters = {"learning_rate": 0.3, "max_margin": 0.5, "beta": 0.1}
         before = t.evaluate()
@@ -267,8 +267,8 @@ class TestToyTrainable:
             config = PbtConfig(
                 population_size=6, min_generations=generations, seed=seed, mode="fixed",
             )
-            searched.append(pbt_run(lambda: toy_trainable(spec), config).best_score)
-            baseline = toy_trainable(spec)
+            searched.append(pbt_run(lambda: LinearTrainable(spec), config).best_score)
+            baseline = LinearTrainable(spec)
             baseline.init(seed=seed)
             baseline.hyperparameters = {"learning_rate": 0.1, "gamma": 0.0}
             for _ in range(generations):
@@ -278,8 +278,8 @@ class TestToyTrainable:
 
     def test_copy_from_is_a_deep_state_copy(self):
         spec = ToyDataSpec(n_items=100, n_labels=2, n_features=4, seed=3)
-        a = toy_trainable(spec)
-        b = toy_trainable(spec)
+        a = LinearTrainable(spec)
+        b = LinearTrainable(spec)
         a.init(seed=1)
         b.init(seed=2)
         b.copy_from(a)
@@ -289,7 +289,7 @@ class TestToyTrainable:
 
     def test_trainables_on_one_spec_share_read_only_data(self):
         spec = ToyDataSpec(n_items=100, n_labels=2, n_features=4, seed=3)
-        a, b = toy_trainable(spec), toy_trainable(spec)
+        a, b = LinearTrainable(spec), LinearTrainable(spec)
         for name in ("x", "y", "eval_idx", "train_idx"):
             assert getattr(a, name) is getattr(b, name)
             with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ class TestToyTrainable:
     def test_multilabel_score_equals_auc_of_sigmoid(self, tied):
         # the score ranks logits; the sigmoid keeps their order and ties
         spec = ToyDataSpec(n_items=300, n_labels=4, n_features=6, seed=5)
-        t = toy_trainable(spec)
+        t = LinearTrainable(spec)
         t.init(seed=2)
         t.hyperparameters = {"learning_rate": 0.5, "gamma": 2.0}
         t.train_one_epoch()

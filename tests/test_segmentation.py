@@ -17,7 +17,6 @@ from labelcal.segmentation import (
     _k_distance_eps,
     _pairwise_distances,
     body_margins,
-    bow_match,
     bow_match_many,
     bow_tokens,
     classify_paragraphs,
@@ -644,7 +643,7 @@ class TestMergeCrossPage:
 class TestBowMatch:
     def test_identical_paragraph_is_exact(self):
         corpus = ["alma körte szilva", "teljesen más szöveg"]
-        index, distance = bow_match("alma körte szilva", corpus)
+        index, distance = bow_match_many(["alma körte szilva"], corpus)[0]
         assert index == 0
         assert distance == 0.0
 
@@ -655,12 +654,12 @@ class TestBowMatch:
             " ".join(rng.choice(words, size=8)) for _ in range(10)
         ]
         quote = corpus[4]
-        index, distance = bow_match(quote, corpus)
+        index, distance = bow_match_many([quote], corpus)[0]
         assert corpus[index] == quote
         assert distance < 1e-12
 
     def test_disjoint_tokens_distance_one_tie_at_zero(self):
-        index, distance = bow_match("qqq www", ["alma", "körte"])
+        index, distance = bow_match_many(["qqq www"], ["alma", "körte"])[0]
         assert index == 0
         assert distance == 1.0
 
@@ -668,7 +667,7 @@ class TestBowMatch:
         a = "egy kettő három négy öt hat hét nyolc"
         b = "teljesen független felsorolás megy itt tovább"
         quote = "egy kettő három négy"
-        index, distance = bow_match(quote, [a, b])
+        index, distance = bow_match_many([quote], [a, b])[0]
         # oracle: cos = 4 / (sqrt(4) * sqrt(8)) -> distance 1 - sqrt(2)/2
         assert index == 0
         np.testing.assert_allclose(distance, 1 - math.sqrt(2) / 2, rtol=1e-12)
@@ -678,11 +677,11 @@ class TestBowMatch:
 
     def test_empty_quote_rejected(self):
         with pytest.raises(LabelcalError, match="token"):
-            bow_match("—…!", ["alma"])
+            bow_match_many(["—…!"], ["alma"])
 
     def test_no_paragraphs_rejected(self):
         with pytest.raises(LabelcalError, match="at least one paragraph"):
-            bow_match("alma", [])
+            bow_match_many(["alma"], [])
 
     def test_many_quotes_in_one_pass(self):
         corpus = ["—", "alma körte", "Alma KÖRTE", "szilva", "alma körte"]
