@@ -3,9 +3,10 @@
 Two questions when manually validating predictions on an unannotated
 corpus: how large must the sample be for a useful confidence interval,
 and how should it be drawn so rare labels are represented?  The sizing
-curve answers the first by bootstrap simulation; the importance weights
-answer the second by favoring items whose prediction probabilities fall
-in sparsely populated ranges.
+curve answers the first with the bootstrap standard error of the mean
+(in closed form) over random subsets of each size; the importance
+weights answer the second by favoring items whose prediction
+probabilities fall in sparsely populated ranges.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ rng = np.random.default_rng(0)
 
 # --- sample size planning on simulated per-item metric contributions ------
 scores = rng.normal(loc=0.85, scale=0.3, size=4000)
-curve = sizing_curve(scores, sizes=range(50, 301, 50), reps=60, resamples=2000, seed=1)
+curve = sizing_curve(scores, sizes=range(50, 301, 50), reps=60, seed=1)
 print("bootstrap std of the mean metric vs sample size:")
 previous = None
 for size, std in zip(curve.sizes, curve.mean_std):

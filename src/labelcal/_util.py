@@ -1,9 +1,9 @@
 """Seed derivation and numpy ports of two scipy functions.
 
-Randomized searches evaluate independent work items (fold candidates,
-bootstrap repetitions, PBT generations).  Each item draws from its own
-generator derived from (master seed, item key), so an item's result does
-not depend on which other items are evaluated, or in what order.
+Randomized searches evaluate independent work items (a block of fold
+candidates, a size-curve subset, a PBT generation), each drawing from
+its own generator derived from (master seed, item key), so its result
+does not depend on which other items are evaluated, or in what order.
 
 ``average_ranks`` and ``logsumexp`` give bit-for-bit the results of
 ``scipy.stats.rankdata`` (method "average") and the real-input

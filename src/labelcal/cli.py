@@ -43,7 +43,6 @@ from .core import (
     DEFAULT_HIGH_RANGE,
     DEFAULT_LOW_RANGE,
     DEFAULT_REPS,
-    DEFAULT_RESAMPLES,
     DEFAULT_SIZE_GRID,
     LabelcalError,
     atomic_files,
@@ -268,11 +267,8 @@ def _cmd_size_curve(args) -> Run:
         raise UsageError(f"--sizes STEP must be >= 1, got {args.sizes[2]}")
     scores = _load_lines(args.scores, np.float64, "malformed number")
     sizes = range(args.sizes[0], args.sizes[1] + 1, args.sizes[2])
-    curve = sampling.sizing_curve(
-        scores, sizes=sizes, reps=args.reps, resamples=args.resamples, seed=args.seed
-    )
-    payload = {"sizes": list(curve.sizes), "mean_std": list(curve.mean_std), "reps": curve.reps,
-               "resamples": curve.resamples}
+    curve = sampling.sizing_curve(scores, sizes=sizes, reps=args.reps, seed=args.seed)
+    payload = {"sizes": list(curve.sizes), "mean_std": list(curve.mean_std), "reps": curve.reps}
     return [(args.out, format_json(payload))], [args.scores]
 
 
@@ -400,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=int, nargs=3, default=list(DEFAULT_SIZE_GRID),
                    metavar=("START", "STOP", "STEP"))
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
+    p.add_argument("--resamples", type=int, default=None,
+                   help="ignored: the curve uses the closed-form bootstrap SE; "
+                        "kept so existing command lines parse, and to be removed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 

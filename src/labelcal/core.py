@@ -36,7 +36,6 @@ DEFAULT_LOW_RANGE = (0.0, 0.5)
 DEFAULT_HIGH_RANGE = (0.5, 1.0)
 DEFAULT_ECE_BINS = 10  # metrics
 DEFAULT_REPS = 100  # sampling
-DEFAULT_RESAMPLES = 10_000
 DEFAULT_SIZE_GRID = (50, 300, 10)  # first size, last size, step
 
 

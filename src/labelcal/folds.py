@@ -6,8 +6,10 @@ each by its per-(label, fold) proportion deviations sorted descending,
 and keeps the lexicographically smallest score vector.  Single-label
 data gets a classic exact per-class deal instead.
 
-Candidate c draws from a generator derived from (seed, c), so the search
-result does not depend on how the candidates are chunked.
+Candidate c is row c % _CHUNK of block c // _CHUNK, where one generator
+derived from (seed, block) shuffles a tile of the fold template row by
+row; so the search result does not depend on how the candidates are
+chunked or in what order the blocks are scored.
 """
 
 from __future__ import annotations
@@ -84,19 +86,23 @@ def _fold_template(n: int, k: int) -> np.ndarray:
     return np.repeat(np.arange(k), sizes)
 
 
+def _block_rows(seed: int, block: int, rows: int, template: np.ndarray) -> np.ndarray:
+    """The first ``rows`` candidates of a block, one partition per row."""
+    buf = np.tile(template, (rows, 1))
+    return derive_rng(seed, block).permuted(buf, axis=1, out=buf)
+
+
 def candidate_partition(seed: int, candidate: int, n: int, k: int) -> np.ndarray:
-    """The candidate'th seeded random balanced partition: shuffle then chunk."""
-    perm = derive_rng(seed, candidate).permutation(n)
-    fold_of = np.empty(n, dtype=np.int64)
-    fold_of[perm] = _fold_template(n, k)
-    return fold_of
+    """The candidate'th seeded random balanced partition: a shuffled template."""
+    block, row = divmod(candidate, _CHUNK)
+    return _block_rows(seed, block, row + 1, _fold_template(n, k))[row].copy()
 
 
-def _score_chunk(
+def _score_block(
     items: np.ndarray, cols: np.ndarray, global_prop: np.ndarray,
-    seed: int, chunk: range, n: int, k: int,
+    seed: int, block: int, rows: int, n: int, k: int,
 ) -> tuple[tuple[float, ...], int]:
-    """Best (score tuple, candidate index) within one candidate range.
+    """Best (score tuple, candidate index) among a block's first ``rows``.
 
     (items, cols) are the positive cells of the label matrix; one
     bincount over them gives every candidate's (fold, label) counts.
@@ -104,19 +110,15 @@ def _score_chunk(
     n_labels = global_prop.size
     template = _fold_template(n, k)
     sizes = np.bincount(template, minlength=k).astype(np.float64)
-    fold_of = np.empty((len(chunk), n), dtype=np.int64)
-    for row, c in enumerate(chunk):
-        fold_of[row, derive_rng(seed, c).permutation(n)] = template
-    rows = np.arange(len(chunk))[:, None]
-    keys = (rows * k + fold_of[:, items]) * n_labels + cols
-    counts = np.bincount(keys.ravel(), minlength=len(chunk) * k * n_labels)
-    counts = counts.reshape(len(chunk), k, n_labels).astype(np.float64)
+    fold_of = _block_rows(seed, block, rows, template)
+    keys = (np.arange(rows)[:, None] * k + fold_of[:, items]) * n_labels + cols
+    counts = np.bincount(keys.ravel(), minlength=rows * k * n_labels).reshape(rows, k, n_labels)
     diffs = np.abs(counts / sizes[None, :, None] - global_prop)
-    scores = np.sort(diffs.reshape(len(chunk), -1), axis=1)[:, ::-1]
-    # lexsort's primary key is its last one; it is stable, so ties keep
-    # the earliest candidate
-    best_row = np.lexsort(scores.T[::-1])[0]
-    return tuple(scores[best_row]), chunk[best_row]
+    scores = np.sort(diffs.reshape(rows, -1), axis=1)[:, ::-1]
+    best = np.arange(rows)  # narrowed column by column to the lexicographic minima, in row order
+    for column in scores.T:
+        best = best[column[best] == column[best].min()]
+    return tuple(scores[best[0]]), block * _CHUNK + int(best[0])
 
 
 def stratified_kfold(
@@ -139,11 +141,8 @@ def stratified_kfold(
     items, cols = np.nonzero(labels.values)
     global_prop = labels.values.astype(np.float64).mean(axis=0)
     best_score, best_candidate = min(
-        _score_chunk(
-            items, cols, global_prop, seed,
-            range(lo, min(lo + _CHUNK, candidates)), n, k,
-        )
-        for lo in range(0, candidates, _CHUNK)
+        _score_block(items, cols, global_prop, seed, b, min(_CHUNK, candidates - b * _CHUNK), n, k)
+        for b in range(-(-candidates // _CHUNK))
     )
     fold_of = candidate_partition(seed, best_candidate, n, k)
     return FoldAssignment(fold_of=fold_of, k=k, score=np.array(best_score))

@@ -248,6 +248,8 @@ def tendency_series_from_matrix(
 
     Yearly counts are the per-year column sums (probabilities or
     annotations); the tick of each label uses that column's own total.
+    A stable sort by year makes each year a contiguous slice in item
+    order, so each sum adds what a per-year mask selects, in its order.
     """
     years = np.asarray(years, dtype=np.int64)
     if years.size != matrix.values.shape[0]:
@@ -255,9 +257,12 @@ def tendency_series_from_matrix(
             f"{years.size} years for {matrix.values.shape[0]} items"
         )
     span = range(int(years.min()), int(years.max()) + 1)
-    out: dict[str, TendencySeries] = {}
-    for j, name in enumerate(matrix.labels):
-        column = matrix.values[:, j].astype(np.float64)
-        per_year = {y: float(column[years == y].sum()) for y in span}
-        out[name] = tendency_values(per_year, total=float(column.sum()))
-    return out
+    order = np.argsort(years, kind="stable")
+    bounds = np.searchsorted(years[order], np.arange(span.start, span.stop + 1))
+    by_year = matrix.values[order].T.astype(np.float64, order="C")
+    yearly = np.array([by_year[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    totals = matrix.values.T.astype(np.float64, order="C").sum(axis=1)
+    return {
+        name: tendency_values(dict(zip(span, counts)), total=total)
+        for name, counts, total in zip(matrix.labels, yearly.T.tolist(), totals.tolist())
+    }

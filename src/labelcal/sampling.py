@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._util import derive_rng
-from .core import DEFAULT_REPS, DEFAULT_RESAMPLES, DEFAULT_SIZE_GRID, LabelcalError, ProbMatrix
+from .core import DEFAULT_REPS, DEFAULT_SIZE_GRID, LabelcalError, ProbMatrix
 
 N_BINS = 5
 DEFAULT_SIZES = tuple(range(DEFAULT_SIZE_GRID[0], DEFAULT_SIZE_GRID[1] + 1, DEFAULT_SIZE_GRID[2]))
@@ -114,12 +114,11 @@ def bootstrap_std(
 
 @dataclass(frozen=True)
 class SizingCurve:
-    """Mean bootstrap standard deviation of the metric per sample size."""
+    """Mean bootstrap standard error of the mean metric per sample size."""
 
     sizes: tuple[int, ...]
     mean_std: tuple[float, ...]
     reps: int
-    resamples: int
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
@@ -132,15 +131,16 @@ def sizing_curve(
     eval_scores: np.ndarray,
     sizes: Sequence[int] = DEFAULT_SIZES,
     reps: int = DEFAULT_REPS,
-    resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> SizingCurve:
-    """Confidence-interval width vs validation sample size, by simulation.
+    """Confidence-interval width vs validation sample size.
 
-    For each size: ``reps`` times, draw a uniform random subset of that
-    size and bootstrap the metric's standard deviation; record the mean.
-    Each (size, rep) pair draws from its own derived seed, so every
-    point of the curve is independent of the other sizes requested.
+    For each size, ``reps`` uniform random subsets of that size each give
+    the ideal bootstrap SE of their mean, SD / sqrt(size) in closed form
+    (Efron & Tibshirani 1993; ddof 0, taken about the first value so that
+    equal values give exactly 0); the curve records their mean.  Each
+    (size, rep) subset draws from its own derived seed, so every point of
+    the curve is independent of the other sizes requested.
     """
     values = np.asarray(eval_scores, dtype=np.float64)
     if not np.all(np.isfinite(values)):
@@ -158,7 +158,6 @@ def sizing_curve(
     stds = np.empty((len(sizes), reps))
     for i, size in enumerate(sizes):
         for rep in range(reps):
-            rng = derive_rng(seed, size, rep)
-            subset = rng.choice(values.size, size=size, replace=False)
-            stds[i, rep] = bootstrap_std(values[subset], resamples, seed=rng)
-    return SizingCurve(sizes, tuple(float(m) for m in stds.mean(axis=1)), reps, resamples)
+            subset = values[derive_rng(seed, size, rep).choice(values.size, size, replace=False)]
+            stds[i, rep] = (subset - subset[0]).std() / np.sqrt(size)
+    return SizingCurve(sizes, tuple(float(m) for m in stds.mean(axis=1)), reps)

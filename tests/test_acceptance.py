@@ -263,7 +263,7 @@ def test_criterion_06_sizing_curve():
     rng = np.random.default_rng(106)
     scores = rng.normal(size=3000)
     curve = sizing_curve(
-        scores, sizes=range(50, 301, 10), reps=100, resamples=2000, seed=6
+        scores, sizes=range(50, 301, 10), reps=100, seed=6
     )
     for s, std in zip(curve.sizes, curve.mean_std):
         target = 1.0 / math.sqrt(s)

@@ -451,6 +451,20 @@ class TestSizeCurveCommand:
         payload = json.load(open(out))
         assert payload["sizes"] == [50, 100]
 
+    def test_resamples_option_is_ignored(self, tmp_path):
+        scores = tmp_path / "scores.txt"
+        rng = np.random.default_rng(93)
+        scores.write_text("\n".join("%.17g" % v for v in rng.normal(size=300)), "utf-8")
+        curves = []
+        for resamples in ("5", "2000"):
+            out = tmp_path / f"curve{resamples}.json"
+            assert dispatch(["size-curve", "--scores", str(scores), "--sizes", "50", "100", "50",
+                             "--reps", "5", "--resamples", resamples, "--seed", "3",
+                             "--out", str(out)]) == 0
+            curves.append(out.read_bytes())
+        assert curves[0] == curves[1]
+        assert set(json.loads(curves[0])) == {"sizes", "mean_std", "reps"}
+
 
 class TestRelnetCommand:
     def test_dot_and_json_outputs(self, tmp_path, probs_csv):

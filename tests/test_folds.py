@@ -8,6 +8,8 @@ import pytest
 from labelcal.core import LabelcalError, LabelMatrix
 from labelcal.folds import (
     _CHUNK,
+    _block_rows,
+    _fold_template,
     FoldAssignment,
     candidate_partition,
     partition_score,
@@ -91,18 +93,58 @@ class TestStratifiedKfold:
         np.testing.assert_array_equal(out.fold_of, candidate_partition(5, 0, 10, 2))
 
     def test_winner_in_later_chunk_matches_exhaustive_scoring(self):
+        # at seed 6 the best of these candidates is row 325 of the
+        # partial second block
         rng = np.random.default_rng(5)
         labels = LabelMatrix(tuple("abcde"), (rng.random((60, 5)) < 0.3).astype(int))
         candidates = _CHUNK + 400
         scores = [
-            tuple(partition_score(labels, candidate_partition(5, c, 60, 4), 4))
+            tuple(partition_score(labels, candidate_partition(6, c, 60, 4), 4))
             for c in range(candidates)
         ]
         best = min(range(candidates), key=lambda c: (scores[c], c))
         assert best >= _CHUNK
-        out = stratified_kfold(labels, k=4, candidates=candidates, seed=5)
-        np.testing.assert_array_equal(out.fold_of, candidate_partition(5, best, 60, 4))
+        out = stratified_kfold(labels, k=4, candidates=candidates, seed=6)
+        np.testing.assert_array_equal(out.fold_of, candidate_partition(6, best, 60, 4))
         assert tuple(out.score) == scores[best]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_winner_is_the_lexicographic_minimum_under_ties(self, seed):
+        # 8 items in 2 folds give few distinct score vectors, so most
+        # candidates tie on the leading entries and later ones decide
+        rng = np.random.default_rng(seed)
+        labels = LabelMatrix(("a", "b", "c"), rng.integers(0, 2, size=(8, 3)))
+        scores = [
+            tuple(partition_score(labels, candidate_partition(seed, c, 8, 2), 2))
+            for c in range(300)
+        ]
+        best = min(range(300), key=lambda c: (scores[c], c))
+        assert sum(s[0] == scores[best][0] for s in scores) > 1
+        out = stratified_kfold(labels, k=2, candidates=300, seed=seed)
+        np.testing.assert_array_equal(out.fold_of, candidate_partition(seed, best, 8, 2))
+        assert tuple(out.score) == scores[best]
+
+    def test_candidate_partition_is_the_row_the_search_scored(self, monkeypatch):
+        drawn = {}
+
+        def record(seed, block, rows, template):
+            out = _block_rows(seed, block, rows, template)
+            drawn.setdefault(block, out.copy())  # the winner's redraw comes last
+            return out
+
+        monkeypatch.setattr("labelcal.folds._block_rows", record)
+        rng = np.random.default_rng(7)
+        labels = LabelMatrix(("a", "b"), (rng.random((31, 2)) < 0.4).astype(int))
+        candidates = 2 * _CHUNK + 37
+        stratified_kfold(labels, k=3, candidates=candidates, seed=8)
+        monkeypatch.undo()
+        assert [len(drawn[b]) for b in sorted(drawn)] == [_CHUNK, _CHUNK, 37]
+        template_sizes = np.bincount(_fold_template(31, 3))
+        for c in (0, _CHUNK - 1, _CHUNK, candidates - 1):
+            row = drawn[c // _CHUNK][c % _CHUNK]
+            np.testing.assert_array_equal(candidate_partition(8, c, 31, 3), row)
+            np.testing.assert_array_equal(np.bincount(row, minlength=3), template_sizes)
+        assert not np.array_equal(drawn[0][0], drawn[1][0])
 
     def test_all_candidates_tie_across_chunks_keeps_first(self):
         labels = LabelMatrix(("a", "b"), np.zeros((9, 2), dtype=int))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from labelcal.core import LabelMatrix, ProbMatrix
+from labelcal.core import LabelcalError, LabelMatrix, ProbMatrix
 from labelcal.metrics import (
     UndefinedMetricError,
     balanced_accuracy,
@@ -284,3 +284,63 @@ class TestTendencyFromMatrix:
         series = tendency_series_from_matrix(probs, [1980, 1980, 1981, 1981])
         assert series["a"].yearly_counts == (1.0, 1.0)
         np.testing.assert_array_equal(series["a"].values, [0])
+
+    @staticmethod
+    def by_masks(matrix, years):
+        """The per-(label, year) mask loop that the one-sort path replaced."""
+        years = np.asarray(years, dtype=np.int64)
+        span = range(int(years.min()), int(years.max()) + 1)
+        out = {}
+        for j, name in enumerate(matrix.labels):
+            column = matrix.values[:, j].astype(np.float64)
+            per_year = {y: float(column[years == y].sum()) for y in span}
+            out[name] = tendency_values(per_year, total=float(column.sum()))
+        return out
+
+    @staticmethod
+    def bits(series):
+        return {
+            name: (s.years, [c.hex() for c in s.yearly_counts], s.tick.hex(), s.values.tolist())
+            for name, s in series.items()
+        }
+
+    @pytest.mark.parametrize("n,first,last,gap", [
+        (3000, 1990, 2009, None),   # ~150 items a year: pairwise sums with partial blocks
+        (3000, 1990, 2009, 1999),   # a year in the span with no items
+        (40, 2000, 2003, 2001),
+        (3, 1980, 1985, None),      # fewer items than years: most years hold none, one holds one
+        (1000, 2000, 2001, None),
+    ])
+    @pytest.mark.parametrize("kind", ["probs", "labels"])
+    def test_one_sort_equals_the_mask_loop_bit_for_bit(self, n, first, last, gap, kind):
+        rng = np.random.default_rng(n + first)
+        span = [y for y in range(first, last + 1) if y != gap]
+        years = rng.choice(span, size=n)
+        years[:2] = first, last  # the span's ends are present, unsorted order
+        rng.shuffle(years)
+        names = tuple(f"l{j}" for j in range(6))
+        if kind == "probs":
+            # mixed magnitudes, so a different summation order changes the bits
+            values = rng.random((n, 6)) ** 3 * 10.0 ** rng.integers(-8, 3, size=(n, 6))
+            matrix = ProbMatrix(names, np.minimum(values, 1.0))
+        else:
+            matrix = LabelMatrix(names, (rng.random((n, 6)) < 0.3).astype(int))
+        got = tendency_series_from_matrix(matrix, years)
+        assert self.bits(got) == self.bits(self.by_masks(matrix, years))
+        if gap is not None:
+            assert all(s.yearly_counts[gap - first] == 0.0 for s in got.values())
+
+    def test_single_item_year(self):
+        probs = ProbMatrix(("a", "b"), np.array([[0.25, 0.5], [0.125, 1.0], [0.75, 0.0]]))
+        years = [1981, 1980, 1981]
+        got = tendency_series_from_matrix(probs, years)
+        assert self.bits(got) == self.bits(self.by_masks(probs, years))
+        assert got["a"].yearly_counts == (0.125, 1.0)
+
+    def test_every_item_in_one_year_is_rejected_like_the_mask_loop(self):
+        probs = ProbMatrix(("a",), np.array([[0.5], [0.25]]))
+        with pytest.raises(LabelcalError, match="need at least 2 years, got 1") as got:
+            tendency_series_from_matrix(probs, [1990, 1990])
+        with pytest.raises(LabelcalError) as oracle:
+            self.by_masks(probs, [1990, 1990])
+        assert str(got.value) == str(oracle.value)

@@ -1,5 +1,7 @@
 """Importance weights, weighted sampling, and bootstrap sizing tests."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chi2, spearmanr
@@ -205,64 +207,91 @@ class TestSizingCurve:
         scores = np.linspace(0.0, 1.0, 20)
         scores[[6, 11]] = bad
         with pytest.raises(LabelcalError, match=f"^score 7 is not finite: {bad}$"):
-            sizing_curve(scores, sizes=(5,), reps=1, resamples=5)
+            sizing_curve(scores, sizes=(5,), reps=1)
 
     def test_constant_scores_flat_zero(self):
-        curve = sizing_curve(
-            np.full(400, 1.0), sizes=(50, 100), reps=5, resamples=50, seed=0
-        )
+        curve = sizing_curve(np.full(400, 1.0), sizes=(50, 100), reps=5, seed=0)
         assert curve.mean_std == (0.0, 0.0)
+
+    def test_equal_values_give_exactly_zero(self):
+        # np.full(50, 0.1).std() is about 2.8e-17, not 0: the mean of
+        # fifty 0.1s rounds away from 0.1
+        assert np.full(50, 0.1).std() > 0
+        curve = sizing_curve(np.full(400, 0.1), sizes=(3, 50, 300), reps=4, seed=0)
+        assert curve.mean_std == (0.0, 0.0, 0.0)
+
+    def test_size_one_gives_zero(self):
+        scores = np.random.default_rng(59).normal(size=100)
+        assert sizing_curve(scores, sizes=(1, 2), reps=7, seed=4).mean_std[0] == 0.0
 
     def test_normal_scores_follow_inverse_sqrt(self):
         rng = np.random.default_rng(56)
         scores = rng.normal(size=2000)
         sizes = (50, 100, 200)
-        curve = sizing_curve(scores, sizes=sizes, reps=40, resamples=800, seed=1)
+        curve = sizing_curve(scores, sizes=sizes, reps=40, seed=1)
         for s, std in zip(curve.sizes, curve.mean_std):
             assert abs(std - 1 / np.sqrt(s)) / (1 / np.sqrt(s)) < 0.15
 
     def test_non_increasing_by_spearman(self):
         rng = np.random.default_rng(57)
         scores = rng.normal(size=1500)
-        curve = sizing_curve(
-            scores, sizes=range(50, 301, 50), reps=20, resamples=300, seed=2
-        )
+        curve = sizing_curve(scores, sizes=range(50, 301, 50), reps=20, seed=2)
         rho, _ = spearmanr(curve.sizes, curve.mean_std)
         assert rho < 0
 
     def test_each_point_matches_its_own_draws(self):
+        # the closed form on the same subsets, as a plain loop: the
+        # population SD of the subset over sqrt(size)
         rng = np.random.default_rng(58)
         scores = rng.normal(size=300)
-        curve = sizing_curve(scores, sizes=(50, 80), reps=6, resamples=100, seed=3)
+        curve = sizing_curve(scores, sizes=(50, 80), reps=6, seed=3)
         for size, mean_std in zip(curve.sizes, curve.mean_std):
-            stds = []
+            ses = []
             for rep in range(6):
-                draw = derive_rng(3, size, rep)
-                subset = draw.choice(300, size=size, replace=False)
-                stds.append(bootstrap_std(scores[subset], 100, seed=draw))
-            assert mean_std == float(np.mean(stds))
-        alone = sizing_curve(scores, sizes=(80,), reps=6, resamples=100, seed=3)
+                subset = derive_rng(3, size, rep).choice(300, size=size, replace=False)
+                chosen = [float(scores[i]) for i in subset]
+                mean = sum(chosen) / size
+                sd = math.sqrt(sum((v - mean) ** 2 for v in chosen) / size)
+                ses.append(sd / math.sqrt(size))
+            assert mean_std == pytest.approx(sum(ses) / 6, rel=1e-12, abs=0)
+        alone = sizing_curve(scores, sizes=(80,), reps=6, seed=3)
         assert alone.mean_std == curve.mean_std[1:]
+
+    @pytest.mark.parametrize("size", [50, 300])
+    def test_points_agree_with_simulated_bootstrap(self, size):
+        # bootstrap_std of 20000 replicates has a relative Monte Carlo
+        # error of about 1/sqrt(2 * 20000) = 0.5%; 3% is six of those
+        scores = np.random.default_rng(60).exponential(size=400)
+        curve = sizing_curve(scores, sizes=(size,), reps=2, seed=5)
+        simulated = [
+            bootstrap_std(
+                scores[derive_rng(5, size, rep).choice(400, size=size, replace=False)],
+                20_000, seed=rep,
+            )
+            for rep in range(2)
+        ]
+        assert curve.mean_std[0] == pytest.approx(np.mean(simulated), rel=0.03)
 
     def test_oversized_request_rejected(self):
         with pytest.raises(LabelcalError, match="exceeds"):
-            sizing_curve(np.ones(40), sizes=(50,), reps=2, resamples=10, seed=0)
+            sizing_curve(np.ones(40), sizes=(50,), reps=2, seed=0)
 
     @pytest.mark.parametrize("sizes,reps", [((5, 10), 0), ((5, 10), -1), ((0, 5), 2), ((-5, 5), 2)])
     def test_nonpositive_reps_or_size_rejected(self, sizes, reps):
         with pytest.raises(LabelcalError, match="must be >= 1"):
-            sizing_curve(np.ones(40), sizes=sizes, reps=reps, resamples=10, seed=0)
+            sizing_curve(np.ones(40), sizes=sizes, reps=reps, seed=0)
 
     def test_unordered_sizes_rejected_before_any_draw(self, monkeypatch):
-        # 10**9 resamples per point would take hours; a draw fails the test at once
+        # 10**6 reps per size would draw for about a minute; a draw fails
+        # the test at once
         def no_draws(*args):
             raise AssertionError("sizing_curve drew before checking its sizes")
 
         monkeypatch.setattr("labelcal.sampling.derive_rng", no_draws)
         for sizes in ((300, 50), (50, 50)):
             with pytest.raises(LabelcalError, match="sizes must be strictly increasing"):
-                sizing_curve(np.ones(400), sizes=sizes, reps=10, resamples=10**9, seed=0)
+                sizing_curve(np.ones(400), sizes=sizes, reps=10**6, seed=0)
 
     def test_curve_invariants(self):
         with pytest.raises(LabelcalError):
-            SizingCurve(sizes=(100, 50), mean_std=(0.1, 0.2), reps=1, resamples=1)
+            SizingCurve(sizes=(100, 50), mean_std=(0.1, 0.2), reps=1)
