@@ -9,7 +9,8 @@ data gets a classic exact per-class deal instead.
 Candidate c is row c % _CHUNK of block c // _CHUNK, where one generator
 derived from (seed, block) shuffles a tile of the fold template row by
 row; so the search result does not depend on how the candidates are
-chunked or in what order the blocks are scored.
+chunked or in what order the blocks are scored.  Scoring a block holds
+O(_CHUNK * N) bytes of fold ids, one label's count keys and the counts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ._util import derive_rng
 from .core import DEFAULT_CANDIDATES, LabelcalError, LabelMatrix
 
 _CHUNK = 1024
+_SLAB = 32  # rows shuffled at a time as int64, the item size numpy shuffles fastest
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,9 @@ class FoldAssignment:
             raise LabelcalError("fold_of must be a vector")
         if self.k < 2:
             raise LabelcalError(f"k must be >= 2, got {self.k}")
-        sizes = np.bincount(fold_of, minlength=self.k)
         if fold_of.size and (fold_of.min() < 0 or fold_of.max() >= self.k):
             raise LabelcalError("fold id out of range")
+        sizes = np.bincount(fold_of, minlength=self.k)
         if fold_of.size >= self.k and sizes.min() == 0:
             raise LabelcalError("empty fold")
         if sizes.max() - sizes.min() > 1:
@@ -70,6 +72,8 @@ def partition_score(labels: LabelMatrix, fold_of: np.ndarray, k: int) -> np.ndar
     y = labels.values.astype(np.float64)
     if fold_of.size != y.shape[0]:
         raise LabelcalError(f"{fold_of.size} fold ids for {y.shape[0]} items")
+    if fold_of.size and (fold_of.min() < 0 or fold_of.max() >= k):
+        raise LabelcalError("fold id out of range")
     sizes = np.bincount(fold_of, minlength=k).astype(np.float64)
     if sizes.min() == 0:
         raise LabelcalError("empty fold")
@@ -80,45 +84,53 @@ def partition_score(labels: LabelMatrix, fold_of: np.ndarray, k: int) -> np.ndar
 
 
 def _fold_template(n: int, k: int) -> np.ndarray:
-    """Fold id per position for contiguous chunking into balanced folds."""
+    """Fold id per position for contiguous balanced folds, in the smallest dtype for k - 1."""
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
-    return np.repeat(np.arange(k), sizes)
+    return np.repeat(np.arange(k, dtype=np.min_scalar_type(k - 1)), sizes)
 
 
 def _block_rows(seed: int, block: int, rows: int, template: np.ndarray) -> np.ndarray:
     """The first ``rows`` candidates of a block, one partition per row."""
-    buf = np.tile(template, (rows, 1))
-    return derive_rng(seed, block).permuted(buf, axis=1, out=buf)
+    rng = derive_rng(seed, block)
+    out = np.empty((rows, template.size), dtype=template.dtype)
+    for lo in range(0, rows, _SLAB):  # one generator runs through the slabs in row order
+        slab = np.tile(template.astype(np.int64), (min(_SLAB, rows - lo), 1))
+        out[lo:lo + _SLAB] = rng.permuted(slab, axis=1, out=slab)
+    return out
 
 
 def candidate_partition(seed: int, candidate: int, n: int, k: int) -> np.ndarray:
     """The candidate'th seeded random balanced partition: a shuffled template."""
     block, row = divmod(candidate, _CHUNK)
-    return _block_rows(seed, block, row + 1, _fold_template(n, k))[row].copy()
+    return _block_rows(seed, block, row + 1, _fold_template(n, k))[row].astype(np.int64)
 
 
 def _score_block(
-    items: np.ndarray, cols: np.ndarray, global_prop: np.ndarray,
+    members: list[np.ndarray], global_prop: np.ndarray,
     seed: int, block: int, rows: int, n: int, k: int,
-) -> tuple[tuple[float, ...], int]:
-    """Best (score tuple, candidate index) among a block's first ``rows``.
+) -> tuple[tuple[float, ...], int, np.ndarray]:
+    """Best (score tuple, candidate index, fold ids) among a block's first ``rows``.
 
-    (items, cols) are the positive cells of the label matrix; one
-    bincount over them gives every candidate's (fold, label) counts.
+    ``members[j]`` lists the items that carry label j.  Only rows whose
+    largest deviation is the block minimum can win, so only they are sorted.
     """
-    n_labels = global_prop.size
     template = _fold_template(n, k)
     sizes = np.bincount(template, minlength=k).astype(np.float64)
     fold_of = _block_rows(seed, block, rows, template)
-    keys = (np.arange(rows)[:, None] * k + fold_of[:, items]) * n_labels + cols
-    counts = np.bincount(keys.ravel(), minlength=rows * k * n_labels).reshape(rows, k, n_labels)
-    diffs = np.abs(counts / sizes[None, :, None] - global_prop)
-    scores = np.sort(diffs.reshape(rows, -1), axis=1)[:, ::-1]
-    best = np.arange(rows)  # narrowed column by column to the lexicographic minima, in row order
+    counts = np.empty((rows, k, global_prop.size), dtype=np.int64)
+    for label, items in enumerate(members):
+        keys = np.take(fold_of, items, axis=1) + np.arange(rows)[:, None] * k
+        counts[:, :, label] = np.bincount(keys.ravel(), minlength=rows * k).reshape(rows, k)
+    diffs = np.abs(counts / sizes[None, :, None] - global_prop).reshape(rows, -1)
+    peak = diffs.max(axis=1)
+    tied = np.flatnonzero(peak == peak.min())
+    scores = np.sort(diffs[tied], axis=1)[:, ::-1]
+    best = np.arange(tied.size)  # narrowed column by column to the lexicographic minima, in row order
     for column in scores.T:
         best = best[column[best] == column[best].min()]
-    return tuple(scores[best[0]]), block * _CHUNK + int(best[0])
+    row = int(tied[best[0]])
+    return tuple(scores[best[0]]), block * _CHUNK + row, fold_of[row].copy()
 
 
 def stratified_kfold(
@@ -132,19 +144,20 @@ def stratified_kfold(
     "Best" means the lexicographically smallest descending-sorted score
     vector; ties keep the earliest-generated candidate.  Deterministic
     given (labels, k, candidates, seed).  Candidates are scored
-    ``_CHUNK`` at a time, which bounds memory at O(_CHUNK * (N + nnz)).
+    ``_CHUNK`` at a time, which bounds memory at O(_CHUNK * N) bytes of
+    fold ids, plus one label's count keys, plus the counts.
     """
     n = labels.n_items
     _check_fold_count(n, k)
     if candidates < 1:
         raise LabelcalError(f"candidates must be >= 1, got {candidates}")
-    items, cols = np.nonzero(labels.values)
+    members = [np.flatnonzero(column) for column in labels.values.T]
     global_prop = labels.values.astype(np.float64).mean(axis=0)
-    best_score, best_candidate = min(
-        _score_block(items, cols, global_prop, seed, b, min(_CHUNK, candidates - b * _CHUNK), n, k)
-        for b in range(-(-candidates // _CHUNK))
+    best_score, _, fold_of = min(
+        (_score_block(members, global_prop, seed, b, min(_CHUNK, candidates - b * _CHUNK), n, k)
+         for b in range(-(-candidates // _CHUNK))),
+        key=lambda best: best[:2],
     )
-    fold_of = candidate_partition(seed, best_candidate, n, k)
     return FoldAssignment(fold_of=fold_of, k=k, score=np.array(best_score))
 
 

@@ -93,7 +93,8 @@ def bootstrap_std(
     """Standard deviation of a metric across bootstrap replicates.
 
     Replicates resample the values with replacement at full size; the
-    default metric is the mean.
+    default metric is the mean.  The deviation is taken about the first
+    replicate, so equal replicates give exactly 0.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -109,7 +110,7 @@ def bootstrap_std(
             values[idx].mean(axis=1) if statistic is None
             else [statistic(values[row]) for row in idx]
         )
-    return float(replicates.std())
+    return float((replicates - replicates[0]).std())
 
 
 @dataclass(frozen=True)

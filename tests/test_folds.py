@@ -1,10 +1,15 @@
 """Fold partition scoring and search tests."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import labelcal
+from labelcal._util import derive_rng
 from labelcal.core import LabelcalError, LabelMatrix
 from labelcal.folds import (
     _CHUNK,
@@ -28,6 +33,38 @@ def score_by_hand(y, fold_of, k):
             members = [i for i in range(len(fold_of)) if fold_of[i] == f]
             out.append(abs(y[members, j].mean() - global_prop))
     return sorted(out, reverse=True)
+
+
+def score_block_oracle(items, cols, global_prop, seed, block, rows, n, k):
+    """The block scorer before max-first screening: the whole block's int64
+    fold ids shuffled in one call, one bincount over every positive (item,
+    label) cell at once, and every row's deviations sorted.  Returns
+    (score tuple, candidate, fold ids)."""
+    n_labels = global_prop.size
+    template = _fold_template(n, k).astype(np.int64)
+    sizes = np.bincount(template, minlength=k).astype(np.float64)
+    fold_of = np.tile(template, (rows, 1))
+    derive_rng(seed, block).permuted(fold_of, axis=1, out=fold_of)
+    keys = (np.arange(rows)[:, None] * k + fold_of[:, items]) * n_labels + cols
+    counts = np.bincount(keys.ravel(), minlength=rows * k * n_labels).reshape(rows, k, n_labels)
+    diffs = np.abs(counts / sizes[None, :, None] - global_prop)
+    scores = np.sort(diffs.reshape(rows, -1), axis=1)[:, ::-1]
+    best = np.arange(rows)
+    for column in scores.T:
+        best = best[column[best] == column[best].min()]
+    return tuple(scores[best[0]]), block * _CHUNK + int(best[0]), fold_of[best[0]]
+
+
+def search_oracle(labels, k, candidates, seed):
+    """``stratified_kfold`` over ``score_block_oracle``: (score tuple, candidate, fold ids)."""
+    items, cols = np.nonzero(labels.values)
+    global_prop = labels.values.astype(np.float64).mean(axis=0)
+    return min(
+        (score_block_oracle(items, cols, global_prop, seed, b,
+                            min(_CHUNK, candidates - b * _CHUNK), labels.n_items, k)
+         for b in range(-(-candidates // _CHUNK))),
+        key=lambda best: best[:2],
+    )
 
 
 class TestPartitionScore:
@@ -65,6 +102,12 @@ class TestPartitionScore:
         labels = LabelMatrix(("a",), np.array([[1], [0]]))
         with pytest.raises(LabelcalError, match="empty fold"):
             partition_score(labels, [0, 0], k=2)
+
+    @pytest.mark.parametrize("fold_of", [[-1, 0, 1], [0, 1, 2]])
+    def test_fold_id_out_of_range_rejected(self, fold_of):
+        labels = LabelMatrix(("a",), np.array([[1], [0], [1]]))
+        with pytest.raises(LabelcalError, match="^fold id out of range$"):
+            partition_score(labels, fold_of, k=2)
 
 
 class TestStratifiedKfold:
@@ -126,10 +169,12 @@ class TestStratifiedKfold:
 
     def test_candidate_partition_is_the_row_the_search_scored(self, monkeypatch):
         drawn = {}
+        calls = []
 
         def record(seed, block, rows, template):
             out = _block_rows(seed, block, rows, template)
-            drawn.setdefault(block, out.copy())  # the winner's redraw comes last
+            calls.append(block)
+            drawn[block] = out.copy()
             return out
 
         monkeypatch.setattr("labelcal.folds._block_rows", record)
@@ -138,10 +183,12 @@ class TestStratifiedKfold:
         candidates = 2 * _CHUNK + 37
         stratified_kfold(labels, k=3, candidates=candidates, seed=8)
         monkeypatch.undo()
+        assert calls == [0, 1, 2]  # each block drawn once: the winner is not drawn again
         assert [len(drawn[b]) for b in sorted(drawn)] == [_CHUNK, _CHUNK, 37]
         template_sizes = np.bincount(_fold_template(31, 3))
         for c in (0, _CHUNK - 1, _CHUNK, candidates - 1):
             row = drawn[c // _CHUNK][c % _CHUNK]
+            assert candidate_partition(8, c, 31, 3).dtype == np.int64
             np.testing.assert_array_equal(candidate_partition(8, c, 31, 3), row)
             np.testing.assert_array_equal(np.bincount(row, minlength=3), template_sizes)
         assert not np.array_equal(drawn[0][0], drawn[1][0])
@@ -185,6 +232,28 @@ class TestStratifiedKfold:
         sizes = np.bincount(out.fold_of, minlength=4)
         assert sizes.sum() == 23
         assert sizes.max() - sizes.min() <= 1
+
+    def test_paper_scale_block_fits_in_384_mib(self):
+        # 20k items x 50 rare labels (nnz ~56k): a block of int64 keys for
+        # every positive cell at once would need 435 MiB on its own
+        code = """if True:
+            import resource
+            cap = 384 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            import numpy as np
+            from labelcal.core import LabelMatrix
+            from labelcal.folds import _CHUNK, stratified_kfold
+            rates = 0.2 * 0.93 ** np.arange(50)
+            y = (np.random.default_rng(0).random((20_000, 50)) < rates).astype(np.int8)
+            labels = LabelMatrix(tuple(f"l{j}" for j in range(50)), y)
+            stratified_kfold(labels, k=10, candidates=_CHUNK, seed=0)
+        """
+        src = os.path.dirname(os.path.dirname(labelcal.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=300, env=dict(os.environ, PYTHONPATH=path,
+                                                   OPENBLAS_NUM_THREADS="1"))
+        assert run.returncode == 0, run.stderr
 
     def test_too_few_items_rejected(self):
         labels = LabelMatrix(("a",), np.array([[1]]))
@@ -241,6 +310,11 @@ class TestFoldAssignmentInvariants:
     def test_descending_score_enforced(self):
         with pytest.raises(LabelcalError, match="descending"):
             FoldAssignment(np.array([0, 1]), k=2, score=np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("fold_of", [[-1, 0, 1], [0, 1, 2]])
+    def test_fold_id_out_of_range_rejected(self, fold_of):
+        with pytest.raises(LabelcalError, match="^fold id out of range$"):
+            FoldAssignment(np.array(fold_of), k=2, score=np.array([0.0]))
 
 
 class TestFoldCountChecked:

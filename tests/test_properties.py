@@ -30,6 +30,7 @@ from labelcal.core import (  # noqa: E402
     RaggedRowError,
     _parse_rows,
 )
+from labelcal.folds import _CHUNK, stratified_kfold  # noqa: E402
 from labelcal.relnet import RelationNetwork, kamada_kawai_layout  # noqa: E402
 from labelcal.segmentation import (  # noqa: E402
     TSV_COLUMNS,
@@ -42,6 +43,7 @@ from labelcal.segmentation import (  # noqa: E402
     paragraphs_from_tokens,
     parse_ocr_tsv,
 )
+from test_folds import search_oracle  # noqa: E402
 
 STEP = 0.1
 LOWS, HIGHS = threshold_grid((0.0, 0.5), (0.5, 1.0), STEP)
@@ -423,3 +425,36 @@ def test_layout_ends_at_most_at_its_start(net):
 def test_one_more_iteration_never_raises_the_stress(net, k):
     before = kamada_kawai_layout(net, iterations=k).stress
     assert kamada_kawai_layout(net, iterations=k + 1).stress <= before * (1.0 + 1e-12)
+
+
+@st.composite
+def fold_searches(draw):
+    """(labels, k, seed).  Small k = 2 matrices give few distinct
+    deviations, so rows tie on their largest one and on later ones;
+    identical columns repeat every deviation; k = 300 takes the two-byte
+    fold ids."""
+    k = draw(st.sampled_from([2, 2, 3, 300]))
+    n = draw(st.integers(300, 320) if k == 300 else st.integers(k, 24))
+    n_labels = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "zeros", "ones", "identical"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = (rng.random((n, n_labels)) < draw(st.sampled_from([0.1, 0.3, 0.5]))).astype(int)
+    if kind == "zeros":
+        y[:] = 0
+    elif kind == "ones":
+        y[:] = 1
+    elif kind == "identical":
+        y[:] = y[:, :1]
+    labels = LabelMatrix(tuple(f"l{j}" for j in range(n_labels)), y)
+    return labels, k, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40)
+@given(fold_searches())
+def test_max_first_fold_search_equals_full_sort_oracle(search):
+    labels, k, seed = search
+    for candidates in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 37):
+        score, _, fold_of = search_oracle(labels, k, candidates, seed)
+        out = stratified_kfold(labels, k, candidates, seed)
+        np.testing.assert_array_equal(out.fold_of, fold_of)
+        assert out.score.tobytes() == np.array(score).tobytes()

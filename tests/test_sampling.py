@@ -158,8 +158,10 @@ def bootstrap_one_call(values, resamples, seed, statistic=None):
     """The unblocked form: every resample's indices from one draw."""
     idx = derive_rng(seed).integers(0, values.size, size=(resamples, values.size))
     if statistic is None:
-        return float(values[idx].mean(axis=1).std())
-    return float(np.array([statistic(values[row]) for row in idx]).std())
+        replicates = values[idx].mean(axis=1)
+    else:
+        replicates = np.array([statistic(values[row]) for row in idx])
+    return float((replicates - replicates[0]).std())
 
 
 class TestBootstrapStd:
@@ -181,7 +183,10 @@ class TestBootstrapStd:
                 bootstrap_one_call(values, 111, seed=4, statistic=statistic))
 
     def test_constant_values(self):
-        assert bootstrap_std(np.full(50, 3.3), resamples=200, seed=0) == 0.0
+        # every replicate mean is the same float m, and the mean that
+        # np.std subtracts, rounded from the m's, need not equal m
+        for values in (np.full(50, 3.3), np.full(3, 0.3), np.full(50, 1 / 3)):
+            assert bootstrap_std(values, resamples=200, seed=0) == 0.0
 
     def test_binary_mean_std_matches_clt(self):
         values = np.array([0.0, 1.0] * 50)  # std 0.5, n=100 -> se 0.05
