@@ -35,14 +35,10 @@ class FoldAssignment:
     score: np.ndarray
 
     def __post_init__(self) -> None:
-        fold_of = np.asarray(self.fold_of, dtype=np.int64)
-        score = np.asarray(self.score, dtype=np.float64)
-        if fold_of.ndim != 1:
-            raise LabelcalError("fold_of must be a vector")
         if self.k < 2:
             raise LabelcalError(f"k must be >= 2, got {self.k}")
-        if fold_of.size and (fold_of.min() < 0 or fold_of.max() >= self.k):
-            raise LabelcalError("fold id out of range")
+        fold_of = _fold_ids(self.fold_of, self.k)
+        score = np.asarray(self.score, dtype=np.float64)
         sizes = np.bincount(fold_of, minlength=self.k)
         if fold_of.size >= self.k and sizes.min() == 0:
             raise LabelcalError("empty fold")
@@ -54,6 +50,24 @@ class FoldAssignment:
         score.setflags(write=False)
         object.__setattr__(self, "fold_of", fold_of)
         object.__setattr__(self, "score", score)
+
+
+def _fold_ids(fold_of, k: int) -> np.ndarray:
+    """``fold_of`` as an int64 vector of fold ids in [0, k).  Integer-valued
+    floats are taken; any other value is a ``LabelcalError``, never cast."""
+    ids = np.asarray(fold_of)
+    if ids.ndim != 1:
+        raise LabelcalError(f"fold_of must be a vector, got shape {ids.shape}")
+    if ids.dtype.kind == "f":
+        bad = ~np.isfinite(ids) | (ids != np.round(ids))
+        if bad.any():
+            i = int(bad.argmax())
+            raise LabelcalError(f"fold id {ids[i].item()!r} of item {i} is not an integer")
+    elif ids.dtype.kind not in "biu":
+        raise LabelcalError(f"fold ids must be integers, got {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= k):
+        raise LabelcalError("fold id out of range")
+    return ids.astype(np.int64)
 
 
 def _check_fold_count(n: int, k: int) -> None:
@@ -68,12 +82,10 @@ def partition_score(labels: LabelMatrix, fold_of: np.ndarray, k: int) -> np.ndar
 
     Returns all L*k values sorted descending.
     """
-    fold_of = np.asarray(fold_of, dtype=np.int64)
+    fold_of = _fold_ids(fold_of, k)
     y = labels.values.astype(np.float64)
     if fold_of.size != y.shape[0]:
         raise LabelcalError(f"{fold_of.size} fold ids for {y.shape[0]} items")
-    if fold_of.size and (fold_of.min() < 0 or fold_of.max() >= k):
-        raise LabelcalError("fold id out of range")
     sizes = np.bincount(fold_of, minlength=k).astype(np.float64)
     if sizes.min() == 0:
         raise LabelcalError("empty fold")

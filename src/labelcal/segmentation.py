@@ -7,11 +7,11 @@ text).  It is read by numpy's C parser into ``OcrTokens`` columns, the
 only form word boxes take; a table it rejects is walked again row by row
 only to name the first bad line.  Paragraphs are assembled from one
 stable sort of the word keys and per-line array reductions.  Paragraph
-classes come from density clustering (DBSCAN over a dense distance
-matrix, one breadth-first frontier per array step) on character-size
-statistics; page-boundary merges use the two typographic cues - the last
-line reaching the right margin and the next page's first line not being
-indented.
+classes come from density clustering (DBSCAN over a grid of cells on the
+distinct feature points, in memory linear in the paragraphs) on
+character-size statistics; page-boundary merges use the two typographic
+cues - the last line reaching the right margin and the next page's first
+line not being indented.
 """
 
 from __future__ import annotations
@@ -307,74 +307,245 @@ def _weighted_medians(values: np.ndarray, weights: np.ndarray, starts: np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distances between all rows of an m x d array.
-
-    The squared coordinate differences are added in coordinate order, one
-    m x m array at a time.  For d < 8 this gives the bits of
-    ``sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))``, which
-    numpy sums in order below 8 terms (pairwise from 8 on), without its
-    m x m x d temporaries.
-    """
-    total = np.zeros((points.shape[0],) * 2)
-    for column in points.T:
-        delta = column[:, None] - column[None, :]
-        total += np.square(delta, out=delta)
-    return np.sqrt(total, out=total)
+# Point pairs measured per array step.  It bounds the working memory of
+# the neighbour counts, the cluster links, the border search and the
+# k-distance search, whatever the number of points.
+_PAIR_BLOCK = 1 << 18
+# eps lies in [_MIN_EPS, 1 / _MIN_EPS]: below, a grid cell's squared side
+# underflows, and distinct points can be at a rounded distance of 0 however
+# many cells apart; above, it overflows.
+_MIN_EPS = 2.0**-500
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """Density-based clustering; returns cluster ids with -1 for noise.
+    """Density-based clustering of 1- to 3-dimensional finite points;
+    returns cluster ids with -1 for noise.
 
     A core point has at least ``min_pts`` neighbors within ``eps``
     (inclusive, counting itself).  Clusters are the connected components
-    of the core points, numbered by first-visited order over ascending
-    point index; border points join the cluster of their nearest core
-    neighbor (the lowest index on a tie), which makes the partition
-    independent of point order.  Each component is labelled breadth-first,
-    one whole frontier per step.
+    of the core points, numbered by their lowest core index; border
+    points join the cluster of their nearest core neighbor (the lowest
+    index on a tie), which makes the partition independent of point
+    order.  Memory is O(m + cells): no m x m array is made (see
+    ``_dbscan``).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    return _dbscan(_pairwise_distances(points), eps, min_pts)
+    if points.ndim != 2 or not 1 <= points.shape[1] <= 3:
+        raise LabelcalError(f"dbscan clusters 1- to 3-dimensional points, got shape {points.shape}")
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        raise LabelcalError(f"point {int(bad.argmax())}: coordinates must be finite")
+    distinct, first, inverse, weight = np.unique(
+        points, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    return _dbscan(distinct, weight, first, eps, min_pts)[inverse.reshape(-1)]
 
 
-def _dbscan(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """``dbscan`` of the points whose pairwise distances are ``dist``."""
+def _distances(columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Euclidean distances between points ``i`` and ``j`` (broadcast) of
+    the d x n coordinate ``columns``.  The squared differences are added
+    to 0 in coordinate order, then rooted: below 8 coordinates these are
+    the bits of ``sqrt(((points[i] - points[j]) ** 2).sum(axis=-1))``."""
+    total = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)))
+    for column in columns:
+        delta = column[i] - column[j]
+        total += np.square(delta, out=delta)
+    return np.sqrt(total, out=total)
+
+
+def _dbscan(
+    points: np.ndarray, weight: np.ndarray, first: np.ndarray, eps: float, min_pts: int
+) -> np.ndarray:
+    """``dbscan`` of distinct points, the i'th standing for ``weight[i]``
+    copies whose lowest index is ``first[i]``.
+
+    The points are binned into cells of a power-of-two side with side *
+    sqrt(d) <= eps, so ``points / side`` is exact and any two points of a
+    cell are within eps.  A cell holding ``min_pts`` copies is all core;
+    other points count their neighbours in the cells in reach.  Clusters
+    are the components of cells joined by one core pair within eps
+    (union-find over the cells), and a border point takes its nearest
+    core point by (distance, lowest index).  Distances are measured only
+    between cells in reach, ``_PAIR_BLOCK`` pairs at a time.
+    """
     if not eps > 0:  # NaN fails too
         raise LabelcalError(f"eps must be > 0, got {eps}")
+    if not _MIN_EPS <= eps <= 1 / _MIN_EPS:
+        raise LabelcalError(f"eps must be between 2**-500 and 2**500, got {eps}")
     if min_pts < 1:
         raise LabelcalError(f"min_pts must be >= 1, got {min_pts}")
-    labels = np.full(dist.shape[0], -1, dtype=np.int64)
-    if not labels.size:
+    u, d = points.shape
+    labels = np.full(u, -1, dtype=np.int64)
+    if not u:
         return labels
-    within = dist <= eps
-    core = within.sum(axis=1) >= min_pts
-    to_core = within & core  # row i: the core points within eps of point i
+    root_d = np.sqrt(d)
+    side = np.ldexp(1.0, int(np.frexp(eps / root_d)[1]) - 1)
+    if side * root_d > eps:
+        side /= 2
+    cells = _cell_coords(points, side)
+    keys = _row_keys(cells)
+    # by cell, and in input order within a cell: a link check between two
+    # cells then samples both evenly instead of sweeping one from its far side
+    by_first = np.argsort(first)
+    order = by_first[np.argsort(keys[by_first], kind="stable")]
+    points, weight, first, cells, keys = (x[order] for x in (points, weight, first, cells, keys))
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    n_cells = start.size
+    cell_of = np.repeat(np.arange(n_cells), np.diff(np.r_[start, u]))
+    a, b = _neighbour_cells(cells[start], keys[start], eps / side)
+    columns = np.ascontiguousarray(points.T)
 
-    cluster = 0
-    for start in np.flatnonzero(core).tolist():
-        if labels[start] != -1:
-            continue
-        frontier = np.array([start])
-        while frontier.size:
-            labels[frontier] = cluster
-            frontier = np.flatnonzero(to_core[frontier].any(axis=0) & (labels == -1))
-        cluster += 1
+    core = (np.add.reduceat(weight, start) >= min_pts)[cell_of]
+    count = np.zeros(u)
+    for i, j, _ in _pair_blocks(a, b, _members(cell_of, ~core, n_cells),
+                                _members(cell_of, np.ones(u, bool), n_cells)):
+        near = _distances(columns, i, j) <= eps
+        count += np.bincount(i[near], weight[j[near]], minlength=u)
+    core |= count >= min_pts
 
-    border = np.flatnonzero(~core & to_core.any(axis=1))
-    nearest = np.where(to_core[border], dist[border], np.inf).argmin(axis=1)
-    labels[border] = labels[nearest]
-    return labels
+    # clusters: components of the cells joined by a core pair within eps
+    cores = _members(cell_of, core, n_cells)
+    core_size = cores[2]
+    link = (a < b) & (core_size[a] > 0) & (core_size[b] > 0)
+    a_link, b_link = a[link], b[link]
+    root = np.arange(n_cells)
+    while True:
+        apart = root[a_link] != root[b_link]
+        a_link, b_link = a_link[apart], b_link[apart]
+        if not a_link.size:
+            break
+        work = np.cumsum(core_size[a_link] * core_size[b_link])
+        n = max(1, int(np.searchsorted(work, _PAIR_BLOCK, side="right")))
+        a_batch, b_batch, a_link, b_link = a_link[:n], b_link[:n], a_link[n:], b_link[n:]
+        for i, j, c in _pair_blocks(a_batch, b_batch, cores, cores):
+            hit = c[_distances(columns, i, j) <= eps]
+            _union(root, a_batch[hit], b_batch[hit])
+            if (root[a_batch] == root[b_batch]).all():
+                break
+    component = root[cell_of[core]]
+    unused = np.iinfo(np.int64).max
+    lowest = np.full(n_cells, unused)
+    np.minimum.at(lowest, component, first[core])
+    used = np.flatnonzero(lowest < unused)
+    number = np.empty(n_cells, dtype=np.int64)
+    number[used[np.argsort(lowest[used])]] = np.arange(used.size)
+    labels[core] = number[component]
+
+    # border points: the nearest core point within eps, lowest index on a tie
+    best = np.full(u, np.inf)
+    nearest = np.full(u, -1)
+    for i, j, _ in _pair_blocks(a, b, _members(cell_of, ~core, n_cells), cores):
+        dist = _distances(columns, i, j)
+        near = dist <= eps
+        by = np.lexsort((first[j[near]], dist[near], i[near]))
+        i, j, dist = i[near][by], j[near][by], dist[near][by]
+        lead = np.unique(i, return_index=True)[1]  # each point's nearest in this block
+        i, j, dist = i[lead], j[lead], dist[lead]
+        old = nearest[i]
+        better = (old < 0) | (dist < best[i]) | ((dist == best[i]) & (first[j] < first[old]))
+        best[i[better]], nearest[i[better]] = dist[better], j[better]
+    border = nearest >= 0
+    labels[border] = labels[nearest[border]]
+    out = np.empty_like(labels)
+    out[order] = labels
+    return out
 
 
-def _k_distance_eps(dist: np.ndarray, min_pts: int) -> float:
-    """k-distance heuristic on pairwise distances: eps at the largest jump
-    of sorted k-distances."""
-    m = dist.shape[0]
+def _cell_coords(points: np.ndarray, side: float) -> np.ndarray:
+    """Integer cells ``floor(points / side)``, exact for a power-of-two
+    side.  A coordinate 2**62 or more cells from 0, where neighbouring
+    floats are 2**10 or more cells apart, gets a cell of its own at least
+    16 cells from any other, so it is never in reach of a different
+    value."""
+    with np.errstate(over="ignore"):
+        scaled = points / side
+    far = ~(np.abs(scaled) < 2.0**62)  # inf too
+    cells = np.floor(np.where(far, 0.0, scaled)).astype(np.int64)
+    for axis in np.flatnonzero(far.any(axis=0)):
+        values = points[far[:, axis], axis]
+        rank = np.unique(values, return_inverse=True)[1].reshape(-1)
+        cells[far[:, axis], axis] = np.sign(values).astype(np.int64) * (2**62 + 16 * rank)
+    return cells
+
+
+def _row_keys(cells: np.ndarray) -> np.ndarray:
+    """One bytes key per row of int64 ``cells``, ordered as the rows are
+    lexicographically: big-endian with the sign bit flipped."""
+    flipped = cells.view(np.uint64) ^ np.uint64(1 << 63)
+    return flipped.astype(">u8").view(f"V{8 * cells.shape[1]}").reshape(-1)
+
+
+def _neighbour_cells(
+    cells: np.ndarray, keys: np.ndarray, reach: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (a, b) of the distinct, key-sorted ``cells`` that can hold two
+    points within ``reach`` cell sides: each offset whose nearest corners
+    are in reach, with a margin for rounding.  Both orders are listed, and
+    every cell with itself."""
+    d = cells.shape[1]
+    extent = cells.max(axis=0).astype(np.float64) - cells.min(axis=0)
+    box = np.minimum(np.ceil(reach) + 1, extent).astype(np.int64)
+    grid = np.stack(np.meshgrid(*(np.arange(-r, r + 1) for r in box), indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, d)
+    gap = np.maximum(np.abs(grid) - 1, 0)
+    a, b = [], []
+    for offset in grid[(gap**2).sum(axis=1) <= reach**2 * (1 + 2.0**-40)]:
+        target = _row_keys(cells + offset)
+        at = np.searchsorted(keys, target).clip(max=keys.size - 1)
+        found = np.flatnonzero(keys[at] == target)
+        a.append(found)
+        b.append(at[found])
+    return np.concatenate(a), np.concatenate(b)
+
+
+def _members(cell_of: np.ndarray, mask: np.ndarray, n_cells: int):
+    """The points of ``mask`` (in cell order), with each cell's first
+    position among them and its count."""
+    index = np.flatnonzero(mask)
+    size = np.bincount(cell_of[index], minlength=n_cells)
+    return index, np.cumsum(size) - size, size
+
+
+def _pair_blocks(a: np.ndarray, b: np.ndarray, left, right):
+    """(i, j, c) for every ``left`` member i of cell a[c] and every
+    ``right`` member j of cell b[c], ``_PAIR_BLOCK`` pairs at a time."""
+    (left_index, left_start, left_size), (right_index, right_start, right_size) = left, right
+    work = left_size[a] * right_size[b]
+    ends = np.cumsum(work)
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _PAIR_BLOCK):
+        t = np.arange(lo, min(lo + _PAIR_BLOCK, total))
+        c = np.searchsorted(ends, t, side="right")
+        r = t - (ends[c] - work[c])
+        width = right_size[b[c]]
+        yield (left_index[left_start[a[c]] + r // width],
+               right_index[right_start[b[c]] + r % width], c)
+
+
+def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the components of cells a[i] and b[i]; ``root[c]`` stays the
+    smallest cell of c's component."""
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root[:] = up
+
+
+def _k_distance_eps(points: np.ndarray, weight: np.ndarray, min_pts: int) -> float:
+    """k-distance heuristic on distinct points, the i'th standing for
+    ``weight[i]`` copies: eps at the largest jump of sorted k-distances."""
+    m = int(weight.sum())
     k = min(min_pts, m) - 1  # distance to the min_pts'th point counting itself
-    kd = np.sort(np.partition(dist, k, axis=1)[:, k]) if k >= 0 else np.zeros(m)
+    kd = np.sort(np.repeat(_k_distances(points, weight, k), weight)) if k >= 0 else np.zeros(m)
     if kd.size < 2 or kd[-1] == 0.0:
         return 1.0
     gaps = np.diff(kd)
@@ -382,6 +553,52 @@ def _k_distance_eps(dist: np.ndarray, min_pts: int) -> float:
     if gaps[j] == 0.0:
         return float(kd[-1]) * 1.001
     return float((kd[j] + kd[j + 1]) / 2.0)
+
+
+def _k_distances(points: np.ndarray, weight: np.ndarray, k: int) -> np.ndarray:
+    """Each distinct point's k'th smallest distance (from 0) to all the
+    copies, its own included.
+
+    The points are sorted along their widest axis, and each point looks
+    at a window of its sorted neighbours that doubles until no point
+    outside can be nearer than the k'th found: a distance is never less
+    than the one made of its coordinate difference along that axis.
+    """
+    u = points.shape[0]
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    order = np.argsort(points[:, axis], kind="stable")
+    columns = np.ascontiguousarray(points[order].T)
+    weight = weight[order]
+    x = columns[axis]
+    kd = np.zeros(u)
+    todo = np.flatnonzero(weight <= k)  # a point with more copies is at 0
+    half = k
+    while todo.size:
+        span = np.arange(-half, half + 1)
+        rows = max(1, _PAIR_BLOCK // span.size)
+        left = []
+        for lo in range(0, todo.size, rows):
+            p = todo[lo : lo + rows]
+            q = p[:, None] + span
+            inside = (q >= 0) & (q < u)
+            q = q.clip(0, u - 1)
+            dist = np.where(inside, _distances(columns, p[:, None], q), np.inf)
+            by = np.argsort(dist, axis=1, kind="stable")
+            reached = np.cumsum(np.take_along_axis(np.where(inside, weight[q], 0), by, 1), 1)
+            kth = np.take_along_axis(dist, by, 1)[np.arange(p.size), (reached > k).argmax(axis=1)]
+            below, above = p - half - 1, p + half + 1
+            done = (
+                (reached[:, -1] > k)
+                & ((below < 0) | (np.sqrt(np.square(x[below.clip(0)] - x[p])) >= kth))
+                & ((above >= u) | (np.sqrt(np.square(x[above.clip(max=u - 1)] - x[p])) >= kth))
+            )
+            kd[p[done]] = kth[done]
+            left.append(p[~done])
+        todo = np.concatenate(left)
+        half *= 2
+    out = np.empty(u)
+    out[order] = kd
+    return out
 
 
 def classify_paragraphs(
@@ -394,30 +611,41 @@ def classify_paragraphs(
     The cluster with the largest total text mass is the body; remaining
     clusters become footnote (smaller char height than the body) or
     heading (larger), extra clusters get numbered auxiliary names, and
-    DBSCAN noise maps to "noise".
+    DBSCAN noise maps to "noise".  ``eps`` defaults to the k-distance
+    heuristic on the standardised features.  Memory grows with the
+    number of paragraphs, not its square: identical feature points are
+    clustered once, and neither the k-distances nor DBSCAN make an
+    m x m array.
     """
     if not paragraphs:
         raise LabelcalError("classify_paragraphs needs at least one paragraph")
     features = np.array([[p.char_height, p.char_width] for p in paragraphs])
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise LabelcalError(
+            f"paragraph {paragraphs[int(bad.argmax())].record_id}: "
+            "char_height and char_width must be finite"
+        )
     std = features.std(axis=0)
     std[std == 0.0] = 1.0
-    dist = _pairwise_distances((features - features.mean(axis=0)) / std)
+    distinct, first, inverse, weight = np.unique(
+        (features - features.mean(axis=0)) / std,
+        axis=0, return_index=True, return_inverse=True, return_counts=True,
+    )
     if eps is None:
-        eps = _k_distance_eps(dist, min_pts)
-    ids = _dbscan(dist, eps, min_pts)
+        eps = _k_distance_eps(distinct, weight, min_pts)
+    ids = _dbscan(distinct, weight, first, eps, min_pts)[inverse.reshape(-1)]
 
-    clusters = [c for c in np.unique(ids) if c != -1]
-    mass = {
-        c: sum(len(p.text) for p, i in zip(paragraphs, ids) if i == c)
-        for c in clusters
-    }
-    heights = {
-        c: float(np.median([p.char_height for p, i in zip(paragraphs, ids) if i == c]))
-        for c in clusters
-    }
     names: dict[int, str] = {}
-    if clusters:
-        by_mass = sorted(clusters, key=lambda c: (-mass[c], c))
+    n_clusters = int(ids.max()) + 1
+    if n_clusters:
+        member = ids >= 0
+        lengths = np.fromiter((len(p.text) for p in paragraphs), np.float64, len(paragraphs))
+        mass = np.bincount(ids[member], lengths[member], minlength=n_clusters)
+        by_cluster = features[member, 0][np.argsort(ids[member], kind="stable")]
+        ends = np.cumsum(np.bincount(ids[member], minlength=n_clusters))
+        heights = [float(np.median(h)) for h in np.split(by_cluster, ends[:-1])]
+        by_mass = sorted(range(n_clusters), key=lambda c: (-mass[c], c))
         body = by_mass[0]
         names[body] = "body"
         footnote_pool = [c for c in by_mass[1:] if heights[c] < heights[body]]
@@ -431,7 +659,7 @@ def classify_paragraphs(
             if c not in names:
                 names[c] = f"aux{aux}"
                 aux += 1
-    return ["noise" if i == -1 else names[i] for i in ids]
+    return ["noise" if i == -1 else names[i] for i in ids.tolist()]
 
 
 # ---------------------------------------------------------------------------

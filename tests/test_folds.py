@@ -109,6 +109,14 @@ class TestPartitionScore:
         with pytest.raises(LabelcalError, match="^fold id out of range$"):
             partition_score(labels, fold_of, k=2)
 
+    def test_fold_ids_are_checked_not_cast(self):
+        labels = LabelMatrix(("a",), np.array([[1], [0], [1], [0]]))
+        for fold_of, message in BAD_FOLD_IDS:
+            with pytest.raises(LabelcalError, match=message):
+                partition_score(labels, fold_of, k=2)
+        np.testing.assert_array_equal(partition_score(labels, [0.0, 1.0, 0.0, 1.0], 2),
+                                      partition_score(labels, [0, 1, 0, 1], 2))
+
 
 class TestStratifiedKfold:
     def test_single_candidate_is_the_seeded_partition(self):
@@ -302,6 +310,19 @@ class TestStratifiedSingleLabel:
         np.testing.assert_array_equal(a.fold_of, b.fold_of)
 
 
+# (fold ids, error) pairs: before one validator, numpy's int64 cast
+# truncated the first two and failed deep inside numpy on the 2-D ones
+BAD_FOLD_IDS = [
+    ([0.5, 1, 0, 1], r"^fold id 0\.5 of item 0 is not an integer$"),
+    ([0, 1, 0, 1.7], r"^fold id 1\.7 of item 3 is not an integer$"),
+    ([0, 1, np.nan, 1], r"^fold id nan of item 2 is not an integer$"),
+    ([0, np.inf, 0, 1], r"^fold id inf of item 1 is not an integer$"),
+    ([[0, 1], [0, 1]], r"^fold_of must be a vector, got shape \(2, 2\)$"),
+    ([[0, 1, 0, 1]], r"^fold_of must be a vector, got shape \(1, 4\)$"),
+    (np.array(["0", "1", "0", "1"]), r"^fold ids must be integers, got <U1$"),
+]
+
+
 class TestFoldAssignmentInvariants:
     def test_unbalanced_sizes_rejected(self):
         with pytest.raises(LabelcalError, match="differ"):
@@ -315,6 +336,14 @@ class TestFoldAssignmentInvariants:
     def test_fold_id_out_of_range_rejected(self, fold_of):
         with pytest.raises(LabelcalError, match="^fold id out of range$"):
             FoldAssignment(np.array(fold_of), k=2, score=np.array([0.0]))
+
+    def test_fold_ids_are_checked_not_cast(self):
+        for fold_of, message in BAD_FOLD_IDS:
+            with pytest.raises(LabelcalError, match=message):
+                FoldAssignment(fold_of, k=2, score=np.array([0.1]))
+        out = FoldAssignment([0.0, 1.0, 0.0, 1.0], k=2, score=np.array([0.1]))
+        assert out.fold_of.dtype == np.int64
+        np.testing.assert_array_equal(out.fold_of, [0, 1, 0, 1])
 
 
 class TestFoldCountChecked:

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import math
 import re
 from collections import Counter
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from labelcal.core import (  # noqa: E402
     _parse_rows,
 )
 from labelcal.folds import _CHUNK, stratified_kfold  # noqa: E402
+from labelcal import segmentation  # noqa: E402
 from labelcal.relnet import RelationNetwork, kamada_kawai_layout  # noqa: E402
 from labelcal.segmentation import (  # noqa: E402
     TSV_COLUMNS,
@@ -39,11 +42,14 @@ from labelcal.segmentation import (  # noqa: E402
     OcrTokens,
     ParagraphRecord,
     bow_match_many,
+    _k_distance_eps,
     bow_tokens,
+    dbscan,
     paragraphs_from_tokens,
     parse_ocr_tsv,
 )
 from test_folds import search_oracle  # noqa: E402
+from test_segmentation import dense_dbscan, dense_k_distance_eps, distinct  # noqa: E402
 
 STEP = 0.1
 LOWS, HIGHS = threshold_grid((0.0, 0.5), (0.5, 1.0), STEP)
@@ -458,3 +464,42 @@ def test_max_first_fold_search_equals_full_sort_oracle(search):
         out = stratified_kfold(labels, k, candidates, seed)
         np.testing.assert_array_equal(out.fold_of, fold_of)
         assert out.score.tobytes() == np.array(score).tobytes()
+
+
+@st.composite
+def dbscan_instances(draw):
+    """(points, eps, min_pts, pair block).  Lattice points at eps from one
+    another (eps a lattice distance, or None for the k-distance eps, which
+    lands on ties), duplicated points, and random ones; small pair blocks
+    split the point pairs inside and across cell pairs."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "lattice", "duplicated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.25, 0.1, 3.0]))
+    if kind == "random":
+        points = rng.normal(size=(m, d)) * scale * draw(st.sampled_from([1.0, 10.0]))
+    else:
+        points = rng.integers(0, 5, size=(m, d)) * scale
+        if kind == "duplicated":
+            points = points[rng.integers(0, min(m, 4), size=m)]
+    eps = draw(st.one_of(
+        st.none(),
+        st.sampled_from([1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0]).map(lambda e: e * scale),
+        st.floats(0.01, 5.0),
+    ))
+    block = draw(st.sampled_from([segmentation._PAIR_BLOCK, 1, 5, 64]))
+    return points.astype(np.float64), eps, draw(st.integers(1, 6)), block
+
+
+@settings(max_examples=300)
+@given(dbscan_instances())
+def test_grid_dbscan_equals_dense_oracle(instance):
+    points, eps, min_pts, block = instance
+    with mock.patch.object(segmentation, "_PAIR_BLOCK", block):
+        if eps is None:
+            eps = dense_k_distance_eps(points, min_pts)
+            got = _k_distance_eps(*distinct(points), min_pts)
+            assert np.float64(got).tobytes() == np.float64(eps).tobytes()
+        np.testing.assert_array_equal(dbscan(points, eps, min_pts),
+                                      dense_dbscan(points, eps, min_pts))

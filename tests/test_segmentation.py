@@ -1,12 +1,17 @@
 """OCR parsing, clustering, paragraph classification, merging, matching."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import labelcal
 from labelcal import segmentation
 from labelcal.core import LabelcalError
 from labelcal.segmentation import (
@@ -14,8 +19,8 @@ from labelcal.segmentation import (
     OcrFormatError,
     OcrTokens,
     ParagraphRecord,
+    _distances,
     _k_distance_eps,
-    _pairwise_distances,
     body_margins,
     bow_match_many,
     bow_tokens,
@@ -76,6 +81,102 @@ def dbscan_reference(points, eps, min_pts):
         if candidates:
             labels[i] = labels[min(candidates)[1]]
     return np.array(labels)
+
+
+# The dense DBSCAN path the grid replaced, kept as the bit-level oracle:
+# an m x m distance matrix, breadth-first labelling over it, and the
+# k-distance eps from a partition of every row.
+
+
+def pairwise_distances(points):
+    """Euclidean distances between all rows, squared differences added to
+    0 in coordinate order: the formula's bits for d < 8."""
+    total = np.zeros((points.shape[0],) * 2)
+    for column in points.T:
+        delta = column[:, None] - column[None, :]
+        total += np.square(delta, out=delta)
+    return np.sqrt(total, out=total)
+
+
+def dense_dbscan(points, eps, min_pts):
+    """DBSCAN on the full distance matrix; clusters numbered by their lowest
+    core index, borders to the nearest core, lowest index on a tie."""
+    points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
+    dist = pairwise_distances(points)
+    labels = np.full(dist.shape[0], -1, dtype=np.int64)
+    if not labels.size:
+        return labels
+    within = dist <= eps
+    core = within.sum(axis=1) >= min_pts
+    to_core = within & core
+    cluster = 0
+    for start in np.flatnonzero(core).tolist():
+        if labels[start] != -1:
+            continue
+        frontier = np.array([start])
+        while frontier.size:
+            labels[frontier] = cluster
+            frontier = np.flatnonzero(to_core[frontier].any(axis=0) & (labels == -1))
+        cluster += 1
+    border = np.flatnonzero(~core & to_core.any(axis=1))
+    nearest = np.where(to_core[border], dist[border], np.inf).argmin(axis=1)
+    labels[border] = labels[nearest]
+    return labels
+
+
+def dense_k_distance_eps(points, min_pts):
+    """eps at the largest jump of the sorted k-distances, from full rows."""
+    dist = pairwise_distances(np.asarray(points, dtype=np.float64).reshape(len(points), -1))
+    m = dist.shape[0]
+    k = min(min_pts, m) - 1
+    kd = np.sort(np.partition(dist, k, axis=1)[:, k]) if k >= 0 else np.zeros(m)
+    if kd.size < 2 or kd[-1] == 0.0:
+        return 1.0
+    gaps = np.diff(kd)
+    j = int(np.argmax(gaps))
+    if gaps[j] == 0.0:
+        return float(kd[-1]) * 1.001
+    return float((kd[j] + kd[j + 1]) / 2.0)
+
+
+def dense_classify(paragraphs, eps=None, min_pts=3):
+    """``classify_paragraphs`` on the dense path, with one scan of the
+    paragraphs per cluster for its mass and median height."""
+    features = np.array([[p.char_height, p.char_width] for p in paragraphs])
+    std = features.std(axis=0)
+    std[std == 0.0] = 1.0
+    z = (features - features.mean(axis=0)) / std
+    if eps is None:
+        eps = dense_k_distance_eps(z, min_pts)
+    ids = dense_dbscan(z, eps, min_pts)
+    clusters = [c for c in np.unique(ids) if c != -1]
+    mass = {c: sum(len(p.text) for p, i in zip(paragraphs, ids) if i == c) for c in clusters}
+    heights = {
+        c: float(np.median([p.char_height for p, i in zip(paragraphs, ids) if i == c]))
+        for c in clusters
+    }
+    names = {}
+    if clusters:
+        by_mass = sorted(clusters, key=lambda c: (-mass[c], c))
+        body = by_mass[0]
+        names[body] = "body"
+        footnote_pool = [c for c in by_mass[1:] if heights[c] < heights[body]]
+        heading_pool = [c for c in by_mass[1:] if heights[c] > heights[body]]
+        if footnote_pool:
+            names[footnote_pool[0]] = "footnote"
+        if heading_pool:
+            names[heading_pool[0]] = "heading"
+        aux = 1
+        for c in by_mass[1:]:
+            if c not in names:
+                names[c] = f"aux{aux}"
+                aux += 1
+    return ["noise" if i == -1 else names[i] for i in ids]
+
+
+def distinct(points):
+    """The distinct rows and their multiplicities, as ``_k_distance_eps`` takes them."""
+    return np.unique(points, axis=0, return_counts=True)
 
 
 def canonical(labels):
@@ -451,12 +552,15 @@ class TestDbscan:
 
     def test_border_tie_goes_to_lowest_index_core(self):
         # the last point is a border point exactly eps from the core points
-        # (0, 0) and (2, 0), which lead two clusters
+        # (0, 0) and (2, 0), which lead two clusters; with one pair per
+        # block the tie is settled across blocks
         a = [[0.0, 0.0]] + [[-1.0, 0.0]] * 3
         b = [[2.0, 0.0]] + [[3.0, 0.0]] * 3
-        for points in (a + b, b + a):
-            labels = dbscan(np.array(points + [[1.0, 0.0]]), eps=1.0, min_pts=4)
-            np.testing.assert_array_equal(labels, [0, 0, 0, 0, 1, 1, 1, 1, 0])
+        for block in (segmentation._PAIR_BLOCK, 1):
+            with mock.patch.object(segmentation, "_PAIR_BLOCK", block):
+                for points in (a + b, b + a):
+                    labels = dbscan(np.array(points + [[1.0, 0.0]]), eps=1.0, min_pts=4)
+                    np.testing.assert_array_equal(labels, [0, 0, 0, 0, 1, 1, 1, 1, 0])
 
     def test_pairwise_distances_keep_formula_bits(self):
         rng = np.random.default_rng(87)
@@ -465,7 +569,12 @@ class TestDbscan:
                            rng.integers(0, 4, size=(40, d)).astype(float) / 4):
                 delta = points[:, None, :] - points[None, :, :]
                 formula = np.sqrt((delta**2).sum(axis=-1))
-                assert _pairwise_distances(points).tobytes() == formula.tobytes()
+                assert pairwise_distances(points).tobytes() == formula.tobytes()
+                # the pair lists dbscan measures, and the windows of the k-distance search
+                i, j = np.divmod(np.arange(40 * 40), 40)
+                assert _distances(points.T.copy(), i, j).tobytes() == formula.ravel().tobytes()
+                window = _distances(points.T.copy(), np.arange(40)[:, None], np.arange(40))
+                assert window.tobytes() == formula.tobytes()
 
     def test_k_distance_eps_matches_full_sort(self):
         rng = np.random.default_rng(88)
@@ -486,16 +595,64 @@ class TestDbscan:
                     j = int(np.argmax(gaps))
                     want = (float(kd[-1]) * 1.001 if gaps[j] == 0.0
                             else float((kd[j] + kd[j + 1]) / 2.0))
-                dist = _pairwise_distances(features)
-                before = dist.tobytes()
-                assert _k_distance_eps(dist, min_pts) == want
-                assert dist.tobytes() == before  # the matrix is shared with dbscan
+                rows, counts = distinct(features)
+                before = rows.tobytes(), counts.tobytes()
+                assert _k_distance_eps(rows, counts, min_pts) == want
+                assert dense_k_distance_eps(features, min_pts) == want
+                assert (rows.tobytes(), counts.tobytes()) == before  # inputs left as they were
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(LabelcalError):
             dbscan(np.zeros((2, 2)), eps=0.0, min_pts=1)
         with pytest.raises(LabelcalError):
             dbscan(np.zeros((2, 2)), eps=1.0, min_pts=0)
+        for eps in (2.0**-501, 2.0**501, math.inf):
+            with pytest.raises(LabelcalError, match="eps must be between 2\\*\\*-500 and 2\\*\\*500"):
+                dbscan(np.zeros((2, 2)), eps=eps, min_pts=1)
+        for eps in (2.0**-500, 2.0**500):
+            np.testing.assert_array_equal(dbscan(np.zeros((2, 2)), eps, 2), [0, 0])
+        for shape in ((3, 4), (3, 0), (2, 2, 2)):
+            with pytest.raises(LabelcalError, match="1- to 3-dimensional"):
+                dbscan(np.zeros(shape), eps=1.0, min_pts=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_named(self, bad):
+        points = np.zeros((5, 2))
+        points[3, 1] = bad
+        points[4, 0] = bad
+        with pytest.raises(LabelcalError, match="point 3: coordinates must be finite"):
+            dbscan(points, eps=1.0, min_pts=2)
+
+    def test_empty_input(self):
+        assert dbscan(np.zeros((0, 2)), eps=1.0, min_pts=2).shape == (0,)
+
+    def test_coordinates_far_beyond_the_grid_match_dense_path(self):
+        # at 1e20 neighbouring floats are 16384 apart, more than 2**62 cells of side 0.5 from 0
+        big = [1e20, 1e20, np.nextafter(1e20, np.inf), -1e20, -1e20, -1e20 - 16384.0]
+        points = np.array([[x, 0.0] for x in big] + [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+                                                     [1.5e308, 1.0], [1.5e308, 1.0]])
+        for eps in (1.0, 16384.0, 1e-3):
+            for min_pts in (1, 2, 3):
+                with np.errstate(over="ignore"):  # the dense path squares 1.5e308
+                    want = dense_dbscan(points, eps, min_pts)
+                np.testing.assert_array_equal(dbscan(points, eps, min_pts), want)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_small_pair_blocks_match_dense_path(self, block):
+        # pairs split within and across cells, and cluster links found part way through a cell pair
+        rng = np.random.default_rng(90)
+        with mock.patch.object(segmentation, "_PAIR_BLOCK", block):
+            for _ in range(20):
+                m = int(rng.integers(2, 60))
+                points = np.round(rng.normal(size=(m, 2)) * 4) / 4
+                points[: m // 2] += rng.normal(size=(m // 2, 2))
+                min_pts = int(rng.integers(1, 6))
+                eps = dense_k_distance_eps(points, min_pts)
+                rows, counts = distinct(points)
+                assert _k_distance_eps(rows, counts, min_pts) == eps
+                for e in (eps, 0.25, 0.5):
+                    np.testing.assert_array_equal(dbscan(points, e, min_pts),
+                                                  dense_dbscan(points, e, min_pts))
 
 
 class TestClassifyParagraphs:
@@ -550,14 +707,81 @@ class TestClassifyParagraphs:
         assert got[5:10] == ["footnote"] * 5
         assert got[10:] == ["aux1"] * 5
 
+    def test_equal_masses_go_to_the_lower_cluster_as_the_loops_did(self):
+        def group(name, height, n_chars):
+            return [make_paragraph(f"{name}{i}", height, height / 2, n_chars=n_chars)
+                    for i in range(4)]
 
-    def test_distances_computed_once(self):
-        paragraphs = [make_paragraph(f"p{i}", 10.0 + i % 3, 5.0) for i in range(9)]
-        with mock.patch.object(
-            segmentation, "_pairwise_distances", wraps=_pairwise_distances
-        ) as pairwise:
+        ten, eight, six = group("a", 10.0, 300), group("b", 8.0, 300), group("c", 6.0, 300)
+        cases = [
+            (ten + eight, ["body"] * 4 + ["footnote"] * 4),
+            (eight + ten, ["body"] * 4 + ["heading"] * 4),
+            (eight + six + ten, ["body"] * 4 + ["footnote"] * 4 + ["heading"] * 4),
+            (six + ten + eight, ["body"] * 4 + ["heading"] * 4 + ["aux1"] * 4),
+            (ten + group("d", 8.0, 150) + group("e", 8.0, 150)[:2]
+             + [make_paragraph("x", 30.0, 40.0)], None),
+        ]
+        for paragraphs, want in cases:
+            got = classify_paragraphs(paragraphs, eps=0.3, min_pts=2)
+            assert got == dense_classify(paragraphs, eps=0.3, min_pts=2)
+            if want is not None:
+                assert got == want
+            for eps in (None, 0.05, 2.0):
+                assert (classify_paragraphs(paragraphs, eps=eps, min_pts=3)
+                        == dense_classify(paragraphs, eps=eps, min_pts=3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_feature_names_the_paragraph(self, bad):
+        paragraphs = [make_paragraph(f"p{i}", 10.0, 5.0) for i in range(4)]
+        paragraphs[2] = make_paragraph("p2", 10.0, bad)
+        paragraphs[3] = make_paragraph("p3", bad, 5.0)
+        with pytest.raises(LabelcalError, match="paragraph p2: char_height and char_width"):
+            classify_paragraphs(paragraphs)
+
+    def test_memory_well_under_one_square_array(self):
+        # 5,000 continuous feature points: one m x m float64 array is 200 MB
+        rng = np.random.default_rng(89)
+        paragraphs = [make_paragraph(f"p{i}", h, w) for i, (h, w) in enumerate(
+            np.c_[rng.normal(10, 1, 5000), rng.normal(5, 0.5, 5000)].tolist())]
+        tracemalloc.start()
+        try:
             classify_paragraphs(paragraphs, min_pts=3)
-        assert pairwise.call_count == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+    def test_twenty_thousand_paragraphs_in_one_gib(self):
+        # continuous features, three clusters and a far jittered lattice of
+        # noise: the grid carries it, not the merging of identical points
+        # (one 20k x 20k float64 array alone is 3.2 GB)
+        code = """if True:
+            import resource
+            cap = 1 << 30
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            from collections import Counter
+            import numpy as np
+            from labelcal.segmentation import LineBox, ParagraphRecord, classify_paragraphs
+            rng = np.random.default_rng(0)
+            lattice = np.array([[x, y] for x in range(10) for y in range(10)], float)
+            noise = np.c_[30 + 2 * lattice[:, 0], 15 + 2 * lattice[:, 1]]
+            noise += rng.uniform(-0.2, 0.2, noise.shape)
+            clusters = [np.c_[rng.normal(h, 0.1, n), rng.normal(h / 2, 0.05, n)]
+                        for h, n in ((10, 11940), (8, 4975), (14, 2985))]
+            features = np.concatenate(clusters + [noise])[rng.permutation(20_000)]
+            line = LineBox(1, 0, 0, 10, 10, "x")
+            paragraphs = [ParagraphRecord(f"p{i}", 1, 1, (line,), "x", "body", h, w)
+                          for i, (h, w) in enumerate(features.tolist())]
+            print(sorted(Counter(classify_paragraphs(paragraphs)).items()))
+        """
+        src = os.path.dirname(os.path.dirname(labelcal.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=300, env=dict(os.environ, PYTHONPATH=path,
+                                                   OPENBLAS_NUM_THREADS="1"))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[0] == (
+            "[('body', 11940), ('footnote', 4975), ('heading', 2985), ('noise', 100)]")
 
 
 class TestBodyMargins:
