@@ -47,7 +47,7 @@ for fold in range(K):
         y == 1, fold_rng.beta(5, 2, size=(N, L)), fold_rng.beta(1, 14, size=(N, L))
     )
     members.append(ProbMatrix(names, probs))
-ensemble = EnsembleSet(tuple(members), fold_ids=tuple(range(K)))
+ensemble = EnsembleSet(tuple(members))  # member f was trained without fold f
 
 # out-of-fold matrix: row i comes from the model that never trained on i
 oof = out_of_fold(ensemble, assignment.fold_of)

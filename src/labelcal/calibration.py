@@ -22,6 +22,7 @@ from .core import (
     LabelcalError,
     LabelMatrix,
     ProbMatrix,
+    integer_ids,
 )
 from .metrics import (
     UndefinedMetricError,
@@ -71,20 +72,16 @@ def threshold_at_half(probs: ProbMatrix) -> ProbMatrix:
 
 def out_of_fold(ensemble: EnsembleSet, fold_of: np.ndarray) -> ProbMatrix:
     """Row i of the result is the prediction of the fold model whose
-    held-out evaluation fold contains item i."""
-    fold_of = np.asarray(fold_of, dtype=np.int64)
+    held-out evaluation fold contains item i: member ``fold_of[i]``."""
+    fold_of = integer_ids(fold_of, "fold id", "fold_of", len(ensemble.members))
     first = ensemble.members[0]
     if fold_of.size != first.n_items:
         raise LabelcalError(
             f"{fold_of.size} fold ids for {first.n_items} prediction rows"
         )
-    by_fold = {fid: m for fid, m in zip(ensemble.fold_ids, ensemble.members)}
-    missing = set(np.unique(fold_of)) - set(by_fold)
-    if missing:
-        raise LabelcalError(f"no ensemble member for folds {sorted(missing)}")
     values = np.empty_like(first.values)
-    for fid, member in by_fold.items():
-        rows = fold_of == fid
+    for fold, member in enumerate(ensemble.members):
+        rows = fold_of == fold
         values[rows] = member.values[rows]
     return ProbMatrix(first.labels, values)
 

@@ -279,10 +279,6 @@ def _cmd_relnet(args) -> Run:
         probs = load_prob_matrix(args.probs)
         if args.calibrate == "half":
             probs = calibration.threshold_at_half(probs)
-        elif args.calibrate == "truncate":
-            probs = calibration.truncate(
-                probs, calibration.Thresholds(args.p_low, args.p_high)
-            )
         net = relnet.network_from_probabilities(probs)
     layout = relnet.kamada_kawai_layout(net)
     outputs = [(args.out, relnet.export_dot(net, layout, min_weight=args.min_weight))]
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=DEFAULT_ECE_BINS)
     p.add_argument("--years", default=None,
                    help="one year per item; adds the tendency error")
-    p.add_argument("--out", "--report", dest="out", required=True)
+    p.add_argument("--out", required=True)
 
     p = add("calibrate", _cmd_calibrate, help="grid-search truncation thresholds")
     p.add_argument("--oof", required=True, help="out-of-fold predictions")
@@ -406,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--probs", default=None)
     source.add_argument("--truth", default=None)
-    p.add_argument("--calibrate", choices=["none", "half", "truncate"], default="none")
-    p.add_argument("--p-low", type=float, default=0.2)
-    p.add_argument("--p-high", type=float, default=0.54)
+    p.add_argument("--calibrate", choices=["none", "half"], default="none",
+                   help="half: threshold at 0.5; for truncation run `truncate` first")
     p.add_argument("--min-weight", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.add_argument("--json-out", default=None)

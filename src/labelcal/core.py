@@ -19,7 +19,7 @@ import json
 import os
 import unicodedata
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -61,6 +61,30 @@ class RaggedRowError(MatrixFormatError):
 
 class DuplicateLabelError(MatrixFormatError):
     pass
+
+
+def integer_ids(values, noun: str, name: str, stop: int | None = None) -> np.ndarray:
+    """``values`` (the argument ``name``, one ``noun`` per item) as an int64
+    vector.  Integer-valued floats are taken; any value int64 cannot hold
+    exactly, or with ``stop`` an id outside [0, stop), is a
+    ``LabelcalError`` naming the item, never cast."""
+    ids = np.asarray(values)
+    if ids.ndim != 1:
+        raise LabelcalError(f"{name} must be a vector, got shape {ids.shape}")
+    if ids.dtype.kind not in "biuf":
+        raise LabelcalError(f"{name} must be integers, got {ids.dtype}")
+    with np.errstate(invalid="ignore"):  # NaN, inf and values past int64 fail the test below
+        cast = ids.astype(np.int64)
+    bad = cast != ids
+    if bad.any():
+        i = int(bad.argmax())
+        raise LabelcalError(f"{noun} {ids[i].item()!r} of item {i} is not an integer within int64")
+    if stop is not None:
+        outside = (cast < 0) | (cast >= stop)
+        if outside.any():
+            i = int(outside.argmax())
+            raise LabelcalError(f"{noun} {cast[i]} of item {i} is out of range [0, {stop})")
+    return cast
 
 
 def _check_labels(labels: Sequence[str], where: str = "") -> tuple[str, ...]:
@@ -184,24 +208,22 @@ class LabelMatrix:
         return np.argmax(self.values, axis=1)
 
     @staticmethod
-    def from_class_indices(
-        classes: Sequence[int], labels: Sequence[str] | None = None
-    ) -> "LabelMatrix":
-        classes = np.asarray(classes, dtype=np.int64)
+    def from_class_indices(classes: Sequence[int]) -> "LabelMatrix":
+        """One-hot rows over labels ``class_0`` .. ``class_<max>``."""
+        classes = integer_ids(classes, "class", "classes")
         k = int(classes.max()) + 1 if classes.size else 0
-        if labels is None:
-            labels = tuple(f"class_{j}" for j in range(k))
-        values = np.zeros((classes.size, len(labels)), dtype=np.int8)
+        classes = integer_ids(classes, "class", "classes", k)  # names a negative class
+        values = np.zeros((classes.size, k), dtype=np.int8)
         values[np.arange(classes.size), classes] = 1
-        return LabelMatrix(tuple(labels), values, kind="multiclass")
+        return LabelMatrix(tuple(f"class_{j}" for j in range(k)), values, kind="multiclass")
 
 
 @dataclass(frozen=True)
 class EnsembleSet:
-    """Predictions of the per-fold models, all on the same items and labels."""
+    """Predictions of the per-fold models, all on the same items and labels;
+    member f was trained without fold f."""
 
     members: tuple[ProbMatrix, ...]
-    fold_ids: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
@@ -214,13 +236,7 @@ class EnsembleSet:
                     f"ensemble member {m} has shape {member.values.shape} / labels "
                     f"{member.labels}, expected {first.values.shape} / {first.labels}"
                 )
-        fold_ids = tuple(self.fold_ids) or tuple(range(len(members)))
-        if len(fold_ids) != len(members):
-            raise LabelcalError(
-                f"{len(fold_ids)} fold ids for {len(members)} ensemble members"
-            )
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "fold_ids", fold_ids)
 
 
 def ensemble_average(ensemble: EnsembleSet) -> ProbMatrix:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import derive_rng
-from .core import DEFAULT_CANDIDATES, LabelcalError, LabelMatrix
+from .core import DEFAULT_CANDIDATES, LabelcalError, LabelMatrix, integer_ids
 
 _CHUNK = 1024
 _SLAB = 32  # rows shuffled at a time as int64, the item size numpy shuffles fastest
@@ -37,7 +37,7 @@ class FoldAssignment:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise LabelcalError(f"k must be >= 2, got {self.k}")
-        fold_of = _fold_ids(self.fold_of, self.k)
+        fold_of = integer_ids(self.fold_of, "fold id", "fold_of", self.k)
         score = np.asarray(self.score, dtype=np.float64)
         sizes = np.bincount(fold_of, minlength=self.k)
         if fold_of.size >= self.k and sizes.min() == 0:
@@ -52,24 +52,6 @@ class FoldAssignment:
         object.__setattr__(self, "score", score)
 
 
-def _fold_ids(fold_of, k: int) -> np.ndarray:
-    """``fold_of`` as an int64 vector of fold ids in [0, k).  Integer-valued
-    floats are taken; any other value is a ``LabelcalError``, never cast."""
-    ids = np.asarray(fold_of)
-    if ids.ndim != 1:
-        raise LabelcalError(f"fold_of must be a vector, got shape {ids.shape}")
-    if ids.dtype.kind == "f":
-        bad = ~np.isfinite(ids) | (ids != np.round(ids))
-        if bad.any():
-            i = int(bad.argmax())
-            raise LabelcalError(f"fold id {ids[i].item()!r} of item {i} is not an integer")
-    elif ids.dtype.kind not in "biu":
-        raise LabelcalError(f"fold ids must be integers, got {ids.dtype}")
-    if ids.size and (ids.min() < 0 or ids.max() >= k):
-        raise LabelcalError("fold id out of range")
-    return ids.astype(np.int64)
-
-
 def _check_fold_count(n: int, k: int) -> None:
     if k < 2:
         raise LabelcalError(f"k must be >= 2, got {k}")
@@ -82,7 +64,7 @@ def partition_score(labels: LabelMatrix, fold_of: np.ndarray, k: int) -> np.ndar
 
     Returns all L*k values sorted descending.
     """
-    fold_of = _fold_ids(fold_of, k)
+    fold_of = integer_ids(fold_of, "fold id", "fold_of", k)
     y = labels.values.astype(np.float64)
     if fold_of.size != y.shape[0]:
         raise LabelcalError(f"{fold_of.size} fold ids for {y.shape[0]} items")
@@ -91,8 +73,12 @@ def partition_score(labels: LabelMatrix, fold_of: np.ndarray, k: int) -> np.ndar
         raise LabelcalError("empty fold")
     counts = np.zeros((k, y.shape[1]))
     np.add.at(counts, fold_of, y)
-    diffs = np.abs(counts / sizes[:, None] - y.mean(axis=0))
-    return np.sort(diffs.ravel())[::-1]
+    return np.sort(_deviations(counts, sizes, y.mean(axis=0)).ravel())[::-1]
+
+
+def _deviations(counts: np.ndarray, sizes: np.ndarray, global_prop: np.ndarray) -> np.ndarray:
+    """|count / fold size - global proportion| of ``counts`` (..., fold, label)."""
+    return np.abs(counts / sizes[:, None] - global_prop)
 
 
 def _fold_template(n: int, k: int) -> np.ndarray:
@@ -134,7 +120,7 @@ def _score_block(
     for label, items in enumerate(members):
         keys = np.take(fold_of, items, axis=1) + np.arange(rows)[:, None] * k
         counts[:, :, label] = np.bincount(keys.ravel(), minlength=rows * k).reshape(rows, k)
-    diffs = np.abs(counts / sizes[None, :, None] - global_prop).reshape(rows, -1)
+    diffs = _deviations(counts, sizes, global_prop).reshape(rows, -1)
     peak = diffs.max(axis=1)
     tied = np.flatnonzero(peak == peak.min())
     scores = np.sort(diffs[tied], axis=1)[:, ::-1]
@@ -182,7 +168,7 @@ def stratified_single_label(
     order, and the concatenated sequence is dealt round-robin, so both
     overall and per-class fold counts differ by at most 1.
     """
-    classes = np.asarray(classes, dtype=np.int64)
+    classes = integer_ids(classes, "class", "classes")
     n = classes.size
     _check_fold_count(n, k)
     rng = derive_rng(seed)

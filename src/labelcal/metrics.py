@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._util import average_ranks
-from .core import DEFAULT_ECE_BINS, LabelcalError, LabelMatrix, ProbMatrix
+from .core import DEFAULT_ECE_BINS, LabelcalError, LabelMatrix, ProbMatrix, integer_ids
 
 TICK_DIVISOR = 40.0
 
@@ -57,20 +57,28 @@ class MacroScore:
     undefined: tuple[str, ...] = ()
 
 
+def mean_roc_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list[float | None]]:
+    """Mean ROC AUC over the columns where it is defined, and the AUC of
+    each column (None where it is undefined)."""
+    aucs: list[float | None] = []
+    for j in range(scores.shape[1]):
+        try:
+            aucs.append(roc_auc(scores[:, j], labels[:, j]))
+        except UndefinedMetricError:
+            aucs.append(None)
+    defined = [auc for auc in aucs if auc is not None]
+    if not defined:
+        raise UndefinedMetricError("ROC AUC undefined for every label")
+    return float(np.mean(defined)), aucs
+
+
 def macro_roc_auc(probs: ProbMatrix, labels: LabelMatrix) -> MacroScore:
     """Mean per-label ROC AUC over labels where it is defined."""
     check_pair(probs, labels)
-    per_label: dict[str, float] = {}
-    undefined: list[str] = []
-    for j, name in enumerate(probs.labels):
-        try:
-            per_label[name] = roc_auc(probs.values[:, j], labels.values[:, j])
-        except UndefinedMetricError:
-            undefined.append(name)
-    if not per_label:
-        raise UndefinedMetricError("ROC AUC undefined for every label")
-    value = float(np.mean(list(per_label.values())))
-    return MacroScore(value, per_label, tuple(undefined))
+    value, aucs = mean_roc_auc(probs.values, labels.values)
+    per_label = {name: auc for name, auc in zip(probs.labels, aucs) if auc is not None}
+    undefined = tuple(name for name, auc in zip(probs.labels, aucs) if auc is None)
+    return MacroScore(value, per_label, undefined)
 
 
 def balanced_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -251,7 +259,7 @@ def tendency_series_from_matrix(
     A stable sort by year makes each year a contiguous slice in item
     order, so each sum adds what a per-year mask selects, in its order.
     """
-    years = np.asarray(years, dtype=np.int64)
+    years = integer_ids(years, "year", "years")
     if years.size != matrix.values.shape[0]:
         raise LabelcalError(
             f"{years.size} years for {matrix.values.shape[0]} items"

@@ -2,7 +2,7 @@
 
 The population is a list of trainables, member ``i`` at index ``i``.
 Every generation each member trains one epoch and is scored; the top
-elite fraction is kept untouched, and every other member copies
+``ELITE_FRACTION`` is kept untouched, and every other member copies
 parameters and hyperparameters from a fitness-proportionally selected
 member of the whole population, then multiplies each hyperparameter by
 an independent uniform draw from the perturbation interval.
@@ -24,10 +24,13 @@ import numpy as np
 from ._util import derive_rng
 from .core import LabelcalError
 from .losses import confidence_penalty, focal_loss, ldam_loss, ldam_margins
-from .metrics import UndefinedMetricError, balanced_accuracy, roc_auc
+from .metrics import balanced_accuracy, mean_roc_auc
 
 PERTURBATION_INTERVAL = (0.8, 1.2)
+ELITE_FRACTION = 0.10  # share of the population kept untouched each generation
 EVAL_FRACTION = 0.25  # share of toy items held out for evaluation
+POSITIVE_RATE = 0.5  # toy label j is positive on a POSITIVE_RATE / 2**j share of the items
+STEPS_PER_EPOCH = 5  # full-batch gradient steps per toy epoch
 
 # stream tags for derived generators
 _INIT, _GENERATION = 0, 1
@@ -95,7 +98,6 @@ class Trainable(Protocol):
 @dataclass(frozen=True)
 class PbtConfig:
     population_size: int = 100
-    elite_fraction: float = 0.10
     min_generations: int = 30
     patience: int = 10
     seed: int = 0
@@ -104,8 +106,6 @@ class PbtConfig:
     def __post_init__(self) -> None:
         if self.population_size < 1:
             raise LabelcalError("population_size must be >= 1")
-        if not 0.0 < self.elite_fraction < 1.0:
-            raise LabelcalError("elite_fraction must lie in (0, 1)")
         if self.mode not in ("fixed", "patience"):
             raise LabelcalError(f"unknown stopping mode {self.mode!r}")
 
@@ -134,7 +134,7 @@ def pbt_run(
     for i, trainable in enumerate(trainables):
         trainable.init(int(derive_rng(config.seed, _INIT, i).integers(2**63)))
 
-    n_elite = math.ceil(config.elite_fraction * config.population_size)
+    n_elite = math.ceil(ELITE_FRACTION * config.population_size)
     best_score = -math.inf
     best_hypers: dict[str, float] = {}
     best_member = best_generation = -1
@@ -215,7 +215,9 @@ def pbt_run(
 class ToyDataSpec:
     """Synthetic linearly-separable-with-noise dataset description.
 
-    In multiclass mode class ``j`` is drawn with weight ``0.5 ** j``
+    In multilabel mode label ``j`` marks the ``POSITIVE_RATE / 2 ** j``
+    share of items with the largest linear score, before the noise flips;
+    in multiclass mode class ``j`` is drawn with weight ``0.5 ** j``
     (normalised to sum to 1).  ``EVAL_FRACTION`` of the items, rounded
     and at least one, form the eval split.
     """
@@ -224,7 +226,6 @@ class ToyDataSpec:
     n_labels: int = 6
     n_features: int = 10
     mode: str = "multilabel"  # or "multiclass"
-    positive_rates: tuple[float, ...] | None = None  # multilabel imbalance
     noise: float = 0.05
     seed: int = 0
 
@@ -245,13 +246,11 @@ def make_toy_dataset(spec: ToyDataSpec) -> tuple[np.ndarray, ...]:
     rng = derive_rng(spec.seed)
     x = rng.normal(size=(spec.n_items, spec.n_features))
     if spec.mode == "multilabel":
-        rates = spec.positive_rates or tuple(0.5 / 2.0**j for j in range(spec.n_labels))
-        if len(rates) != spec.n_labels:
-            raise LabelcalError(f"{len(rates)} rates for {spec.n_labels} labels")
+        rates = POSITIVE_RATE / 2.0 ** np.arange(spec.n_labels)
         w = rng.normal(size=(spec.n_features, spec.n_labels))
         raw = x @ w
         diag = np.arange(spec.n_labels)
-        cuts = np.quantile(raw, 1.0 - np.asarray(rates), axis=0)[diag, diag]
+        cuts = np.quantile(raw, 1.0 - rates, axis=0)[diag, diag]
         y = (raw > cuts).astype(np.int8)
         flips = rng.random(y.shape) < spec.noise
         y = np.where(flips, 1 - y, y)
@@ -286,9 +285,8 @@ class LinearTrainable:
         "beta": (1e-4, 10.0),
     }
 
-    def __init__(self, data_spec: ToyDataSpec, steps_per_epoch: int = 5):
+    def __init__(self, data_spec: ToyDataSpec):
         self.spec = data_spec
-        self.steps_per_epoch = steps_per_epoch
         self.x, self.y, self.eval_idx, self.train_idx = make_toy_dataset(data_spec)
         self.weights = np.zeros((data_spec.n_features, data_spec.n_labels))
         self.bias = np.zeros(data_spec.n_labels)
@@ -316,7 +314,7 @@ class LinearTrainable:
     def train_one_epoch(self) -> None:
         idx = self.train_idx
         lr = self.hyperparameters["learning_rate"]
-        for _ in range(self.steps_per_epoch):
+        for _ in range(STEPS_PER_EPOCH):
             logits = self._logits(idx)
             if self.spec.mode == "multilabel":
                 loss = focal_loss(
@@ -339,16 +337,7 @@ class LinearTrainable:
         logits = self._logits(self.eval_idx)
         if self.spec.mode == "multilabel":
             # AUC depends only on ranks, and the sigmoid keeps the order
-            truth = self.y[self.eval_idx]
-            aucs = []
-            for j in range(self.spec.n_labels):
-                try:
-                    aucs.append(roc_auc(logits[:, j], truth[:, j]))
-                except UndefinedMetricError:
-                    continue
-            if not aucs:
-                raise LabelcalError("macro ROC AUC undefined on the eval split")
-            return float(np.mean(aucs))
+            return mean_roc_auc(logits, self.y[self.eval_idx])[0]
         return balanced_accuracy(np.argmax(logits, axis=1), self.y[self.eval_idx])
 
     def copy_from(self, other: "LinearTrainable") -> None:

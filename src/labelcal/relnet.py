@@ -23,10 +23,6 @@ WIDTH_BASE = 1.0
 WIDTH_SCALE = 4.0
 
 
-class DisconnectedGraphError(LabelcalError):
-    """The distance graph has unreachable node pairs."""
-
-
 @dataclass(frozen=True)
 class RelationNetwork:
     """L x L conditional probability estimates with per-label support.
@@ -112,27 +108,17 @@ class Layout:
         object.__setattr__(self, "positions", positions)
 
 
-def target_distances(net: RelationNetwork, min_weight: float = 0.0) -> np.ndarray:
+def target_distances(net: RelationNetwork) -> np.ndarray:
     """Weight -> distance map plus all-pairs shortest paths.
 
-    Symmetrized strength s = max(w_ab, w_ba); direct distance 1 - s +
-    ``DISTANCE_EPSILON``; pairs under ``min_weight`` get no direct edge.
-    Raises ``DisconnectedGraphError`` when some pair stays unreachable.
+    Symmetrized strength s = max(w_ab, w_ba); every pair has a direct
+    edge of length 1 - s + ``DISTANCE_EPSILON``, so every distance is finite.
     """
     w = np.nan_to_num(net.weights, nan=0.0)
-    strength = np.maximum(w, w.T)
-    d = 1.0 - strength + DISTANCE_EPSILON
-    if min_weight > 0.0:
-        d[strength < min_weight] = np.inf
+    d = 1.0 - np.maximum(w, w.T) + DISTANCE_EPSILON
     np.fill_diagonal(d, 0.0)
     for k in range(len(d)):  # Floyd-Warshall; the diagonal stays 0
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    if np.isinf(d).any():
-        a, b = np.argwhere(np.isinf(d))[0]
-        raise DisconnectedGraphError(
-            f"labels {net.labels[a]!r} and {net.labels[b]!r} are unreachable; "
-            "lower min_weight or add epsilon edges"
-        )
     return d
 
 
@@ -146,11 +132,7 @@ def layout_stress(positions: np.ndarray, dists: np.ndarray) -> float:
     return float(0.5 * (springs * (actual - dists) ** 2).sum())
 
 
-def kamada_kawai_layout(
-    net: RelationNetwork,
-    iterations: int = 1000,
-    min_weight: float = 0.0,
-) -> Layout:
+def kamada_kawai_layout(net: RelationNetwork, iterations: int = 1000) -> Layout:
     """2-D layout of least Kamada-Kawai stress (``layout_stress``).
 
     The stress is minimised by stress majorization (SMACOF: de Leeuw,
@@ -162,7 +144,7 @@ def kamada_kawai_layout(
     n = len(net.labels)
     if n < 2:
         raise LabelcalError(f"layout needs at least 2 labels, got {n}")
-    dists = target_distances(net, min_weight=min_weight)
+    dists = target_distances(net)
     springs = 1.0 / np.where(dists > 0.0, dists, np.inf) ** 2
     v_pinv = np.linalg.pinv(np.diag(springs.sum(axis=1)) - springs)
 

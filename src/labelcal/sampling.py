@@ -10,7 +10,7 @@ sum over labels of 1 / (population of its own bin).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,32 +84,24 @@ def weighted_sample(weights: np.ndarray, n: int, seed: int = 0) -> np.ndarray:
     return np.sort(chosen)
 
 
-def bootstrap_std(
-    values: np.ndarray,
-    resamples: int,
-    seed: int | np.random.Generator = 0,
-    statistic: Callable[[np.ndarray], float] | None = None,
-) -> float:
-    """Standard deviation of a metric across bootstrap replicates.
+def bootstrap_std(values: np.ndarray, resamples: int, seed: int = 0) -> float:
+    """Standard deviation of the mean across bootstrap replicates.
 
-    Replicates resample the values with replacement at full size; the
-    default metric is the mean.  The deviation is taken about the first
-    replicate, so equal replicates give exactly 0.
+    Replicates resample the values with replacement at full size.  The
+    deviation is taken about the first replicate, so equal replicates
+    give exactly 0.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise LabelcalError("bootstrap_std of empty input")
     if resamples < 1:
         raise LabelcalError(f"resamples must be >= 1, got {resamples}")
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
+    rng = derive_rng(seed)
     rows = max(1, _BLOCK // values.size)
     replicates = np.empty(resamples)
     for lo in range(0, resamples, rows):
         idx = rng.integers(0, values.size, size=(min(rows, resamples - lo), values.size))
-        replicates[lo:lo + len(idx)] = (
-            values[idx].mean(axis=1) if statistic is None
-            else [statistic(values[row]) for row in idx]
-        )
+        replicates[lo:lo + len(idx)] = values[idx].mean(axis=1)
     return float((replicates - replicates[0]).std())
 
 

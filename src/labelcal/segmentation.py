@@ -675,9 +675,8 @@ def body_margins(paragraphs: Sequence[ParagraphRecord]) -> tuple[float, float] |
         return None
     lefts = np.array([l.left for l in lines], dtype=np.float64)
     bins = np.floor(lefts / 2.0).astype(np.int64)
-    modal = min(
-        np.unique(bins), key=lambda b: (-(bins == b).sum(), b)
-    )
+    values, counts = np.unique(bins, return_counts=True)
+    modal = values[counts.argmax()]  # the first maximum: ties go to the smaller bin
     left = float(lefts[bins == modal].mean())
     right = float(np.percentile([l.right for l in lines], 95))
     return left, right

@@ -506,8 +506,7 @@ def test_criterion_11_pbt():
         instances.append(t)
         return t
 
-    config = PbtConfig(population_size=10, elite_fraction=0.1, min_generations=8,
-                       seed=11, mode="fixed")
+    config = PbtConfig(population_size=10, min_generations=8, seed=11, mode="fixed")
     result = pbt_run(factory, config)
     members = {id(t): i for i, t in enumerate(instances[:10])}
     events = [members[id(t)] for t in overwrites if id(t) in members]

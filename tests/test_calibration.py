@@ -123,14 +123,25 @@ class TestOutOfFold:
         members = tuple(
             ProbMatrix(labels, np.full((4, 1), 0.1 * (f + 1))) for f in range(2)
         )
-        ens = EnsembleSet(members, fold_ids=(0, 1))
+        ens = EnsembleSet(members)
         oof = out_of_fold(ens, [0, 1, 1, 0])
         np.testing.assert_allclose(oof.values[:, 0], [0.1, 0.2, 0.2, 0.1])
 
+    @pytest.mark.parametrize("fold_of, message", [
+        ([0.5, 1.9], r"^fold id 0\.5 of item 0 is not an integer within int64$"),
+        ([[0], [1]], r"^fold_of must be a vector, got shape \(2, 1\)$"),
+        ([0, -1], r"^fold id -1 of item 1 is out of range \[0, 2\)$"),
+    ])
+    def test_fold_ids_are_checked_not_cast(self, fold_of, message):
+        members = tuple(ProbMatrix(("a",), np.full((2, 1), 0.1 * (f + 1))) for f in range(2))
+        with pytest.raises(LabelcalError, match=message):
+            out_of_fold(EnsembleSet(members), fold_of)
+        assert out_of_fold(EnsembleSet(members), [1.0, 0.0]).values.tolist() == [[0.2], [0.1]]
+
     def test_missing_fold_model_rejected(self):
         members = (ProbMatrix(("a",), np.zeros((2, 1))),)
-        with pytest.raises(LabelcalError, match="folds"):
-            out_of_fold(EnsembleSet(members, fold_ids=(0,)), [0, 1])
+        with pytest.raises(LabelcalError, match=r"^fold id 1 of item 1 is out of range \[0, 1\)$"):
+            out_of_fold(EnsembleSet(members), [0, 1])
 
 
 class TestGridSearch:

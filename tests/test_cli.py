@@ -128,6 +128,25 @@ class TestExitCodes:
         assert dispatch(argv) == 0
         assert dispatch(argv + ["--seed", "2"]) == 1
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--p-low", "0.2"], "unrecognized arguments: --p-low 0.2"),
+        (["--p-high", "0.54"], "unrecognized arguments: --p-high 0.54"),
+        (["--calibrate", "truncate"], "invalid choice: 'truncate'"),
+    ])
+    def test_relnet_truncation_options_are_usage_errors(
+            self, tmp_path, probs_csv, capsys, extra, message):
+        code = dispatch(["relnet", "--probs", probs_csv, "--out", str(tmp_path / "g.dot")] + extra)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["probs.csv"]
+
+    def test_metrics_report_spelling_is_usage_error(self, tmp_path, probs_csv, truth_csv, capsys):
+        code = dispatch(["metrics", "--probs", probs_csv, "--truth", truth_csv,
+                         "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["probs.csv", "truth.csv"]
+
     def test_bad_years_line_is_data_error(self, tmp_path, probs_csv, truth_csv, capsys):
         years = tmp_path / "years.txt"
         years.write_text("1990\n\n19x1\n" + "1992\n" * 27, encoding="utf-8")
@@ -477,6 +496,22 @@ class TestRelnetCommand:
         text = open(out).read()
         assert text.startswith("digraph")
         assert json.load(open(jout))["labels"] == ["a", "b", "c"]
+
+    def test_truncate_then_relnet_is_the_in_process_truncation(self, tmp_path, probs_csv):
+        """What ``relnet --calibrate truncate`` did in one process: the matrix
+        file holds every bit, so two commands write the same graph."""
+        from labelcal import calibration, relnet
+        from labelcal.core import load_prob_matrix
+
+        probs = calibration.truncate(load_prob_matrix(probs_csv), calibration.Thresholds(0.2, 0.54))
+        net = relnet.network_from_probabilities(probs)
+        expected = relnet.export_dot(net, relnet.kamada_kawai_layout(net), min_weight=0.1)
+        truncated, out = str(tmp_path / "t.csv"), str(tmp_path / "g.dot")
+        assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2", "--p-high", "0.54",
+                         "--out", truncated]) == 0
+        assert dispatch(["relnet", "--probs", truncated, "--min-weight", "0.1", "--out", out]) == 0
+        assert open(out, encoding="utf-8").read() == expected
+        assert "p_low" not in json.load(open(out + ".manifest.json"))["parameters"]
 
     def test_needs_some_input(self, tmp_path):
         assert dispatch(["relnet", "--out", str(tmp_path / "g.dot")]) == 1

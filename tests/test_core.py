@@ -13,6 +13,7 @@ import pytest
 from labelcal.core import (
     DuplicateLabelError,
     EnsembleSet,
+    LabelcalError,
     LabelMatrix,
     MalformedNumberError,
     MatrixFormatError,
@@ -254,6 +255,17 @@ class TestLabelMatrix:
         m = LabelMatrix.from_class_indices([0, 2, 1])
         np.testing.assert_array_equal(m.class_indices(), [0, 2, 1])
         assert m.kind == "multiclass"
+        assert m.labels == ("class_0", "class_1", "class_2")
+
+    @pytest.mark.parametrize("classes, message", [
+        ([0, 1.5], r"^class 1\.5 of item 1 is not an integer within int64$"),
+        ([1, -1], r"^class -1 of item 1 is out of range \[0, 2\)$"),
+        (["a"], r"^classes must be integers, got <U1$"),
+    ])
+    def test_class_indices_are_checked_not_cast(self, classes, message):
+        with pytest.raises(LabelcalError, match=message):
+            LabelMatrix.from_class_indices(classes)
+        assert LabelMatrix.from_class_indices([1.0, 0.0]).values.tolist() == [[0, 1], [1, 0]]
 
 
 class TestEnsembleAverage:

@@ -106,7 +106,7 @@ class TestPartitionScore:
     @pytest.mark.parametrize("fold_of", [[-1, 0, 1], [0, 1, 2]])
     def test_fold_id_out_of_range_rejected(self, fold_of):
         labels = LabelMatrix(("a",), np.array([[1], [0], [1]]))
-        with pytest.raises(LabelcalError, match="^fold id out of range$"):
+        with pytest.raises(LabelcalError, match=OUT_OF_RANGE):
             partition_score(labels, fold_of, k=2)
 
     def test_fold_ids_are_checked_not_cast(self):
@@ -293,6 +293,18 @@ class TestStratifiedSingleLabel:
         np.testing.assert_array_equal(sorted(sizes), [2, 2])
         assert np.bincount(out.fold_of[[3]], minlength=2).max() == 1
 
+    @pytest.mark.parametrize("classes, message", [
+        ([0.5, 0.9, 1.2, 1.7], r"^class 0\.5 of item 0 is not an integer within int64$"),
+        ([[0, 1], [0, 1]], r"^classes must be a vector, got shape \(2, 2\)$"),
+        ([0, -1, 0, -1], r"^class -1 of item 1 is out of range \[0, 1\)$"),
+    ])
+    def test_class_ids_are_checked_not_cast(self, classes, message):
+        with pytest.raises(LabelcalError, match=message):
+            stratified_single_label(classes, k=2, seed=0)
+        np.testing.assert_array_equal(
+            stratified_single_label([0.0, 0.0, 1.0, 1.0], k=2, seed=0).fold_of,
+            stratified_single_label([0, 0, 1, 1], k=2, seed=0).fold_of)
+
     def test_per_class_counts_balanced(self):
         rng = np.random.default_rng(36)
         classes = rng.integers(0, 5, size=103)
@@ -310,16 +322,22 @@ class TestStratifiedSingleLabel:
         np.testing.assert_array_equal(a.fold_of, b.fold_of)
 
 
+# the bad id of [-1, 0, 1] or of [0, 1, 2], named with its item
+OUT_OF_RANGE = r"^fold id (-1 of item 0|2 of item 2) is out of range \[0, 2\)$"
+
 # (fold ids, error) pairs: before one validator, numpy's int64 cast
 # truncated the first two and failed deep inside numpy on the 2-D ones
 BAD_FOLD_IDS = [
-    ([0.5, 1, 0, 1], r"^fold id 0\.5 of item 0 is not an integer$"),
-    ([0, 1, 0, 1.7], r"^fold id 1\.7 of item 3 is not an integer$"),
-    ([0, 1, np.nan, 1], r"^fold id nan of item 2 is not an integer$"),
-    ([0, np.inf, 0, 1], r"^fold id inf of item 1 is not an integer$"),
+    ([0.5, 1, 0, 1], r"^fold id 0\.5 of item 0 is not an integer within int64$"),
+    ([0, 1, 0, 1.7], r"^fold id 1\.7 of item 3 is not an integer within int64$"),
+    ([0, 1, np.nan, 1], r"^fold id nan of item 2 is not an integer within int64$"),
+    ([0, np.inf, 0, 1], r"^fold id inf of item 1 is not an integer within int64$"),
+    ([0, 1, 0, 2.0**63], r"^fold id 9\.223372036854776e\+18 of item 3 is not an integer within int64$"),
+    (np.array([0, 2**63 + 1, 0, 1], dtype=np.uint64),
+     r"^fold id 9223372036854775809 of item 1 is not an integer within int64$"),
     ([[0, 1], [0, 1]], r"^fold_of must be a vector, got shape \(2, 2\)$"),
     ([[0, 1, 0, 1]], r"^fold_of must be a vector, got shape \(1, 4\)$"),
-    (np.array(["0", "1", "0", "1"]), r"^fold ids must be integers, got <U1$"),
+    (np.array(["0", "1", "0", "1"]), r"^fold_of must be integers, got <U1$"),
 ]
 
 
@@ -334,7 +352,7 @@ class TestFoldAssignmentInvariants:
 
     @pytest.mark.parametrize("fold_of", [[-1, 0, 1], [0, 1, 2]])
     def test_fold_id_out_of_range_rejected(self, fold_of):
-        with pytest.raises(LabelcalError, match="^fold id out of range$"):
+        with pytest.raises(LabelcalError, match=OUT_OF_RANGE):
             FoldAssignment(np.array(fold_of), k=2, score=np.array([0.0]))
 
     def test_fold_ids_are_checked_not_cast(self):

@@ -10,6 +10,7 @@ from labelcal.metrics import (
     expected_calibration_error,
     label_count_error_rate,
     macro_roc_auc,
+    mean_roc_auc,
     roc_auc,
     tendency_error,
     tendency_series_from_matrix,
@@ -99,6 +100,17 @@ class TestMacroRocAuc:
         truth = LabelMatrix(("a",), np.array([[1], [1]]))
         with pytest.raises(UndefinedMetricError):
             macro_roc_auc(probs, truth)
+
+    def test_array_helper_gives_the_macro_score(self):
+        rng = np.random.default_rng(8)
+        y = (rng.random((40, 4)) < 0.3).astype(int)
+        y[:, 2] = 0  # undefined
+        probs = ProbMatrix(tuple("abcd"), rng.random((40, 4)))
+        out = macro_roc_auc(probs, LabelMatrix(tuple("abcd"), y))
+        value, aucs = mean_roc_auc(probs.values, y)
+        assert value == out.value
+        assert aucs == [out.per_label.get(name) for name in "abcd"]
+        assert aucs[2] is None and out.undefined == ("c",)
 
 
 class TestBalancedAccuracy:
@@ -336,6 +348,20 @@ class TestTendencyFromMatrix:
         got = tendency_series_from_matrix(probs, years)
         assert self.bits(got) == self.bits(self.by_masks(probs, years))
         assert got["a"].yearly_counts == (0.125, 1.0)
+
+    @pytest.mark.parametrize("years, message", [
+        ([1990.7, 1991.2, 1991.9], r"^year 1990\.7 of item 0 is not an integer within int64$"),
+        ([1990, 1991, np.nan], r"^year nan of item 2 is not an integer within int64$"),
+        ([1990, 1991, 1e19], r"^year 1e\+19 of item 2 is not an integer within int64$"),
+        ([[1990], [1991], [1992]], r"^years must be a vector, got shape \(3, 1\)$"),
+        (["1990", "1991", "1992"], r"^years must be integers, got <U4$"),
+    ])
+    def test_years_are_checked_not_cast(self, years, message):
+        probs = ProbMatrix(("a",), np.array([[0.5], [0.25], [1.0]]))
+        with pytest.raises(LabelcalError, match=message):
+            tendency_series_from_matrix(probs, years)
+        whole = tendency_series_from_matrix(probs, [1990.0, 1991.0, 1991.0])
+        assert whole["a"].yearly_counts == (0.5, 1.25)
 
     def test_every_item_in_one_year_is_rejected_like_the_mask_loop(self):
         probs = ProbMatrix(("a",), np.array([[0.5], [0.25]]))

@@ -10,8 +10,9 @@ from scipy.stats import chi2
 from labelcal._util import derive_rng
 from labelcal.core import LabelcalError
 from labelcal.losses import confidence_penalty, ldam_loss, ldam_margins
-from labelcal.metrics import roc_auc
+from labelcal.metrics import UndefinedMetricError, roc_auc
 from labelcal.pbt import (
+    ELITE_FRACTION,
     LinearTrainable,
     PbtConfig,
     ToyDataSpec,
@@ -150,8 +151,7 @@ class TestPbtRun:
             return t
 
         config = PbtConfig(
-            population_size=10, elite_fraction=0.2, min_generations=6, seed=3,
-            mode="fixed",
+            population_size=20, min_generations=6, seed=3, mode="fixed",
         )
         result = pbt_run(factory, config)
         members = instances[: config.population_size]
@@ -159,11 +159,13 @@ class TestPbtRun:
         # selection runs after every generation but the last and overwrites
         # exactly the non-elite members, in population order
         events = [member_id[id(t)] for t in overwrites if id(t) in member_id]
-        per_generation = config.population_size - 2  # elite of ceil(0.2 * 10)
+        n_elite = math.ceil(ELITE_FRACTION * config.population_size)
+        assert n_elite == 2
+        per_generation = config.population_size - n_elite
         assert len(events) == (result.generations - 1) * per_generation
         for g, record in enumerate(result.history[:-1]):
             chunk = set(events[g * per_generation : (g + 1) * per_generation])
-            assert chunk == set(range(10)) - set(record["elite"])
+            assert chunk == set(range(20)) - set(record["elite"])
         # and their hyperparameters are bitwise identical at the next evaluation
         for g, record in enumerate(result.history[:-1]):
             following = result.history[g + 1]
@@ -232,12 +234,12 @@ class TestToyTrainable:
     def test_separable_multilabel_data_reaches_high_auc(self):
         spec = ToyDataSpec(
             n_items=400, n_labels=4, n_features=8, mode="multilabel",
-            positive_rates=(0.5, 0.3, 0.2, 0.1), noise=0.0, seed=0,
+            noise=0.0, seed=0,
         )
-        t = LinearTrainable(spec, steps_per_epoch=10)
+        t = LinearTrainable(spec)
         t.init(seed=0)
         t.hyperparameters = {"learning_rate": 0.5, "gamma": 2.0}
-        for _ in range(40):
+        for _ in range(80):
             t.train_one_epoch()
         assert t.evaluate() >= 0.99
 
@@ -246,11 +248,11 @@ class TestToyTrainable:
             n_items=400, n_labels=3, n_features=6, mode="multiclass",
             noise=0.0, seed=1,
         )
-        t = LinearTrainable(spec, steps_per_epoch=10)
+        t = LinearTrainable(spec)
         t.init(seed=0)
         t.hyperparameters = {"learning_rate": 0.3, "max_margin": 0.5, "beta": 0.1}
         before = t.evaluate()
-        for _ in range(30):
+        for _ in range(60):
             t.train_one_epoch()
         after = t.evaluate()
         assert after > before
@@ -258,8 +260,7 @@ class TestToyTrainable:
 
     def test_searched_gamma_beats_gamma_zero_baseline(self):
         spec = ToyDataSpec(
-            n_items=300, n_labels=3, n_features=6, mode="multilabel",
-            positive_rates=(0.5, 0.2, 0.05), noise=0.05, seed=2,
+            n_items=300, n_labels=3, n_features=6, mode="multilabel", noise=0.05, seed=2,
         )
         generations = 6
         searched, fixed = [], []
@@ -275,6 +276,22 @@ class TestToyTrainable:
                 baseline.train_one_epoch()
             fixed.append(baseline.evaluate())
         assert np.mean(searched) > np.mean(fixed)
+
+    def test_multilabel_score_is_the_per_label_auc_loop(self):
+        # the eval split of label 5 (rate 0.5 / 2**5) has no positive
+        spec = ToyDataSpec(n_items=100, n_labels=6, n_features=4, noise=0.0, seed=0)
+        t = LinearTrainable(spec)
+        t.init(seed=1)
+        t.train_one_epoch()
+        logits, truth = t._logits(t.eval_idx), t.y[t.eval_idx]
+        assert not truth[:, 5].any()
+        aucs = []
+        for j in range(spec.n_labels):
+            try:
+                aucs.append(roc_auc(logits[:, j], truth[:, j]))
+            except UndefinedMetricError:
+                continue
+        assert t.evaluate() == float(np.mean(aucs))
 
     def test_copy_from_is_a_deep_state_copy(self):
         spec = ToyDataSpec(n_items=100, n_labels=2, n_features=4, seed=3)

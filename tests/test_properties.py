@@ -32,7 +32,7 @@ from labelcal.core import (  # noqa: E402
     RaggedRowError,
     _parse_rows,
 )
-from labelcal.folds import _CHUNK, stratified_kfold  # noqa: E402
+from labelcal.folds import _CHUNK, partition_score, stratified_kfold  # noqa: E402
 from labelcal import segmentation  # noqa: E402
 from labelcal.relnet import RelationNetwork, kamada_kawai_layout  # noqa: E402
 from labelcal.segmentation import (  # noqa: E402
@@ -402,8 +402,8 @@ def test_paragraph_assembly_equals_per_token_grouping(tokens):
 
 @st.composite
 def relation_networks(draw):
-    """Networks of 2-30 labels.  With no weight floor every pair has a
-    direct edge, so each one is connected.  A third have one weight, so
+    """Networks of 2-30 labels.  Every pair has a direct edge, so each
+    one is connected.  A third have one weight, so
     every target distance is equal; a third draw from four weights, so
     equal distances are common."""
     n = draw(st.integers(2, 30))
@@ -464,6 +464,8 @@ def test_max_first_fold_search_equals_full_sort_oracle(search):
         out = stratified_kfold(labels, k, candidates, seed)
         np.testing.assert_array_equal(out.fold_of, fold_of)
         assert out.score.tobytes() == np.array(score).tobytes()
+        # the reference scorer gives the same bits, all-zero and identical columns included
+        assert partition_score(labels, out.fold_of, k).tobytes() == out.score.tobytes()
 
 
 @st.composite

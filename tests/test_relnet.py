@@ -6,7 +6,6 @@ import pytest
 from labelcal._util import derive_rng
 from labelcal.core import LabelMatrix, ProbMatrix
 from labelcal.relnet import (
-    DisconnectedGraphError,
     Layout,
     RelationNetwork,
     export_dot,
@@ -129,20 +128,6 @@ class TestKamadaKawaiLayout:
             init = _circular_init(l, radius=float(dists.max()) / 2.0, seed=trial)
             layout = kamada_kawai_layout(net)
             assert layout.stress <= layout_stress(init, dists) + 1e-12
-
-    def test_disconnected_graph_reported(self):
-        # two strong pairs, no cross edges above the weight floor
-        weights = np.array(
-            [
-                [1.0, 0.9, 0.0, 0.0],
-                [0.9, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 0.8],
-                [0.0, 0.0, 0.8, 1.0],
-            ]
-        )
-        net = RelationNetwork(tuple("abcd"), weights, np.ones(4))
-        with pytest.raises(DisconnectedGraphError):
-            kamada_kawai_layout(net, min_weight=0.5)
 
     def test_single_label_rejected(self):
         net = RelationNetwork(("a",), np.array([[1.0]]), np.ones(1))

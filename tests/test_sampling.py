@@ -154,13 +154,10 @@ class TestWeightedSample:
             weighted_sample(np.ones(3), n=4, seed=0)
 
 
-def bootstrap_one_call(values, resamples, seed, statistic=None):
+def bootstrap_one_call(values, resamples, seed):
     """The unblocked form: every resample's indices from one draw."""
     idx = derive_rng(seed).integers(0, values.size, size=(resamples, values.size))
-    if statistic is None:
-        replicates = values[idx].mean(axis=1)
-    else:
-        replicates = np.array([statistic(values[row]) for row in idx])
+    replicates = values[idx].mean(axis=1)
     return float((replicates - replicates[0]).std())
 
 
@@ -176,12 +173,6 @@ class TestBootstrapStd:
         assert bootstrap_std(values, resamples, seed=n) == bootstrap_one_call(
             values, resamples, seed=n)
 
-    def test_blocked_custom_statistic_equals_one_call(self):
-        values = np.random.default_rng(9).normal(size=301)
-        for statistic in (np.median, lambda v: float(v.max() - v.min())):
-            assert bootstrap_std(values, 111, seed=4, statistic=statistic) == (
-                bootstrap_one_call(values, 111, seed=4, statistic=statistic))
-
     def test_constant_values(self):
         # every replicate mean is the same float m, and the mean that
         # np.std subtracts, rounded from the m's, need not equal m
@@ -195,11 +186,6 @@ class TestBootstrapStd:
 
     def test_single_resample_degenerates_to_zero(self):
         assert bootstrap_std(np.arange(10.0), resamples=1, seed=2) == 0.0
-
-    def test_custom_statistic(self):
-        values = np.arange(100.0)
-        out = bootstrap_std(values, resamples=500, seed=3, statistic=np.median)
-        assert out > 0
 
     def test_empty_rejected(self):
         with pytest.raises(LabelcalError):

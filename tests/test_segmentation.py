@@ -795,6 +795,24 @@ class TestBodyMargins:
     def test_page_without_body_returns_none(self):
         assert body_margins([make_paragraph("h", 14.0, 7.0, cls="heading")]) is None
 
+    def test_tied_bins_give_the_smaller_one(self):
+        # three lines in bin 70 (seen first) and three in bin 50
+        paragraphs = [make_paragraph("a", 10.0, 5.0, left=141),
+                      make_paragraph("b", 10.0, 5.0, left=100, n_lines=2),
+                      make_paragraph("c", 10.0, 5.0, left=101, n_lines=1)]
+        left, _ = body_margins(paragraphs)
+        assert left == np.mean([100.0, 100.0, 101.0])
+
+    def test_modal_bin_equals_the_per_bin_rescan(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            lefts = rng.integers(90, 110, size=rng.integers(1, 12))
+            paragraphs = [make_paragraph(f"p{i}", 10.0, 5.0, left=int(x), n_lines=1)
+                          for i, x in enumerate(lefts)]
+            bins = np.floor(lefts / 2.0).astype(np.int64)
+            modal = min(np.unique(bins), key=lambda b: (-(bins == b).sum(), b))
+            assert body_margins(paragraphs)[0] == float(lefts[bins == modal].mean())
+
 
 class TestMergeCrossPage:
     def page(self, number, first_left=100, last_right=700, n_fill=4):
