@@ -33,7 +33,7 @@ _EXPORTS = {
            " warmup_steps",
     "relnet": "Layout RelationNetwork export_dot kamada_kawai_layout"
               " network_from_annotations network_from_probabilities",
-    "sampling": "SizingCurve bootstrap_std importance_weights sizing_curve weighted_sample",
+    "sampling": "SizingCurve importance_weights sizing_curve weighted_sample",
     "segmentation": "OcrTokens ParagraphRecord bow_match_many"
                     " classify_paragraphs dbscan merge_cross_page parse_ocr_tsv",
 }

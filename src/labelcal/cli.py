@@ -14,7 +14,9 @@ BLAS runs on one thread: ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value
 already set wins), as starting OpenBLAS's worker pool costs about half of
 ``import numpy``, more than any stage's BLAS work.  Outputs are the same.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error: an input the stage
+cannot read (inputs are strict UTF-8; line-based ones end a line at
+``\\n``, ``\\r\\n`` or ``\\r``) or running out of memory.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ from .core import (
     load_label_matrix,
     load_prob_matrix,
     load_texts,
+    read_input,
     read_numbers,
     substring_filter,
+    text_lines,
 )
 
 Run = tuple[list[tuple[str, str]], list[str]]  # outputs (path, text) in write order, inputs
@@ -90,13 +94,17 @@ def _manifest(args: argparse.Namespace, inputs: list[str], started: float) -> st
 def _load_lines(path: str, dtype: type, what: str) -> np.ndarray:
     """One number per non-blank line, in the grammar of ``read_numbers``;
     the lines are walked again only to name the first bad one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
-    values = read_numbers([line for _, line in lines], dtype)
-    if values is None:
-        n = next(n for n, line in lines if read_numbers([line], dtype) is None)
-        raise LabelcalError(f"{path}: {what} on line {n}")
-    return values
+
+    def parse(text: str) -> np.ndarray:
+        lines = [(n, line.strip()) for n, line in enumerate(text_lines(text), start=1)
+                 if line.strip()]
+        values = read_numbers([line for _, line in lines], dtype)
+        if values is None:
+            n = next(n for n, line in lines if read_numbers([line], dtype) is None)
+            raise LabelcalError(f"{what} on line {n}")
+        return values
+
+    return read_input(path, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +117,8 @@ def _cmd_segment(args) -> Run:
     files = sorted(path.glob("*.tsv")) if path.is_dir() else [path]
     if not files:
         raise LabelcalError(f"no .tsv files under {path}")
-    pages = []
-    for f in files:
-        try:
-            pages.append(segmentation.parse_ocr_tsv(f.read_text(encoding="utf-8")))
-        except segmentation.OcrFormatError as exc:
-            raise type(exc)(f"{f}: {exc}") from None
-    tokens = segmentation.OcrTokens.concat(pages)
+    tokens = segmentation.OcrTokens.concat(
+        [read_input(f, segmentation.parse_ocr_tsv) for f in files])
     paragraphs = segmentation.paragraphs_from_tokens(tokens)
     if not paragraphs:
         raise LabelcalError("no paragraphs found in the input")
@@ -428,18 +431,21 @@ def dispatch(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
-        outputs, inputs = args.func(args)
-        paths = [path for path, _ in outputs] + [args.out + ".manifest.json"]
-        real = [os.path.realpath(path) for path in paths]
-        for i, path in enumerate(paths):
-            if real[i] in real[:i]:
-                other = paths[real.index(real[i])]
-                raise UsageError(f"outputs {other!r} and {path!r} name the same file")
-        with atomic_files(paths) as handles:
-            for fh, (_, text) in zip(handles, outputs):
-                fh.write(text)
-            # built before any output replaces an input, so it digests the inputs as read
-            handles[-1].write(_manifest(args, inputs, started))
+        try:
+            outputs, inputs = args.func(args)
+            paths = [path for path, _ in outputs] + [args.out + ".manifest.json"]
+            real = [os.path.realpath(path) for path in paths]
+            for i, path in enumerate(paths):
+                if real[i] in real[:i]:
+                    other = paths[real.index(real[i])]
+                    raise UsageError(f"outputs {other!r} and {path!r} name the same file")
+            with atomic_files(paths) as handles:
+                for fh, (_, text) in zip(handles, outputs):
+                    fh.write(text)
+                # built before any output replaces an input, so it digests the inputs as read
+                handles[-1].write(_manifest(args, inputs, started))
+        except MemoryError:  # the input is too large for this machine: a data error
+            raise LabelcalError(f"{args.command}: out of memory") from None
         return 0
     except UsageError as exc:
         print(f"labelcal: error: {exc}", file=sys.stderr)

@@ -1,5 +1,8 @@
 """Shared data model: probability/annotation matrices, ensembles, file I/O.
 
+Input files are read by ``read_input`` as strict UTF-8: a bad byte is a data
+error naming path, line and byte offset.  Line-based inputs end a line at
+``\\n``, ``\\r\\n`` or ``\\r`` (``text_lines``); matrices follow ``csv``.
 Matrices are stored as CSV with a label-name header row.  Values are
 written with 17 significant digits so that a load -> save -> load cycle
 is bit-identical, and read by numpy's C parser (``read_numbers`` gives
@@ -87,16 +90,16 @@ def integer_ids(values, noun: str, name: str, stop: int | None = None) -> np.nda
     return cast
 
 
-def _check_labels(labels: Sequence[str], where: str = "") -> tuple[str, ...]:
+def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
     labels = tuple(str(name) for name in labels)
     for i, name in enumerate(labels):
         if not name:
-            raise DuplicateLabelError(f"{where}empty label name at column {i + 1}")
+            raise DuplicateLabelError(f"empty label name at column {i + 1}")
     seen: dict[str, int] = {}
     for i, name in enumerate(labels):
         if name in seen:
             raise DuplicateLabelError(
-                f"{where}duplicate label name {name!r} at columns {seen[name] + 1} and {i + 1}"
+                f"duplicate label name {name!r} at columns {seen[name] + 1} and {i + 1}"
             )
         seen[name] = i
     return labels
@@ -261,7 +264,7 @@ def concat_labels(*matrices: ProbMatrix) -> ProbMatrix:
 
 
 # ---------------------------------------------------------------------------
-# File output
+# File input and output
 # ---------------------------------------------------------------------------
 
 
@@ -320,6 +323,44 @@ def atomic_files(paths: Sequence[str]) -> Iterator[list[IO[str]]]:
         os.unlink(old)
 
 
+_Parsed = TypeVar("_Parsed")
+
+
+def read_input(path: str, parse: Callable[[str], _Parsed]) -> _Parsed:
+    """``parse`` of the text of the file at ``path``: its bytes read once,
+    decoded as strict UTF-8 with line ends kept, and released before
+    ``parse`` runs.  A byte that is not UTF-8 is a ``LabelcalError`` naming
+    its line and offset; it and any ``LabelcalError`` of ``parse`` name
+    ``path`` first."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line = 1 + raw.count(b"\n", 0, at) + raw.count(b"\r", 0, at) - raw.count(b"\r\n", 0, at)
+        raise LabelcalError(
+            f"{path}: invalid UTF-8 on line {line} at byte offset {at}: {exc.reason}"
+        ) from None
+    del raw
+    try:
+        return parse(text)
+    except LabelcalError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` without their ends, one at a time, as a file read
+    in text mode gives them: ended at ``\\n``, ``\\r\\n`` or ``\\r`` only."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # no copy without a \r
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    if start < len(text):
+        yield text[start:]
+
+
 # ---------------------------------------------------------------------------
 # Matrix file I/O
 # ---------------------------------------------------------------------------
@@ -349,7 +390,7 @@ def read_numbers(fields: Sequence[str], dtype: type = np.float64) -> np.ndarray 
     return values if values.shape == (len(fields),) else None
 
 
-def _read_header(text: str, what: str) -> tuple[tuple[str, ...], int, int]:
+def _read_header(text: str) -> tuple[tuple[str, ...], int, int]:
     """Labels of the first non-blank ``csv`` row of ``text``, the offset just
     past that row, and the number of lines it took up to there.
 
@@ -368,13 +409,13 @@ def _read_header(text: str, what: str) -> tuple[tuple[str, ...], int, int]:
     try:
         header = next(filter(None, reader), None)
     except csv.Error as exc:  # e.g. CR-only line ends, which csv cannot split
-        raise MatrixFormatError(f"{what}: malformed CSV on line {reader.line_num}: {exc}") from None
+        raise MatrixFormatError(f"malformed CSV on line {reader.line_num}: {exc}") from None
     if header is None:
-        raise MatrixFormatError(f"{what}: missing header row")
-    return _check_labels(header, f"{what}: "), end, reader.line_num
+        raise MatrixFormatError("missing header row")
+    return _check_labels(header), end, reader.line_num
 
 
-def _parse_rows(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
+def _parse_rows(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Label header and float64 values of a matrix CSV text.
 
     The body after the header is read by ``np.loadtxt`` (quoted cells
@@ -382,7 +423,7 @@ def _parse_rows(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
     cannot read as one number per label in every row goes to
     ``_matrix_error``, which gives the error of the first bad row.
     """
-    labels, start, header_lines = _read_header(text, what)
+    labels, start, header_lines = _read_header(text)
     raw = text[start:].encode()
     if raw.count(b"\n") + raw.count(b"\r") == len(raw):  # no data rows
         return labels, np.empty((0, len(labels)))
@@ -394,41 +435,36 @@ def _parse_rows(text: str, what: str) -> tuple[tuple[str, ...], np.ndarray]:
         except ValueError:
             pass
     if data is None or data.shape[1] != len(labels):
-        raise _matrix_error(text[start:], labels, what, header_lines)
+        raise _matrix_error(text[start:], labels, header_lines)
     return labels, data
 
 
-def _matrix_error(body: str, labels: tuple[str, ...], what: str, line: int) -> MatrixFormatError:
+def _matrix_error(body: str, labels: tuple[str, ...], line: int) -> MatrixFormatError:
     """The error of a matrix body ``np.loadtxt`` rejected: its first row
     with the wrong number of cells or a cell that is not a number."""
     reader = csv.reader(io.StringIO(body))
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:
-        return MatrixFormatError(f"{what}: malformed CSV on line {line + reader.line_num}: {exc}")
+        return MatrixFormatError(f"malformed CSV on line {line + reader.line_num}: {exc}")
     for r, row in enumerate(rows, start=1):
         if len(row) != len(labels):
-            return RaggedRowError(f"{what}: row {r} has {len(row)} fields, expected {len(labels)}")
+            return RaggedRowError(f"row {r} has {len(row)} fields, expected {len(labels)}")
         # inside quotes, numpy reads a line break as a space
         cells = [cell.replace("\r", " ").replace("\n", " ") for cell in row]
         if read_numbers(cells) is None:
             c = next(c for c, cell in enumerate(cells) if read_numbers([cell]) is None)
             return MalformedNumberError(
-                f"{what}: malformed number {row[c]!r} at row {r}, column {labels[c]!r}"
+                f"malformed number {row[c]!r} at row {r}, column {labels[c]!r}"
             )
-    return MatrixFormatError(f"{what}: numpy cannot read the matrix body")
+    return MatrixFormatError("numpy cannot read the matrix body")
 
 
 _Matrix = TypeVar("_Matrix", ProbMatrix, LabelMatrix)
 
 
 def _load_matrix(path: str, build: Callable[[tuple[str, ...], np.ndarray], _Matrix]) -> _Matrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        labels, data = _parse_rows(fh.read(), str(path))
-    try:
-        return build(labels, data)
-    except MatrixFormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return read_input(path, lambda text: build(*_parse_rows(text)))
 
 
 def load_prob_matrix(path: str) -> ProbMatrix:
@@ -462,22 +498,25 @@ def save_prob_matrix(matrix: ProbMatrix | LabelMatrix, path: str) -> None:
 
 def load_texts(path: str) -> list[dict]:
     """Read a JSON-lines corpus; every record needs ``id`` and a string ``text``."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
+
+    def parse(text: str) -> list[dict]:
+        records = []
+        for n, line in enumerate(text_lines(text), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise LabelcalError(f"{path}: invalid JSON on line {n}: {exc}") from None
+                raise LabelcalError(f"invalid JSON on line {n}: {exc}") from None
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise LabelcalError(f"{path}: line {n} lacks 'id' or 'text' field")
+                raise LabelcalError(f"line {n} lacks 'id' or 'text' field")
             if not isinstance(record["text"], str):
-                raise LabelcalError(f"{path}: line {n}: 'text' is not a string")
+                raise LabelcalError(f"line {n}: 'text' is not a string")
             records.append(record)
-    return records
+        return records
+
+    return read_input(path, parse)
 
 
 def format_json(payload) -> str:

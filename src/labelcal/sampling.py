@@ -19,7 +19,6 @@ from .core import DEFAULT_REPS, DEFAULT_SIZE_GRID, LabelcalError, ProbMatrix
 
 N_BINS = 5
 DEFAULT_SIZES = tuple(range(DEFAULT_SIZE_GRID[0], DEFAULT_SIZE_GRID[1] + 1, DEFAULT_SIZE_GRID[2]))
-_BLOCK = 8192  # bootstrap indices per draw: 64 KiB of int64 that malloc reuses
 
 
 @dataclass(frozen=True)
@@ -82,27 +81,6 @@ def weighted_sample(weights: np.ndarray, n: int, seed: int = 0) -> np.ndarray:
     log_keys = np.log(rng.random(weights.size)) / weights
     chosen = np.argpartition(-log_keys, n)[:n]
     return np.sort(chosen)
-
-
-def bootstrap_std(values: np.ndarray, resamples: int, seed: int = 0) -> float:
-    """Standard deviation of the mean across bootstrap replicates.
-
-    Replicates resample the values with replacement at full size.  The
-    deviation is taken about the first replicate, so equal replicates
-    give exactly 0.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise LabelcalError("bootstrap_std of empty input")
-    if resamples < 1:
-        raise LabelcalError(f"resamples must be >= 1, got {resamples}")
-    rng = derive_rng(seed)
-    rows = max(1, _BLOCK // values.size)
-    replicates = np.empty(resamples)
-    for lo in range(0, resamples, rows):
-        idx = rng.integers(0, values.size, size=(min(rows, resamples - lo), values.size))
-        replicates[lo:lo + len(idx)] = values[idx].mean(axis=1)
-    return float((replicates - replicates[0]).std())
 
 
 @dataclass(frozen=True)

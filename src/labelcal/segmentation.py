@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelcalError, read_numbers
+from .core import LabelcalError, read_numbers, text_lines
 
 TSV_COLUMNS = (
     "level", "page_num", "block_num", "par_num", "line_num", "word_num",
@@ -134,15 +134,16 @@ class ParagraphRecord:
 
 
 def parse_ocr_tsv(text: str) -> OcrTokens:
-    """Parse the word-box table; blank lines are skipped, and so are rows
-    with blank text once their numeric fields have been read.
+    """Parse the word-box table; lines end as ``core.text_lines`` says,
+    blank lines are skipped, and so are rows with blank text once their
+    numeric fields have been read.
 
     The numeric fields are read by one ``np.loadtxt`` call
     (``core.read_numbers`` states their grammar) and checked as arrays.
     A table that fails anywhere goes to ``_ocr_error``, which gives the
     error of the first bad line.
     """
-    lines = text.splitlines()
+    lines = list(text_lines(text))
     if not lines or not lines[0].strip():
         raise OcrFormatError("missing header row")
     header = lines[0].split("\t")

@@ -15,6 +15,7 @@ import pytest
 
 import labelcal
 from labelcal.cli import build_parser, dispatch
+from labelcal.core import format_matrix
 
 HEADER = "level\tpage_num\tblock_num\tpar_num\tline_num\tword_num\tleft\ttop\twidth\theight\tconf\ttext"
 
@@ -378,6 +379,54 @@ class TestExitCodes:
         assert dispatch(argv + ["--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
+
+
+# one stage per kind of input file, with the name of the file it reads
+READERS = {
+    "matrix": (["truncate", "--probs", "{file}", "--p-low", "0.2", "--p-high", "0.6"],
+               "probs.csv"),
+    "json lines": (["filter", "--texts", "{file}", "--needle", "a"], "texts.jsonl"),
+    "ocr tsv": (["segment", "--tsv", "{file}"], "pages.tsv"),
+    "years": (["metrics", "--probs", "{probs}", "--truth", "{truth}", "--years", "{file}"],
+              "years.txt"),
+    "scores": (["size-curve", "--scores", "{file}"], "scores.txt"),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, name", READERS.values(), ids=READERS.keys())
+    def test_invalid_utf8_is_data_error_naming_path_line_and_offset(
+            self, tmp_path, probs_csv, truth_csv, capsys, argv, name):
+        path = tmp_path / "in" / name
+        path.parent.mkdir()
+        path.write_bytes(b"first\r\nx\xffy\n")
+        before = sorted(os.listdir(tmp_path))
+        argv = [a.format(file=path, probs=probs_csv, truth=truth_csv) for a in argv]
+        assert dispatch(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"labelcal: error: {path}: invalid UTF-8 on line 2 at byte offset 8: "
+            "invalid start byte\n")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_out_of_memory_is_data_error(self, tmp_path):
+        # 20k items x 50 rare labels, 2048 candidates: the fold search needs
+        # more than a 150 MiB address space (it runs in 200 MiB)
+        rates = 0.2 * 0.93 ** np.arange(50)
+        values = (np.random.default_rng(0).random((20_000, 50)) < rates).astype(np.int8)
+        labels = tmp_path / "labels.csv"
+        labels.write_text(format_matrix([f"l{j}" for j in range(50)], values), "utf-8")
+        code = """if True:
+            import resource, sys
+            cap = 150 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            from labelcal.cli import dispatch
+            sys.exit(dispatch(sys.argv[1:]))
+        """
+        run = _child("-c", code, "folds", "--labels", str(labels), "--candidates", "2048",
+                     "--out", str(tmp_path / "folds.csv"), env={"OPENBLAS_NUM_THREADS": "1"})
+        assert (run.returncode, run.stdout, run.stderr) == (
+            2, "", "labelcal: error: folds: out of memory\n")
+        assert os.listdir(tmp_path) == ["labels.csv"]
 
 
 class TestFoldsCommand:
@@ -780,14 +829,15 @@ class TestBlasThreadEquivalence:
 
 
 # the names ``from labelcal import *`` gave before submodules loaded lazily,
-# less ``OcrToken`` and the wrappers and aliases removed since (``Member``,
-# ``bow_match``, ``save_label_matrix``, ``toy_trainable``), plus
+# less ``OcrToken``, the wrappers and aliases removed since (``Member``,
+# ``bow_match``, ``save_label_matrix``, ``toy_trainable``) and
+# ``bootstrap_std``, which lost its last caller to the closed form, plus
 # ``LinearTrainable``, exported in place of ``toy_trainable``
 OLD_ALL = [
     "EnsembleSet", "FoldAssignment", "LabelMatrix", "LabelcalError", "Layout",
     "LinearTrainable", "LossValue", "MacroScore", "OcrTokens", "ParagraphRecord", "PbtConfig",
     "PbtResult", "ProbMatrix", "RelationNetwork", "SizingCurve", "TendencySeries",
-    "Thresholds", "ToyDataSpec", "balanced_accuracy", "bootstrap_std",
+    "Thresholds", "ToyDataSpec", "balanced_accuracy",
     "bow_match_many", "calibration", "classify_paragraphs", "concat_labels",
     "confidence_penalty", "core", "dbscan", "ensemble_average", "expected_calibration_error",
     "export_dot", "focal_loss", "folds", "grid_search_thresholds", "importance_weights",

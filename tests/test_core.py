@@ -1,15 +1,21 @@
 """Data model and file I/O tests."""
 
+import ast
+import contextlib
 import csv
 import errno
 import io
 import os
+import re
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import labelcal
 from labelcal.core import (
     DuplicateLabelError,
     EnsembleSet,
@@ -29,8 +35,10 @@ from labelcal.core import (
     load_label_matrix,
     load_prob_matrix,
     load_texts,
+    read_input,
     save_prob_matrix,
     substring_filter,
+    text_lines,
 )
 
 
@@ -104,10 +112,17 @@ class TestProbMatrixLoading:
             m.values[0, 0] = 0.1
 
 
+def parse_file(text):
+    """``_parse_rows`` of ``text`` through the reader, from a file named m.csv."""
+    with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
+        Path("m.csv").write_bytes(text.encode("utf-8"))
+        return read_input("m.csv", _parse_rows)
+
+
 def parse_outcome(text):
     """Labels, shape and value bits of a parse, or its exception type and message."""
     try:
-        labels, data = _parse_rows(text, "m.csv")
+        labels, data = parse_file(text)
     except Exception as exc:
         return type(exc), str(exc)
     return labels, data.shape, data.tobytes()
@@ -188,18 +203,18 @@ class TestParseRows:
     def test_numeric_body_skips_per_cell_parser(self, name):
         """A body that parses is read by one np.loadtxt call, never cell by cell."""
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            _parse_rows(EDGE_CASES[name][0], "m.csv")
+            _parse_rows(EDGE_CASES[name][0])
         assert loadtxt.call_count == 1
 
     def test_edge_values(self):
-        _, data = _parse_rows(EDGE_CASES["underflow"][0], "m.csv")
+        _, data = _parse_rows(EDGE_CASES["underflow"][0])
         assert data.tolist() == [[0.0, 5e-324]]
-        _, data = _parse_rows(EDGE_CASES["signs and bare points"][0], "m.csv")
+        _, data = _parse_rows(EDGE_CASES["signs and bare points"][0])
         assert [v.hex() for v in data[0]] == ["-0x0.0p+0", "0x1.0000000000000p-1",
                                               "0x1.0000000000000p+0", "0x1.9000000000000p+6"]
-        assert _parse_rows(EDGE_CASES["header only"][0], "m.csv")[1].shape == (0, 2)
-        assert _parse_rows(EDGE_CASES["single column"][0], "m.csv")[1].shape == (2, 1)
-        assert _parse_rows(EDGE_CASES["quoted header newline"][0], "m.csv")[0] == ("a\nb", "c")
+        assert _parse_rows(EDGE_CASES["header only"][0])[1].shape == (0, 2)
+        assert _parse_rows(EDGE_CASES["single column"][0])[1].shape == (2, 1)
+        assert _parse_rows(EDGE_CASES["quoted header newline"][0])[0] == ("a\nb", "c")
 
     def test_errors_keep_row_and_column(self):
         assert parse_outcome(EDGE_CASES["ragged row"][0]) == (
@@ -371,6 +386,86 @@ class TestTextRecords:
         path.write_text('{"id": 1}\n', encoding="utf-8")
         with pytest.raises(Exception, match="line 1"):
             load_texts(str(path))
+
+
+# Files with a byte that is not UTF-8, and the reader's message for them
+# under the name m.csv: the line counts \n, \r\n and \r as line ends.
+BAD_UTF8 = {
+    "bad byte at offset 0": (b"\xffa,b\n0.1,0.2\n",
+                             "line 1 at byte offset 0: invalid start byte"),
+    "sequence cut short at the end": (b"a,b\n0.1,0.2\n\xc3\xa9\xc3",
+                                      "line 3 at byte offset 14: unexpected end of data"),
+    "after a lone cr": (b"a,b\r\n0.1\r\xff\n",
+                        "line 3 at byte offset 9: invalid start byte"),
+    "inside a quoted header": (b'"a\nb\xe9",c\n0.1,0.2\n',
+                               "line 2 at byte offset 4: invalid continuation byte"),
+}
+
+
+class TestReadInput:
+    @pytest.mark.parametrize("data, message", BAD_UTF8.values(), ids=BAD_UTF8.keys())
+    @pytest.mark.parametrize("load", [load_prob_matrix, load_label_matrix, load_texts])
+    def test_bad_byte_is_named_by_path_line_and_offset(self, tmp_path, monkeypatch, load,
+                                                       data, message):
+        monkeypatch.chdir(tmp_path)
+        Path("m.csv").write_bytes(data)
+        with pytest.raises(LabelcalError) as info:
+            load("m.csv")
+        assert type(info.value) is LabelcalError
+        assert str(info.value) == f"m.csv: invalid UTF-8 on {message}"
+
+    def test_parse_gets_the_text_with_its_line_ends(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("a\r\nb\rc\x85d\u2028\n".encode("utf-8"))
+        assert read_input(path, lambda text: text) == "a\r\nb\rc\x85d\u2028\n"
+
+    def test_errors_of_parse_name_the_path_and_keep_their_type(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"x")
+
+        def ragged(text):
+            raise RaggedRowError("row 2")
+
+        def broken(text):
+            raise ValueError("not ours")
+
+        with pytest.raises(RaggedRowError, match=f"^{re.escape(str(path))}: row 2$"):
+            read_input(path, ragged)
+        with pytest.raises(ValueError, match="^not ours$"):  # not a data error: no path
+            read_input(path, broken)
+
+    def test_text_lines_end_at_lf_crlf_and_cr_only(self):
+        text = "a\rb\r\nc\n\nd\fe\vf\x1cg\x85h\u2028i\u2029j\r\r\n"
+        assert list(text_lines(text)) == [
+            "a", "b", "c", "", "d\fe\vf\x1cg\x85h\u2028i\u2029j", ""]
+        assert list(text_lines("")) == []
+        assert list(text_lines("a")) == ["a"]
+
+    def test_only_the_reader_opens_input_files(self):
+        # an AST scan of the package: every open() (also os/io/Path .open)
+        # and read_text/read_bytes call, by module, enclosing function and mode
+        found = set()
+        for path in sorted(Path(labelcal.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text("utf-8"))
+            scope = {tree: "<module>"}
+            for node in ast.walk(tree):  # parents before children
+                for child in ast.iter_child_nodes(node):
+                    scope[child] = (child.name if isinstance(
+                        child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope[node])
+            for call in filter(lambda node: isinstance(node, ast.Call), ast.walk(tree)):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name in ("read_text", "read_bytes"):
+                    found.add((path.stem, scope[call], name))
+                elif name == "open":
+                    mode = call.args[1] if len(call.args) > 1 else next(
+                        (k.value for k in call.keywords if k.arg == "mode"), None)
+                    found.add((path.stem, scope[call],
+                               mode.value if isinstance(mode, ast.Constant) else mode))
+        assert found == {
+            ("core", "read_input", "rb"),  # the reader
+            ("cli", "_sha256", "rb"),  # the input digests of the manifest
+            ("core", "atomic_files", "x"),  # the writer
+        }
 
 
 class TestAtomicWrite:

@@ -1,10 +1,13 @@
 """Property tests: invariants checked on generated inputs."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
+import tempfile
 from collections import Counter
 from itertools import groupby
 from operator import attrgetter
@@ -25,12 +28,13 @@ from labelcal.calibration import (  # noqa: E402
     grid_search_thresholds,
     threshold_grid,
 )
+from labelcal.cli import dispatch  # noqa: E402
 from labelcal.core import (  # noqa: E402
     LabelMatrix,
     MalformedNumberError,
     ProbMatrix,
     RaggedRowError,
-    _parse_rows,
+    text_lines,
 )
 from labelcal.folds import _CHUNK, partition_score, stratified_kfold  # noqa: E402
 from labelcal import segmentation  # noqa: E402
@@ -48,6 +52,7 @@ from labelcal.segmentation import (  # noqa: E402
     paragraphs_from_tokens,
     parse_ocr_tsv,
 )
+from test_core import parse_file  # noqa: E402
 from test_folds import search_oracle  # noqa: E402
 from test_segmentation import dense_dbscan, dense_k_distance_eps, distinct  # noqa: E402
 
@@ -196,7 +201,7 @@ def matrix_reference(text):
 
 
 def matrix_parse(text):
-    labels, data = _parse_rows(text, "m.csv")
+    labels, data = parse_file(text)
     return labels, data.shape, data.tobytes()
 
 
@@ -240,7 +245,7 @@ def ocr_reference(text):
     ``INT``/``FLOAT`` and ``int()``/``float()`` per field, int64 at most,
     then, for rows with text, the word-box rules: a positive box, then
     non-negative indices, then every integer field inside +-2**31."""
-    lines = text.splitlines()
+    lines = re.split(r"\r\n|\r|\n", text)
     header = lines[0].split("\t")
     column = {name: header.index(name) for name in TSV_COLUMNS}
     tokens = []
@@ -299,14 +304,15 @@ def ocr_tables(draw):
     """Word-box tables: the standard or a permuted header (sometimes with
     an extra column), clean rows of small valid numbers, or rows mixing
     valid numbers with spellings outside the grammar, blank texts, texts
-    with '#', quotes or a tab, rows missing their last field, blank lines
-    and CRLF line ends."""
+    with '#', quotes, a tab or a character only ``str.splitlines`` ends a
+    line at, rows missing their last field, blank lines, and CRLF or CR
+    line ends."""
     columns = TSV_COLUMNS + (("extra",) if draw(st.booleans()) else ())
     header = draw(st.one_of(st.just(columns), st.permutations(columns)))
     messy = draw(st.booleans())
     ints = INT_CELLS if messy else st.integers(0, 40).map(str)
     confs = CONF_CELLS if messy else st.integers(-1, 99).map(str)
-    text_chars = 'ab #"\'é' + ("\t" if messy else "")
+    text_chars = 'ab #"\'é' + ("\t\f\v\x1c\x85\u2028" if messy else "")
     texts = st.text(st.sampled_from(text_chars), max_size=4)
     lines = ["\t".join(header)]
     for _ in range(draw(st.integers(0 if messy else 1, 5))):
@@ -319,7 +325,7 @@ def ocr_tables(draw):
         if messy and draw(st.integers(0, 5)) == 0:
             line = line.rpartition("\t")[0]  # a short row, or a swallowed trailing tab
         lines.append(line)
-    end = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"])) if messy else "\n"
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
@@ -505,3 +511,63 @@ def test_grid_dbscan_equals_dense_oracle(instance):
             assert np.float64(got).tobytes() == np.float64(eps).tobytes()
         np.testing.assert_array_equal(dbscan(points, eps, min_pts),
                                       dense_dbscan(points, eps, min_pts))
+
+
+@given(st.text(st.sampled_from("ab \r\n\f\v\x1c\x85\u2028")))
+def test_text_lines_are_the_lines_of_a_text_mode_file(text):
+    wrapper = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+    assert list(text_lines(text)) == [line.removesuffix("\n") for line in wrapper]
+
+
+# one stage per reader, with a valid input for it; {in} is the input's folder
+PAGE = "\n".join(["\t".join(TSV_COLUMNS)] + [
+    f"5\t1\t1\t{par}\t1\t{word}\t{60 * word}\t{40 * par}\t50\t12\t95\tsz\u00f3{par}{word}"
+    for par in (1, 2, 3) for word in (1, 2, 3)]) + "\n"
+READER_STAGES = {
+    "truncate": (["truncate", "--probs", "{in}/input", "--p-low", "0.2", "--p-high", "0.6"],
+                 "a,b\n0.1,0.9\n0.5,0.25\n"),
+    "filter": (["filter", "--texts", "{in}/input", "--needle", "a"],
+               '{"id": 1, "text": "alma"}\n{"id": 2, "text": "k\u00f6rte"}\n'),
+    "segment": (["segment", "--tsv", "{in}/input", "--min-pts", "2"], PAGE),
+    "size-curve": (["size-curve", "--scores", "{in}/input", "--sizes", "1", "2", "1",
+                    "--reps", "2"], "0.5\n0.25\n0.75\n"),
+    "metrics": (["metrics", "--probs", "{in}/probs.csv", "--truth", "{in}/truth.csv",
+                 "--years", "{in}/input"], "1990\n1991\n1990\n"),
+}
+
+
+@st.composite
+def input_bytes(draw, valid: bytes):
+    """Any bytes, or a valid input with a run of its bytes replaced by any bytes."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    i = draw(st.integers(0, len(valid)))
+    j = draw(st.integers(i, min(len(valid), i + 8)))
+    return valid[:i] + draw(st.binary(max_size=8)) + valid[j:]
+
+
+@pytest.mark.parametrize("stage", sorted(READER_STAGES))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_any_input_bytes_exit_0_or_2_with_one_error_line(stage, data):
+    argv, valid = READER_STAGES[stage]
+    content = data.draw(input_bytes(valid.encode("utf-8")))
+    with tempfile.TemporaryDirectory() as folder:
+        for name, text in (("probs.csv", "a,b\n0.1,0.9\n0.5,0.25\n0.7,0.3\n"),
+                           ("truth.csv", "a,b\n0,1\n1,0\n1,1\n")):
+            with open(os.path.join(folder, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with open(os.path.join(folder, "input"), "wb") as fh:
+            fh.write(content)
+        before = sorted(os.listdir(folder))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = dispatch([a.format(**{"in": folder}) for a in argv]
+                            + ["--out", os.path.join(folder, "out")])
+        assert code in (0, 2)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            message = err.getvalue()
+            assert message.startswith("labelcal: error:") and message.count("\n") == 1
+            assert message.endswith("\n")
+            assert sorted(os.listdir(folder)) == before

@@ -11,7 +11,6 @@ from labelcal.core import LabelcalError, ProbMatrix, concat_labels
 from labelcal.sampling import (
     SizingCurve,
     bin_structure,
-    bootstrap_std,
     importance_weights,
     sizing_curve,
     weighted_sample,
@@ -155,41 +154,11 @@ class TestWeightedSample:
 
 
 def bootstrap_one_call(values, resamples, seed):
-    """The unblocked form: every resample's indices from one draw."""
+    """Standard deviation of the mean across bootstrap replicates, every
+    resample's indices from one draw, about the first replicate."""
     idx = derive_rng(seed).integers(0, values.size, size=(resamples, values.size))
     replicates = values[idx].mean(axis=1)
     return float((replicates - replicates[0]).std())
-
-
-class TestBootstrapStd:
-    @pytest.mark.parametrize("n,resamples", [
-        (1, 9001), (2, 9001), (7, 2001), (125, 2000), (301, 111),
-        (8191, 5), (8192, 5), (8193, 5),
-    ])
-    def test_blocked_draws_equal_one_call_bit_for_bit(self, n, resamples):
-        # block heights 8192 // n: one full block, several with a partial
-        # last one, and one row per block from n = 8192 on
-        values = np.random.default_rng(n).normal(size=n)
-        assert bootstrap_std(values, resamples, seed=n) == bootstrap_one_call(
-            values, resamples, seed=n)
-
-    def test_constant_values(self):
-        # every replicate mean is the same float m, and the mean that
-        # np.std subtracts, rounded from the m's, need not equal m
-        for values in (np.full(50, 3.3), np.full(3, 0.3), np.full(50, 1 / 3)):
-            assert bootstrap_std(values, resamples=200, seed=0) == 0.0
-
-    def test_binary_mean_std_matches_clt(self):
-        values = np.array([0.0, 1.0] * 50)  # std 0.5, n=100 -> se 0.05
-        out = bootstrap_std(values, resamples=10_000, seed=1)
-        assert abs(out - 0.05) / 0.05 < 0.1
-
-    def test_single_resample_degenerates_to_zero(self):
-        assert bootstrap_std(np.arange(10.0), resamples=1, seed=2) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(LabelcalError):
-            bootstrap_std(np.array([]), resamples=10, seed=0)
 
 
 class TestSizingCurve:
@@ -250,12 +219,12 @@ class TestSizingCurve:
 
     @pytest.mark.parametrize("size", [50, 300])
     def test_points_agree_with_simulated_bootstrap(self, size):
-        # bootstrap_std of 20000 replicates has a relative Monte Carlo
-        # error of about 1/sqrt(2 * 20000) = 0.5%; 3% is six of those
+        # 20000 bootstrap replicates have a relative Monte Carlo error of
+        # about 1/sqrt(2 * 20000) = 0.5%; 3% is six of those
         scores = np.random.default_rng(60).exponential(size=400)
         curve = sizing_curve(scores, sizes=(size,), reps=2, seed=5)
         simulated = [
-            bootstrap_std(
+            bootstrap_one_call(
                 scores[derive_rng(5, size, rep).choice(400, size=size, replace=False)],
                 20_000, seed=rep,
             )

@@ -13,7 +13,7 @@ import pytest
 
 import labelcal
 from labelcal import segmentation
-from labelcal.core import LabelcalError
+from labelcal.core import LabelcalError, read_input
 from labelcal.segmentation import (
     LineBox,
     OcrFormatError,
@@ -291,8 +291,9 @@ OCR_EDGE_CASES = {
                          error("line 2: non-numeric width field '５０'")),
     "unit separator": (tsv(word_row(width="50\x1f")),  # loadtxt alone would read 50
                        error("line 2: non-numeric width field '50\\x1f'")),
-    "file separator": (tsv(word_row(width="50\x1c")),  # a line break to splitlines
-                       error("line 2: 9 fields, expected 12")),
+    # changed: a line break to str.splitlines, not to the line rule of files
+    "file separator": (tsv(word_row(width="50\x1c")),
+                       error("line 2: non-numeric width field '50\\x1c'")),
     # changed: past int64, which numpy's C parser reads, not a range error
     "above int64": (tsv(word_row(left=2**64)),
                     error(f"line 2: non-numeric left field '{2**64}'")),
@@ -326,8 +327,8 @@ OCR_EDGE_CASES = {
              [word(), word(word=2)]),
     "cr only": (HEADER + "\r" + word_row() + "\r" + word_row(word=2) + "\r",
                 [word(), word(word=2)]),
-    "line separator in text": (tsv(word_row(text="a\u2028b")),
-                               error("line 3: 1 fields, expected 12")),
+    # changed: as "file separator"
+    "line separator in text": (tsv(word_row(text="a\u2028b")), [word(text="a\u2028b")]),
     "permuted header": (PERMUTED + "\n" + "\n".join(
         "\t".join(reversed(word_row(word=w, text=t).split("\t"))) + "\tx"
         for w, t in ((1, "első"), (2, "szó"))) + "\n",
@@ -404,7 +405,7 @@ class TestParseEquivalence:
         assert outcome(OCR_EDGE_TEXTS["unit separator"]) == (
             OcrFormatError, "line 2: non-numeric width field '50\\x1f'")
         assert outcome(OCR_EDGE_TEXTS["file separator"]) == (
-            OcrFormatError, "line 2: 9 fields, expected 12")
+            OcrFormatError, "line 2: non-numeric width field '50\\x1c'")
         assert outcome(OCR_EDGE_TEXTS["too few fields"]) == (
             OcrFormatError, "line 3: 3 fields, expected 12")
         assert outcome(OCR_EDGE_TEXTS["tab in text, then a swallowed tab"]) == (
@@ -416,6 +417,20 @@ class TestParseEquivalence:
         both = OcrTokens.concat([tokens, parse_ocr_tsv(tsv(word_row(page=2)))])
         assert len(both) == 3
         assert token_fields(both) == [word(), word(word=2, left=160), word(page=2)]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_only_lf_crlf_and_cr_end_a_line_of_a_file(self, tmp_path, end):
+        # each of these ends a line for str.splitlines, and none for a file
+        words = ["a\fb", "a\vb", "a\x1cb", "a\x85b", "a\u2028b"]
+        rows = [word_row(word=w, left=60 * w, text=t) for w, t in enumerate(words, start=1)]
+        page = tmp_path / "page.tsv"
+        page.write_bytes(end.join([HEADER, *rows, ""]).encode("utf-8"))
+        assert read_input(page, parse_ocr_tsv).texts == words
+        bad = word_row(word=6, width="5x")
+        page.write_bytes(end.join([HEADER, *rows, "", bad, ""]).encode("utf-8"))
+        with pytest.raises(OcrFormatError) as info:
+            read_input(page, parse_ocr_tsv)
+        assert str(info.value) == f"{page}: line 8: non-numeric width field '5x'"
 
 
 class TestParagraphAssembly:
