@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from labelcal.core import bow_match_many
 from labelcal.segmentation import (
-    bow_match_many,
     classify_paragraphs,
     merge_cross_page,
     paragraphs_from_tokens,

@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "calibration": "Thresholds grid_search_thresholds out_of_fold threshold_at_half truncate",
-    "core": "EnsembleSet LabelcalError LabelMatrix ProbMatrix concat_labels ensemble_average"
-            " load_label_matrix load_prob_matrix save_prob_matrix"
+    "core": "EnsembleSet LabelcalError LabelMatrix ProbMatrix bow_match_many concat_labels"
+            " ensemble_average load_label_matrix load_prob_matrix save_prob_matrix"
             " substring_filter",
     "folds": "FoldAssignment partition_score stratified_kfold stratified_single_label",
     "losses": "LossValue confidence_penalty focal_loss ldam_loss ldam_margins",
@@ -34,8 +34,8 @@ _EXPORTS = {
     "relnet": "Layout RelationNetwork export_dot kamada_kawai_layout"
               " network_from_annotations network_from_probabilities",
     "sampling": "SizingCurve importance_weights sizing_curve weighted_sample",
-    "segmentation": "OcrTokens ParagraphRecord bow_match_many"
-                    " classify_paragraphs dbscan merge_cross_page parse_ocr_tsv",
+    "segmentation": "OcrTokens ParagraphRecord classify_paragraphs dbscan merge_cross_page"
+                    " parse_ocr_tsv",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted([*_EXPORTS, *_OWNER])

@@ -10,9 +10,13 @@ A subcommand returns its outputs as text and ``dispatch`` writes them with
 the manifest as one group: a run leaves all of them or none.  Outputs that
 name the same file are a usage error.
 
-BLAS runs on one thread: ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value
-already set wins), as starting OpenBLAS's worker pool costs about half of
-``import numpy``, more than any stage's BLAS work.  Outputs are the same.
+numpy loads only in a run whose stage builds arrays: ``--version``,
+``--help``, usage errors, ``filter`` and ``match`` never import it, as
+``import numpy`` is most of the start-up of a short run.  BLAS runs on one
+thread: ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value already set wins),
+set when this module loads, before any stage imports numpy, as starting
+OpenBLAS's worker pool costs about half of ``import numpy``, more than any
+stage's BLAS work.  Outputs are the same.
 
 Exit codes: 0 success, 1 usage error, 2 data error: an input the stage
 cannot read (inputs are strict UTF-8; line-based ones end a line at
@@ -30,11 +34,10 @@ from dataclasses import replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # OpenBLAS sizes its thread pool when numpy loads, so this must come first
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from . import __version__
 from . import calibration, folds, metrics, pbt, relnet, sampling, segmentation
@@ -48,6 +51,7 @@ from .core import (
     DEFAULT_SIZE_GRID,
     LabelcalError,
     atomic_files,
+    bow_match_many,
     format_json,
     format_matrix,
     format_texts,
@@ -59,6 +63,9 @@ from .core import (
     substring_filter,
     text_lines,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Run = tuple[list[tuple[str, str]], list[str]]  # outputs (path, text) in write order, inputs
 
@@ -91,9 +98,10 @@ def _manifest(args: argparse.Namespace, inputs: list[str], started: float) -> st
     })
 
 
-def _load_lines(path: str, dtype: type, what: str) -> np.ndarray:
-    """One number per non-blank line, in the grammar of ``read_numbers``;
-    the lines are walked again only to name the first bad one."""
+def _load_lines(path: str, dtype: str, what: str) -> np.ndarray:
+    """One ``dtype`` number per non-blank line, in the grammar of
+    ``read_numbers``; the lines are walked again only to name the first
+    bad one."""
 
     def parse(text: str) -> np.ndarray:
         lines = [(n, line.strip()) for n, line in enumerate(text_lines(text), start=1)
@@ -136,7 +144,7 @@ def _cmd_segment(args) -> Run:
 def _cmd_match(args) -> Run:
     quotes = load_texts(args.quotes)
     paragraphs = load_texts(args.paragraphs)
-    matches = segmentation.bow_match_many(
+    matches = bow_match_many(
         [q["text"] for q in quotes], [p["text"] for p in paragraphs]
     )
     results = [
@@ -175,6 +183,8 @@ def _cmd_folds(args) -> Run:
 
 
 def _cmd_metrics(args) -> Run:
+    import numpy as np
+
     probs = load_prob_matrix(args.probs)
     truth = load_label_matrix(args.truth, kind=args.kind)
     report: dict = {"n_items": probs.n_items, "n_labels": probs.n_labels}
@@ -202,7 +212,7 @@ def _cmd_metrics(args) -> Run:
         )
     inputs = [args.probs, args.truth]
     if args.years:
-        years = _load_lines(args.years, np.int64, "non-integer year")
+        years = _load_lines(args.years, "int64", "non-integer year")
         pred_series = metrics.tendency_series_from_matrix(probs, years)
         true_series = metrics.tendency_series_from_matrix(truth, years)
         report["tendency_error"] = {
@@ -238,7 +248,7 @@ def _cmd_calibrate(args) -> Run:
     }
     inputs = [args.oof, args.truth]
     if args.years:
-        years = _load_lines(args.years, np.int64, "non-integer year")
+        years = _load_lines(args.years, "int64", "non-integer year")
         report["tendency_table"] = calibration.tendency_error_table(
             oof, truth, years, thresholds
         )
@@ -268,7 +278,7 @@ def _cmd_sample(args) -> Run:
 def _cmd_size_curve(args) -> Run:
     if args.sizes[2] < 1:
         raise UsageError(f"--sizes STEP must be >= 1, got {args.sizes[2]}")
-    scores = _load_lines(args.scores, np.float64, "malformed number")
+    scores = _load_lines(args.scores, "float64", "malformed number")
     sizes = range(args.sizes[0], args.sizes[1] + 1, args.sizes[2])
     curve = sampling.sizing_curve(scores, sizes=sizes, reps=args.reps, seed=args.seed)
     payload = {"sizes": list(curve.sizes), "mean_std": list(curve.mean_std), "reps": curve.reps}

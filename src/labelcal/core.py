@@ -1,4 +1,10 @@
-"""Shared data model: probability/annotation matrices, ensembles, file I/O.
+"""Shared data model: probability/annotation matrices, ensembles, file I/O,
+and the text-corpus tools (substring filter, quote matching).
+
+The module imports no numpy: each function that makes or reads an array
+imports it, so a process that builds none (the text stages, ``--version``)
+never loads it.  The command line sets its OpenBLAS default before any
+such import.
 
 Input files are read by ``read_input`` as strict UTF-8: a bad byte is a data
 error naming path, line and byte offset.  Line-based inputs end a line at
@@ -19,13 +25,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
+import re
 import unicodedata
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import compress, filterfalse, repeat
+from operator import le, mul, sub, truediv
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Probabilities this far outside [0, 1] are treated as float round-trip
 # noise and clamped; anything larger is a data error.
@@ -71,6 +83,8 @@ def integer_ids(values, noun: str, name: str, stop: int | None = None) -> np.nda
     vector.  Integer-valued floats are taken; any value int64 cannot hold
     exactly, or with ``stop`` an id outside [0, stop), is a
     ``LabelcalError`` naming the item, never cast."""
+    import numpy as np
+
     ids = np.asarray(values)
     if ids.ndim != 1:
         raise LabelcalError(f"{name} must be a vector, got shape {ids.shape}")
@@ -127,6 +141,8 @@ class ProbMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         values = np.asarray(self.values, dtype=np.float64)
         labels = _check_shape(self.labels, values)
         if not np.all(np.isfinite(values)):
@@ -174,6 +190,8 @@ class LabelMatrix:
     def __post_init__(self) -> None:
         if self.kind not in ("multilabel", "multiclass"):
             raise MatrixFormatError(f"unknown label matrix kind {self.kind!r}")
+        import numpy as np
+
         values = np.asarray(self.values)
         labels = _check_shape(self.labels, values)
         as_float = values.astype(np.float64)
@@ -208,11 +226,15 @@ class LabelMatrix:
         """Class index per row (multiclass view)."""
         if self.kind != "multiclass":
             raise LabelcalError("class_indices is only defined for multiclass matrices")
+        import numpy as np
+
         return np.argmax(self.values, axis=1)
 
     @staticmethod
     def from_class_indices(classes: Sequence[int]) -> "LabelMatrix":
         """One-hot rows over labels ``class_0`` .. ``class_<max>``."""
+        import numpy as np
+
         classes = integer_ids(classes, "class", "classes")
         k = int(classes.max()) + 1 if classes.size else 0
         classes = integer_ids(classes, "class", "classes", k)  # names a negative class
@@ -244,6 +266,8 @@ class EnsembleSet:
 
 def ensemble_average(ensemble: EnsembleSet) -> ProbMatrix:
     """Entrywise arithmetic mean of the ensemble members."""
+    import numpy as np
+
     stack = np.stack([m.values for m in ensemble.members])
     return ProbMatrix(ensemble.members[0].labels, stack.mean(axis=0))
 
@@ -259,6 +283,8 @@ def concat_labels(*matrices: ProbMatrix) -> ProbMatrix:
     rows = {m.n_items for m in matrices}
     if len(rows) != 1:
         raise MatrixFormatError(f"row counts differ: {sorted(rows)}")
+    import numpy as np
+
     labels = tuple(name for m in matrices for name in m.labels)
     return ProbMatrix(labels, np.hstack([m.values for m in matrices]))
 
@@ -349,16 +375,13 @@ def read_input(path: str, parse: Callable[[str], _Parsed]) -> _Parsed:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def text_lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` without their ends, one at a time, as a file read
-    in text mode gives them: ended at ``\\n``, ``\\r\\n`` or ``\\r`` only."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")  # no copy without a \r
-    start = 0
-    while (end := text.find("\n", start)) >= 0:
-        yield text[start:end]
-        start = end + 1
-    if start < len(text):
-        yield text[start:]
+def text_lines(text: str) -> list[str]:
+    """The lines of ``text`` without their ends, as a file read in text mode
+    gives them: ended at ``\\n``, ``\\r\\n`` or ``\\r`` only."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the text ends with a line end, or is empty
+        lines.pop()
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +394,7 @@ def text_lines(text: str) -> Iterator[str]:
 _PRINTABLE = bytes(range(0x20, 0x7F))
 
 
-def read_numbers(fields: Sequence[str], dtype: type = np.float64) -> np.ndarray | None:
+def read_numbers(fields: Sequence[str], dtype: type | str = float) -> np.ndarray | None:
     """``fields`` read as one ``dtype`` number each, or None if one is not a number.
 
     This is the number grammar of the numeric fields of every input file:
@@ -379,6 +402,8 @@ def read_numbers(fields: Sequence[str], dtype: type = np.float64) -> np.ndarray 
     ``" +1.5e3"`` or ``"nan"``, but not ``"1_0"`` or non-ASCII digits,
     which ``float()`` reads.  The error paths use it to find the bad cell.
     """
+    import numpy as np
+
     if not fields:  # np.loadtxt would warn of an empty input
         return np.empty(0, dtype)
     if not all(field and field.isascii() and field.isprintable() for field in fields):
@@ -423,6 +448,8 @@ def _parse_rows(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     cannot read as one number per label in every row goes to
     ``_matrix_error``, which gives the error of the first bad row.
     """
+    import numpy as np
+
     labels, start, header_lines = _read_header(text)
     raw = text[start:].encode()
     if raw.count(b"\n") + raw.count(b"\r") == len(raw):  # no data rows
@@ -479,6 +506,8 @@ def load_label_matrix(path: str, kind: str = "multilabel") -> LabelMatrix:
 
 def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
     """Render a matrix as CSV text with 17-significant-digit values."""
+    import numpy as np
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(labels)
     np.savetxt(out, np.asarray(values), fmt="%.17g", delimiter=",")
@@ -552,3 +581,67 @@ def substring_filter(
         if needle in hay:
             hits.append(i)
     return hits
+
+
+_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def _bow_tokens(text: str) -> list[str]:
+    """Lowercased maximal alphanumeric runs."""
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
+
+
+def bow_match_many(
+    quotes: Sequence[str], paragraphs: Sequence[str]
+) -> list[tuple[int, float]]:
+    """Best paragraph for each quote under bag-of-words cosine distance.
+
+    Distance is 1 - cosine similarity of token-count vectors; ties go to
+    the lowest index.  Every paragraph is tokenized once: an inverted
+    index maps each quote token to the paragraphs containing it and their
+    counts, so a quote's dot products and both norms are exact integers,
+    as in a per-pair token-count loop.  Only the paragraphs sharing a
+    token with the quote are scored, as ``1.0 - dot / (q_norm * norm)``
+    clamped at 0; every other one, token-less ones included, is at exactly
+    1.0, so the first of them stands for all.
+    """
+    if not quotes:
+        return []
+    if not paragraphs:
+        raise LabelcalError("bow_match_many needs at least one paragraph")
+    quote_counts = [Counter(_bow_tokens(quote)) for quote in quotes]
+    if not all(quote_counts):
+        raise LabelcalError("quote contains no alphanumeric tokens")
+    vocab = set().union(*quote_counts)
+    norms = []
+    index: dict[str, tuple[list[int], list[int]]] = {t: ([], []) for t in vocab}
+    for i, text in enumerate(paragraphs):
+        counts = Counter(_bow_tokens(text))
+        norms.append(math.sqrt(sum(v * v for v in counts.values())))
+        for t in vocab.intersection(counts):
+            ids, cs = index[t]
+            ids.append(i)
+            cs.append(counts[t])
+
+    results = []
+    for counts in quote_counts:
+        q_norm = math.sqrt(sum(v * v for v in counts.values()))
+        # the longest posting list is copied in C, the others added to it
+        first, *rest = sorted(counts, key=lambda t: len(index[t][0]), reverse=True)
+        ids, cs = index[first]
+        dot = dict(zip(ids, map(mul, repeat(counts[first]), cs)))
+        for t in rest:
+            q = counts[t]
+            for i, c in zip(*index[t]):
+                dot[i] = dot.get(i, 0) + q * c
+        # the distance before the clamp at 0, one map per IEEE operation;
+        # the clamp commutes with min, and every paragraph it maps onto the
+        # minimum ties (len(paragraphs) stands for "none scored")
+        excess = list(map(sub, repeat(1.0), map(
+            truediv, dot.values(), map(mul, repeat(q_norm), map(norms.__getitem__, dot)))))
+        distance = max(0.0, min(excess, default=1.0))
+        best = min(compress(dot, map(le, excess, repeat(distance))), default=len(paragraphs))
+        if distance == 1.0:  # the first paragraph sharing no token ties too
+            best = min(best, next(filterfalse(dot.__contains__, range(len(paragraphs))), best))
+        results.append((best, distance))
+    return results

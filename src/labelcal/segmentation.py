@@ -1,5 +1,5 @@
 """OCR post-processing: word-box parsing, paragraph assembly, paragraph
-type classification, cross-page paragraph merging, and quote matching.
+type classification and cross-page paragraph merging.
 
 Input is the standard 12-column word-box table (level, page_num,
 block_num, par_num, line_num, word_num, left, top, width, height, conf,
@@ -17,9 +17,7 @@ line not being indented.
 from __future__ import annotations
 
 import io
-import re
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -40,7 +38,6 @@ _FIELD_LIMIT = 2**31
 _ROW_DTYPE = np.dtype([("fields", np.int64, (len(_INT_FIELDS),)), ("conf", np.float64)])
 RIGHT_TOL_CHAR_WIDTHS = 1.5
 INDENT_TOL_CHAR_WIDTHS = 1.0
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 class OcrFormatError(LabelcalError):
@@ -143,7 +140,7 @@ def parse_ocr_tsv(text: str) -> OcrTokens:
     A table that fails anywhere goes to ``_ocr_error``, which gives the
     error of the first bad line.
     """
-    lines = list(text_lines(text))
+    lines = text_lines(text)
     if not lines or not lines[0].strip():
         raise OcrFormatError("missing header row")
     header = lines[0].split("\t")
@@ -762,62 +759,3 @@ def merge_cross_page(
             merged[-1] = _join(merged[-1], page.pop(0))
         merged.extend(page)
     return merged
-
-
-# ---------------------------------------------------------------------------
-# Quote matching
-# ---------------------------------------------------------------------------
-
-
-def bow_tokens(text: str) -> list[str]:
-    """Lowercased maximal alphanumeric runs."""
-    return [t.lower() for t in _TOKEN_RE.findall(text)]
-
-
-def bow_match_many(
-    quotes: Sequence[str], paragraphs: Sequence[str]
-) -> list[tuple[int, float]]:
-    """Best paragraph for each quote under bag-of-words cosine distance.
-
-    Distance is 1 - cosine similarity of token-count vectors; ties go to
-    the lowest index.  A paragraph with no tokens is at distance 1.
-    Every paragraph is tokenized once: an inverted index maps each quote
-    token to the paragraphs containing it and their counts, so a quote's
-    dot products and both norms are exact integers, as in a per-pair
-    token-count loop.
-    """
-    if not quotes:
-        return []
-    if not paragraphs:
-        raise LabelcalError("bow_match_many needs at least one paragraph")
-    quote_counts = [Counter(bow_tokens(quote)) for quote in quotes]
-    if not all(quote_counts):
-        raise LabelcalError("quote contains no alphanumeric tokens")
-    vocab = set().union(*quote_counts)
-    norm2 = np.empty(len(paragraphs), dtype=np.int64)
-    index: dict[str, tuple[list[int], list[int]]] = {t: ([], []) for t in vocab}
-    for i, text in enumerate(paragraphs):
-        counts = Counter(bow_tokens(text))
-        norm2[i] = sum(v * v for v in counts.values())
-        for t in vocab.intersection(counts):
-            ids, cs = index[t]
-            ids.append(i)
-            cs.append(counts[t])
-    postings = {
-        t: (np.array(ids, dtype=np.int64), np.array(cs, dtype=np.int64))
-        for t, (ids, cs) in index.items()
-    }
-    norms = np.sqrt(norm2)
-    norms[norms == 0.0] = 1.0  # a token-less paragraph has dot 0: distance 1
-
-    results = []
-    for counts in quote_counts:
-        q_norm = np.sqrt(sum(v * v for v in counts.values()))
-        dot = np.zeros(len(paragraphs), dtype=np.int64)
-        for t, q in counts.items():
-            ids, cs = postings[t]
-            dot[ids] += q * cs
-        distance = np.maximum(0.0, 1.0 - dot / (q_norm * norms))
-        best = int(np.argmin(distance))
-        results.append((best, float(distance[best])))
-    return results

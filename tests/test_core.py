@@ -402,6 +402,17 @@ BAD_UTF8 = {
 }
 
 
+def generator_text_lines(text):
+    """The splitter ``text_lines`` replaced: one line at a time, by ``find``."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    if start < len(text):
+        yield text[start:]
+
+
 class TestReadInput:
     @pytest.mark.parametrize("data, message", BAD_UTF8.values(), ids=BAD_UTF8.keys())
     @pytest.mark.parametrize("load", [load_prob_matrix, load_label_matrix, load_texts])
@@ -440,6 +451,12 @@ class TestReadInput:
             "a", "b", "c", "", "d\fe\vf\x1cg\x85h\u2028i\u2029j", ""]
         assert list(text_lines("")) == []
         assert list(text_lines("a")) == ["a"]
+
+    @pytest.mark.parametrize("text", [
+        "a\nb", "a\nb\n", "a\r\nb", "a\r\nb\r\n", "a\rb", "a\rb\r", "a\r\r\nb", "\r\r\n",
+        "\r", "\n", "\n\n", "", "a", "a\n\n", "\na"])
+    def test_text_lines_equal_the_generator_they_replaced(self, text):
+        assert text_lines(text) == list(generator_text_lines(text))
 
     def test_only_the_reader_opens_input_files(self):
         # an AST scan of the package: every open() (also os/io/Path .open)

@@ -34,6 +34,8 @@ from labelcal.core import (  # noqa: E402
     MalformedNumberError,
     ProbMatrix,
     RaggedRowError,
+    _bow_tokens,
+    bow_match_many,
     text_lines,
 )
 from labelcal.folds import _CHUNK, partition_score, stratified_kfold  # noqa: E402
@@ -45,9 +47,7 @@ from labelcal.segmentation import (  # noqa: E402
     OcrFormatError,
     OcrTokens,
     ParagraphRecord,
-    bow_match_many,
     _k_distance_eps,
-    bow_tokens,
     dbscan,
     paragraphs_from_tokens,
     parse_ocr_tsv,
@@ -123,11 +123,11 @@ def test_numpy_ports_equal_scipy_bit_for_bit(x):
 def counter_loop_match(quote, paragraphs):
     """The per-quote loop that ``bow_match_many`` replaced: every
     paragraph re-tokenized into a Counter, scored, strict ``<`` kept."""
-    quote_counts = Counter(bow_tokens(quote))
+    quote_counts = Counter(_bow_tokens(quote))
     q_norm = np.sqrt(sum(v * v for v in quote_counts.values()))
     best_index, best_distance = 0, np.inf
     for i, text in enumerate(paragraphs):
-        counts = Counter(bow_tokens(text))
+        counts = Counter(_bow_tokens(text))
         norm = np.sqrt(sum(v * v for v in counts.values()))
         if norm == 0.0:
             distance = 1.0
@@ -155,7 +155,7 @@ def match_corpora(draw):
         copy = paragraphs[draw(st.integers(0, len(paragraphs) - 1))]
         paragraphs.insert(draw(st.integers(0, len(paragraphs))), copy)
     quote = st.lists(st.sampled_from(WORDS + ["zzz", "Qqq"]), min_size=1, max_size=6)
-    quotes = draw(st.lists(quote.map(" ".join).filter(bow_tokens), min_size=1, max_size=4))
+    quotes = draw(st.lists(quote.map(" ".join).filter(_bow_tokens), min_size=1, max_size=4))
     return quotes, paragraphs
 
 

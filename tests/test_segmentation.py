@@ -13,7 +13,7 @@ import pytest
 
 import labelcal
 from labelcal import segmentation
-from labelcal.core import LabelcalError, read_input
+from labelcal.core import LabelcalError, _bow_tokens, bow_match_many, read_input
 from labelcal.segmentation import (
     LineBox,
     OcrFormatError,
@@ -22,8 +22,6 @@ from labelcal.segmentation import (
     _distances,
     _k_distance_eps,
     body_margins,
-    bow_match_many,
-    bow_tokens,
     classify_paragraphs,
     dbscan,
     merge_cross_page,
@@ -930,7 +928,7 @@ class TestBowMatch:
         np.testing.assert_allclose(distance, 1 - math.sqrt(2) / 2, rtol=1e-12)
 
     def test_tokenizer_lowercases_alphanumeric_runs(self):
-        assert bow_tokens("Alma-Körte 12x") == ["alma", "körte", "12x"]
+        assert _bow_tokens("Alma-Körte 12x") == ["alma", "körte", "12x"]
 
     def test_empty_quote_rejected(self):
         with pytest.raises(LabelcalError, match="token"):
@@ -955,3 +953,38 @@ class TestBowMatch:
     def test_any_token_less_quote_rejected(self):
         with pytest.raises(LabelcalError, match="no alphanumeric tokens"):
             bow_match_many(["alma", "—"], ["alma"])
+
+    # only paragraphs sharing a token are scored; the rest stand at 1.0
+    def test_no_paragraph_shares_a_token(self):
+        assert bow_match_many(["qqq"], ["alma", "—", "körte alma"]) == [(0, 1.0)]
+
+    def test_token_less_paragraphs_before_the_first_sharing_one(self):
+        assert bow_match_many(["alma"], ["—", "...", "körte alma"]) == [
+            (2, 1.0 - 1 / (1.0 * math.sqrt(2)))]
+
+    def test_equal_distance_keeps_the_lower_index(self):
+        # "alma" has the longest posting list, so paragraph 1 is scored last
+        corpus = ["zzz", "körte", "alma", "alma"]
+        assert bow_match_many(["alma körte"], corpus) == [(1, 1.0 - 1 / math.sqrt(2))]
+        corpus = ["szilva szilva", "alma szilva", "körte szilva"]
+        assert bow_match_many(["alma körte szilva"], corpus) == [
+            (1, 1.0 - 2 / (math.sqrt(3) * math.sqrt(2)))]
+
+    def test_identical_bag_clamps_to_exactly_zero(self):
+        # sqrt(3) * sqrt(3) < 3, so 1 - dot / (q_norm * norm) is below zero
+        assert 1.0 - 3 / (math.sqrt(3) * math.sqrt(3)) < 0.0
+        ((index, distance),) = bow_match_many(["a b c"], ["x", "C b A"])
+        assert (index, distance, math.copysign(1.0, distance)) == (1, 0.0, 1.0)
+
+    def test_matching_loads_no_numpy(self):
+        code = """if True:
+            import sys
+            from labelcal.core import bow_match_many
+            assert bow_match_many(["alma"], ["—", "alma"]) == [(1, 0.0)]
+            print("numpy" in sys.modules)
+        """
+        src = os.path.dirname(os.path.dirname(labelcal.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
