@@ -28,12 +28,12 @@ import json
 import math
 import os
 import re
+import sys
 import unicodedata
+from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
-from operator import le, mul, sub, truediv
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 if TYPE_CHECKING:
@@ -585,10 +585,32 @@ def substring_filter(
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
+# A quote token in more than one paragraph in this many has its counts
+# packed into one integer (see bow_match_many), a field for every
+# paragraph; a rarer one is added one posting at a time.
+_PACKED_SHARE = 16
+
 
 def _bow_tokens(text: str) -> list[str]:
-    """Lowercased maximal alphanumeric runs."""
-    return [t.lower() for t in _TOKEN_RE.findall(text)]
+    """Lowercased maximal alphanumeric runs.
+
+    Lowercasing the whole text first gives the same runs when every
+    character lowercases to one character (the text keeps its length) and
+    there is no capital sigma, whose lowercase depends on the letters
+    around it; otherwise each run is lowercased on its own.  No run
+    crosses whitespace, and a whitespace-separated word that is all
+    alphanumeric (``str.isalnum``, the class of ``_TOKEN_RE``) is one run.
+    """
+    lower = text.lower()
+    if len(lower) != len(text) or "\u03a3" in text:
+        return [t.lower() for t in _TOKEN_RE.findall(text)]
+    tokens = []
+    for word in lower.split():
+        if word.isalnum():
+            tokens.append(word)
+        else:
+            tokens += _TOKEN_RE.findall(word)
+    return tokens
 
 
 def bow_match_many(
@@ -596,14 +618,18 @@ def bow_match_many(
 ) -> list[tuple[int, float]]:
     """Best paragraph for each quote under bag-of-words cosine distance.
 
-    Distance is 1 - cosine similarity of token-count vectors; ties go to
-    the lowest index.  Every paragraph is tokenized once: an inverted
-    index maps each quote token to the paragraphs containing it and their
-    counts, so a quote's dot products and both norms are exact integers,
-    as in a per-pair token-count loop.  Only the paragraphs sharing a
-    token with the quote are scored, as ``1.0 - dot / (q_norm * norm)``
-    clamped at 0; every other one, token-less ones included, is at exactly
-    1.0, so the first of them stands for all.
+    Distance is 1 - cosine similarity of token-count vectors, clamped at
+    0; ties go to the lowest index.  A paragraph with no tokens is at
+    distance 1.  Every paragraph is tokenized once: an inverted index maps
+    each quote token to the paragraphs containing it and their counts, so
+    a quote's dot products and both norms are exact integers, as in a
+    per-pair token-count loop, and each distance is computed as
+    ``1.0 - dot / (q_norm * norm)``.
+
+    The counts of a token found in many paragraphs are also packed into
+    one integer, a fixed-width field per paragraph wide enough for any dot
+    product, so a quote sums its dot products over those tokens in a few
+    big-integer operations and unpacks the fields.
     """
     if not quotes:
         return []
@@ -623,25 +649,36 @@ def bow_match_many(
             ids.append(i)
             cs.append(counts[t])
 
+    # no dot product exceeds a quote's token total times the largest count
+    largest = max(sum(counts.values()) for counts in quote_counts) * max(
+        (max(cs) for _, cs in index.values() if cs), default=0
+    )
+    code = next((c for c in "BHIQ" if largest < 256 ** array(c).itemsize), None)
+    if code is None:
+        raise LabelcalError("token counts too large for quote matching")
+    size = len(paragraphs) * array(code).itemsize
+    packed = {}
+    for t, (ids, cs) in index.items():
+        if len(ids) * _PACKED_SHARE > len(paragraphs):
+            fields = array(code, bytes(size))
+            for i, c in zip(ids, cs):
+                fields[i] = c
+            packed[t] = int.from_bytes(fields, sys.byteorder)
+
     results = []
     for counts in quote_counts:
         q_norm = math.sqrt(sum(v * v for v in counts.values()))
-        # the longest posting list is copied in C, the others added to it
-        first, *rest = sorted(counts, key=lambda t: len(index[t][0]), reverse=True)
-        ids, cs = index[first]
-        dot = dict(zip(ids, map(mul, repeat(counts[first]), cs)))
-        for t in rest:
-            q = counts[t]
-            for i, c in zip(*index[t]):
-                dot[i] = dot.get(i, 0) + q * c
-        # the distance before the clamp at 0, one map per IEEE operation;
-        # the clamp commutes with min, and every paragraph it maps onto the
-        # minimum ties (len(paragraphs) stands for "none scored")
-        excess = list(map(sub, repeat(1.0), map(
-            truediv, dot.values(), map(mul, repeat(q_norm), map(norms.__getitem__, dot)))))
-        distance = max(0.0, min(excess, default=1.0))
-        best = min(compress(dot, map(le, excess, repeat(distance))), default=len(paragraphs))
-        if distance == 1.0:  # the first paragraph sharing no token ties too
-            best = min(best, next(filterfalse(dot.__contains__, range(len(paragraphs))), best))
-        results.append((best, distance))
+        total = sum(q * packed[t] for t, q in counts.items() if t in packed)
+        dot = array(code, total.to_bytes(size, sys.byteorder)).tolist()
+        for t, q in counts.items():
+            if t not in packed:
+                for i, c in zip(*index[t]):
+                    dot[i] += q * c
+        # a paragraph sharing no token, a token-less one included, is at 1
+        distance = [1.0 - d / (q_norm * n) if d else 1.0 for d, n in zip(dot, norms)]
+        closest = min(distance)
+        if closest > 0.0:
+            results.append((distance.index(closest), closest))
+        else:  # clamped: every paragraph at or below 0 ties at 0.0
+            results.append((next(i for i, e in enumerate(distance) if e <= 0.0), 0.0))
     return results

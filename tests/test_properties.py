@@ -39,7 +39,7 @@ from labelcal.core import (  # noqa: E402
     text_lines,
 )
 from labelcal.folds import _CHUNK, partition_score, stratified_kfold  # noqa: E402
-from labelcal import segmentation  # noqa: E402
+from labelcal import core, segmentation  # noqa: E402
 from labelcal.relnet import RelationNetwork, kamada_kawai_layout  # noqa: E402
 from labelcal.segmentation import (  # noqa: E402
     TSV_COLUMNS,
@@ -139,9 +139,10 @@ def counter_loop_match(quote, paragraphs):
     return best_index, float(best_distance)
 
 
-# mixed case and non-ASCII words; the last three hold no token
-WORDS = ["alma", "Alma", "ALMA", "körte", "KÖRTE", "straße", "ω", "Ω", "x1", "12",
-         "a_b", "—", "...", "_"]
+# mixed case and non-ASCII words (capital sigma and dotted capital I are
+# lowercased token by token); the last three hold no token
+WORDS = ["alma", "Alma", "ALMA", "körte", "KÖRTE", "straße", "ω", "Ω", "ΟΔΟΣ", "İz", "x1",
+         "12", "a_b", "—", "...", "_"]
 
 
 @st.composite
@@ -159,10 +160,39 @@ def match_corpora(draw):
     return quotes, paragraphs
 
 
+# at most 15 paragraphs, so every quote token is packed
 @settings(max_examples=300)
 @given(match_corpora())
 def test_bow_match_many_equals_counter_loop(corpus):
     quotes, paragraphs = corpus
+    got = bow_match_many(quotes, paragraphs)
+    want = [counter_loop_match(q, paragraphs) for q in quotes]
+    assert [(i, d.hex()) for i, d in got] == [(i, d.hex()) for i, d in want]
+
+
+# a share of 1 packs only a token in more paragraphs than there are: none
+@settings(max_examples=300)
+@given(match_corpora())
+def test_bow_match_many_unpacked_equals_counter_loop(corpus):
+    quotes, paragraphs = corpus
+    with mock.patch.object(core, "_PACKED_SHARE", 1):
+        got = bow_match_many(quotes, paragraphs)
+    want = [counter_loop_match(q, paragraphs) for q in quotes]
+    assert [(i, d.hex()) for i, d in got] == [(i, d.hex()) for i, d in want]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bow_match_many_mixes_packed_and_added_tokens(seed):
+    """Sixty paragraphs: a token in more than 3 of them is packed, a rarer
+    one added posting by posting, and one count of 300 needs two bytes."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{k}" for k in range(40)]
+    weights = 1.0 / np.arange(1, 41)
+    paragraphs = [" ".join(rng.choice(words, size=rng.integers(0, 12), p=weights / weights.sum()))
+                  for _ in range(60)]
+    paragraphs[int(rng.integers(60))] += " w0" * 300
+    quotes = [" ".join(rng.choice(words, size=rng.integers(1, 8))) for _ in range(20)]
+    quotes.append(paragraphs[7] + " w0 w0")
     got = bow_match_many(quotes, paragraphs)
     want = [counter_loop_match(q, paragraphs) for q in quotes]
     assert [(i, d.hex()) for i, d in got] == [(i, d.hex()) for i, d in want]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -930,6 +931,27 @@ class TestBowMatch:
     def test_tokenizer_lowercases_alphanumeric_runs(self):
         assert _bow_tokens("Alma-Körte 12x") == ["alma", "körte", "12x"]
 
+    @pytest.mark.parametrize("text", [
+        "Alma-Körte 12x", "İstanbul İ", "ΟΔΟΣ ΑΣ.Β ΣΑΣ", "ǅemal ǄEMAL", "STRAẞE Straße",
+        "a_B_c", "Ⓐ ⓐ ⅫⅪ", "", "—…!", " (alma), körte.\tszilva\u3000x1\x1f2 ", "é\u0301 ½ ²"])
+    def test_tokens_are_each_run_lowercased(self, text):
+        # dotted capital I lowercases to two characters and capital sigma
+        # by context: those texts take the run-by-run path
+        assert _bow_tokens(text) == [t.lower() for t in re.findall(r"[^\W_]+", text)]
+
+    def test_fast_paths_rest_on_character_classes(self):
+        # lowercasing a whole text before splitting it is exact because no
+        # character but capital sigma changes whether it is in a run; a
+        # run never crosses whitespace and is what str.isalnum accepts
+        run = re.compile(r"[^\W_]")
+        for c in map(chr, range(sys.maxunicode + 1)):
+            in_run = bool(run.fullmatch(c))
+            assert c.isalnum() == in_run and not (c.isspace() and in_run), hex(ord(c))
+            low = c.lower()
+            assert low
+            if low != c and len(low) == 1 and c != "\u03a3":
+                assert bool(run.fullmatch(low)) == in_run, hex(ord(c))
+
     def test_empty_quote_rejected(self):
         with pytest.raises(LabelcalError, match="token"):
             bow_match_many(["—…!"], ["alma"])
@@ -954,7 +976,7 @@ class TestBowMatch:
         with pytest.raises(LabelcalError, match="no alphanumeric tokens"):
             bow_match_many(["alma", "—"], ["alma"])
 
-    # only paragraphs sharing a token are scored; the rest stand at 1.0
+    # a paragraph sharing no token with the quote is at exactly 1.0
     def test_no_paragraph_shares_a_token(self):
         assert bow_match_many(["qqq"], ["alma", "—", "körte alma"]) == [(0, 1.0)]
 
@@ -963,7 +985,6 @@ class TestBowMatch:
             (2, 1.0 - 1 / (1.0 * math.sqrt(2)))]
 
     def test_equal_distance_keeps_the_lower_index(self):
-        # "alma" has the longest posting list, so paragraph 1 is scored last
         corpus = ["zzz", "körte", "alma", "alma"]
         assert bow_match_many(["alma körte"], corpus) == [(1, 1.0 - 1 / math.sqrt(2))]
         corpus = ["szilva szilva", "alma szilva", "körte szilva"]
