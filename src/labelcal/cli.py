@@ -125,9 +125,10 @@ def _cmd_segment(args) -> Run:
     files = sorted(path.glob("*.tsv")) if path.is_dir() else [path]
     if not files:
         raise LabelcalError(f"no .tsv files under {path}")
-    tokens = segmentation.OcrTokens.concat(
-        [read_input(f, segmentation.parse_ocr_tsv) for f in files])
-    paragraphs = segmentation.paragraphs_from_tokens(tokens)
+    # one file's word boxes at a time are parsed and copied into the table,
+    # which is released once its paragraphs are built
+    paragraphs = segmentation.paragraphs_from_tokens(segmentation.OcrTokens.concat(
+        read_input(f, segmentation.parse_ocr_tsv) for f in files))
     if not paragraphs:
         raise LabelcalError("no paragraphs found in the input")
     classes = segmentation.classify_paragraphs(

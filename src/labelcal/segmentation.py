@@ -4,9 +4,11 @@ type classification and cross-page paragraph merging.
 Input is the standard 12-column word-box table (level, page_num,
 block_num, par_num, line_num, word_num, left, top, width, height, conf,
 text).  It is read by numpy's C parser into ``OcrTokens`` columns, the
-only form word boxes take; a table it rejects is walked again row by row
-only to name the first bad line.  Paragraphs are assembled from one
-stable sort of the word keys and per-line array reductions.  Paragraph
+only form word boxes take: 36 bytes of int32 fields and 8 of float64
+confidence per word box, besides its text.  A table the parser rejects is
+walked again row by row only to name the first bad line.  Paragraphs are
+assembled from one stable sort of the word keys and per-line array
+reductions, gathering one field at a time into sorted order.  Paragraph
 classes come from density clustering (DBSCAN over a grid of cells on the
 distinct feature points, in memory linear in the paragraphs) on
 character-size statistics; page-boundary merges use the two typographic
@@ -20,7 +22,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,10 +50,12 @@ class OcrFormatError(LabelcalError):
 class OcrTokens:
     """Word boxes held as columns.
 
-    ``fields`` is an (n, 9) int64 array of the integer fields (page, block,
+    ``fields`` is an (n, 9) array of the integer fields (page, block,
     paragraph, line, word, left, top, width, height), ``confidence`` an
     (n,) float64 array and ``texts`` the n word texts.  ``parse_ocr_tsv``
-    checks the word-box rules; the columns are not checked again.
+    checks the word-box rules and gives int32 fields, which hold every
+    value the rules allow (36 bytes per word box); the columns are not
+    checked again.  Sums of fields are formed in int64.
     """
 
     fields: np.ndarray
@@ -59,13 +63,21 @@ class OcrTokens:
     texts: list[str]
 
     @classmethod
-    def concat(cls, parts: Sequence[OcrTokens]) -> OcrTokens:
-        """The rows of ``parts``, one after another."""
-        return cls(
-            np.concatenate([p.fields for p in parts]),
-            np.concatenate([p.confidence for p in parts]),
-            [text for p in parts for text in p.texts],
-        )
+    def concat(cls, parts: Iterable[OcrTokens]) -> OcrTokens:
+        """The rows of ``parts``, one after another, with int32 fields.
+
+        The columns grow in place as each part is copied (``ndarray.resize``
+        reallocates them), so parts drawn from an iterator, each released
+        once it is copied, are never all held beside the whole table.
+        """
+        fields, confidence, texts = np.empty((0, len(_INT_FIELDS)), np.int32), np.empty(0), []
+        for part in parts:
+            n, m = len(texts), len(part)
+            fields.resize((n + m, fields.shape[1]), refcheck=False)
+            confidence.resize(n + m, refcheck=False)
+            fields[n:], confidence[n:] = part.fields, part.confidence
+            texts += part.texts
+        return cls(fields, confidence, texts)
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -152,7 +164,7 @@ def parse_ocr_tsv(text: str) -> OcrTokens:
     n_cols = len(header)
     rows = list(filter(str.strip, lines[1:]))
     if not rows:
-        return OcrTokens(np.empty((0, len(_INT_FIELDS)), np.int64), np.empty(0), [])
+        return OcrTokens(np.empty((0, len(_INT_FIELDS)), np.int32), np.empty(0), [])
     tabs = np.array([row.count("\t") for row in rows])
     # a writer may swallow the tab before an empty last field
     swallowed = (tabs == n_cols - 2) & (index["text"] == n_cols - 1)
@@ -181,7 +193,7 @@ def parse_ocr_tsv(text: str) -> OcrTokens:
     texts = list(compress(texts, keep))
     if _word_box_error(values, texts) is not None:
         raise _ocr_error(lines, header, index)
-    return OcrTokens(values, table["conf"][keep], texts)
+    return OcrTokens(values.astype(np.int32), table["conf"][keep], texts)
 
 
 def _word_box_error(fields: np.ndarray, texts: Sequence[str]) -> str | None:
@@ -239,33 +251,9 @@ def paragraphs_from_tokens(tokens: OcrTokens) -> list[ParagraphRecord]:
     """
     if not len(tokens):
         return []
-    order = np.lexsort(tokens.fields[:, 4::-1].T)  # the page column is the primary key
-    page, block, par, line, _, left, top, width, height = tokens.fields[order].T
-    texts = [tokens.texts[i] for i in order.tolist()]
-    n_chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    new_par = (page[1:] != page[:-1]) | (block[1:] != block[:-1]) | (par[1:] != par[:-1])
-    par_start = np.flatnonzero(np.r_[True, new_par])
-    line_start = np.flatnonzero(np.r_[True, new_par | (line[1:] != line[:-1])])
-    line_end = np.r_[line_start[1:], len(texts)]
-
-    lines = list(map(
-        LineBox,
-        page[line_start].tolist(),
-        np.minimum.reduceat(left, line_start).tolist(),
-        np.minimum.reduceat(top, line_start).tolist(),
-        np.maximum.reduceat(left + width, line_start).tolist(),
-        np.maximum.reduceat(top + height, line_start).tolist(),
-        [" ".join(texts[a:b]) for a, b in zip(line_start.tolist(), line_end.tolist())],
-    ))
-    chars = np.add.reduceat(n_chars, par_start)
-    if not chars.all():
-        raise LabelcalError("a paragraph's word boxes hold no text")
-    char_width = (np.add.reduceat(width, par_start) / chars).tolist()
-    char_height = _weighted_medians(height, n_chars, par_start).tolist()
-    line_bounds = np.r_[np.searchsorted(line_start, par_start), len(lines)].tolist()
-
+    keys, char_height, char_width, line_bounds, line_fields = _layout(tokens)
+    lines = list(map(LineBox, *line_fields))
     records = []
-    keys = zip(*(column[par_start].tolist() for column in (page, block, par)))
     for p, (pg, bl, pa) in enumerate(keys):
         par_lines = tuple(lines[line_bounds[p] : line_bounds[p + 1]])
         records.append(
@@ -282,22 +270,72 @@ def paragraphs_from_tokens(tokens: OcrTokens) -> list[ParagraphRecord]:
     return records
 
 
+def _layout(tokens: OcrTokens) -> tuple[list, list, list, list, list]:
+    """What ``paragraphs_from_tokens`` builds its objects from, as lists:
+    each paragraph's (page, block, paragraph), char height and char width,
+    the bounds of its lines among all lines, and the lines' pages, lefts,
+    tops, rights, bottoms and texts.  The arrays of the sort are released
+    on return, before any object is made.
+
+    Fields are gathered into sorted order column by column, never as a
+    whole table.  Sums are formed in int64, exact for fields inside +-2**31
+    whatever the dtype of ``tokens.fields``.
+    """
+    fields = tokens.fields
+    order = np.lexsort(fields[:, 4::-1].T)  # the page column is the primary key
+    # gathered as objects: ``order.tolist()`` would make an int per word
+    texts = np.array(tokens.texts, dtype=object)[order].tolist()
+    n_chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    par_start, line_start = _run_starts(fields, order)
+    chars = np.add.reduceat(n_chars, par_start)
+    if not chars.all():
+        raise LabelcalError("a paragraph's word boxes hold no text")
+    left, top, width, height = (fields[order, k] for k in range(5, 9))
+    line_ends = np.r_[line_start[1:], len(texts)].tolist()
+    return (
+        fields[order[par_start], :3].tolist(),
+        _weighted_medians(height, n_chars, par_start).tolist(),
+        (np.add.reduceat(width, par_start, dtype=np.int64) / chars).tolist(),
+        np.r_[np.searchsorted(line_start, par_start), len(line_start)].tolist(),
+        [
+            fields[order[line_start], 0].tolist(),
+            np.minimum.reduceat(left, line_start).tolist(),
+            np.minimum.reduceat(top, line_start).tolist(),
+            np.maximum.reduceat(left.astype(np.int64) + width, line_start).tolist(),
+            np.maximum.reduceat(top.astype(np.int64) + height, line_start).tolist(),
+            [" ".join(texts[a:b]) for a, b in zip(line_start.tolist(), line_ends)],
+        ],
+    )
+
+
+def _run_starts(fields: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``order`` where a paragraph starts (a new page,
+    block or paragraph number) and where a line starts (that, or a new line
+    number).  The four key fields gathered for it are released on return."""
+    page, block, par, line = (fields[order, k] for k in range(4))
+    new_par = (page[1:] != page[:-1]) | (block[1:] != block[:-1]) | (par[1:] != par[:-1])
+    par_start = np.flatnonzero(np.r_[True, new_par])
+    line_start = np.flatnonzero(np.r_[True, new_par | (line[1:] != line[:-1])])
+    return par_start, line_start
+
+
 def _weighted_medians(values: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``np.median(np.repeat(values, weights))`` of each run that begins at
     ``starts``, with the same bits for integer values below 2**52.
 
     Each run is sorted by value; the median is the mean of the values at
     the two middle positions of the repeated run (the one middle position
-    twice when its length is odd), as ``np.median`` takes it.
+    twice when its length is odd), as ``np.median`` takes it; the two are
+    added in int64, so int32 values at the 2**31 edge are exact too.
     """
-    run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(values)]))
-    order = np.lexsort((values, run))
+    run_sizes = np.diff(np.r_[starts, len(values)])
+    order = np.lexsort((values, np.repeat(np.arange(len(starts)), run_sizes)))  # run, then value
     ends = np.cumsum(weights[order])  # one past each value's last repeated position
     totals = np.add.reduceat(weights, starts)
     base = np.cumsum(totals) - totals
-    lo = values[order][np.searchsorted(ends, base + (totals - 1) // 2, side="right")]
-    hi = values[order][np.searchsorted(ends, base + totals // 2, side="right")]
-    return (lo + hi) / 2
+    lo = values[order[np.searchsorted(ends, base + (totals - 1) // 2, side="right")]]
+    hi = values[order[np.searchsorted(ends, base + totals // 2, side="right")]]
+    return (lo.astype(np.int64) + hi) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -734,15 +772,16 @@ def merge_cross_page(
 
     One rule application joins at most one boundary, but chains are
     allowed: a paragraph can span three pages via two merges.  Pages
-    without body paragraphs are passed through with a warning and never
-    merged across.
+    without body paragraphs are passed through with a warning that names
+    the page number, and never merged across.
     """
     merged: list[ParagraphRecord] = []
     margins: list[tuple[float, float] | None] = []
     for n, page in enumerate(pages):
         m = body_margins(page)
         if m is None:
-            warnings.warn(f"page index {n}: no body paragraphs, not merging across")
+            where = f"page {page[0].first_page}" if page else f"empty page at position {n}"
+            warnings.warn(f"{where}: no body paragraphs, not merging across")
         margins.append(m)
 
     for n, page in enumerate(pages):

@@ -1,5 +1,6 @@
 """OCR parsing, clustering, paragraph classification, merging, matching."""
 
+import json
 import math
 import os
 import re
@@ -507,6 +508,57 @@ class TestParagraphAssembly:
         with pytest.raises(LabelcalError, match="lines joined"):
             ParagraphRecord("x", 1, 1, (line,), "different", "body", 1.0, 1.0)
 
+    def test_fields_at_the_limits_are_int32_and_their_sums_exact(self):
+        edge = 2**31 - 1
+        tokens = parse_ocr_tsv(tsv(word_row(left=-edge, top=edge, width=edge, height=edge)))
+        assert tokens.fields.dtype == np.int32
+        assert tokens.fields.tolist() == [[1, 1, 1, 1, 1, -edge, edge, edge, edge]]
+        twice = OcrTokens.concat(iter([tokens, OcrTokens.concat([]), tokens]))
+        assert twice.fields.dtype == np.int32
+        assert token_fields(twice) == token_fields(tokens) * 2
+        (p,) = paragraphs_from_tokens(twice)
+        assert [(l.left, l.top, l.right, l.bottom) for l in p.lines] == [(-edge, edge, 0, 2 * edge)]
+        assert (p.char_height, p.char_width) == (float(edge), 2 * edge / 6)
+
+    def test_segment_of_800_pages_fits_in_160_mib_over_its_imports(self, tmp_path):
+        # 576k word boxes (26 MB of TSV) under an address-space cap of what
+        # the interpreter holds once numpy and the CLI are loaded, plus 160
+        # MiB.  The run needs ~120 MiB of it; word boxes held as int64 rows,
+        # copied whole beside the parsed files and again into sorted order,
+        # needed ~190 MiB
+        rng = np.random.default_rng(0)
+        vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyzáéő"), n))
+                 for n in rng.integers(1, 12, 3000)]
+        for page in range(1, 801):
+            rows = []
+            for line, ids in enumerate(rng.integers(0, len(vocab), (60, 12)).tolist(), start=1):
+                left = 100
+                for word, text in enumerate(map(vocab.__getitem__, ids), start=1):
+                    rows.append(word_row(page=page, par=1 + (line - 1) // 6, line=line, word=word,
+                                         left=left, top=60 + 20 * line, width=9 * len(text),
+                                         height=18, text=text))
+                    left += 9 * len(text) + 6
+            (tmp_path / f"page{page:04d}.tsv").write_text(tsv(*rows), encoding="utf-8")
+        out = tmp_path / "paragraphs.jsonl"
+        code = """if True:
+            import resource, sys
+            import numpy, labelcal.cli
+            with open("/proc/self/status") as status:
+                size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+            cap = (size << 10) + (160 << 20)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            sys.argv = ["labelcal", "segment", "--tsv", sys.argv[1], "--out", sys.argv[2]]
+            labelcal.cli.main()
+        """
+        src = os.path.dirname(os.path.dirname(labelcal.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(out)],
+                             capture_output=True, text=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
+        assert run.returncode == 0, run.stderr
+        last = json.loads(out.read_text(encoding="utf-8").splitlines()[-1])
+        assert (last["id"], last["last_page"]) == ("p0800_b001_p010", 800)
+
 
 class TestDbscan:
     def test_two_tight_groups(self):
@@ -891,9 +943,15 @@ class TestMergeCrossPage:
             self.page(1, last_right=698),
             [make_paragraph("h", 14.0, 7.0, page=2, cls="heading")],
         ]
-        with pytest.warns(UserWarning, match="no body"):
+        with pytest.warns(UserWarning, match=r"^page 2: no body paragraphs"):
             merged = merge_cross_page(pages)
         assert len(merged) == len(pages[0]) + 1
+
+    def test_empty_page_warning_names_its_position(self):
+        pages = [self.page(7, last_right=698), [], self.page(9, first_left=100)]
+        with pytest.warns(UserWarning, match=r"^empty page at position 1: no body paragraphs"):
+            merged = merge_cross_page(pages)
+        assert len(merged) == len(pages[0]) + len(pages[2])
 
 
 class TestBowMatch:
