@@ -7,14 +7,15 @@ and keeps the lexicographically smallest score vector.  Single-label
 data gets a classic exact per-class deal instead.
 
 Candidate c is row c % _CHUNK of block c // _CHUNK, where one generator
-derived from (seed, block) shuffles a tile of the fold template row by
-row; so the search result does not depend on how the candidates are
-chunked or in what order the blocks are scored.  Scoring a block holds
-O(_CHUNK * N) bytes of fold ids, one label's count keys and the counts.
+derived from (seed, block) shuffles copies of the fold template _SLAB
+rows at a time, in row order.  Each slab is scored as soon as it is
+drawn and only the best candidate so far is kept, so the search holds
+O(_SLAB * (N + k * L)) values however many candidates it draws.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,53 +83,49 @@ def _deviations(counts: np.ndarray, sizes: np.ndarray, global_prop: np.ndarray) 
 
 
 def _fold_template(n: int, k: int) -> np.ndarray:
-    """Fold id per position for contiguous balanced folds, in the smallest dtype for k - 1."""
-    sizes = np.full(k, n // k, dtype=np.int64)
-    sizes[: n % k] += 1
-    return np.repeat(np.arange(k, dtype=np.min_scalar_type(k - 1)), sizes)
+    """Fold id per position for contiguous balanced folds, the first n % k one item longer."""
+    return np.repeat(np.arange(k, dtype=np.int64), n // k + (np.arange(k) < n % k))
 
 
-def _block_rows(seed: int, block: int, rows: int, template: np.ndarray) -> np.ndarray:
-    """The first ``rows`` candidates of a block, one partition per row."""
+def _slabs(seed: int, block: int, rows: int, template: np.ndarray) -> Iterator[np.ndarray]:
+    """A block's first ``rows`` candidates, ``_SLAB`` rows at a time, one partition per row."""
     rng = derive_rng(seed, block)
-    out = np.empty((rows, template.size), dtype=template.dtype)
     for lo in range(0, rows, _SLAB):  # one generator runs through the slabs in row order
-        slab = np.tile(template.astype(np.int64), (min(_SLAB, rows - lo), 1))
-        out[lo:lo + _SLAB] = rng.permuted(slab, axis=1, out=slab)
-    return out
+        slab = np.tile(template, (min(_SLAB, rows - lo), 1))
+        yield rng.permuted(slab, axis=1, out=slab)
 
 
 def candidate_partition(seed: int, candidate: int, n: int, k: int) -> np.ndarray:
     """The candidate'th seeded random balanced partition: a shuffled template."""
     block, row = divmod(candidate, _CHUNK)
-    return _block_rows(seed, block, row + 1, _fold_template(n, k))[row].astype(np.int64)
+    *_, slab = _slabs(seed, block, row + 1, _fold_template(n, k))
+    return slab[-1]
 
 
-def _score_block(
-    members: list[np.ndarray], global_prop: np.ndarray,
-    seed: int, block: int, rows: int, n: int, k: int,
-) -> tuple[tuple[float, ...], int, np.ndarray]:
-    """Best (score tuple, candidate index, fold ids) among a block's first ``rows``.
+def _min_peak_rows(
+    members: list[np.ndarray], global_prop: np.ndarray, sizes: np.ndarray, slab: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, descending score vectors) of the slab rows whose peak deviation is the slab's least.
 
-    ``members[j]`` lists the items that carry label j.  Only rows whose
-    largest deviation is the block minimum can win, so only they are sorted.
+    ``members[j]`` lists the items that carry label j.  Only these rows
+    can hold the slab's smallest score vector, so only they are sorted.
     """
-    template = _fold_template(n, k)
-    sizes = np.bincount(template, minlength=k).astype(np.float64)
-    fold_of = _block_rows(seed, block, rows, template)
+    rows, k = slab.shape[0], sizes.size
     counts = np.empty((rows, k, global_prop.size), dtype=np.int64)
+    offsets = np.arange(rows)[:, None] * k
     for label, items in enumerate(members):
-        keys = np.take(fold_of, items, axis=1) + np.arange(rows)[:, None] * k
+        keys = slab.take(items, axis=1) + offsets
         counts[:, :, label] = np.bincount(keys.ravel(), minlength=rows * k).reshape(rows, k)
     diffs = _deviations(counts, sizes, global_prop).reshape(rows, -1)
     peak = diffs.max(axis=1)
     tied = np.flatnonzero(peak == peak.min())
-    scores = np.sort(diffs[tied], axis=1)[:, ::-1]
-    best = np.arange(tied.size)  # narrowed column by column to the lexicographic minima, in row order
-    for column in scores.T:
-        best = best[column[best] == column[best].min()]
-    row = int(tied[best[0]])
-    return tuple(scores[best[0]]), block * _CHUNK + row, fold_of[row].copy()
+    return tied, np.sort(diffs[tied], axis=1)[:, ::-1]
+
+
+def _precedes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether score vector ``a`` is lexicographically smaller than ``b``."""
+    differ = np.flatnonzero(a != b)
+    return differ.size > 0 and a[differ[0]] < b[differ[0]]
 
 
 def stratified_kfold(
@@ -141,9 +138,9 @@ def stratified_kfold(
 
     "Best" means the lexicographically smallest descending-sorted score
     vector; ties keep the earliest-generated candidate.  Deterministic
-    given (labels, k, candidates, seed).  Candidates are scored
-    ``_CHUNK`` at a time, which bounds memory at O(_CHUNK * N) bytes of
-    fold ids, plus one label's count keys, plus the counts.
+    given (labels, k, candidates, seed).  Candidates are drawn and scored
+    ``_SLAB`` at a time and only the best so far is kept, which bounds
+    memory at O(_SLAB * (N + k * L)) values, however many candidates.
     """
     n = labels.n_items
     _check_fold_count(n, k)
@@ -151,12 +148,15 @@ def stratified_kfold(
         raise LabelcalError(f"candidates must be >= 1, got {candidates}")
     members = [np.flatnonzero(column) for column in labels.values.T]
     global_prop = labels.values.astype(np.float64).mean(axis=0)
-    best_score, _, fold_of = min(
-        (_score_block(members, global_prop, seed, b, min(_CHUNK, candidates - b * _CHUNK), n, k)
-         for b in range(-(-candidates // _CHUNK))),
-        key=lambda best: best[:2],
-    )
-    return FoldAssignment(fold_of=fold_of, k=k, score=np.array(best_score))
+    template = _fold_template(n, k)
+    sizes = np.bincount(template, minlength=k).astype(np.float64)
+    best_score = None
+    for block in range(-(-candidates // _CHUNK)):
+        for slab in _slabs(seed, block, min(_CHUNK, candidates - block * _CHUNK), template):
+            for row, score in zip(*_min_peak_rows(members, global_prop, sizes, slab)):
+                if best_score is None or _precedes(score, best_score):  # a tie keeps the earlier
+                    best_score, fold_of = score.copy(), slab[row].copy()
+    return FoldAssignment(fold_of=fold_of, k=k, score=best_score)
 
 
 def stratified_single_label(

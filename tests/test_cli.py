@@ -409,8 +409,9 @@ class TestInputErrors:
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_out_of_memory_is_data_error(self, tmp_path):
-        # 20k items x 50 rare labels, 2048 candidates: the fold search needs
-        # more than a 150 MiB address space (it runs in 200 MiB)
+        # 20k items x 50 rare labels in 5000 folds of 4: one slab's counts and
+        # deviations are 32 x 5000 x 50 values (64 MB an array), and the run
+        # needs 308 MiB of address space, twice the 150 MiB cap
         rates = 0.2 * 0.93 ** np.arange(50)
         values = (np.random.default_rng(0).random((20_000, 50)) < rates).astype(np.int8)
         labels = tmp_path / "labels.csv"
@@ -422,8 +423,9 @@ class TestInputErrors:
             from labelcal.cli import dispatch
             sys.exit(dispatch(sys.argv[1:]))
         """
-        run = _child("-c", code, "folds", "--labels", str(labels), "--candidates", "2048",
-                     "--out", str(tmp_path / "folds.csv"), env={"OPENBLAS_NUM_THREADS": "1"})
+        run = _child("-c", code, "folds", "--labels", str(labels), "--k", "5000",
+                     "--candidates", "64", "--out", str(tmp_path / "folds.csv"),
+                     env={"OPENBLAS_NUM_THREADS": "1"})
         assert (run.returncode, run.stdout, run.stderr) == (
             2, "", "labelcal: error: folds: out of memory\n")
         assert os.listdir(tmp_path) == ["labels.csv"]

@@ -13,8 +13,9 @@ from labelcal._util import derive_rng
 from labelcal.core import LabelcalError, LabelMatrix
 from labelcal.folds import (
     _CHUNK,
-    _block_rows,
+    _SLAB,
     _fold_template,
+    _slabs,
     FoldAssignment,
     candidate_partition,
     partition_score,
@@ -176,30 +177,33 @@ class TestStratifiedKfold:
         assert tuple(out.score) == scores[best]
 
     def test_candidate_partition_is_the_row_the_search_scored(self, monkeypatch):
-        drawn = {}
-        calls = []
+        drawn = []  # (block, slab) in the order the search drew them
 
         def record(seed, block, rows, template):
-            out = _block_rows(seed, block, rows, template)
-            calls.append(block)
-            drawn[block] = out.copy()
-            return out
+            for slab in _slabs(seed, block, rows, template):
+                drawn.append((block, slab.copy()))
+                yield slab
 
-        monkeypatch.setattr("labelcal.folds._block_rows", record)
+        monkeypatch.setattr("labelcal.folds._slabs", record)
         rng = np.random.default_rng(7)
         labels = LabelMatrix(("a", "b"), (rng.random((31, 2)) < 0.4).astype(int))
         candidates = 2 * _CHUNK + 37
-        stratified_kfold(labels, k=3, candidates=candidates, seed=8)
+        out = stratified_kfold(labels, k=3, candidates=candidates, seed=8)
         monkeypatch.undo()
-        assert calls == [0, 1, 2]  # each block drawn once: the winner is not drawn again
-        assert [len(drawn[b]) for b in sorted(drawn)] == [_CHUNK, _CHUNK, 37]
+        # each slab drawn once, in row order, and nothing after the last:
+        # the winner is not drawn again
+        per_block = _CHUNK // _SLAB
+        assert [block for block, _ in drawn] == [0] * per_block + [1] * per_block + [2, 2]
+        assert [len(slab) for _, slab in drawn] == [_SLAB] * (2 * per_block + 1) + [37 - _SLAB]
+        rows = np.concatenate([slab for _, slab in drawn])  # candidate c is row c
         template_sizes = np.bincount(_fold_template(31, 3))
-        for c in (0, _CHUNK - 1, _CHUNK, candidates - 1):
-            row = drawn[c // _CHUNK][c % _CHUNK]
+        for c in (0, _SLAB - 1, _SLAB, _CHUNK - 1, _CHUNK, candidates - 1):
             assert candidate_partition(8, c, 31, 3).dtype == np.int64
-            np.testing.assert_array_equal(candidate_partition(8, c, 31, 3), row)
-            np.testing.assert_array_equal(np.bincount(row, minlength=3), template_sizes)
-        assert not np.array_equal(drawn[0][0], drawn[1][0])
+            np.testing.assert_array_equal(candidate_partition(8, c, 31, 3), rows[c])
+            np.testing.assert_array_equal(np.bincount(rows[c], minlength=3), template_sizes)
+        assert not np.array_equal(rows[0], rows[_CHUNK])
+        winner = np.flatnonzero((rows == out.fold_of).all(axis=1))[0]
+        np.testing.assert_array_equal(candidate_partition(8, winner, 31, 3), out.fold_of)
 
     def test_all_candidates_tie_across_chunks_keeps_first(self):
         labels = LabelMatrix(("a", "b"), np.zeros((9, 2), dtype=int))
@@ -241,12 +245,13 @@ class TestStratifiedKfold:
         assert sizes.sum() == 23
         assert sizes.max() - sizes.min() <= 1
 
-    def test_paper_scale_block_fits_in_384_mib(self):
-        # 20k items x 50 rare labels (nnz ~56k): a block of int64 keys for
-        # every positive cell at once would need 435 MiB on its own
+    def test_paper_scale_search_fits_in_160_mib(self):
+        # 20k items x 50 rare labels, one block of candidates.  numpy and the
+        # input take 119 MiB of address space and the search 5 more; holding
+        # the whole block's fold ids and counts at once reached 204 MiB
         code = """if True:
             import resource
-            cap = 384 << 20
+            cap = 160 << 20
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
             import numpy as np
             from labelcal.core import LabelMatrix

@@ -38,7 +38,9 @@ from labelcal.core import (  # noqa: E402
     bow_match_many,
     text_lines,
 )
-from labelcal.folds import _CHUNK, partition_score, stratified_kfold  # noqa: E402
+from labelcal.folds import (  # noqa: E402
+    _CHUNK, _SLAB, candidate_partition, partition_score, stratified_kfold,
+)
 from labelcal import core, segmentation  # noqa: E402
 from labelcal.relnet import RelationNetwork, kamada_kawai_layout  # noqa: E402
 from labelcal.segmentation import (  # noqa: E402
@@ -476,8 +478,8 @@ def test_one_more_iteration_never_raises_the_stress(net, k):
 def fold_searches(draw):
     """(labels, k, seed).  Small k = 2 matrices give few distinct
     deviations, so rows tie on their largest one and on later ones;
-    identical columns repeat every deviation; k = 300 takes the two-byte
-    fold ids."""
+    identical columns repeat every deviation; k = 300 gives folds of one
+    or two items and 300 * L counts per row."""
     k = draw(st.sampled_from([2, 2, 3, 300]))
     n = draw(st.integers(300, 320) if k == 300 else st.integers(k, 24))
     n_labels = draw(st.integers(1, 4))
@@ -498,13 +500,33 @@ def fold_searches(draw):
 @given(fold_searches())
 def test_max_first_fold_search_equals_full_sort_oracle(search):
     labels, k, seed = search
-    for candidates in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 37):
+    for candidates in (1, _SLAB - 1, _SLAB, _SLAB + 1, 2 * _SLAB + 1,
+                       _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 37):
         score, _, fold_of = search_oracle(labels, k, candidates, seed)
         out = stratified_kfold(labels, k, candidates, seed)
         np.testing.assert_array_equal(out.fold_of, fold_of)
         assert out.score.tobytes() == np.array(score).tobytes()
         # the reference scorer gives the same bits, all-zero and identical columns included
         assert partition_score(labels, out.fold_of, k).tobytes() == out.score.tobytes()
+
+
+def test_fold_search_ties_across_slabs_and_blocks_keep_the_earliest():
+    # rows tied on the smallest peak deviation lie in several slabs of both
+    # blocks: row 2 (slab 0) loses to row 37 (slab 1) on a later entry, and
+    # row 37's whole score vector recurs in later slabs and in block 1
+    labels = LabelMatrix(("a", "b", "c"),
+                         (np.random.default_rng(0).random((14, 3)) < 0.35).astype(int))
+    candidates = _CHUNK + 2 * _SLAB
+    scores = [tuple(partition_score(labels, candidate_partition(0, c, 14, 3), 3))
+              for c in range(candidates)]
+    best = min(scores)
+    peak_tied = [c for c in range(candidates) if scores[c][0] == best[0]]
+    winners = [c for c in range(candidates) if scores[c] == best]
+    assert peak_tied[0] == 2 and winners[0] == 37
+    assert {c // _SLAB for c in winners} > {1, 3} and {c // _CHUNK for c in winners} == {0, 1}
+    out = stratified_kfold(labels, 3, candidates, seed=0)
+    np.testing.assert_array_equal(out.fold_of, candidate_partition(0, 37, 14, 3))
+    assert tuple(out.score) == scores[37]
 
 
 @st.composite
