@@ -9,7 +9,7 @@ label-count error rate on out-of-fold predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -203,7 +203,7 @@ def _block_table(
     values = {name: per_treatment(matrix) for name, matrix in _treatments(oof_probs, thresholds)}
     rows = [{"labels": block, **{name: cell(value, cols) for name, value in values.items()}}
             for block, cols in frequency_blocks(truth)]
-    return {"thresholds": {"p_low": thresholds.p_low, "p_high": thresholds.p_high}, "rows": rows}
+    return {"thresholds": asdict(thresholds), "rows": rows}
 
 
 def count_error_table(

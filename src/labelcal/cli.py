@@ -30,7 +30,7 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -169,6 +169,8 @@ def _cmd_filter(args) -> Run:
 
 
 def _cmd_folds(args) -> Run:
+    import numpy as np
+
     labels = load_label_matrix(args.labels, kind=args.kind)
     if args.kind == "multiclass":
         assignment = folds.stratified_single_label(
@@ -178,7 +180,8 @@ def _cmd_folds(args) -> Run:
         assignment = folds.stratified_kfold(
             labels, k=args.k, candidates=args.candidates, seed=args.seed
         )
-    table = "id,fold\n" + "".join(f"{i},{fold}\n" for i, fold in enumerate(assignment.fold_of))
+    fold_of = assignment.fold_of
+    table = format_matrix(("id", "fold"), np.column_stack((np.arange(fold_of.size), fold_of)))
     score = format_json({"k": assignment.k, "score": list(assignment.score)})
     return [(args.out, table), (args.out + ".score.json", score)], [args.labels]
 
@@ -189,15 +192,8 @@ def _cmd_metrics(args) -> Run:
     probs = load_prob_matrix(args.probs)
     truth = load_label_matrix(args.truth, kind=args.kind)
     report: dict = {"n_items": probs.n_items, "n_labels": probs.n_labels}
-    auc = metrics.macro_roc_auc(probs, truth)
-    report["macro_roc_auc"] = {
-        "value": auc.value, "per_label": auc.per_label, "undefined": list(auc.undefined),
-    }
-    counts = metrics.label_count_error_rate(probs, truth)
-    report["label_count_error_rate"] = {
-        "value": counts.value, "per_label": counts.per_label,
-        "excluded": list(counts.excluded),
-    }
+    report["macro_roc_auc"] = asdict(metrics.macro_roc_auc(probs, truth))
+    report["label_count_error_rate"] = asdict(metrics.label_count_error_rate(probs, truth))
     ece = {
         name: metrics.expected_calibration_error(
             probs.values[:, j], truth.values[:, j], bins=args.bins
@@ -237,7 +233,7 @@ def _cmd_calibrate(args) -> Run:
         low_range=tuple(args.low_range), high_range=tuple(args.high_range),
     )
     report = {
-        "thresholds": {"p_low": thresholds.p_low, "p_high": thresholds.p_high},
+        "thresholds": asdict(thresholds),
         "error": error,
         "baselines": {
             "no_truncation": metrics.label_count_error_rate(oof, truth).value,
@@ -282,8 +278,7 @@ def _cmd_size_curve(args) -> Run:
     scores = _load_lines(args.scores, "float64", "malformed number")
     sizes = range(args.sizes[0], args.sizes[1] + 1, args.sizes[2])
     curve = sampling.sizing_curve(scores, sizes=sizes, reps=args.reps, seed=args.seed)
-    payload = {"sizes": list(curve.sizes), "mean_std": list(curve.mean_std), "reps": curve.reps}
-    return [(args.out, format_json(payload))], [args.scores]
+    return [(args.out, format_json(asdict(curve)))], [args.scores]
 
 
 def _cmd_relnet(args) -> Run:
@@ -314,16 +309,7 @@ def _cmd_pbt_demo(args) -> Run:
         mode="fixed" if args.mode == "multilabel" else "patience",
     )
     result = pbt.pbt_run(lambda: pbt.LinearTrainable(spec), config)
-    history = {
-        "mode": args.mode,
-        "best_score": result.best_score,
-        "best_hyperparameters": result.best_hyperparameters,
-        "best_member": result.best_member,
-        "best_generation": result.best_generation,
-        "generations": result.generations,
-        "history": result.history,
-    }
-    return [(args.out, format_json(history))], []
+    return [(args.out, format_json({"mode": args.mode, **asdict(result)}))], []
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, func, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
+        p.add_argument("--out", required=True)  # dispatch names the manifest after it
         return p
 
     p = add("segment", _cmd_segment, help="OCR word boxes to classified paragraphs")
     p.add_argument("--tsv", required=True, help="word-box .tsv file or directory")
-    p.add_argument("--out", required=True)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--min-pts", type=int, default=3)
     p.add_argument("--merge-mode", choices=["conjunctive", "disjunctive"],
@@ -352,13 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("match", _cmd_match, help="match annotation quotes to paragraphs")
     p.add_argument("--quotes", required=True)
     p.add_argument("--paragraphs", required=True)
-    p.add_argument("--out", required=True)
 
     p = add("filter", _cmd_filter, help="keep texts containing a subword")
     p.add_argument("--texts", required=True)
     p.add_argument("--needle", required=True)
     p.add_argument("--case-fold", action="store_true")
-    p.add_argument("--out", required=True)
 
     p = add("folds", _cmd_folds, help="stratified k-fold partition search")
     p.add_argument("--labels", required=True)
@@ -366,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
     p = add("metrics", _cmd_metrics, help="evaluation metric report")
     p.add_argument("--probs", required=True)
@@ -375,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=DEFAULT_ECE_BINS)
     p.add_argument("--years", default=None,
                    help="one year per item; adds the tendency error")
-    p.add_argument("--out", required=True)
 
     p = add("calibrate", _cmd_calibrate, help="grid-search truncation thresholds")
     p.add_argument("--oof", required=True, help="out-of-fold predictions")
@@ -387,19 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(DEFAULT_HIGH_RANGE))
     p.add_argument("--years", default=None,
                    help="one year per item; enables the tendency table")
-    p.add_argument("--out", required=True)
 
     p = add("truncate", _cmd_truncate, help="apply truncation thresholds")
     p.add_argument("--probs", required=True)
     p.add_argument("--p-low", type=float, required=True)
     p.add_argument("--p-high", type=float, required=True)
-    p.add_argument("--out", required=True)
 
     p = add("sample", _cmd_sample, help="importance-weighted validation sample")
     p.add_argument("--probs", required=True)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
     p = add("size-curve", _cmd_size_curve, help="bootstrap sample-size planning")
     p.add_argument("--scores", required=True, help="one metric value per line")
@@ -410,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignored: the curve uses the closed-form bootstrap SE; "
                         "kept so existing command lines parse, and to be removed")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
     p = add("relnet", _cmd_relnet, help="label relation network export")
     source = p.add_mutually_exclusive_group(required=True)
@@ -419,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibrate", choices=["none", "half"], default="none",
                    help="half: threshold at 0.5; for truncation run `truncate` first")
     p.add_argument("--min-weight", type=float, default=0.1)
-    p.add_argument("--out", required=True)
     p.add_argument("--json-out", default=None)
 
     p = add("pbt-demo", _cmd_pbt_demo,
@@ -432,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=int, default=5)
     p.add_argument("--features", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
     return parser
 

@@ -104,8 +104,9 @@ class PbtConfig:
     mode: str = "patience"  # "fixed": exactly min_generations, no patience
 
     def __post_init__(self) -> None:
-        if self.population_size < 1:
-            raise LabelcalError("population_size must be >= 1")
+        for name in ("population_size", "min_generations", "patience"):
+            if getattr(self, name) < 1:
+                raise LabelcalError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mode not in ("fixed", "patience"):
             raise LabelcalError(f"unknown stopping mode {self.mode!r}")
 

@@ -30,7 +30,6 @@ class BinStructure:
     single bin holding every item.
     """
 
-    max_prob: np.ndarray     # (L,)
     bin_index: np.ndarray    # (N, L), zero-based
     bin_counts: np.ndarray   # (L, N_BINS)
 
@@ -48,7 +47,7 @@ def bin_structure(probs: ProbMatrix) -> BinStructure:
             bin_index[:, j] = np.searchsorted(edges, values[:, j], side="right")
         # p == 0: everything stays in bin 0
         bin_counts[j] = np.bincount(bin_index[:, j], minlength=N_BINS)
-    return BinStructure(max_prob, bin_index, bin_counts)
+    return BinStructure(bin_index, bin_counts)
 
 
 def importance_weights(probs: ProbMatrix) -> np.ndarray:

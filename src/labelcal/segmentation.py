@@ -353,7 +353,7 @@ _PAIR_BLOCK = 1 << 18
 _MIN_EPS = 2.0**-500
 
 
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+def dbscan(points: np.ndarray, eps: float | None, min_pts: int) -> np.ndarray:
     """Density-based clustering of 1- to 3-dimensional finite points;
     returns cluster ids with -1 for noise.
 
@@ -362,8 +362,10 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     of the core points, numbered by their lowest core index; border
     points join the cluster of their nearest core neighbor (the lowest
     index on a tie), which makes the partition independent of point
-    order.  Memory is O(m + cells): no m x m array is made (see
-    ``_dbscan``).
+    order.  ``eps=None`` takes the k-distance heuristic (see
+    ``_k_distance_eps``).  Memory is O(m + cells): identical points are
+    clustered once, and neither the k-distances nor the clustering make
+    an m x m array (see ``_dbscan``).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -376,6 +378,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     distinct, first, inverse, weight = np.unique(
         points, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
+    if eps is None:
+        eps = _k_distance_eps(distinct, weight, min_pts)
     return _dbscan(distinct, weight, first, eps, min_pts)[inverse.reshape(-1)]
 
 
@@ -578,16 +582,19 @@ def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 def _k_distance_eps(points: np.ndarray, weight: np.ndarray, min_pts: int) -> float:
     """k-distance heuristic on distinct points, the i'th standing for
-    ``weight[i]`` copies: eps at the largest jump of sorted k-distances."""
+    ``weight[i]`` copies: eps at the first largest jump of the sorted
+    k-distances.  Copies add only zero jumps, so the jumps are taken
+    between the distinct k-distances."""
     m = int(weight.sum())
     k = min(min_pts, m) - 1  # distance to the min_pts'th point counting itself
-    kd = np.sort(np.repeat(_k_distances(points, weight, k), weight)) if k >= 0 else np.zeros(m)
-    if kd.size < 2 or kd[-1] == 0.0:
+    if m < 2 or k < 0:
         return 1.0
-    gaps = np.diff(kd)
-    j = int(np.argmax(gaps))
-    if gaps[j] == 0.0:
+    kd = np.unique(_k_distances(points, weight, k))
+    if kd[-1] == 0.0:
+        return 1.0
+    if kd.size == 1:  # every k-distance the same: no jump
         return float(kd[-1]) * 1.001
+    j = int(np.argmax(np.diff(kd)))
     return float((kd[j] + kd[j + 1]) / 2.0)
 
 
@@ -647,11 +654,8 @@ def classify_paragraphs(
     The cluster with the largest total text mass is the body; remaining
     clusters become footnote (smaller char height than the body) or
     heading (larger), extra clusters get numbered auxiliary names, and
-    DBSCAN noise maps to "noise".  ``eps`` defaults to the k-distance
-    heuristic on the standardised features.  Memory grows with the
-    number of paragraphs, not its square: identical feature points are
-    clustered once, and neither the k-distances nor DBSCAN make an
-    m x m array.
+    DBSCAN noise maps to "noise".  ``eps`` defaults to ``dbscan``'s
+    k-distance heuristic on the standardised features.
     """
     if not paragraphs:
         raise LabelcalError("classify_paragraphs needs at least one paragraph")
@@ -664,13 +668,7 @@ def classify_paragraphs(
         )
     std = features.std(axis=0)
     std[std == 0.0] = 1.0
-    distinct, first, inverse, weight = np.unique(
-        (features - features.mean(axis=0)) / std,
-        axis=0, return_index=True, return_inverse=True, return_counts=True,
-    )
-    if eps is None:
-        eps = _k_distance_eps(distinct, weight, min_pts)
-    ids = _dbscan(distinct, weight, first, eps, min_pts)[inverse.reshape(-1)]
+    ids = dbscan((features - features.mean(axis=0)) / std, eps, min_pts)
 
     names: dict[int, str] = {}
     n_clusters = int(ids.max()) + 1
@@ -733,6 +731,11 @@ def _join(a: ParagraphRecord, b: ParagraphRecord) -> ParagraphRecord:
     )
 
 
+def _check_merge_mode(mode: str) -> None:
+    if mode not in ("conjunctive", "disjunctive"):
+        raise LabelcalError(f"unknown merge mode {mode!r}")
+
+
 def merge_decision(
     last: ParagraphRecord,
     first: ParagraphRecord,
@@ -748,6 +751,7 @@ def merge_decision(
     Both paragraphs must be body class; "conjunctive" needs both cues,
     "disjunctive" accepts either.
     """
+    _check_merge_mode(mode)
     if last.cls != "body" or first.cls != "body":
         return False
     _, right_margin = left_page_margins
@@ -760,9 +764,7 @@ def merge_decision(
     )
     if mode == "conjunctive":
         return reaches_right and not_indented
-    if mode == "disjunctive":
-        return reaches_right or not_indented
-    raise LabelcalError(f"unknown merge mode {mode!r}")
+    return reaches_right or not_indented
 
 
 def merge_cross_page(
@@ -775,6 +777,7 @@ def merge_cross_page(
     without body paragraphs are passed through with a warning that names
     the page number, and never merged across.
     """
+    _check_merge_mode(mode)
     merged: list[ParagraphRecord] = []
     margins: list[tuple[float, float] | None] = []
     for n, page in enumerate(pages):

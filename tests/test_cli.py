@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import labelcal
+from labelcal import calibration, folds, metrics, pbt, sampling
 from labelcal.cli import build_parser, dispatch
-from labelcal.core import format_matrix
+from labelcal.core import format_json, format_matrix, load_label_matrix, load_prob_matrix
 
 HEADER = "level\tpage_num\tblock_num\tpar_num\tline_num\tword_num\tleft\ttop\twidth\theight\tconf\ttext"
 
@@ -1033,3 +1034,123 @@ class TestAllOrNothing:
         err = capsys.readouterr().err
         assert err.startswith("labelcal: error:") and f"'{out / target}'" in err
         assert os.listdir(out) == [target] and not os.listdir(out / target)
+
+
+class TestOutOption:
+    @pytest.mark.parametrize("argv", [argv for argv, _ in ALL_OR_NOTHING],
+                             ids=[argv[0] for argv, _ in ALL_OR_NOTHING])
+    def test_every_subcommand_needs_out_and_lists_it_once(
+            self, tmp_path, stage_inputs, capsys, argv):
+        # dispatch names the manifest after --out, so no subcommand may run without it
+        argv = [a.format(out=tmp_path, **stage_inputs) for a in argv]
+        before = sorted(os.listdir(tmp_path))
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            "labelcal: error: the following arguments are required: --out\n")
+        assert sorted(os.listdir(tmp_path)) == before
+        with pytest.raises(SystemExit) as exc:
+            dispatch([argv[0], "--help"])
+        assert exc.value.code == 0
+        _, options = capsys.readouterr().out.split("\noptions:\n")
+        listed = [line for line in options.splitlines() if line.split()[:1] == ["--out"]]
+        assert listed == ["  --out OUT"]
+
+
+class TestReportsFromResultTypes:
+    """Reports built from ``asdict`` of their result objects have the bytes
+    of the field-by-field rendering they replaced."""
+
+    @staticmethod
+    def reformatted(path, **sections):
+        """The report at ``path`` with ``sections`` replaced, rendered again."""
+        report = json.loads(open(path, encoding="utf-8").read())
+        report.update(sections)
+        return format_json(report)
+
+    def test_metrics(self, tmp_path, stage_inputs):
+        out = str(tmp_path / "metrics.json")
+        assert dispatch(["metrics", "--probs", stage_inputs["probs"],
+                         "--truth", stage_inputs["truth"],
+                         "--years", str(tmp_path / "years.txt"), "--out", out]) == 0
+        probs = load_prob_matrix(stage_inputs["probs"])
+        truth = load_label_matrix(stage_inputs["truth"])
+        auc = metrics.macro_roc_auc(probs, truth)
+        counts = metrics.label_count_error_rate(probs, truth)
+        assert counts.excluded == () and auc.undefined == ()
+        old = self.reformatted(out, macro_roc_auc={
+            "value": auc.value, "per_label": auc.per_label, "undefined": list(auc.undefined),
+        }, label_count_error_rate={
+            "value": counts.value, "per_label": counts.per_label,
+            "excluded": list(counts.excluded),
+        })
+        assert open(out, encoding="utf-8").read() == old
+
+    def test_calibrate(self, tmp_path, stage_inputs):
+        out = str(tmp_path / "calibration.json")
+        assert dispatch(["calibrate", "--oof", stage_inputs["probs"],
+                         "--truth", stage_inputs["truth"], "--step", "0.1",
+                         "--years", str(tmp_path / "years.txt"), "--out", out]) == 0
+        oof = load_prob_matrix(stage_inputs["probs"])
+        truth = load_label_matrix(stage_inputs["truth"])
+        thresholds, _ = calibration.grid_search_thresholds(oof, truth, grid_step=0.1)
+        pair = {"p_low": thresholds.p_low, "p_high": thresholds.p_high}
+        report = json.loads(open(out, encoding="utf-8").read())
+        old = self.reformatted(
+            out, thresholds=pair,
+            count_error_table={**report["count_error_table"], "thresholds": pair},
+            tendency_table={**report["tendency_table"], "thresholds": pair},
+        )
+        assert open(out, encoding="utf-8").read() == old
+
+    def test_size_curve(self, tmp_path, stage_inputs):
+        out = str(tmp_path / "curve.json")
+        assert dispatch(["size-curve", "--scores", str(tmp_path / "scores.txt"),
+                         "--sizes", "10", "40", "10", "--reps", "3", "--seed", "4",
+                         "--out", out]) == 0
+        scores = np.array([float(line) for line in
+                           (tmp_path / "scores.txt").read_text("utf-8").splitlines()])
+        curve = sampling.sizing_curve(scores, sizes=range(10, 41, 10), reps=3, seed=4)
+        old = format_json(
+            {"sizes": list(curve.sizes), "mean_std": list(curve.mean_std), "reps": curve.reps})
+        assert open(out, encoding="utf-8").read() == old
+
+    @pytest.mark.parametrize("mode", ["multilabel", "multiclass"])
+    def test_pbt_demo(self, tmp_path, mode):
+        out = str(tmp_path / f"pbt_{mode}.json")
+        assert dispatch(["pbt-demo", "--mode", mode, "--population", "4", "--generations", "2",
+                         "--patience", "1", "--items", "80", "--labels", "3",
+                         "--features", "4", "--seed", "2", "--out", out]) == 0
+        spec = pbt.ToyDataSpec(n_items=80, n_labels=3, n_features=4, mode=mode, seed=2)
+        config = pbt.PbtConfig(population_size=4, min_generations=2, patience=1, seed=2,
+                               mode="fixed" if mode == "multilabel" else "patience")
+        result = pbt.pbt_run(lambda: pbt.LinearTrainable(spec), config)
+        old = format_json({
+            "mode": mode,
+            "best_score": result.best_score,
+            "best_hyperparameters": result.best_hyperparameters,
+            "best_member": result.best_member,
+            "best_generation": result.best_generation,
+            "generations": result.generations,
+            "history": result.history,
+        })
+        assert open(out, encoding="utf-8").read() == old
+
+    def test_folds(self, tmp_path, truth_csv):
+        out = str(tmp_path / "folds.csv")
+        assert dispatch(["folds", "--labels", truth_csv, "--k", "4", "--candidates", "40",
+                         "--seed", "6", "--out", out]) == 0
+        fold_of = folds.stratified_kfold(
+            load_label_matrix(truth_csv), k=4, candidates=40, seed=6).fold_of
+        old = "id,fold\n" + "".join(f"{i},{fold}\n" for i, fold in enumerate(fold_of))
+        assert open(out, encoding="utf-8").read() == old
+
+
+class TestPbtDemoCounts:
+    @pytest.mark.parametrize("flag, field", [("--generations", "min_generations"),
+                                             ("--patience", "patience")])
+    def test_count_below_one_is_data_error_without_output(self, tmp_path, capsys, flag, field):
+        out = str(tmp_path / "pbt.json")
+        assert dispatch(["pbt-demo", "--population", "2", "--items", "40", "--labels", "2",
+                         "--features", "2", flag, "0", "--out", out]) == 2
+        assert capsys.readouterr().err == f"labelcal: error: {field} must be >= 1, got 0\n"
+        assert os.listdir(tmp_path) == []

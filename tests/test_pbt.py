@@ -130,6 +130,20 @@ class TestPbtRun:
         config = PbtConfig(population_size=3, min_generations=6, seed=2, mode="fixed")
         assert pbt_run(QuadraticToy, config).generations == 6
 
+    def test_one_generation_and_patience_of_one_are_honoured(self):
+        fixed = PbtConfig(population_size=3, min_generations=1, seed=2, mode="fixed")
+        assert pbt_run(QuadraticToy, fixed).generations == 1
+        # one member is never perturbed, so its score never improves after the first
+        patient = PbtConfig(population_size=1, min_generations=1, patience=1, seed=1)
+        assert pbt_run(QuadraticToy, patient).generations == 1 + 1
+
+    @pytest.mark.parametrize("field", ["population_size", "min_generations", "patience"])
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("mode", ["fixed", "patience"])
+    def test_counts_below_one_are_rejected(self, field, value, mode):
+        with pytest.raises(LabelcalError, match=f"^{field} must be >= 1, got {value}$"):
+            PbtConfig(mode=mode, **{field: value})
+
     def test_deterministic_history(self):
         config = PbtConfig(population_size=6, min_generations=5, seed=7, mode="fixed")
         a = pbt_run(QuadraticToy, config)

@@ -568,6 +568,18 @@ def test_grid_dbscan_equals_dense_oracle(instance):
                                       dense_dbscan(points, eps, min_pts))
 
 
+@settings(max_examples=200)
+@given(dbscan_instances(), st.booleans())
+def test_dbscan_default_eps_is_the_dense_k_distance_heuristic(instance, beyond):
+    points, _, min_pts, block = instance
+    if beyond:  # more neighbours than points: k stops at the farthest copy
+        min_pts += len(points)
+    with mock.patch.object(segmentation, "_PAIR_BLOCK", block):
+        np.testing.assert_array_equal(
+            dbscan(points, None, min_pts),
+            dbscan(points, dense_k_distance_eps(points, min_pts), min_pts))
+
+
 @given(st.text(st.sampled_from("ab \r\n\f\v\x1c\x85\u2028")))
 def test_text_lines_are_the_lines_of_a_text_mode_file(text):
     wrapper = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")

@@ -27,6 +27,7 @@ from labelcal.segmentation import (
     classify_paragraphs,
     dbscan,
     merge_cross_page,
+    merge_decision,
     paragraphs_from_tokens,
     parse_ocr_tsv,
 )
@@ -720,8 +721,44 @@ class TestDbscan:
                     np.testing.assert_array_equal(dbscan(points, e, min_pts),
                                                   dense_dbscan(points, e, min_pts))
 
+    def test_default_eps_is_the_dense_k_distance_heuristic(self):
+        lattice = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
+        # k-distances 1, 2, 4 and 6, three copies each (min_pts 3): the copies add zero
+        # jumps, and of the two equal largest jumps the first wins
+        tied_jumps = np.array([0, 0, 1, 10, 10, 12, 20, 20, 24, 40, 40, 46], dtype=float)[:, None]
+        cases = [np.full((7, 2), 3.5), np.zeros((5, 2)), np.zeros((1, 2)), lattice,
+                 np.repeat(lattice, [1, 3] * 6, axis=0), tied_jumps,
+                 np.round(np.random.default_rng(92).normal(size=(40, 2)) * 4) / 4]
+        for points in cases:
+            for min_pts in (1, 2, 3, 5, len(points) + 4):
+                eps = dense_k_distance_eps(points, min_pts)
+                np.testing.assert_array_equal(dbscan(points, None, min_pts),
+                                              dbscan(points, eps, min_pts))
+                np.testing.assert_array_equal(dbscan(points, None, min_pts),
+                                              dense_dbscan(points, eps, min_pts))
+        assert dbscan(np.zeros((0, 2)), None, 3).shape == (0,)
+        assert dense_k_distance_eps(tied_jumps, 3) == 3.0
+        assert dense_k_distance_eps(np.full((7, 2), 3.5), 3) == 1.0  # all k-distances 0
+        assert dense_k_distance_eps(lattice, 2) == 1.001  # all k-distances 1: no jump
+
 
 class TestClassifyParagraphs:
+    def test_clusters_through_one_dbscan_call(self, monkeypatch):
+        calls = []
+
+        def counted(points, eps, min_pts):
+            calls.append((eps, min_pts))
+            return dbscan(points, eps, min_pts)
+
+        monkeypatch.setattr(segmentation, "dbscan", counted)
+        paragraphs = ([make_paragraph(f"b{i}", 10.0, 5.0) for i in range(6)]
+                      + [make_paragraph(f"h{i}", 16.0, 8.0) for i in range(3)])
+        for eps in (None, 0.5):
+            calls.clear()
+            classes = classify_paragraphs(paragraphs, eps=eps, min_pts=2)
+            assert classes == ["body"] * 6 + ["heading"] * 3
+            assert calls == [(eps, 2)]
+
     def test_uniform_stats_all_body(self):
         paragraphs = [make_paragraph(f"p{i}", 10.0, 5.0) for i in range(6)]
         assert classify_paragraphs(paragraphs, min_pts=2) == ["body"] * 6
@@ -952,6 +989,19 @@ class TestMergeCrossPage:
         with pytest.warns(UserWarning, match=r"^empty page at position 1: no body paragraphs"):
             merged = merge_cross_page(pages)
         assert len(merged) == len(pages[0]) + len(pages[2])
+
+
+    def test_unknown_mode_is_an_error_whatever_the_pages(self):
+        heading = make_paragraph("h", 14.0, 7.0, page=1, cls="heading")
+        body = make_paragraph("b", 10.0, 5.0, page=2)
+        for pages in ([[heading], [body]], [[body], [body]], [[], []], []):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # raised before any page is looked at
+                with pytest.raises(LabelcalError, match=r"^unknown merge mode 'bogus'$"):
+                    merge_cross_page(pages, mode="bogus")
+        for last, first in ((heading, body), (body, heading), (body, body)):
+            with pytest.raises(LabelcalError, match=r"^unknown merge mode 'bogus'$"):
+                merge_decision(last, first, (100.0, 700.0), (100.0, 700.0), mode="bogus")
 
 
 class TestBowMatch:
