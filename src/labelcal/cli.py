@@ -99,13 +99,12 @@ def _manifest(args: argparse.Namespace, inputs: list[str], started: float) -> st
 
 
 def _load_lines(path: str, dtype: str, what: str) -> np.ndarray:
-    """One ``dtype`` number per non-blank line, in the grammar of
-    ``read_numbers``; the lines are walked again only to name the first
-    bad one."""
+    """One ``dtype`` number per non-blank line, each line read whole in the
+    grammar of ``read_numbers`` as a matrix cell is; the lines are walked
+    again only to name the first bad one."""
 
     def parse(text: str) -> np.ndarray:
-        lines = [(n, line.strip()) for n, line in enumerate(text_lines(text), start=1)
-                 if line.strip()]
+        lines = [(n, line) for n, line in enumerate(text_lines(text), start=1) if line.strip()]
         values = read_numbers([line for _, line in lines], dtype)
         if values is None:
             n = next(n for n, line in lines if read_numbers([line], dtype) is None)

@@ -514,12 +514,6 @@ def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
     return out.getvalue()
 
 
-def save_prob_matrix(matrix: ProbMatrix | LabelMatrix, path: str) -> None:
-    """Write a probability or annotation matrix as CSV (see ``format_matrix``)."""
-    with atomic_files([path]) as (fh,):
-        fh.write(format_matrix(matrix.labels, matrix.values))
-
-
 # ---------------------------------------------------------------------------
 # Text corpora
 # ---------------------------------------------------------------------------

@@ -21,42 +21,22 @@ N_BINS = 5
 DEFAULT_SIZES = tuple(range(DEFAULT_SIZE_GRID[0], DEFAULT_SIZE_GRID[1] + 1, DEFAULT_SIZE_GRID[2]))
 
 
-@dataclass(frozen=True)
-class BinStructure:
-    """Per-label equal-width probability bins and their populations.
-
-    Bins 1..4 are half-open [a, b); bin 5 is closed at the label's
-    maximum probability.  A label whose maximum is 0 degenerates to a
-    single bin holding every item.
-    """
-
-    bin_index: np.ndarray    # (N, L), zero-based
-    bin_counts: np.ndarray   # (L, N_BINS)
-
-
-def bin_structure(probs: ProbMatrix) -> BinStructure:
-    values = probs.values
-    n, _ = values.shape
-    max_prob = values.max(axis=0) if n else np.zeros(probs.n_labels)
-    bin_index = np.zeros(values.shape, dtype=np.int64)
-    bin_counts = np.zeros((probs.n_labels, N_BINS), dtype=np.int64)
-    for j in range(probs.n_labels):
-        p = max_prob[j]
-        if p > 0:
-            edges = np.array([i * p / N_BINS for i in range(1, N_BINS)])
-            bin_index[:, j] = np.searchsorted(edges, values[:, j], side="right")
-        # p == 0: everything stays in bin 0
-        bin_counts[j] = np.bincount(bin_index[:, j], minlength=N_BINS)
-    return BinStructure(bin_index, bin_counts)
-
-
 def importance_weights(probs: ProbMatrix) -> np.ndarray:
-    """w_i = sum over labels of 1 / (count of the item's own bin)."""
+    """w_i = sum over labels of 1 / (count of the item's own bin).
+
+    A value's zero-based bin is the number of the label's inner edges
+    ``i * max / N_BINS`` it reaches, so bins 1..4 are half-open [a, b) and
+    bin 5 is closed at the maximum.  A label whose maximum is 0 puts every
+    item in one bin.
+    """
     if probs.n_items < 1:
         raise LabelcalError("importance_weights needs at least one item")
-    bins = bin_structure(probs)
-    own = bins.bin_counts[np.arange(probs.n_labels)[None, :], bins.bin_index]
-    return (1.0 / own).sum(axis=1)
+    values = probs.values
+    edges = np.arange(1, N_BINS)[:, None] * values.max(axis=0) / N_BINS
+    key = sum(values >= edge for edge in edges) + np.arange(0, N_BINS * probs.n_labels, N_BINS)
+    with np.errstate(divide="ignore"):  # an empty bin is never looked up
+        inverse = 1.0 / np.bincount(key.ravel())
+    return inverse[key].sum(axis=1)
 
 
 def weighted_sample(weights: np.ndarray, n: int, seed: int = 0) -> np.ndarray:

@@ -660,15 +660,16 @@ def classify_paragraphs(
     if not paragraphs:
         raise LabelcalError("classify_paragraphs needs at least one paragraph")
     features = np.array([[p.char_height, p.char_width] for p in paragraphs])
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        raise LabelcalError(
-            f"paragraph {paragraphs[int(bad.argmax())].record_id}: "
-            "char_height and char_width must be finite"
-        )
-    std = features.std(axis=0)
-    std[std == 0.0] = 1.0
-    ids = dbscan((features - features.mean(axis=0)) / std, eps, min_pts)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite sizes near 1e308 overflow
+        std = features.std(axis=0)
+        std[std == 0.0] = 1.0
+        scaled = (features - features.mean(axis=0)) / std
+    for rows, problem in ((features, "must be finite"), (scaled, "overflow when standardised")):
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise LabelcalError(f"paragraph {paragraphs[int(bad.argmax())].record_id}: "
+                                f"char_height and char_width {problem}")
+    ids = dbscan(scaled, eps, min_pts)
 
     names: dict[int, str] = {}
     n_clusters = int(ids.max()) + 1

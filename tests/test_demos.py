@@ -1,13 +1,10 @@
 """Every script in ``demos/`` runs to the end on this source tree."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import labelcal
+import child
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -18,9 +15,6 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs(tmp_path, demo):
-    src = os.path.dirname(os.path.dirname(labelcal.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                         text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    run = child.run(str(demo), cwd=tmp_path, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip()

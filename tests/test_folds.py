@@ -1,14 +1,11 @@
 """Fold partition scoring and search tests."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import labelcal
+import child
 from labelcal._util import derive_rng
 from labelcal.core import LabelcalError, LabelMatrix
 from labelcal.folds import (
@@ -250,9 +247,6 @@ class TestStratifiedKfold:
         # input take 119 MiB of address space and the search 5 more; holding
         # the whole block's fold ids and counts at once reached 204 MiB
         code = """if True:
-            import resource
-            cap = 160 << 20
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
             import numpy as np
             from labelcal.core import LabelMatrix
             from labelcal.folds import _CHUNK, stratified_kfold
@@ -261,11 +255,8 @@ class TestStratifiedKfold:
             labels = LabelMatrix(tuple(f"l{j}" for j in range(50)), y)
             stratified_kfold(labels, k=10, candidates=_CHUNK, seed=0)
         """
-        src = os.path.dirname(os.path.dirname(labelcal.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             timeout=300, env=dict(os.environ, PYTHONPATH=path,
-                                                   OPENBLAS_NUM_THREADS="1"))
+        run = child.run("-c", code, cap=160 << 20, timeout=300,
+                        env={"OPENBLAS_NUM_THREADS": "1"})
         assert run.returncode == 0, run.stderr
 
     def test_too_few_items_rejected(self):

@@ -9,8 +9,8 @@ from scipy.stats import chi2, spearmanr
 from labelcal._util import derive_rng
 from labelcal.core import LabelcalError, ProbMatrix, concat_labels
 from labelcal.sampling import (
+    N_BINS,
     SizingCurve,
-    bin_structure,
     importance_weights,
     sizing_curve,
     weighted_sample,
@@ -107,11 +107,49 @@ class TestImportanceWeights:
             rtol=1e-12,
         )
 
-    def test_bin_counts_sum_to_n(self):
-        rng = np.random.default_rng(55)
-        probs = ProbMatrix(tuple("ab"), rng.random((37, 2)))
-        bins = bin_structure(probs)
-        np.testing.assert_array_equal(bins.bin_counts.sum(axis=1), [37, 37])
+    @pytest.mark.parametrize("case", [
+        "random", "exact_edges", "ties", "all_zero_column", "subnormal_max", "one_item",
+        "one_label",
+    ])
+    def test_bytes_equal_the_per_label_loop(self, case):
+        rng = np.random.default_rng(56)
+        for _ in range(20):
+            n, l = int(rng.integers(2, 60)), int(rng.integers(2, 7))
+            values = rng.random((n, l))
+            if case == "exact_edges":  # every value on an edge i * max / 5
+                peak = rng.random(l)
+                values = rng.integers(0, N_BINS, (n, l)) * peak / N_BINS
+                values[0] = peak
+            elif case == "ties":
+                values = np.round(values, 1)
+            elif case == "all_zero_column":
+                values[:, int(rng.integers(0, l))] = 0.0
+            elif case == "subnormal_max":
+                values[:, 0] = rng.integers(0, 2, n) * 5e-324
+                values[0, 0] = 5e-324
+            elif case == "one_item":
+                values = values[:1]
+            elif case == "one_label":
+                values = values[:, :1]
+            probs = ProbMatrix(tuple(f"l{j}" for j in range(values.shape[1])), values)
+            assert importance_weights(probs).tobytes() == per_label_loop_weights(probs).tobytes()
+
+
+def per_label_loop_weights(probs):
+    """The per-label loop that binned one column at a time (searchsorted
+    over the column's four inner edges), kept as the reference."""
+    values = probs.values
+    max_prob = values.max(axis=0)
+    bin_index = np.zeros(values.shape, dtype=np.int64)
+    bin_counts = np.zeros((probs.n_labels, N_BINS), dtype=np.int64)
+    for j in range(probs.n_labels):
+        p = max_prob[j]
+        if p > 0:
+            edges = np.array([i * p / N_BINS for i in range(1, N_BINS)])
+            bin_index[:, j] = np.searchsorted(edges, values[:, j], side="right")
+        bin_counts[j] = np.bincount(bin_index[:, j], minlength=N_BINS)
+    own = bin_counts[np.arange(probs.n_labels)[None, :], bin_index]
+    return (1.0 / own).sum(axis=1)
 
 
 class TestWeightedSample:

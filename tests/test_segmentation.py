@@ -2,9 +2,7 @@
 
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -13,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import labelcal
+import child
 from labelcal import segmentation
 from labelcal.core import LabelcalError, _bow_tokens, bow_match_many, read_input
 from labelcal.segmentation import (
@@ -542,20 +540,13 @@ class TestParagraphAssembly:
             (tmp_path / f"page{page:04d}.tsv").write_text(tsv(*rows), encoding="utf-8")
         out = tmp_path / "paragraphs.jsonl"
         code = """if True:
-            import resource, sys
-            import numpy, labelcal.cli
-            with open("/proc/self/status") as status:
-                size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
-            cap = (size << 10) + (160 << 20)
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            import sys
+            import labelcal.cli
             sys.argv = ["labelcal", "segment", "--tsv", sys.argv[1], "--out", sys.argv[2]]
             labelcal.cli.main()
         """
-        src = os.path.dirname(os.path.dirname(labelcal.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(out)],
-                             capture_output=True, text=True, timeout=300,
-                             env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
+        run = child.run("-c", code, str(tmp_path), str(out), budget=160 << 20, timeout=300,
+                        env={"OPENBLAS_NUM_THREADS": "1"})
         assert run.returncode == 0, run.stderr
         last = json.loads(out.read_text(encoding="utf-8").splitlines()[-1])
         assert (last["id"], last["last_page"]) == ("p0800_b001_p010", 800)
@@ -841,6 +832,16 @@ class TestClassifyParagraphs:
         with pytest.raises(LabelcalError, match="paragraph p2: char_height and char_width"):
             classify_paragraphs(paragraphs)
 
+    def test_overflowing_features_name_the_paragraph_without_warnings(self):
+        # finite, but their sum overflows the mean: every standardised row is -inf or nan
+        paragraphs = [make_paragraph(f"p{i}", h, 5.0) for i, h in enumerate([1e308, 1e308, 1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LabelcalError) as info:
+                classify_paragraphs(paragraphs)
+        assert str(info.value) == (
+            "paragraph p0: char_height and char_width overflow when standardised")
+
     def test_memory_well_under_one_square_array(self):
         # 5,000 continuous feature points: one m x m float64 array is 200 MB
         rng = np.random.default_rng(89)
@@ -859,9 +860,6 @@ class TestClassifyParagraphs:
         # noise: the grid carries it, not the merging of identical points
         # (one 20k x 20k float64 array alone is 3.2 GB)
         code = """if True:
-            import resource
-            cap = 1 << 30
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
             from collections import Counter
             import numpy as np
             from labelcal.segmentation import LineBox, ParagraphRecord, classify_paragraphs
@@ -877,11 +875,7 @@ class TestClassifyParagraphs:
                           for i, (h, w) in enumerate(features.tolist())]
             print(sorted(Counter(classify_paragraphs(paragraphs)).items()))
         """
-        src = os.path.dirname(os.path.dirname(labelcal.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             timeout=300, env=dict(os.environ, PYTHONPATH=path,
-                                                   OPENBLAS_NUM_THREADS="1"))
+        run = child.run("-c", code, cap=1 << 30, timeout=300, env={"OPENBLAS_NUM_THREADS": "1"})
         assert run.returncode == 0, run.stderr
         assert run.stdout.split("\n")[0] == (
             "[('body', 11940), ('footnote', 4975), ('heading', 2985), ('noise', 100)]")
@@ -1112,8 +1106,5 @@ class TestBowMatch:
             assert bow_match_many(["alma"], ["—", "alma"]) == [(1, 0.0)]
             print("numpy" in sys.modules)
         """
-        src = os.path.dirname(os.path.dirname(labelcal.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        run = child.run("-c", code)
         assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
