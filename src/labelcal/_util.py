@@ -1,9 +1,13 @@
-"""Seed derivation and numpy ports of two scipy functions.
+"""Seed derivation, array-length checks and numpy ports of two scipy functions.
 
 Randomized searches evaluate independent work items (a block of fold
 candidates, a size-curve subset, a PBT generation), each drawing from
 its own generator derived from (master seed, item key), so its result
 does not depend on which other items are evaluated, or in what order.
+
+A length computed from a parameter is checked by ``array_length`` before
+numpy sizes an array by it: past numpy's own limit, where numpy raises a
+bare ``ValueError``, it is a ``LabelcalError`` naming the parameter.
 
 ``average_ranks`` and ``logsumexp`` give bit-for-bit the results of
 ``scipy.stats.rankdata`` (method "average") and the real-input
@@ -13,12 +17,28 @@ does not import scipy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .core import LabelcalError
 
-def derive_rng(*entropy: int) -> np.random.Generator:
-    """Generator for the stream keyed by the given integer tuple."""
-    return np.random.default_rng(np.random.SeedSequence(tuple(int(e) for e in entropy)))
+
+def derive_rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator for the stream keyed by ``key`` under ``seed``; a negative
+    seed, which no seed sequence takes, is a ``LabelcalError``."""
+    if seed < 0:
+        raise LabelcalError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence((int(seed), *(int(e) for e in key))))
+
+
+def array_length(count: float, itemsize: int, what: str) -> int:
+    """``count`` as an int if ``count`` items of ``itemsize`` bytes fit in
+    the largest array numpy can size (``np.iinfo(np.intp).max`` bytes);
+    past that, or not finite, it is a ``LabelcalError`` saying ``what``."""
+    if not (count < math.inf and int(count) * itemsize <= np.iinfo(np.intp).max):
+        raise LabelcalError(f"{what}: more than an array can hold")
+    return int(count)
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:

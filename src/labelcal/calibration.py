@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._util import array_length
 from .core import (
     DEFAULT_GRID_STEP,
     DEFAULT_HIGH_RANGE,
@@ -98,7 +99,7 @@ def threshold_grid(
     def axis(lo: float, hi: float) -> np.ndarray:
         if not 0.0 <= lo <= hi <= 1.0:
             raise LabelcalError(f"invalid threshold range ({lo}, {hi})")
-        count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+        count = array_length(np.floor((hi - lo) / step + 1e-9) + 1, 8, f"grid step {step}")
         return lo + step * np.arange(count)
 
     return axis(*low_range), axis(*high_range)

@@ -1,10 +1,10 @@
 """The ``labelcal`` command line: one subcommand per pipeline stage.
 
 Every run writes its outputs plus a manifest (``<output>.manifest.json``)
-recording the subcommand, full parameter set, seed, input digests, tool
-version, and wall-clock duration.  All randomness is seeded (default 0,
-never wall-clock), so a rerun with the same manifest inputs reproduces
-the outputs byte for byte.
+recording the subcommand, full parameter set, seed, digests of the input
+bytes parsed, tool version, and wall-clock duration.  All randomness is
+seeded (default 0, never wall-clock), so a rerun with the same manifest
+inputs reproduces the outputs byte for byte.
 
 A subcommand returns its outputs as text and ``dispatch`` writes them with
 the manifest as one group: a run leaves all of them or none.  Outputs that
@@ -26,7 +26,6 @@ cannot read (inputs are strict UTF-8; line-based ones end a line at
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
@@ -55,6 +54,7 @@ from .core import (
     format_json,
     format_matrix,
     format_texts,
+    input_digests,
     load_label_matrix,
     load_prob_matrix,
     load_texts,
@@ -67,7 +67,7 @@ from .core import (
 if TYPE_CHECKING:
     import numpy as np
 
-Run = tuple[list[tuple[str, str]], list[str]]  # outputs (path, text) in write order, inputs
+Run = list[tuple[str, str]]  # outputs (path, text) in write order
 
 
 class UsageError(LabelcalError):
@@ -79,20 +79,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _manifest(args: argparse.Namespace, inputs: list[str], started: float) -> str:
+def _manifest(args: argparse.Namespace, started: float) -> str:
     return format_json({
         "subcommand": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "seed": getattr(args, "seed", None),
-        "inputs": {p: _sha256(p) for p in sorted(set(inputs))},
+        "inputs": dict(sorted(input_digests.get().items())),
         "version": __version__,
         "duration_seconds": time.monotonic() - started,
     })
@@ -138,7 +130,7 @@ def _cmd_segment(args) -> Run:
     per_page = [list(page) for _, page in groupby(paragraphs, key=attrgetter("first_page"))]
     merged = segmentation.merge_cross_page(per_page, mode=args.merge_mode)
     texts = format_texts(record.to_json() for record in merged)
-    return [(args.out, texts)], [str(f) for f in files]
+    return [(args.out, texts)]
 
 
 def _cmd_match(args) -> Run:
@@ -156,7 +148,7 @@ def _cmd_match(args) -> Run:
         }
         for quote, (index, distance) in zip(quotes, matches)
     ]
-    return [(args.out, format_json(results))], [args.quotes, args.paragraphs]
+    return [(args.out, format_json(results))]
 
 
 def _cmd_filter(args) -> Run:
@@ -164,7 +156,7 @@ def _cmd_filter(args) -> Run:
     hits = substring_filter(
         [r["text"] for r in records], args.needle, case_fold=args.case_fold
     )
-    return [(args.out, format_texts(records[i] for i in hits))], [args.texts]
+    return [(args.out, format_texts(records[i] for i in hits))]
 
 
 def _cmd_folds(args) -> Run:
@@ -182,7 +174,7 @@ def _cmd_folds(args) -> Run:
     fold_of = assignment.fold_of
     table = format_matrix(("id", "fold"), np.column_stack((np.arange(fold_of.size), fold_of)))
     score = format_json({"k": assignment.k, "score": list(assignment.score)})
-    return [(args.out, table), (args.out + ".score.json", score)], [args.labels]
+    return [(args.out, table), (args.out + ".score.json", score)]
 
 
 def _cmd_metrics(args) -> Run:
@@ -206,7 +198,6 @@ def _cmd_metrics(args) -> Run:
         report["balanced_accuracy"] = metrics.balanced_accuracy(
             np.argmax(probs.values, axis=1), truth.class_indices()
         )
-    inputs = [args.probs, args.truth]
     if args.years:
         years = _load_lines(args.years, "int64", "non-integer year")
         pred_series = metrics.tendency_series_from_matrix(probs, years)
@@ -220,8 +211,7 @@ def _cmd_metrics(args) -> Run:
                 for name in probs.labels
             },
         }
-        inputs.append(args.years)
-    return [(args.out, format_json(report))], inputs
+    return [(args.out, format_json(report))]
 
 
 def _cmd_calibrate(args) -> Run:
@@ -242,16 +232,14 @@ def _cmd_calibrate(args) -> Run:
         },
         "count_error_table": calibration.count_error_table(oof, truth, thresholds),
     }
-    inputs = [args.oof, args.truth]
     if args.years:
         years = _load_lines(args.years, "int64", "non-integer year")
         report["tendency_table"] = calibration.tendency_error_table(
             oof, truth, years, thresholds
         )
-        inputs.append(args.years)
     else:
         report["tendency_table"] = None
-    return [(args.out, format_json(report))], inputs
+    return [(args.out, format_json(report))]
 
 
 def _cmd_truncate(args) -> Run:
@@ -259,7 +247,7 @@ def _cmd_truncate(args) -> Run:
     out = calibration.truncate(
         probs, calibration.Thresholds(args.p_low, args.p_high)
     )
-    return [(args.out, format_matrix(out.labels, out.values))], [args.probs]
+    return [(args.out, format_matrix(out.labels, out.values))]
 
 
 def _cmd_sample(args) -> Run:
@@ -268,7 +256,7 @@ def _cmd_sample(args) -> Run:
     indices = sampling.weighted_sample(weights, n=args.n, seed=args.seed)
     sample = {"indices": [int(i) for i in indices], "weights": [float(w) for w in weights],
               "n": args.n}
-    return [(args.out, format_json(sample))], [args.probs]
+    return [(args.out, format_json(sample))]
 
 
 def _cmd_size_curve(args) -> Run:
@@ -277,7 +265,7 @@ def _cmd_size_curve(args) -> Run:
     scores = _load_lines(args.scores, "float64", "malformed number")
     sizes = range(args.sizes[0], args.sizes[1] + 1, args.sizes[2])
     curve = sampling.sizing_curve(scores, sizes=sizes, reps=args.reps, seed=args.seed)
-    return [(args.out, format_json(asdict(curve)))], [args.scores]
+    return [(args.out, format_json(asdict(curve)))]
 
 
 def _cmd_relnet(args) -> Run:
@@ -292,7 +280,7 @@ def _cmd_relnet(args) -> Run:
     outputs = [(args.out, relnet.export_dot(net, layout, min_weight=args.min_weight))]
     if args.json_out:
         outputs.append((args.json_out, relnet.export_weights_json(net)))
-    return outputs, [path for path in (args.probs, args.truth) if path is not None]
+    return outputs
 
 
 def _cmd_pbt_demo(args) -> Run:
@@ -308,7 +296,7 @@ def _cmd_pbt_demo(args) -> Run:
         mode="fixed" if args.mode == "multilabel" else "patience",
     )
     result = pbt.pbt_run(lambda: pbt.LinearTrainable(spec), config)
-    return [(args.out, format_json({"mode": args.mode, **asdict(result)}))], []
+    return [(args.out, format_json({"mode": args.mode, **asdict(result)}))]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["multilabel", "multiclass"], default="multilabel")
     p.add_argument("--population", type=int, default=20)
     p.add_argument("--generations", type=int, default=10)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--patience", type=int, default=10,
+                   help="--mode multiclass only: generations without improvement after "
+                        "--generations before the run stops; multilabel runs exactly "
+                        "--generations")
     p.add_argument("--items", type=int, default=400)
     p.add_argument("--labels", type=int, default=5)
     p.add_argument("--features", type=int, default=8)
@@ -417,8 +408,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
+        token = input_digests.set({})
         try:
-            outputs, inputs = args.func(args)
+            outputs = args.func(args)
             paths = [path for path, _ in outputs] + [args.out + ".manifest.json"]
             real = [os.path.realpath(path) for path in paths]
             for i, path in enumerate(paths):
@@ -428,10 +420,11 @@ def dispatch(argv: list[str] | None = None) -> int:
             with atomic_files(paths) as handles:
                 for fh, (_, text) in zip(handles, outputs):
                     fh.write(text)
-                # built before any output replaces an input, so it digests the inputs as read
-                handles[-1].write(_manifest(args, inputs, started))
+                handles[-1].write(_manifest(args, started))
         except MemoryError:  # the input is too large for this machine: a data error
             raise LabelcalError(f"{args.command}: out of memory") from None
+        finally:
+            input_digests.reset(token)
         return 0
     except UsageError as exc:
         print(f"labelcal: error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ keeps the files it would have replaced.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -33,6 +34,7 @@ import unicodedata
 from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -351,15 +353,20 @@ def atomic_files(paths: Sequence[str]) -> Iterator[list[IO[str]]]:
 
 _Parsed = TypeVar("_Parsed")
 
+# SHA-256 by path of each input the run in progress read; None, outside a run, hashes nothing
+input_digests: ContextVar[dict[str, str] | None] = ContextVar("input_digests", default=None)
+
 
 def read_input(path: str, parse: Callable[[str], _Parsed]) -> _Parsed:
     """``parse`` of the text of the file at ``path``: its bytes read once,
-    decoded as strict UTF-8 with line ends kept, and released before
-    ``parse`` runs.  A byte that is not UTF-8 is a ``LabelcalError`` naming
-    its line and offset; it and any ``LabelcalError`` of ``parse`` name
-    ``path`` first."""
+    digested into ``input_digests`` when a run records them, decoded as
+    strict UTF-8 with line ends kept, and released before ``parse`` runs.
+    A byte that is not UTF-8 is a ``LabelcalError`` naming its line and
+    offset; it and any ``LabelcalError`` of ``parse`` name ``path`` first."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if (digests := input_digests.get()) is not None:
+        digests[str(path)] = hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

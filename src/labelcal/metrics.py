@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import average_ranks
+from ._util import array_length, average_ranks
 from .core import DEFAULT_ECE_BINS, LabelcalError, LabelMatrix, ProbMatrix, integer_ids
 
 TICK_DIVISOR = 40.0
@@ -265,6 +265,7 @@ def tendency_series_from_matrix(
             f"{years.size} years for {matrix.values.shape[0]} items"
         )
     span = range(int(years.min()), int(years.max()) + 1)
+    array_length(span.stop - span.start + 1, 8, f"years {span.start} to {span.stop - 1}")
     order = np.argsort(years, kind="stable")
     bounds = np.searchsorted(years[order], np.arange(span.start, span.stop + 1))
     by_year = matrix.values[order].T.astype(np.float64, order="C")

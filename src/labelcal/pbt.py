@@ -17,11 +17,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
-from ._util import derive_rng
+from ._util import array_length, derive_rng
 from .core import LabelcalError
 from .losses import confidence_penalty, focal_loss, ldam_loss, ldam_margins
 from .metrics import balanced_accuracy, mean_roc_auc
@@ -237,6 +238,9 @@ class ToyDataSpec:
             raise LabelcalError(f"degenerate toy data spec {self}")
         if not 0.0 <= self.noise < 0.5:
             raise LabelcalError(f"noise must lie in [0, 0.5), got {self.noise}")
+        sizes = {"n_items": self.n_items, "n_features": self.n_features, "n_labels": self.n_labels}
+        for (a, m), (b, n) in combinations(sizes.items(), 2):  # each pair sizes a 2-d array
+            array_length(int(m) * int(n), 8, f"{a} {m} x {b} {n}")
 
 
 @functools.lru_cache(maxsize=8)

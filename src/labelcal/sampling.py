@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import derive_rng
+from ._util import array_length, derive_rng
 from .core import DEFAULT_REPS, DEFAULT_SIZE_GRID, LabelcalError, ProbMatrix
 
 N_BINS = 5
@@ -105,7 +105,7 @@ def sizing_curve(
         raise LabelcalError(f"sample size {max(sizes)} exceeds population {values.size}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise LabelcalError("sizes must be strictly increasing")
-    stds = np.empty((len(sizes), reps))
+    stds = np.empty((len(sizes), array_length(reps, 8 * len(sizes), f"reps {reps}")))
     for i, size in enumerate(sizes):
         for rep in range(reps):
             subset = values[derive_rng(seed, size, rep).choice(values.size, size, replace=False)]

@@ -132,13 +132,7 @@ class ParagraphRecord:
             "text": self.text,
             "char_height": self.char_height,
             "char_width": self.char_width,
-            "lines": [
-                {
-                    "page": l.page, "left": l.left, "top": l.top,
-                    "right": l.right, "bottom": l.bottom, "text": l.text,
-                }
-                for l in self.lines
-            ],
+            "lines": [vars(line).copy() for line in self.lines],
         }
 
 

@@ -16,7 +16,8 @@ import child
 import labelcal
 from labelcal import calibration, folds, metrics, pbt, sampling
 from labelcal.cli import build_parser, dispatch
-from labelcal.core import format_json, format_matrix, load_label_matrix, load_prob_matrix
+from labelcal.core import (
+    format_json, format_matrix, input_digests, load_label_matrix, load_prob_matrix)
 
 HEADER = "level\tpage_num\tblock_num\tpar_num\tline_num\tword_num\tleft\ttop\twidth\theight\tconf\ttext"
 
@@ -1139,3 +1140,180 @@ class TestPbtDemoCounts:
                          "--features", "2", flag, "0", "--out", out]) == 2
         assert capsys.readouterr().err == f"labelcal: error: {field} must be >= 1, got 0\n"
         assert os.listdir(tmp_path) == []
+
+
+# every subcommand with the files its run reads: a page directory, and one
+# file given as both inputs, among them
+MANIFEST_INPUTS = [
+    (["segment", "--tsv", "{in}/pages.tsv", "--min-pts", "2"], ["{in}/pages.tsv"]),
+    (["segment", "--tsv", "{in}/pages", "--min-pts", "2"],
+     ["{in}/pages/a.tsv", "{in}/pages/b.tsv"]),
+    (["match", "--quotes", "{in}/texts.jsonl", "--paragraphs", "{in}/texts.jsonl"],
+     ["{in}/texts.jsonl"]),
+    (["filter", "--texts", "{in}/texts.jsonl", "--needle", "szo1"], ["{in}/texts.jsonl"]),
+    (["folds", "--labels", "{truth}", "--k", "3", "--candidates", "8"], ["{truth}"]),
+    (["metrics", "--probs", "{probs}", "--truth", "{truth}", "--years", "{in}/years.txt"],
+     ["{probs}", "{truth}", "{in}/years.txt"]),
+    (["metrics", "--probs", "{probs}", "--truth", "{truth}"], ["{probs}", "{truth}"]),
+    (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "0.1",
+      "--years", "{in}/years.txt"], ["{probs}", "{truth}", "{in}/years.txt"]),
+    (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "0.1"],
+     ["{probs}", "{truth}"]),
+    (["truncate", "--probs", "{probs}", "--p-low", "0.2", "--p-high", "0.6"], ["{probs}"]),
+    (["sample", "--probs", "{probs}", "--n", "5"], ["{probs}"]),
+    (["size-curve", "--scores", "{in}/scores.txt", "--sizes", "10", "20", "10", "--reps", "2"],
+     ["{in}/scores.txt"]),
+    (["relnet", "--probs", "{probs}", "--json-out", "{in}/w.json"], ["{probs}"]),
+    (["relnet", "--truth", "{truth}"], ["{truth}"]),
+    (["pbt-demo", "--population", "2", "--generations", "1", "--items", "40", "--labels", "2",
+      "--features", "2"], []),
+]
+
+
+class TestManifestInputs:
+    def test_every_subcommand_is_covered(self):
+        assert sorted({argv[0] for argv, _ in MANIFEST_INPUTS}) == sorted(
+            build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("argv, inputs", MANIFEST_INPUTS,
+                             ids=[" ".join(argv[:3]) for argv, _ in MANIFEST_INPUTS])
+    def test_inputs_map_each_file_read_to_its_digest(self, tmp_path, stage_inputs, argv, inputs):
+        page = (tmp_path / "pages.tsv").read_text("utf-8")
+        (tmp_path / "pages").mkdir()
+        (tmp_path / "pages" / "a.tsv").write_text(page, "utf-8")
+        (tmp_path / "pages" / "b.tsv").write_text(page.replace("\n5\t1\t", "\n5\t2\t"), "utf-8")
+        argv = [a.format(**stage_inputs) for a in argv]
+        inputs = [a.format(**stage_inputs) for a in inputs]
+        out = str(tmp_path / "out")
+        assert dispatch(argv + ["--out", out]) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text("utf-8"))
+        assert manifest["inputs"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs}
+        assert list(manifest["inputs"]) == sorted(inputs)
+
+    def test_an_input_rewritten_after_its_parse_is_digested_as_parsed(
+            self, tmp_path, probs_csv, monkeypatch):
+        parsed = Path(probs_csv).read_bytes()
+        truncate = calibration.truncate
+
+        def rewrite_then_truncate(probs, thresholds):
+            Path(probs_csv).write_text("a,b,c\n0,0,0\n", "utf-8")
+            return truncate(probs, thresholds)
+
+        monkeypatch.setattr(calibration, "truncate", rewrite_then_truncate)
+        out = str(tmp_path / "q.csv")
+        assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2",
+                         "--p-high", "0.54", "--out", out]) == 0
+        assert Path(probs_csv).read_bytes() != parsed
+        manifest = json.loads(Path(out + ".manifest.json").read_text("utf-8"))
+        assert manifest["inputs"] == {probs_csv: hashlib.sha256(parsed).hexdigest()}
+
+    def test_a_read_outside_dispatch_hashes_nothing(self, probs_csv, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was hashed outside a run")
+
+        monkeypatch.setattr(hashlib, "sha256", refuse)
+        assert load_prob_matrix(probs_csv).n_items == 30
+        assert input_digests.get() is None
+
+    def test_nothing_stays_recorded_after_a_run(self, tmp_path, probs_csv, monkeypatch, capsys):
+        out = str(tmp_path / "q.csv")
+        truncate = ["truncate", "--probs", probs_csv, "--out", out]
+        assert dispatch(truncate + ["--p-low", "0.2", "--p-high", "0.6"]) == 0
+        assert input_digests.get() is None
+        assert dispatch(truncate + ["--p-low", "0.6", "--p-high", "0.2"]) == 2  # after the read
+        assert input_digests.get() is None
+        assert dispatch(truncate + ["--p-low", "low", "--p-high", "0.2"]) == 1
+        assert input_digests.get() is None
+
+        def fail(probs, thresholds):
+            raise RuntimeError("stage bug")
+
+        monkeypatch.setattr(calibration, "truncate", fail)
+        with pytest.raises(RuntimeError, match="stage bug"):
+            dispatch(truncate + ["--p-low", "0.2", "--p-high", "0.6"])
+        assert input_digests.get() is None
+
+
+NEGATIVE_SEEDS = [
+    ["folds", "--labels", "{truth}", "--k", "3", "--candidates", "8", "--seed", "-1"],
+    ["folds", "--labels", "{in}/classes.csv", "--kind", "multiclass", "--k", "3",
+     "--seed", "-1"],
+    ["sample", "--probs", "{probs}", "--n", "5", "--seed", "-1"],
+    ["size-curve", "--scores", "{in}/scores.txt", "--sizes", "10", "20", "10", "--reps", "2",
+     "--seed", "-5"],
+    ["pbt-demo", "--population", "2", "--generations", "1", "--items", "40", "--labels", "2",
+     "--features", "2", "--seed", "-1"],
+]
+
+BIG = str(2**63 - 1)
+# command lines whose array lengths pass numpy's limit, with what the error names
+UNSIZABLE = [
+    (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "1e-20"],
+     "grid step 1e-20"),
+    (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "1e-300"],
+     "grid step 1e-300"),
+    (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "5e-324"],
+     "grid step 5e-324"),
+    (["metrics", "--probs", "{probs}", "--truth", "{truth}", "--years", "{in}/far.txt"],
+     "years 0 to 4611686018427387904"),
+    (["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--years", "{in}/far.txt"],
+     "years 0 to 4611686018427387904"),
+    (["pbt-demo", "--items", BIG], f"n_items {BIG} x n_features 8"),
+    (["pbt-demo", "--features", BIG], f"n_items 400 x n_features {BIG}"),
+    (["pbt-demo", "--labels", BIG], f"n_items 400 x n_labels {BIG}"),
+    (["size-curve", "--scores", "{in}/scores.txt", "--sizes", "10", "20", "10", "--reps", BIG],
+     f"reps {BIG}"),
+]
+
+# command lines whose arrays numpy can size but no memory holds
+OVERSIZED = [
+    ["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "1e-12"],
+    ["metrics", "--probs", "{probs}", "--truth", "{truth}", "--years", "{in}/wide.txt"],
+    ["size-curve", "--scores", "{in}/scores.txt", "--sizes", "10", "20", "10",
+     "--reps", str(10**14)],
+]
+
+
+@pytest.fixture
+def parameter_inputs(tmp_path, stage_inputs):
+    classes = np.eye(3, dtype=int)[np.arange(30) % 3]
+    (tmp_path / "classes.csv").write_text(format_matrix(["a", "b", "c"], classes), "utf-8")
+    for name, year in (("far", 2**62), ("wide", 10**14)):
+        (tmp_path / f"{name}.txt").write_text("\n".join(["0", str(year)] + ["2000"] * 28), "utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    return dict(stage_inputs, out=out)
+
+
+class TestParameterErrors:
+    """Parameters no run can honour: one error line, exit 2, no output."""
+
+    @pytest.mark.parametrize("argv", NEGATIVE_SEEDS, ids=[
+        "folds", "folds-multiclass", "sample", "size-curve", "pbt-demo"])
+    def test_negative_seed(self, parameter_inputs, capsys, argv):
+        argv = [a.format(**parameter_inputs) for a in argv]
+        assert dispatch(argv + ["--out", str(parameter_inputs["out"] / "o")]) == 2
+        assert capsys.readouterr().err == f"labelcal: error: seed must be >= 0, got {argv[-1]}\n"
+        assert os.listdir(parameter_inputs["out"]) == []
+
+    @pytest.mark.parametrize("argv, what", UNSIZABLE, ids=[what for _, what in UNSIZABLE])
+    def test_length_past_numpys_limit_names_its_parameter(
+            self, parameter_inputs, capsys, argv, what):
+        argv = [a.format(**parameter_inputs) for a in argv]
+        assert dispatch(argv + ["--out", str(parameter_inputs["out"] / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"labelcal: error: {what}: more than an array can hold\n")
+        assert os.listdir(parameter_inputs["out"]) == []
+
+    @pytest.mark.parametrize("argv", OVERSIZED, ids=["step", "years", "reps"])
+    def test_length_within_the_limit_stays_out_of_memory(self, parameter_inputs, argv):
+        # under a 256 MiB address-space budget, so a machine that grants
+        # the allocation cannot be filled by it
+        argv = [a.format(**parameter_inputs) for a in argv]
+        code = "import sys; from labelcal.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
+        run = child.run("-c", code, *argv, "--out", str(parameter_inputs["out"] / "o"),
+                        budget=256 << 20)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            2, "", f"labelcal: error: {argv[0]}: out of memory\n")
+        assert os.listdir(parameter_inputs["out"]) == []

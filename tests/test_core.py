@@ -477,8 +477,7 @@ class TestReadInput:
                     found.add((path.stem, scope[call],
                                mode.value if isinstance(mode, ast.Constant) else mode))
         assert found == {
-            ("core", "read_input", "rb"),  # the reader
-            ("cli", "_sha256", "rb"),  # the input digests of the manifest
+            ("core", "read_input", "rb"),  # the reader, which also digests for the manifest
             ("core", "atomic_files", "x"),  # the writer
         }
 

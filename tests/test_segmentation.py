@@ -507,6 +507,20 @@ class TestParagraphAssembly:
         with pytest.raises(LabelcalError, match="lines joined"):
             ParagraphRecord("x", 1, 1, (line,), "different", "body", 1.0, 1.0)
 
+    def test_json_lines_are_copies_in_field_order(self):
+        lines = (LineBox(1, 0, 0, 10, 10, "abc"), LineBox(2, 5, 20, 30, 40, "de"))
+        record = ParagraphRecord("x", 1, 2, lines, "abc de", "body", 1.0, 2.0)
+        rendered = record.to_json()
+        assert rendered["lines"] == [
+            {"page": 1, "left": 0, "top": 0, "right": 10, "bottom": 10, "text": "abc"},
+            {"page": 2, "left": 5, "top": 20, "right": 30, "bottom": 40, "text": "de"}]
+        assert [list(line) for line in rendered["lines"]] == [
+            ["page", "left", "top", "right", "bottom", "text"]] * 2
+        rendered["lines"][0]["text"] = "changed"
+        rendered["lines"][1].clear()
+        assert record.lines == lines and lines[0].text == "abc" and lines[1].page == 2
+        assert record.to_json()["lines"][0]["text"] == "abc"
+
     def test_fields_at_the_limits_are_int32_and_their_sums_exact(self):
         edge = 2**31 - 1
         tokens = parse_ocr_tsv(tsv(word_row(left=-edge, top=edge, width=edge, height=edge)))

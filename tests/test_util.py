@@ -1,12 +1,15 @@
-"""The numpy ports of scipy's rankdata and logsumexp, checked bit for bit
-against scipy itself."""
+"""Seed derivation, the array-length check, and the numpy ports of scipy's
+rankdata and logsumexp, checked bit for bit against scipy itself."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import rankdata
 
-from labelcal._util import average_ranks, logsumexp
+from labelcal._util import array_length, average_ranks, derive_rng, logsumexp
+from labelcal.core import LabelcalError
 
 
 def assert_bit_equal(ours, theirs):
@@ -78,3 +81,25 @@ def test_logsumexp_random_logit_rows():
         x[::7, 3] = x[::7, 5] = x[::7].max(axis=1) + 1.0  # tied maxima
         assert_bit_equal(logsumexp(x, axis=1), scipy_logsumexp(x, axis=1))
         assert_bit_equal(logsumexp(x), scipy_logsumexp(x))
+
+
+@pytest.mark.parametrize("key", [(), (3,), (0, 7)])
+def test_negative_seed_is_a_data_error_naming_it(key):
+    with pytest.raises(LabelcalError, match=r"^seed must be >= 0, got -1$"):
+        derive_rng(-1, *key)
+
+
+def test_derived_streams_keep_their_seed_sequence():
+    for entropy in [(0,), (7, 3), (2**70, 0, 5)]:
+        ours = derive_rng(*entropy).integers(2**63, size=4)
+        theirs = np.random.default_rng(np.random.SeedSequence(entropy)).integers(2**63, size=4)
+        assert np.array_equal(ours, theirs)
+
+
+def test_array_length_stops_at_numpys_byte_limit():
+    limit = np.iinfo(np.intp).max  # 2**63 - 1 bytes on 64-bit builds
+    assert array_length((limit + 1) // 8 - 1, 8, "x") == (limit + 1) // 8 - 1
+    assert array_length(np.float64(2.5), 8, "x") == 2
+    for count in [(limit + 1) // 8, limit, np.float64(2.0**60), math.inf, math.nan, 10**400]:
+        with pytest.raises(LabelcalError, match=r"^grid: more than an array can hold$"):
+            array_length(count, 8, "grid")
