@@ -26,7 +26,7 @@ _EXPORTS = {
             " ensemble_average load_label_matrix load_prob_matrix substring_filter",
     "folds": "FoldAssignment partition_score stratified_kfold stratified_single_label",
     "losses": "LossValue confidence_penalty focal_loss ldam_loss ldam_margins",
-    "metrics": "MacroScore TendencySeries balanced_accuracy expected_calibration_error"
+    "metrics": "MacroScore balanced_accuracy expected_calibration_error"
                " label_count_error_rate macro_roc_auc roc_auc tendency_error tendency_values",
     "pbt": "LinearTrainable PbtConfig PbtResult ToyDataSpec pbt_run perturb roulette_select"
            " warmup_steps",

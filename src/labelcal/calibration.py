@@ -230,14 +230,11 @@ def count_error_table(
 def tendency_error_table(
     oof_probs: ProbMatrix, truth: LabelMatrix, years: Sequence[int], thresholds: Thresholds
 ) -> dict:
-    """Tendency error rates per frequency block and treatment (percent)."""
-    truth_series = tendency_series_from_matrix(truth, years)
-
-    def error(series: dict, cols: np.ndarray) -> float:
-        names = [truth.labels[j] for j in cols]
-        return tendency_error({n: series[n] for n in names}, {n: truth_series[n] for n in names})
-
+    """Tendency error rates per frequency block and treatment (percent):
+    a block's cell compares the tendency values of its label columns."""
+    truth_values = tendency_series_from_matrix(truth, years)
     return _block_table(
         oof_probs, truth, thresholds,
-        lambda matrix: tendency_series_from_matrix(matrix, years), error,
+        lambda matrix: tendency_series_from_matrix(matrix, years),
+        lambda values, cols: tendency_error(values[:, cols], truth_values[:, cols]),
     )

@@ -200,16 +200,12 @@ def _cmd_metrics(args) -> Run:
         )
     if args.years:
         years = _load_lines(args.years, "int64", "non-integer year")
-        pred_series = metrics.tendency_series_from_matrix(probs, years)
-        true_series = metrics.tendency_series_from_matrix(truth, years)
+        pred = metrics.tendency_series_from_matrix(probs, years)
+        true = metrics.tendency_series_from_matrix(truth, years)
         report["tendency_error"] = {
-            "value": metrics.tendency_error(pred_series, true_series),
-            "per_label": {
-                name: metrics.tendency_error(
-                    {name: pred_series[name]}, {name: true_series[name]}
-                )
-                for name in probs.labels
-            },
+            "value": metrics.tendency_error(pred, true),
+            "per_label": {name: metrics.tendency_error(pred[:, j], true[:, j])
+                          for j, name in enumerate(probs.labels)},
         }
     return [(args.out, format_json(report))]
 

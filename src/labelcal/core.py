@@ -637,8 +637,9 @@ def bow_match_many(
     if not paragraphs:
         raise LabelcalError("bow_match_many needs at least one paragraph")
     quote_counts = [Counter(_bow_tokens(quote)) for quote in quotes]
-    if not all(quote_counts):
-        raise LabelcalError("quote contains no alphanumeric tokens")
+    for i, counts in enumerate(quote_counts):
+        if not counts:
+            raise LabelcalError(f"quote at index {i} contains no alphanumeric tokens")
     vocab = set().union(*quote_counts)
     norms = []
     index: dict[str, tuple[list[int], list[int]]] = {t: ([], []) for t in vocab}

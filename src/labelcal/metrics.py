@@ -10,7 +10,7 @@ reported by the macro average.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,8 +97,10 @@ def expected_calibration_error(
 ) -> float:
     """Binned |accuracy - confidence| gap, weighted by bin occupancy.
 
-    Equal-width bins on [0, 1]; the final bin is right-closed.  Empty
-    bins contribute nothing.
+    Equal-width bins on [0, 1]; the final bin is right-closed.  A value's
+    bin is trunc(p * bins), capped at bins - 1, kept as a float so that no
+    bin count overflows an integer cast.  Only the occupied bins are
+    visited, in ascending order, each gathering its values in item order.
     """
     if bins < 1:
         raise LabelcalError(f"bins must be >= 1, got {bins}")
@@ -107,15 +109,20 @@ def expected_calibration_error(
     _check_vectors("probs", probs, "labels", labels)
     if probs.size == 0:
         return 0.0
-    idx = np.minimum((probs * bins).astype(np.int64), bins - 1)
+    # the smallest float >= bins - 1, so the cap merges no bin below it
+    top = float(bins - 1)
+    if top < bins - 1:
+        top = float(np.nextafter(top, np.inf))
+    key = np.minimum(np.trunc(probs * bins), top)
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))).tolist()
     ece = 0.0
-    for b in range(bins):
-        member = idx == b
-        n_b = int(member.sum())
-        if n_b == 0:
-            continue
-        gap = abs(float(labels[member].mean()) - float(probs[member].mean()))
-        ece += n_b / probs.size * gap
+    for lo, hi in zip(starts, starts[1:] + [probs.size]):
+        member = order[lo:hi]
+        if key[member[0]] >= 0:  # a negative or NaN value is in no bin
+            gap = abs(float(labels[member].mean()) - float(probs[member].mean()))
+            ece += (hi - lo) / probs.size * gap
     return ece
 
 
@@ -181,81 +188,40 @@ def label_count_error_rate(probs: ProbMatrix, truth: LabelMatrix) -> LabelCountE
     return LabelCountError(mean_count_error(errors), per_label, excluded)
 
 
-@dataclass(frozen=True)
-class TendencySeries:
-    """Discretized year-over-year movement of one label's counts.
+def tendency_values(yearly_counts: np.ndarray, totals: np.ndarray | float) -> np.ndarray:
+    """Tendency values in {-1, 0, +1} as int8, one row per consecutive year pair.
 
-    The tick is max(total / TICK_DIVISOR, 1), with the label's total count
-    given to ``tendency_values``; the tendency value for the pair (y, y+1)
-    is +1 when the count rose by at least a tick, -1 when it fell by at
-    least a tick, 0 otherwise.
+    ``yearly_counts`` holds one row per year and one column per label (or
+    is one label's vector); ``totals`` holds each column's total count
+    (predicted or true).  A column's tick is max(total / TICK_DIVISOR, 1);
+    its value for the pair (y, y+1) is +1 when the count rose by at least
+    a tick, -1 when it fell by at least a tick, 0 otherwise.
     """
-
-    years: tuple[int, ...]
-    yearly_counts: tuple[float, ...]
-    tick: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.int8)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+    counts = np.asarray(yearly_counts, dtype=np.float64)
+    if counts.shape[0] < 2:
+        raise LabelcalError(f"need at least 2 years, got {counts.shape[0]}")
+    ticks = np.maximum(np.asarray(totals, dtype=np.float64) / TICK_DIVISOR, 1.0)
+    diffs = np.diff(counts, axis=0)
+    return (diffs >= ticks).astype(np.int8) - (diffs <= -ticks)
 
 
-def tendency_values(yearly_counts: Mapping[int, float], total: float) -> TendencySeries:
-    """Tendency values in {-1, 0, +1} for consecutive year pairs.
-
-    ``total`` is the label's total count (predicted or true); the tick is
-    computed from this series' own total.
-    """
-    years = sorted(yearly_counts)
-    if len(years) < 2:
-        raise LabelcalError(f"need at least 2 years, got {len(years)}")
-    if any(b - a != 1 for a, b in zip(years, years[1:])):
-        raise LabelcalError(f"years must be consecutive, got {years}")
-    counts = np.array([yearly_counts[y] for y in years], dtype=np.float64)
-    tick = max(float(total) / TICK_DIVISOR, 1.0)
-    diffs = np.diff(counts)
-    values = np.zeros(diffs.size, dtype=np.int8)
-    values[diffs >= tick] = 1
-    values[diffs <= -tick] = -1
-    return TendencySeries(
-        years=tuple(years),
-        yearly_counts=tuple(float(c) for c in counts),
-        tick=tick,
-        values=values,
-    )
-
-
-def tendency_error(
-    pred: Mapping[str, TendencySeries], truth: Mapping[str, TendencySeries]
-) -> float:
-    """Mean absolute tendency-value difference, as a percentage in [0, 200].
-
-    Averaged jointly over all (label, year-pair) cells.
-    """
-    if set(pred) != set(truth):
-        raise LabelcalError(
-            f"label sets differ: {sorted(set(pred) ^ set(truth))}"
-        )
-    if not pred:
-        raise LabelcalError("tendency_error of empty label set")
-    diffs = []
-    for name in sorted(pred):
-        p, t = pred[name], truth[name]
-        if p.years != t.years:
-            raise LabelcalError(f"year ranges differ for label {name!r}")
-        diffs.append(np.abs(p.values.astype(np.int64) - t.values.astype(np.int64)))
-    return float(np.concatenate(diffs).mean() * 100.0)
+def tendency_error(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Mean absolute tendency-value difference over all cells of two
+    equal-shape arrays, as a percentage in [0, 200]."""
+    pred, truth = np.asarray(pred, dtype=np.int64), np.asarray(truth, dtype=np.int64)
+    if pred.shape != truth.shape or pred.size == 0:
+        raise LabelcalError(f"tendency values {pred.shape} and {truth.shape} cannot be compared")
+    return float(np.abs(pred - truth).mean() * 100.0)
 
 
 def tendency_series_from_matrix(
     matrix: ProbMatrix | LabelMatrix, years: Sequence[int]
-) -> dict[str, TendencySeries]:
-    """Per-label tendency series from per-item values and item years.
+) -> np.ndarray:
+    """Tendency values (years - 1, labels) from per-item values and item years.
 
     Yearly counts are the per-year column sums (probabilities or
-    annotations); the tick of each label uses that column's own total.
+    annotations) over every year from the first to the last; the tick of
+    each label uses that column's own total.
     A stable sort by year makes each year a contiguous slice in item
     order, so each sum adds what a per-year mask selects, in its order.
     """
@@ -271,7 +237,4 @@ def tendency_series_from_matrix(
     by_year = matrix.values[order].T.astype(np.float64, order="C")
     yearly = np.array([by_year[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds[:-1], bounds[1:])])
     totals = matrix.values.T.astype(np.float64, order="C").sum(axis=1)
-    return {
-        name: tendency_values(dict(zip(span, counts)), total=total)
-        for name, counts, total in zip(matrix.labels, yearly.T.tolist(), totals.tolist())
-    }
+    return tendency_values(yearly, totals)

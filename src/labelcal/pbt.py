@@ -132,7 +132,8 @@ def pbt_run(
     best-so-far score has not improved for ``patience`` further
     generations.  Deterministic given ``config.seed``.
     """
-    trainables = [trainable_factory() for _ in range(config.population_size)]
+    size = array_length(config.population_size, 8, f"population_size {config.population_size}")
+    trainables = [trainable_factory() for _ in range(size)]
     for i, trainable in enumerate(trainables):
         trainable.init(int(derive_rng(config.seed, _INIT, i).integers(2**63)))
 

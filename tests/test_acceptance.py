@@ -546,23 +546,25 @@ def test_criterion_11_pbt():
 
 @criterion(12, "tendency values and tendency error")
 def test_criterion_12_tendency():
-    small = tendency_values({1980: 0.0, 1981: 5.0}, total=5.0)
-    assert small.tick == 1.0 and list(small.values) == [1]
-    large = tendency_values({1980: 100.0, 1981: 105.0}, total=400.0)
-    assert large.tick == 10.0 and list(large.values) == [0]
+    def step(move, total):
+        return int(tendency_values([0.0, move], total)[0])
+
+    # ticks max(5/40, 1) = 1 and max(400/40, 1) = 10, pinned exactly: a
+    # move equal to the tick counts, one a ulp smaller does not
+    for total, tick in [(5.0, 1.0), (400.0, 10.0)]:
+        below = math.nextafter(tick, 0.0)
+        assert (step(tick, total), step(below, total)) == (1, 0)
+        assert (step(-tick, total), step(-below, total)) == (-1, 0)
+    assert step(5.0, 5.0) == 1 and list(tendency_values([100.0, 105.0], 400.0)) == [0]
 
     rng = np.random.default_rng(112)
     for _ in range(100):
-        counts = {1980 + i: float(rng.uniform(0, 40)) for i in range(12)}
-        series = tendency_values(counts, total=float(rng.uniform(1, 1500)))
-        assert set(np.unique(series.values)).issubset({-1, 0, 1})
+        values = tendency_values(rng.uniform(0, 40, size=12), float(rng.uniform(1, 1500)))
+        assert set(np.unique(values)).issubset({-1, 0, 1})
 
     def staircase(direction):
-        counts, level = {}, 100.0
-        for i in range(6):
-            counts[1980 + i] = level
-            level += direction * 60.0
-        return {"a": tendency_values(counts, total=sum(counts.values()))}
+        counts = [100.0 + direction * 60.0 * i for i in range(6)]
+        return tendency_values(counts, sum(counts))
 
     up, down = staircase(+1), staircase(-1)
     assert tendency_error(up, up) == 0.0

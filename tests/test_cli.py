@@ -480,6 +480,26 @@ class TestMetricsCommand:
         assert 0.0 <= report["tendency_error"]["value"] <= 200.0
         assert set(report["tendency_error"]["per_label"]) == {"a", "b", "c"}
 
+    @pytest.mark.parametrize("bins", [10**9, 10**20])
+    def test_bin_counts_no_loop_could_walk(self, tmp_path, probs_csv, truth_csv, bins):
+        # a loop over every bin ran past a 10 s timeout at 10**9, and 10**20
+        # overflowed the int64 bin index; a child bounds a regression's time
+        out = tmp_path / "report.json"
+        run = child.run("-m", "labelcal", "metrics", "--probs", probs_csv, "--truth", truth_csv,
+                        "--bins", str(bins), "--out", str(out), timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        ece = json.load(open(out))["expected_calibration_error"]
+        probs, truth = load_prob_matrix(probs_csv), load_label_matrix(truth_csv)
+        assert ece["bins"] == bins
+        assert ece["per_label"] == {
+            name: metrics.expected_calibration_error(
+                probs.values[:, j], truth.values[:, j], bins=bins)
+            for j, name in enumerate(probs.labels)}
+        # 30 distinct values of each label's column fall in 30 bins of their own
+        assert ece["per_label"] == pytest.approx({
+            name: float(np.abs(probs.values[:, j] - truth.values[:, j]).mean())
+            for j, name in enumerate(probs.labels)}, rel=1e-12)
+
 
 class TestCalibrateCommand:
     def test_report_and_determinism(self, tmp_path, probs_csv, truth_csv):
@@ -623,6 +643,17 @@ class TestSegmentAndMatchCommands:
         matches = json.load(open(matches_out))
         assert matches[0]["paragraph_id"] == records[0]["id"]
         assert matches[0]["distance"] == 0.0
+
+    def test_token_less_quote_is_named_by_its_index(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.jsonl"
+        quotes.write_text("".join(json.dumps({"id": f"q{i}", "text": text}) + "\n"
+                                  for i, text in enumerate(["alma", "körte", "— ..."])), "utf-8")
+        out = tmp_path / "matches.json"
+        assert dispatch(["match", "--quotes", str(quotes), "--paragraphs", str(quotes),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "labelcal: error: quote at index 2 contains no alphanumeric tokens\n")
+        assert not out.exists()
 
 
 class TestFilterCommand:
@@ -820,12 +851,13 @@ class TestBlasThreadEquivalence:
 # ``bow_match``, ``save_label_matrix``, ``toy_trainable``) and
 # ``bootstrap_std``, which lost its last caller to the closed form, and
 # ``save_prob_matrix``, whose one file write no command made
-# (``format_matrix`` renders every matrix output), plus ``LinearTrainable``,
-# exported in place of ``toy_trainable``
+# (``format_matrix`` renders every matrix output), and ``TendencySeries``,
+# whose values are now one array, plus ``LinearTrainable``, exported in
+# place of ``toy_trainable``
 OLD_ALL = [
     "EnsembleSet", "FoldAssignment", "LabelMatrix", "LabelcalError", "Layout",
     "LinearTrainable", "LossValue", "MacroScore", "OcrTokens", "ParagraphRecord", "PbtConfig",
-    "PbtResult", "ProbMatrix", "RelationNetwork", "SizingCurve", "TendencySeries",
+    "PbtResult", "ProbMatrix", "RelationNetwork", "SizingCurve",
     "Thresholds", "ToyDataSpec", "balanced_accuracy",
     "bow_match_many", "calibration", "classify_paragraphs", "concat_labels",
     "confidence_penalty", "core", "dbscan", "ensemble_average", "expected_calibration_error",
@@ -1266,6 +1298,13 @@ UNSIZABLE = [
      f"reps {BIG}"),
 ]
 
+# command lines that once built a list or tuple of their length before its check
+UNBUILT = [
+    (["size-curve", "--scores", "{in}/scores.txt", "--sizes", "10", BIG, "10"],
+     "sample size 9223372036854775800 exceeds population 100"),
+    (["pbt-demo", "--population", BIG], f"population_size {BIG}: more than an array can hold"),
+]
+
 # command lines whose arrays numpy can size but no memory holds
 OVERSIZED = [
     ["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "1e-12"],
@@ -1304,6 +1343,17 @@ class TestParameterErrors:
         assert dispatch(argv + ["--out", str(parameter_inputs["out"] / "o")]) == 2
         assert capsys.readouterr().err == (
             f"labelcal: error: {what}: more than an array can hold\n")
+        assert os.listdir(parameter_inputs["out"]) == []
+
+    @pytest.mark.parametrize("argv, error", UNBUILT, ids=["size-curve", "pbt-demo"])
+    def test_rejected_before_anything_is_built(self, parameter_inputs, argv, error):
+        # under a 64 MiB budget, a run that built the sizes or the
+        # population first would end out of memory instead
+        argv = [a.format(**parameter_inputs) for a in argv]
+        code = "import sys; from labelcal.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
+        run = child.run("-c", code, *argv, "--out", str(parameter_inputs["out"] / "o"),
+                        budget=64 << 20, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", f"labelcal: error: {error}\n")
         assert os.listdir(parameter_inputs["out"]) == []
 
     @pytest.mark.parametrize("argv", OVERSIZED, ids=["step", "years", "reps"])

@@ -1,8 +1,11 @@
 """Metric tests, each against an independent oracle where one exists."""
 
+import math
+
 import numpy as np
 import pytest
 
+from labelcal import metrics
 from labelcal.core import LabelcalError, LabelMatrix, ProbMatrix
 from labelcal.metrics import (
     UndefinedMetricError,
@@ -162,6 +165,64 @@ class TestExpectedCalibrationError:
     def test_final_bin_right_closed(self):
         assert expected_calibration_error(np.array([1.0]), np.array([1])) == 0.0
 
+    @staticmethod
+    def every_bin(probs, labels, bins):
+        """The loop over every bin that walking the occupied bins replaced."""
+        with np.errstate(invalid="ignore"):  # NaN casts to a bin no loop reaches
+            idx = np.minimum((probs * bins).astype(np.int64), bins - 1)
+        ece = 0.0
+        for b in range(bins):
+            member = idx == b
+            n_b = int(member.sum())
+            if n_b == 0:
+                continue
+            gap = abs(float(labels[member].mean()) - float(probs[member].mean()))
+            ece += n_b / probs.size * gap
+        return ece
+
+    @staticmethod
+    def exact_bins(probs, labels, bins):
+        """Bins as Python integers, min(trunc(p * bins), bins - 1), for bin
+        counts no loop over every bin can walk."""
+        members = {}
+        for i, p in enumerate(probs.tolist()):
+            if math.isfinite(p):
+                b = min(math.trunc(p * bins), bins - 1)
+                if b >= 0:
+                    members.setdefault(b, []).append(i)
+        ece = 0.0
+        for b in sorted(members):
+            member = np.array(members[b])
+            gap = abs(float(labels[member].mean()) - float(probs[member].mean()))
+            ece += member.size / probs.size * gap
+        return ece
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 7, 10, 64, 1000])
+    def test_occupied_bins_equal_every_bin_bit_for_bit(self, bins):
+        rng = np.random.default_rng(30 + bins)
+        edges = np.arange(bins + 1) / bins  # k / bins times bins may land a ulp low
+        on_edges = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        for _ in range(20):
+            probs = np.concatenate([rng.choice(on_edges, size=40), rng.random(40),
+                                    [0.0, -0.0, 1.0, -0.05, -0.5, 1.5, np.nan]])
+            rng.shuffle(probs)
+            labels = rng.integers(0, 2, size=probs.size).astype(float)
+            got = expected_calibration_error(probs, labels, bins=bins)
+            assert got.hex() == self.every_bin(probs, labels, bins).hex()
+
+    @pytest.mark.parametrize("bins", [10**9, 2**53 + 1, 2**60 + 384, 10**20])
+    def test_bin_counts_past_any_loop_or_int64(self, bins):
+        # at 2**60 + 384, bins - 1 rounds down to a float that
+        # (1 - 2**-53) * bins reaches, while 1.0 * bins rounds above it:
+        # the two must stay in separate bins, and labels 0 and 2 give
+        # them gaps of opposite sign, which one bin would cancel
+        rng = np.random.default_rng(31)
+        probs = np.concatenate([[1.0, 1.0 - 2.0**-53, 0.0, 0.5, 1.0 - 2.0**-52],
+                                rng.random(60), rng.random(20) * 1e-6])
+        labels = np.concatenate([[0.0, 2.0], rng.integers(0, 2, size=probs.size - 2)])
+        got = expected_calibration_error(probs, labels, bins=bins)
+        assert got.hex() == self.exact_bins(probs, labels, bins).hex()
+
 
 class TestLabelCountErrorRate:
     def test_identical_matrices_zero(self):
@@ -212,59 +273,101 @@ class TestLabelCountErrorRate:
             label_count_error_rate(probs, truth)
 
 
+def old_tendency_values(yearly_counts, total):
+    """The per-series code that the one-array ``tendency_values`` replaced:
+    a {year: count} dict of consecutive years and the label's total give
+    its tick and its values."""
+    years = sorted(yearly_counts)
+    if len(years) < 2:
+        raise LabelcalError(f"need at least 2 years, got {len(years)}")
+    if any(b - a != 1 for a, b in zip(years, years[1:])):
+        raise LabelcalError(f"years must be consecutive, got {years}")
+    counts = np.array([yearly_counts[y] for y in years], dtype=np.float64)
+    tick = max(float(total) / 40.0, 1.0)
+    diffs = np.diff(counts)
+    values = np.zeros(diffs.size, dtype=np.int8)
+    values[diffs >= tick] = 1
+    values[diffs <= -tick] = -1
+    return values
+
+
+def step_value(step, total):
+    """The tendency value of a two-year series that moves by ``step``."""
+    return int(tendency_values([0.0, step], total)[0])
+
+
 class TestTendencyValues:
     def test_constant_counts_are_flat(self):
-        series = tendency_values({2000: 5.0, 2001: 5.0, 2002: 5.0}, total=15.0)
-        np.testing.assert_array_equal(series.values, [0, 0])
+        values = tendency_values([5.0, 5.0, 5.0], 15.0)
+        np.testing.assert_array_equal(values, [0, 0])
+        assert values.dtype == np.int8
 
     def test_small_total_tick_floor(self):
         # max(5/40, 1) = 1; jump of 5 >= 1
-        series = tendency_values({1980: 0.0, 1981: 5.0}, total=5.0)
-        assert series.tick == 1.0
-        np.testing.assert_array_equal(series.values, [1])
+        assert step_value(5.0, 5.0) == 1
+        # the tick is exactly 1.0: a move of 1.0 counts, one a ulp smaller does not
+        below = np.nextafter(1.0, 0.0)
+        assert (step_value(1.0, 5.0), step_value(below, 5.0)) == (1, 0)
+        assert (step_value(-1.0, 5.0), step_value(-below, 5.0)) == (-1, 0)
 
     def test_large_total_tick(self):
         # max(400/40, 1) = 10; jump of 5 < 10
-        series = tendency_values({1980: 100.0, 1981: 105.0}, total=400.0)
-        assert series.tick == 10.0
-        np.testing.assert_array_equal(series.values, [0])
+        np.testing.assert_array_equal(tendency_values([100.0, 105.0], 400.0), [0])
+        # the tick is exactly 10.0
+        below = np.nextafter(10.0, 0.0)
+        assert (step_value(10.0, 400.0), step_value(below, 400.0)) == (1, 0)
+        assert (step_value(-10.0, 400.0), step_value(-below, 400.0)) == (-1, 0)
 
     def test_values_stay_in_range(self):
         rng = np.random.default_rng(27)
         for _ in range(50):
-            years = {1980 + i: float(rng.integers(0, 50)) for i in range(10)}
-            series = tendency_values(years, total=float(rng.integers(1, 2000)))
-            assert set(np.unique(series.values)).issubset({-1, 0, 1})
+            counts = rng.integers(0, 50, size=10).astype(float)
+            values = tendency_values(counts, float(rng.integers(1, 2000)))
+            assert set(np.unique(values)).issubset({-1, 0, 1})
 
     def test_scaling_counts_and_total_together(self):
         rng = np.random.default_rng(28)
         for _ in range(30):
-            counts = {1980 + i: float(rng.uniform(0, 30)) for i in range(8)}
+            counts = rng.uniform(0, 30, size=8)
             total = float(rng.uniform(40.0, 400.0))  # C/40 >= 1
             lam = float(rng.uniform(1.0, 5.0))
-            base = tendency_values(counts, total)
-            scaled = tendency_values(
-                {y: lam * c for y, c in counts.items()}, lam * total
-            )
-            np.testing.assert_array_equal(base.values, scaled.values)
-
-    def test_non_consecutive_years_rejected(self):
-        with pytest.raises(Exception, match="consecutive"):
-            tendency_values({1980: 1.0, 1982: 2.0}, total=3.0)
+            np.testing.assert_array_equal(
+                tendency_values(counts, total), tendency_values(lam * counts, lam * total))
 
     def test_single_year_rejected(self):
-        with pytest.raises(Exception, match="2 years"):
-            tendency_values({1980: 1.0}, total=1.0)
+        with pytest.raises(LabelcalError, match="^need at least 2 years, got 1$"):
+            tendency_values([1.0], 1.0)
+        with pytest.raises(LabelcalError, match="^need at least 2 years, got 1$"):
+            tendency_values([[1.0, 2.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("n_years", [2, 3, 12])
+    def test_columns_equal_the_old_per_series_code(self, n_years):
+        # integer counts make exact ties (a move equal to the tick) common;
+        # flat columns, zero totals (tick 1) and totals whose tick is a
+        # fraction of a count are all drawn
+        rng = np.random.default_rng(29 + n_years)
+        for _ in range(40):
+            n_labels = int(rng.integers(1, 9))
+            counts = rng.integers(0, 12, size=(n_years, n_labels)).astype(float)
+            counts[:, 0] = counts[0, 0]  # one flat column
+            totals = rng.choice([0.0, 40.0, 80.0, 120.0, 400.0, 41.5], size=n_labels)
+            got = tendency_values(counts, totals)
+            assert got.shape == (n_years - 1, n_labels) and got.dtype == np.int8
+            for j in range(n_labels):
+                old = old_tendency_values(dict(zip(range(1980, 1980 + n_years), counts[:, j])),
+                                          totals[j])
+                assert got[:, j].tolist() == old.tolist()
+                assert tendency_values(counts[:, j], totals[j]).tolist() == old.tolist()
+            assert (got[:, 0] == 0).all()
 
 
 class TestTendencyError:
-    def make(self, values, label="a", start=1980):
-        counts = {start: 100.0}
-        level = 100.0
-        for i, v in enumerate(values):
+    def make(self, values):
+        counts, level = [100.0], 100.0
+        for v in values:
             level += v * 50.0  # +-50 clears any tick decisively, 0 stays flat
-            counts[start + i + 1] = level
-        return {label: tendency_values(counts, total=sum(counts.values()))}
+            counts.append(level)
+        return tendency_values(counts, sum(counts))
 
     def test_identical_series_zero_percent(self):
         pred = self.make([1, 0, -1, 0])
@@ -273,8 +376,8 @@ class TestTendencyError:
     def test_maximal_disagreement_two_hundred_percent(self):
         pred = self.make([1, 1, 1])
         truth = self.make([-1, -1, -1])
-        np.testing.assert_array_equal(pred["a"].values, [1, 1, 1])
-        np.testing.assert_array_equal(truth["a"].values, [-1, -1, -1])
+        np.testing.assert_array_equal(pred, [1, 1, 1])
+        np.testing.assert_array_equal(truth, [-1, -1, -1])
         assert tendency_error(pred, truth) == 200.0
 
     def test_mean_of_absolute_differences(self):
@@ -286,35 +389,66 @@ class TestTendencyError:
     def test_mismatched_year_ranges_rejected(self):
         pred = self.make([1, 0])
         truth = self.make([1, 0, 1])
-        with pytest.raises(Exception, match="year ranges"):
+        with pytest.raises(LabelcalError, match=r"^tendency values \(2,\) and \(3,\) cannot"):
             tendency_error(pred, truth)
+        # a different label count is a different shape too
+        with pytest.raises(LabelcalError, match=r"\(2, 3\) and \(2, 2\) cannot be compared"):
+            tendency_error(np.zeros((2, 3), np.int8), np.zeros((2, 2), np.int8))
+
+    def test_all_cells_averaged_jointly(self):
+        # label a differs on one pair of two, label b on none: 1 of 4 cells
+        pred = np.array([[1, 0], [0, -1]], dtype=np.int8)
+        truth = np.array([[0, 0], [0, -1]], dtype=np.int8)
+        assert tendency_error(pred, truth) == 25.0
+        assert tendency_error(pred[:, 0], truth[:, 0]) == 50.0
+
+
+@pytest.fixture
+def tendency_inputs(monkeypatch):
+    """The (yearly counts, totals) that each ``tendency_values`` call gets."""
+    calls, real = [], metrics.tendency_values
+
+    def record(yearly_counts, totals):
+        calls.append((np.array(yearly_counts, dtype=np.float64),
+                      np.array(totals, dtype=np.float64)))
+        return real(yearly_counts, totals)
+
+    monkeypatch.setattr(metrics, "tendency_values", record)
+    return calls
+
+
+def hex_bits(array):
+    return [float(v).hex() for v in np.ravel(array)]
 
 
 class TestTendencyFromMatrix:
-    def test_column_sums_per_year(self):
+    def test_column_sums_per_year(self, tendency_inputs):
         probs = ProbMatrix(("a",), np.array([[0.5], [0.5], [1.0], [0.0]]))
-        series = tendency_series_from_matrix(probs, [1980, 1980, 1981, 1981])
-        assert series["a"].yearly_counts == (1.0, 1.0)
-        np.testing.assert_array_equal(series["a"].values, [0])
+        values = tendency_series_from_matrix(probs, [1980, 1980, 1981, 1981])
+        np.testing.assert_array_equal(values, [[0]])
+        [(counts, totals)] = tendency_inputs
+        assert counts.tolist() == [[1.0], [1.0]] and totals.tolist() == [2.0]
 
     @staticmethod
     def by_masks(matrix, years):
-        """The per-(label, year) mask loop that the one-sort path replaced."""
+        """The per-(label, year) mask loop that the one-sort path replaced,
+        giving each label's series to the old per-series code."""
         years = np.asarray(years, dtype=np.int64)
         span = range(int(years.min()), int(years.max()) + 1)
-        out = {}
-        for j, name in enumerate(matrix.labels):
+        counts, totals, values = [], [], []
+        for j in range(matrix.values.shape[1]):
             column = matrix.values[:, j].astype(np.float64)
             per_year = {y: float(column[years == y].sum()) for y in span}
-            out[name] = tendency_values(per_year, total=float(column.sum()))
-        return out
+            counts.append(list(per_year.values()))
+            totals.append(float(column.sum()))
+            values.append(old_tendency_values(per_year, totals[-1]).tolist())
+        return hex_bits(np.array(counts).T), hex_bits(totals), np.array(values).T.tolist()
 
     @staticmethod
-    def bits(series):
-        return {
-            name: (s.years, [c.hex() for c in s.yearly_counts], s.tick.hex(), s.values.tolist())
-            for name, s in series.items()
-        }
+    def bits(values, inputs):
+        [(counts, totals)] = inputs
+        inputs.clear()
+        return hex_bits(counts), hex_bits(totals), values.tolist()
 
     @pytest.mark.parametrize("n,first,last,gap", [
         (3000, 1990, 2009, None),   # ~150 items a year: pairwise sums with partial blocks
@@ -324,7 +458,9 @@ class TestTendencyFromMatrix:
         (1000, 2000, 2001, None),
     ])
     @pytest.mark.parametrize("kind", ["probs", "labels"])
-    def test_one_sort_equals_the_mask_loop_bit_for_bit(self, n, first, last, gap, kind):
+    def test_one_sort_equals_the_mask_loop_bit_for_bit(
+        self, n, first, last, gap, kind, tendency_inputs
+    ):
         rng = np.random.default_rng(n + first)
         span = [y for y in range(first, last + 1) if y != gap]
         years = rng.choice(span, size=n)
@@ -338,16 +474,25 @@ class TestTendencyFromMatrix:
         else:
             matrix = LabelMatrix(names, (rng.random((n, 6)) < 0.3).astype(int))
         got = tendency_series_from_matrix(matrix, years)
-        assert self.bits(got) == self.bits(self.by_masks(matrix, years))
+        assert got.shape == (last - first, 6)
         if gap is not None:
-            assert all(s.yearly_counts[gap - first] == 0.0 for s in got.values())
+            assert (tendency_inputs[0][0][gap - first] == 0.0).all()
+        assert self.bits(got, tendency_inputs) == self.by_masks(matrix, years)
 
-    def test_single_item_year(self):
+    def test_single_item_year(self, tendency_inputs):
         probs = ProbMatrix(("a", "b"), np.array([[0.25, 0.5], [0.125, 1.0], [0.75, 0.0]]))
         years = [1981, 1980, 1981]
         got = tendency_series_from_matrix(probs, years)
-        assert self.bits(got) == self.bits(self.by_masks(probs, years))
-        assert got["a"].yearly_counts == (0.125, 1.0)
+        assert tendency_inputs[0][0][:, 0].tolist() == [0.125, 1.0]
+        assert self.bits(got, tendency_inputs) == self.by_masks(probs, years)
+
+    def test_a_year_without_items_is_a_zero_row(self, tendency_inputs):
+        # the rows cover every year of the span, so no year can be skipped
+        probs = ProbMatrix(("a",), np.array([[0.5], [1.0], [0.75]]))
+        got = tendency_series_from_matrix(probs, [1982, 1980, 1982])
+        assert tendency_inputs[0][0].tolist() == [[1.0], [0.0], [1.25]]
+        np.testing.assert_array_equal(got, tendency_values([1.0, 0.0, 1.25], 2.25)[:, None])
+        np.testing.assert_array_equal(got, [[-1], [1]])
 
     @pytest.mark.parametrize("years, message", [
         ([1990.7, 1991.2, 1991.9], r"^year 1990\.7 of item 0 is not an integer within int64$"),
@@ -356,12 +501,13 @@ class TestTendencyFromMatrix:
         ([[1990], [1991], [1992]], r"^years must be a vector, got shape \(3, 1\)$"),
         (["1990", "1991", "1992"], r"^years must be integers, got <U4$"),
     ])
-    def test_years_are_checked_not_cast(self, years, message):
+    def test_years_are_checked_not_cast(self, years, message, tendency_inputs):
         probs = ProbMatrix(("a",), np.array([[0.5], [0.25], [1.0]]))
         with pytest.raises(LabelcalError, match=message):
             tendency_series_from_matrix(probs, years)
-        whole = tendency_series_from_matrix(probs, [1990.0, 1991.0, 1991.0])
-        assert whole["a"].yearly_counts == (0.5, 1.25)
+        assert tendency_inputs == []
+        tendency_series_from_matrix(probs, [1990.0, 1991.0, 1991.0])
+        assert tendency_inputs[0][0].tolist() == [[0.5], [1.25]]
 
     def test_every_item_in_one_year_is_rejected_like_the_mask_loop(self):
         probs = ProbMatrix(("a",), np.array([[0.5], [0.25]]))

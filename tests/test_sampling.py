@@ -1,6 +1,7 @@
 """Importance weights, weighted sampling, and bootstrap sizing tests."""
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -273,6 +274,25 @@ class TestSizingCurve:
     def test_oversized_request_rejected(self):
         with pytest.raises(LabelcalError, match="exceeds"):
             sizing_curve(np.ones(40), sizes=(50,), reps=2, seed=0)
+
+    def test_largest_size_checked_before_the_sizes_are_built(self):
+        class Unbuilt(Sequence):
+            """A range of 9.2e17 sizes that fails the test when iterated."""
+
+            def __init__(self):
+                self.sizes = range(10, 2**63, 10)
+
+            def __len__(self):
+                return len(self.sizes)
+
+            def __getitem__(self, i):
+                return self.sizes[i]
+
+            def __iter__(self):
+                raise AssertionError("sizing_curve built the sizes before checking them")
+
+        with pytest.raises(LabelcalError, match=f"^sample size {2**63 - 8} exceeds population 40$"):
+            sizing_curve(np.ones(40), sizes=Unbuilt(), reps=2, seed=0)
 
     @pytest.mark.parametrize("sizes,reps", [((5, 10), 0), ((5, 10), -1), ((0, 5), 2), ((-5, 5), 2)])
     def test_nonpositive_reps_or_size_rejected(self, sizes, reps):

@@ -1089,7 +1089,7 @@ class TestBowMatch:
         assert bow_match_many([], []) == []
 
     def test_any_token_less_quote_rejected(self):
-        with pytest.raises(LabelcalError, match="no alphanumeric tokens"):
+        with pytest.raises(LabelcalError, match="^quote at index 1 contains no alphanumeric tokens$"):
             bow_match_many(["alma", "—"], ["alma"])
 
     # a paragraph sharing no token with the quote is at exactly 1.0
