@@ -11,13 +11,16 @@ error naming path, line and byte offset.  Line-based inputs end a line at
 ``\\n``, ``\\r\\n`` or ``\\r`` (``text_lines``); matrices follow ``csv``.
 Matrices are stored as CSV with a label-name header row.  Values are
 written with 17 significant digits so that a load -> save -> load cycle
-is bit-identical, and read by numpy's C parser (``read_numbers`` gives
-the number grammar); a file it rejects is walked again only to name the
-first bad row and cell.  Text corpora are JSON-lines records with ``id``
-and ``text`` fields.  Files are written through ``atomic_files``, which
-moves a group of distinct files (a command-line run's outputs and its
-manifest) in whole or not at all: a failure leaves no partial output and
-keeps the files it would have replaced.
+is bit-identical; cells that are exactly +0.0 or 1.0, most of a
+truncated matrix, are written as ``0`` and ``1`` without being formatted
+(``format_matrix``).  Values are read by numpy's C parser
+(``read_numbers`` gives the number grammar); a file it rejects is walked
+again only to name the first bad row and cell.  Text corpora are
+JSON-lines records with ``id`` and ``text`` fields.  Files are written
+through ``atomic_files``, which moves a group of distinct files (a
+command-line run's outputs and its manifest) in whole or not at all: a
+failure leaves no partial output and keeps the files it would have
+replaced.
 """
 
 from __future__ import annotations
@@ -399,6 +402,7 @@ def text_lines(text: str) -> list[str]:
 # Numbers are what numpy's C parser (``np.loadtxt``) reads, limited to
 # printable ASCII: loadtxt would also strip \x1c-\x1f as whitespace.
 _PRINTABLE = bytes(range(0x20, 0x7F))
+_NOT_LINE_END = re.compile(rb"[^\r\n]")
 
 
 def read_numbers(fields: Sequence[str], dtype: type | str = float) -> np.ndarray | None:
@@ -450,21 +454,27 @@ def _read_header(text: str) -> tuple[tuple[str, ...], int, int]:
 def _parse_rows(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Label header and float64 values of a matrix CSV text.
 
-    The body after the header is read by ``np.loadtxt`` (quoted cells
-    included, blank lines skipped) when it is printable ASCII.  A body it
+    The text is encoded once.  When the body in those bytes is printable
+    ASCII (one ``translate``), ``np.loadtxt`` reads it from the header's
+    end (quoted cells included, blank lines skipped).  A body it
     cannot read as one number per label in every row goes to
     ``_matrix_error``, which gives the error of the first bad row.
     """
     import numpy as np
 
     labels, start, header_lines = _read_header(text)
-    raw = text[start:].encode()
-    if raw.count(b"\n") + raw.count(b"\r") == len(raw):  # no data rows
+    raw = text.encode()
+    skip = len(text[:start].encode())  # bytes of the header
+    if not _NOT_LINE_END.search(raw, skip):  # no data rows
         return labels, np.empty((0, len(labels)))
     data = None
-    if not raw.translate(None, _PRINTABLE + b"\r\n"):
+    # translate keeps what the header keeps, then what the body keeps
+    allowed = _PRINTABLE + b"\r\n"
+    if len(raw.translate(None, allowed)) == len(raw[:skip].translate(None, allowed)):
+        body = io.BytesIO(raw)
+        body.seek(skip)
         try:
-            data = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, quotechar='"',
+            data = np.loadtxt(body, delimiter=",", comments=None, quotechar='"',
                               ndmin=2, encoding="ascii")
         except ValueError:
             pass
@@ -511,13 +521,48 @@ def load_label_matrix(path: str, kind: str = "multilabel") -> LabelMatrix:
     return _load_matrix(path, lambda labels, data: LabelMatrix(labels, data, kind))
 
 
+# A block of matrix rows is one % call, whose format string is made of
+# two-character units: a cell that is exactly +0.0 or 1.0 takes one, "0,"
+# or "1," ("0\n" or "1\n" at the end of its row); any other takes three,
+# "%." "17" "g," ("g\n").  Their indices in the table:
+_UNITS = b"0,1,0\n1\n%.17g,g\n"
+_ROW_END, _FORMAT, _DIGITS, _TAIL = 2, 4, 5, 6
+_BLOCK_CELLS = 1 << 16
+
+
 def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
-    """Render a matrix as CSV text with 17-significant-digit values."""
+    """Render a matrix (or a vector, as one column) as CSV text.
+
+    Every value is written as ``"%.17g" % value`` writes it, so that a
+    load -> save -> load cycle is bit-identical.  Each block of rows is one
+    ``%`` call: its format string holds the cells that are exactly +0.0 or
+    1.0 as the literals ``0`` and ``1``, and ``%.17g`` for every other cell
+    (-0.0, NaN and the infinities included).
+    """
     import numpy as np
 
+    units = np.frombuffer(_UNITS, np.uint16)
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    n, k = values.shape
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(labels)
-    np.savetxt(out, np.asarray(values), fmt="%.17g", delimiter=",")
+    if not k:
+        return out.getvalue() + "\n" * n
+    row_end = np.arange(k) == k - 1
+    rows = max(1, _BLOCK_CELLS // k)
+    for start in range(0, n, rows):
+        block = values[start:start + rows]
+        one = block == 1.0
+        loose = ~one & ((block != 0.0) | np.signbit(block))
+        ends = np.broadcast_to(row_end, block.shape)
+        size = 1 + 2 * loose.ravel()
+        at = np.cumsum(size) - size  # each cell's first unit
+        fmt = np.full(at[-1] + size[-1], units[_DIGITS])
+        fmt[at] = units[np.where(loose, _FORMAT, one + _ROW_END * ends).ravel()]
+        fmt[at[size == 3] + 2] = units[_TAIL + ends[loose]]
+        out.write(fmt.tobytes().decode("ascii") % tuple(block[loose].tolist()))
     return out.getvalue()
 
 

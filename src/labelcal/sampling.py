@@ -96,11 +96,13 @@ def sizing_curve(
     if not np.all(np.isfinite(values)):
         i = int(np.argmin(np.isfinite(values)))
         raise LabelcalError(f"score {i + 1} is not finite: {values[i]}")
-    # the last of increasing sizes is the largest: checked before a long
-    # range of sizes is built
+    # the last of increasing sizes is the largest, and comes after the
+    # first: both checked before a long range of sizes is built
     for last in sizes[-1:]:
         if last > values.size:
             raise LabelcalError(f"sample size {last} exceeds population {values.size}")
+        if len(sizes) > 1 and sizes[0] >= last:
+            raise LabelcalError("sizes must be strictly increasing")
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise LabelcalError("no sample sizes given")

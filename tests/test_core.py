@@ -15,7 +15,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test skips itself without hypothesis
+    st = None
+
 import labelcal
+from labelcal import core
 from labelcal.core import (
     DuplicateLabelError,
     EnsembleSet,
@@ -229,6 +235,35 @@ class TestParseRows:
             warnings.simplefilter("error")
             assert parse_outcome(text)[1][0] == 0
 
+    @pytest.mark.parametrize("body, outcome", [
+        ("", None), ("\r", None), ("\n", None), ("\r\n\r", None),
+        ("\r" * 4099 + "\n" * 4097 + "\r\n" * 3000, None), ("\n\r" * 50_000, None),
+        (" \n", (RaggedRowError, "m.csv: row 1 has 1 fields, expected 2")),
+        ("\r\n\n \r\n", (RaggedRowError, "m.csv: row 1 has 1 fields, expected 2")),
+        ("\r \n", (MatrixFormatError,
+                   f"m.csv: malformed CSV on line 2: {csv_message('0' + chr(13) + ' ')}")),
+    ], ids=["empty", "cr", "lf", "cr lf cr", "long runs", "long lf cr", "space",
+            "space after line ends", "cr space"])
+    def test_a_body_of_line_ends_has_no_rows(self, body, outcome):
+        """Exactly the bodies the old whole-body count called empty have no
+        rows and warn nothing; any other byte takes the parse's path."""
+        raw = body.encode()
+        line_ends_only = raw.count(b"\n") + raw.count(b"\r") == len(raw)
+        assert line_ends_only == (outcome is None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = parse_outcome("a,b\n" + body)
+        assert got == (outcome or read(("a", "b"), []))
+
+    @pytest.mark.parametrize("header", ["a\x00,b\n", '"fordí\n\x1c",b\n', "\n\r\na,b\r\n"])
+    def test_header_bytes_do_not_count_against_the_body(self, header):
+        """The number grammar applies to the body only: a header with bytes
+        outside it still has its body read by one np.loadtxt call."""
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            labels, data = _parse_rows(header + "0.5,1\n-0,2e-3\n")
+        assert loadtxt.call_count == 1
+        assert len(labels) == 2 and data.tobytes() == np.array([[0.5, 1], [-0.0, 2e-3]]).tobytes()
+
 
 def format_matrix_per_row(labels, values):
     """The per-row ``csv.writer`` body that ``format_matrix`` replaced."""
@@ -240,6 +275,12 @@ def format_matrix_per_row(labels, values):
     return out.getvalue()
 
 
+# cells that a writer could get wrong: pinned (+0.0, 1.0), next to pinned,
+# signed, the smallest subnormal, the largest values, and the non-finite
+PINNED_NEIGHBOURS = (0.0, -0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                     -1.0, 2.0, float("nan"), float("inf"), float("-inf"), 1e308)
+
+
 class TestFormatMatrix:
     @pytest.mark.parametrize("values", [
         [[-0.0, 0.0, float("nan")], [float("inf"), float("-inf"), 5e-324],
@@ -248,11 +289,50 @@ class TestFormatMatrix:
         np.empty((0, 3)),
         np.random.default_rng(5).random((50, 7)),
         np.random.default_rng(6).integers(0, 2, size=(20, 4)).astype(float),
-    ], ids=["specials", "one column", "no rows", "random", "binary"])
+        *(np.random.default_rng(n).choice(PINNED_NEIGHBOURS, size=(n, 50))
+          for n in (core._BLOCK_CELLS // 50 - 1, core._BLOCK_CELLS // 50, core._BLOCK_CELLS // 50 + 1)),
+    ], ids=["specials", "one column", "no rows", "random", "binary",
+            "block - 1", "block", "block + 1"])
     def test_same_bytes_as_per_row_writer(self, values):
         labels = [f"l{j}" for j in range(np.shape(values)[1])]
         labels[0] = 'quoted "name", with comma'
         assert format_matrix(labels, values) == format_matrix_per_row(labels, values)
+
+    def test_no_columns_and_a_vector(self):
+        """What np.savetxt wrote: an empty line per row of no cells, and a
+        vector as one column."""
+        assert format_matrix([], np.empty((3, 0))) == "\n" * 4
+        vector = np.array(PINNED_NEIGHBOURS)
+        assert format_matrix(["v"], vector) == format_matrix_per_row(["v"], vector[:, None])
+
+    @pytest.mark.skipif(st is None, reason="needs hypothesis")
+    def test_drawn_matrices_have_the_per_row_writers_bytes(self):
+        """Floats mostly from ``PINNED_NEIGHBOURS``, or int64 ids as in
+        folds.csv, in blocks of a few cells, so that 0 and 1 rows, one
+        column, a vector and the rows of a block -1, +0 and +1 all occur."""
+        label = st.sampled_from(['a"b', "c,d", "e\nf", "g"]) | st.text(min_size=1, max_size=3)
+        floats = st.sampled_from(PINNED_NEIGHBOURS) | st.sampled_from(PINNED_NEIGHBOURS) | st.floats()
+        ids = st.sampled_from([0, 1, -1, 2**53, 2**53 + 1, -(2**63), 2**63 - 1]) | st.integers(
+            -(2**63), 2**63 - 1)
+
+        @settings(max_examples=400)
+        @given(st.data())
+        def check(data):
+            block = data.draw(st.integers(1, 12), "block cells")
+            k = data.draw(st.integers(1, 5), "columns")
+            rows = max(1, block // k)
+            n = data.draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1]) | st.integers(0, 30))
+            cell, dtype = data.draw(st.sampled_from([(floats, float), (ids, np.int64)]))
+            values = np.array(data.draw(st.lists(cell, min_size=n * k, max_size=n * k)),
+                              dtype=dtype).reshape(n, k)
+            labels = data.draw(st.lists(label, min_size=k, max_size=k))
+            expected = format_matrix_per_row(labels, values)
+            if k == 1 and data.draw(st.booleans(), "as a vector"):
+                values = values[:, 0]
+            with mock.patch.object(core, "_BLOCK_CELLS", block):
+                assert format_matrix(labels, values) == expected
+
+        check()
 
 
 class TestLabelMatrix:

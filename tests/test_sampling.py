@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, spearmanr
 
+import child
 from labelcal._util import derive_rng
 from labelcal.core import LabelcalError, ProbMatrix, concat_labels
 from labelcal.sampling import (
@@ -309,6 +310,19 @@ class TestSizingCurve:
         for sizes in ((300, 50), (50, 50)):
             with pytest.raises(LabelcalError, match="sizes must be strictly increasing"):
                 sizing_curve(np.ones(400), sizes=sizes, reps=10**6, seed=0)
+        # a tuple of this range would fill any memory, so it runs in a
+        # child whose address space is capped
+        run = child.run("-c", (
+            "import numpy as np\n"
+            "from labelcal import sampling\n"
+            "def no_draws(*args):\n"
+            "    raise AssertionError('sizing_curve drew before checking its sizes')\n"
+            "sampling.derive_rng = no_draws\n"
+            "try:\n"
+            "    sampling.sizing_curve(np.ones(100), sizes=range(10**12, 0, -1), reps=10**6)\n"
+            "except sampling.LabelcalError as exc:\n"
+            "    print(exc)\n"), budget=64 << 20, timeout=60)
+        assert (run.stdout, run.stderr) == ("sizes must be strictly increasing\n", "")
 
     def test_curve_invariants(self):
         with pytest.raises(LabelcalError):
