@@ -18,6 +18,11 @@ set when this module loads, before any stage imports numpy, as starting
 OpenBLAS's worker pool costs about half of ``import numpy``, more than any
 stage's BLAS work.  Outputs are the same.
 
+``main`` freezes the import-time heap before the run and what is alive
+after it, as the collections of interpreter finalization would traverse
+all of it and none of it can be garbage by then; ``dispatch`` does not
+freeze, so in-process callers keep their collector as it is.
+
 Exit codes: 0 success, 1 usage error, 2 data error: an input the stage
 cannot read (inputs are strict UTF-8; line-based ones end a line at
 ``\\n``, ``\\r\\n`` or ``\\r``) or running out of memory.
@@ -26,6 +31,7 @@ cannot read (inputs are strict UTF-8; line-based ones end a line at
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -431,7 +437,11 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    gc.freeze()
+    try:
+        sys.exit(dispatch())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -96,18 +96,18 @@ def sizing_curve(
     if not np.all(np.isfinite(values)):
         i = int(np.argmin(np.isfinite(values)))
         raise LabelcalError(f"score {i + 1} is not finite: {values[i]}")
-    # the last of increasing sizes is the largest, and comes after the
-    # first: both checked before a long range of sizes is built
+    # the last of increasing sizes is the largest and the first the
+    # smallest: all checked before a long range of sizes is built
     for last in sizes[-1:]:
         if last > values.size:
             raise LabelcalError(f"sample size {last} exceeds population {values.size}")
         if len(sizes) > 1 and sizes[0] >= last:
             raise LabelcalError("sizes must be strictly increasing")
+        if sizes[0] < 1 or reps < 1:
+            raise LabelcalError(f"sample sizes and reps must be >= 1, got {sizes[0]} and {reps}")
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise LabelcalError("no sample sizes given")
-    if min(sizes) < 1 or reps < 1:
-        raise LabelcalError(f"sample sizes and reps must be >= 1, got {min(sizes)} and {reps}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise LabelcalError("sizes must be strictly increasing")
     stds = np.empty((len(sizes), array_length(reps, 8 * len(sizes), f"reps {reps}")))

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, manifests, determinism."""
 
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -803,6 +804,59 @@ class TestModuleEntry:
         assert run.returncode == 1
         assert "unrecognized arguments: --frobnicate" in run.stderr
         assert not (tmp_path / "q.csv").exists()
+
+
+# ``main`` in a child, with a hook that reports the frozen objects at exit
+FREEZE_PROBE = """if True:
+    import atexit, gc, sys
+    atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+    import labelcal.cli
+    sys.argv = ["labelcal", *sys.argv[1:]]
+    labelcal.cli.main()
+"""
+
+TRUNCATE = ["truncate", "--probs", "../probs.csv", "--p-low", "0.2", "--p-high", "0.54",
+            "--out", "q.csv"]
+
+
+class TestEntryPointFreezes:
+    @pytest.mark.parametrize("argv,code,written", [
+        (TRUNCATE, 0, ["q.csv", "q.csv.manifest.json"]),
+        ([*TRUNCATE, "--frobnicate"], 1, []),
+        ([*TRUNCATE[:2], "../bad.csv", *TRUNCATE[3:]], 2, []),
+        (["--version"], 0, []),
+    ], ids=["ok", "usage-error", "data-error", "version"])
+    def test_main_freezes_and_matches_in_process_dispatch(
+            self, tmp_path, probs_csv, monkeypatch, capsys, argv, code, written):
+        # the same relative argv from two sibling directories, so the
+        # outputs and their manifests can be compared whole
+        (tmp_path / "bad.csv").write_text("a,b\n0.5,x\n", encoding="utf-8")
+        main_dir, dispatch_dir = tmp_path / "main", tmp_path / "dispatch"
+        main_dir.mkdir()
+        dispatch_dir.mkdir()
+        run = child.run("-c", FREEZE_PROBE, *argv, cwd=main_dir)
+        stderr, _, frozen = run.stderr.rpartition("freeze count ")
+        assert int(frozen) > 0
+
+        monkeypatch.chdir(dispatch_dir)
+        before = gc.get_freeze_count()
+        try:
+            returned = dispatch(argv)
+        except SystemExit as exc:  # --version
+            returned = exc.code
+        # in-process callers keep their collector as it is
+        assert gc.get_freeze_count() == before
+        assert (run.returncode, run.stdout, stderr) == (returned, *capsys.readouterr())
+        assert returned == code
+
+        assert sorted(os.listdir(main_dir)) == sorted(os.listdir(dispatch_dir)) == written
+        for name in written:
+            got, want = (main_dir / name).read_bytes(), (dispatch_dir / name).read_bytes()
+            if name.endswith(".manifest.json"):
+                got, want = json.loads(got), json.loads(want)
+                assert got.keys() == want.keys()
+                del got["duration_seconds"], want["duration_seconds"]
+            assert got == want
 
 
 @pytest.fixture

@@ -310,19 +310,23 @@ class TestSizingCurve:
         for sizes in ((300, 50), (50, 50)):
             with pytest.raises(LabelcalError, match="sizes must be strictly increasing"):
                 sizing_curve(np.ones(400), sizes=sizes, reps=10**6, seed=0)
-        # a tuple of this range would fill any memory, so it runs in a
-        # child whose address space is capped
+        # a tuple of either range would fill any memory, so they run in a
+        # child whose address space is capped; the second increases, and
+        # its first size is the smallest
         run = child.run("-c", (
             "import numpy as np\n"
             "from labelcal import sampling\n"
             "def no_draws(*args):\n"
             "    raise AssertionError('sizing_curve drew before checking its sizes')\n"
             "sampling.derive_rng = no_draws\n"
-            "try:\n"
-            "    sampling.sizing_curve(np.ones(100), sizes=range(10**12, 0, -1), reps=10**6)\n"
-            "except sampling.LabelcalError as exc:\n"
-            "    print(exc)\n"), budget=64 << 20, timeout=60)
-        assert (run.stdout, run.stderr) == ("sizes must be strictly increasing\n", "")
+            "for sizes, reps in ((range(10**12, 0, -1), 10**6), (range(-10**12, 5), 10)):\n"
+            "    try:\n"
+            "        sampling.sizing_curve(np.ones(100), sizes=sizes, reps=reps)\n"
+            "    except sampling.LabelcalError as exc:\n"
+            "        print(exc)\n"), budget=64 << 20, timeout=60)
+        assert (run.stdout, run.stderr) == (
+            "sizes must be strictly increasing\n"
+            "sample sizes and reps must be >= 1, got -1000000000000 and 10\n", "")
 
     def test_curve_invariants(self):
         with pytest.raises(LabelcalError):
