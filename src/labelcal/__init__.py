@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "calibration": "Thresholds grid_search_thresholds out_of_fold threshold_at_half truncate",
-    "core": "EnsembleSet LabelcalError LabelMatrix ProbMatrix bow_match_many concat_labels"
-            " ensemble_average load_label_matrix load_prob_matrix substring_filter",
+    "core": "EnsembleSet LabelcalError LabelMatrix ProbMatrix bow_match_many load_label_matrix"
+            " load_prob_matrix substring_filter",
     "folds": "FoldAssignment partition_score stratified_kfold stratified_single_label",
     "losses": "LossValue confidence_penalty focal_loss ldam_loss ldam_margins",
     "metrics": "MacroScore balanced_accuracy expected_calibration_error"

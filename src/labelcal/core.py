@@ -269,31 +269,6 @@ class EnsembleSet:
         object.__setattr__(self, "members", members)
 
 
-def ensemble_average(ensemble: EnsembleSet) -> ProbMatrix:
-    """Entrywise arithmetic mean of the ensemble members."""
-    import numpy as np
-
-    stack = np.stack([m.values for m in ensemble.members])
-    return ProbMatrix(ensemble.members[0].labels, stack.mean(axis=0))
-
-
-def concat_labels(*matrices: ProbMatrix) -> ProbMatrix:
-    """Column-concatenate predictions over the same items.
-
-    Joins label sets (e.g. separate content and context ensembles) into
-    one matrix; label names must stay unique across the inputs.
-    """
-    if not matrices:
-        raise LabelcalError("concat_labels needs at least one matrix")
-    rows = {m.n_items for m in matrices}
-    if len(rows) != 1:
-        raise MatrixFormatError(f"row counts differ: {sorted(rows)}")
-    import numpy as np
-
-    labels = tuple(name for m in matrices for name in m.labels)
-    return ProbMatrix(labels, np.hstack([m.values for m in matrices]))
-
-
 # ---------------------------------------------------------------------------
 # File input and output
 # ---------------------------------------------------------------------------

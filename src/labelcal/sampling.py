@@ -71,8 +71,6 @@ class SizingCurve:
     reps: int
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise LabelcalError("sizes must be strictly increasing")
         if any(s < 0 for s in self.mean_std):
             raise LabelcalError("standard deviations must be non-negative")
 

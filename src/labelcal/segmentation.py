@@ -4,16 +4,16 @@ type classification and cross-page paragraph merging.
 Input is the standard 12-column word-box table (level, page_num,
 block_num, par_num, line_num, word_num, left, top, width, height, conf,
 text).  It is read by numpy's C parser into ``OcrTokens`` columns, the
-only form word boxes take: 36 bytes of int32 fields and 8 of float64
-confidence per word box, besides its text.  A table the parser rejects is
-walked again row by row only to name the first bad line.  Paragraphs are
-assembled from one stable sort of the word keys and per-line array
-reductions, gathering one field at a time into sorted order.  Paragraph
-classes come from density clustering (DBSCAN over a grid of cells on the
-distinct feature points, in memory linear in the paragraphs) on
-character-size statistics; page-boundary merges use the two typographic
-cues - the last line reaching the right margin and the next page's first
-line not being indented.
+only form word boxes take: 36 bytes of int32 fields per word box,
+besides its text (``conf`` is read only to check that it is a number).
+A table the parser rejects is walked again row by row only to name the
+first bad line.  Paragraphs are assembled from one stable sort of the
+word keys and per-line array reductions, gathering one field at a time
+into sorted order.  Paragraph classes come from density clustering
+(DBSCAN over a grid of cells on the distinct feature points, in memory
+linear in the paragraphs) on character-size statistics; page-boundary
+merges use the two typographic cues - the last line reaching the right
+margin and the next page's first line not being indented.
 """
 
 from __future__ import annotations
@@ -51,15 +51,14 @@ class OcrTokens:
     """Word boxes held as columns.
 
     ``fields`` is an (n, 9) array of the integer fields (page, block,
-    paragraph, line, word, left, top, width, height), ``confidence`` an
-    (n,) float64 array and ``texts`` the n word texts.  ``parse_ocr_tsv``
-    checks the word-box rules and gives int32 fields, which hold every
-    value the rules allow (36 bytes per word box); the columns are not
-    checked again.  Sums of fields are formed in int64.
+    paragraph, line, word, left, top, width, height) and ``texts`` the n
+    word texts.  ``parse_ocr_tsv`` checks the word-box rules and gives
+    int32 fields, which hold every value the rules allow (36 bytes per
+    word box); the columns are not checked again.  Sums of fields are
+    formed in int64.
     """
 
     fields: np.ndarray
-    confidence: np.ndarray
     texts: list[str]
 
     @classmethod
@@ -70,14 +69,13 @@ class OcrTokens:
         reallocates them), so parts drawn from an iterator, each released
         once it is copied, are never all held beside the whole table.
         """
-        fields, confidence, texts = np.empty((0, len(_INT_FIELDS)), np.int32), np.empty(0), []
+        fields, texts = np.empty((0, len(_INT_FIELDS)), np.int32), []
         for part in parts:
             n, m = len(texts), len(part)
             fields.resize((n + m, fields.shape[1]), refcheck=False)
-            confidence.resize(n + m, refcheck=False)
-            fields[n:], confidence[n:] = part.fields, part.confidence
+            fields[n:] = part.fields
             texts += part.texts
-        return cls(fields, confidence, texts)
+        return cls(fields, texts)
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -158,7 +156,7 @@ def parse_ocr_tsv(text: str) -> OcrTokens:
     n_cols = len(header)
     rows = list(filter(str.strip, lines[1:]))
     if not rows:
-        return OcrTokens(np.empty((0, len(_INT_FIELDS)), np.int32), np.empty(0), [])
+        return OcrTokens(np.empty((0, len(_INT_FIELDS)), np.int32), [])
     tabs = np.array([row.count("\t") for row in rows])
     # a writer may swallow the tab before an empty last field
     swallowed = (tabs == n_cols - 2) & (index["text"] == n_cols - 1)
@@ -187,7 +185,7 @@ def parse_ocr_tsv(text: str) -> OcrTokens:
     texts = list(compress(texts, keep))
     if _word_box_error(values, texts) is not None:
         raise _ocr_error(lines, header, index)
-    return OcrTokens(values.astype(np.int32), table["conf"][keep], texts)
+    return OcrTokens(values.astype(np.int32), texts)
 
 
 def _word_box_error(fields: np.ndarray, texts: Sequence[str]) -> str | None:
@@ -348,8 +346,8 @@ _MIN_EPS = 2.0**-500
 
 
 def dbscan(points: np.ndarray, eps: float | None, min_pts: int) -> np.ndarray:
-    """Density-based clustering of 1- to 3-dimensional finite points;
-    returns cluster ids with -1 for noise.
+    """Density-based clustering of finite points in the plane, an (m, 2)
+    array; returns cluster ids with -1 for noise.
 
     A core point has at least ``min_pts`` neighbors within ``eps``
     (inclusive, counting itself).  Clusters are the connected components
@@ -362,10 +360,8 @@ def dbscan(points: np.ndarray, eps: float | None, min_pts: int) -> np.ndarray:
     an m x m array (see ``_dbscan``).
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2 or not 1 <= points.shape[1] <= 3:
-        raise LabelcalError(f"dbscan clusters 1- to 3-dimensional points, got shape {points.shape}")
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise LabelcalError(f"dbscan clusters 2-D points, shape (m, 2), got shape {points.shape}")
     bad = ~np.isfinite(points).all(axis=1)
     if bad.any():
         raise LabelcalError(f"point {int(bad.argmax())}: coordinates must be finite")

@@ -52,7 +52,7 @@ def run_twice(argv, out_paths):
     snapshots = []
     for _ in range(2):
         assert dispatch(argv) == 0
-        snapshots.append([open(p, "rb").read() for p in out_paths])
+        snapshots.append([Path(p).read_bytes() for p in out_paths])
     return snapshots
 
 
@@ -64,7 +64,7 @@ class TestTruncateCommand:
              "--p-high", "0.54", "--out", out]
         )
         assert code == 0
-        body = open(out).read().splitlines()[1:]
+        body = Path(out).read_text().splitlines()[1:]
         values = np.array([[float(x) for x in line.split(",")] for line in body])
         assert np.all((values == 0) | (values == 1) | ((values >= 0.2) & (values <= 0.54)))
 
@@ -72,7 +72,7 @@ class TestTruncateCommand:
         out = str(tmp_path / "q.csv")
         dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.1",
                   "--p-high", "0.9", "--out", out])
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["subcommand"] == "truncate"
         assert probs_csv in manifest["inputs"]
         assert manifest["parameters"]["p_low"] == 0.1
@@ -88,12 +88,12 @@ class TestTruncateCommand:
         assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.csv.manifest.json", "probs.csv"]
 
     def test_failed_in_place_run_keeps_the_input(self, tmp_path, probs_csv, capsys):
-        before = open(probs_csv, "rb").read()
+        before = Path(probs_csv).read_bytes()
         (tmp_path / "probs.csv.manifest.json").mkdir()
         assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2",
                          "--p-high", "0.5", "--out", probs_csv]) == 2
         assert "probs.csv.manifest.json" in capsys.readouterr().err
-        assert open(probs_csv, "rb").read() == before
+        assert Path(probs_csv).read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["probs.csv", "probs.csv.manifest.json"]
 
     def test_in_place_run_digests_the_input_as_read(self, tmp_path, probs_csv):
@@ -444,10 +444,10 @@ class TestFoldsCommand:
         out = str(tmp_path / "folds.csv")
         dispatch(["folds", "--labels", truth_csv, "--k", "5", "--candidates", "50",
                   "--seed", "1", "--out", out])
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "id,fold"
         assert len(lines) == 31
-        sidecar = json.load(open(out + ".score.json"))
+        sidecar = json.loads(Path(out + ".score.json").read_text())
         assert sidecar["k"] == 5
         assert len(sidecar["score"]) == 3 * 5
 
@@ -466,7 +466,7 @@ class TestMetricsCommand:
         out = str(tmp_path / "report.json")
         assert dispatch(["metrics", "--probs", probs_csv, "--truth", truth_csv,
                          "--out", out]) == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert set(report["macro_roc_auc"]["per_label"]) <= {"a", "b", "c"}
         assert "label_count_error_rate" in report
         assert report["expected_calibration_error"]["bins"] == 10
@@ -477,7 +477,7 @@ class TestMetricsCommand:
         out = str(tmp_path / "report.json")
         assert dispatch(["metrics", "--probs", probs_csv, "--truth", truth_csv,
                          "--years", str(years), "--out", out]) == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert 0.0 <= report["tendency_error"]["value"] <= 200.0
         assert set(report["tendency_error"]["per_label"]) == {"a", "b", "c"}
 
@@ -489,7 +489,7 @@ class TestMetricsCommand:
         run = child.run("-m", "labelcal", "metrics", "--probs", probs_csv, "--truth", truth_csv,
                         "--bins", str(bins), "--out", str(out), timeout=60)
         assert (run.returncode, run.stderr) == (0, "")
-        ece = json.load(open(out))["expected_calibration_error"]
+        ece = json.loads(Path(out).read_text())["expected_calibration_error"]
         probs, truth = load_prob_matrix(probs_csv), load_label_matrix(truth_csv)
         assert ece["bins"] == bins
         assert ece["per_label"] == {
@@ -511,7 +511,7 @@ class TestCalibrateCommand:
                 "--step", "0.05", "--years", str(years), "--out", out]
         first, second = run_twice(argv, [out])
         assert first == second
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["error"] <= report["baselines"]["no_truncation"]
         assert report["error"] <= report["baselines"]["half_threshold"]
         assert report["tendency_table"] is not None
@@ -524,7 +524,7 @@ class TestSampleCommand:
                 "--out", out]
         first, second = run_twice(argv, [out])
         assert first == second
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert len(payload["indices"]) == 10
         assert len(payload["weights"]) == 30
 
@@ -539,7 +539,7 @@ class TestSizeCurveCommand:
                 "--reps", "5", "--resamples", "100", "--seed", "3", "--out", out]
         first, second = run_twice(argv, [out])
         assert first == second
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["sizes"] == [50, 100]
 
     def test_resamples_option_is_ignored(self, tmp_path):
@@ -565,9 +565,9 @@ class TestRelnetCommand:
                 "--out", out, "--json-out", jout]
         first, second = run_twice(argv, [out, jout])
         assert first == second
-        text = open(out).read()
+        text = Path(out).read_text()
         assert text.startswith("digraph")
-        assert json.load(open(jout))["labels"] == ["a", "b", "c"]
+        assert json.loads(Path(jout).read_text())["labels"] == ["a", "b", "c"]
 
     def test_truncate_then_relnet_is_the_in_process_truncation(self, tmp_path, probs_csv):
         """What ``relnet --calibrate truncate`` did in one process: the matrix
@@ -582,8 +582,8 @@ class TestRelnetCommand:
         assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2", "--p-high", "0.54",
                          "--out", truncated]) == 0
         assert dispatch(["relnet", "--probs", truncated, "--min-weight", "0.1", "--out", out]) == 0
-        assert open(out, encoding="utf-8").read() == expected
-        assert "p_low" not in json.load(open(out + ".manifest.json"))["parameters"]
+        assert Path(out).read_text(encoding="utf-8") == expected
+        assert "p_low" not in json.loads(Path(out + ".manifest.json").read_text())["parameters"]
 
     def test_needs_some_input(self, tmp_path):
         assert dispatch(["relnet", "--out", str(tmp_path / "g.dot")]) == 1
@@ -631,7 +631,7 @@ class TestSegmentAndMatchCommands:
         argv = ["segment", "--tsv", tsv_path, "--min-pts", "2", "--out", out]
         first, second = run_twice(argv, [out])
         assert first == second
-        records = [json.loads(l) for l in open(out)]
+        records = [json.loads(l) for l in Path(out).read_text().splitlines()]
         assert records and all("text" in r and "id" in r for r in records)
 
         quotes = tmp_path / "quotes.jsonl"
@@ -641,7 +641,7 @@ class TestSegmentAndMatchCommands:
         matches_out = str(tmp_path / "matches.json")
         assert dispatch(["match", "--quotes", str(quotes), "--paragraphs", out,
                          "--out", matches_out]) == 0
-        matches = json.load(open(matches_out))
+        matches = json.loads(Path(matches_out).read_text())
         assert matches[0]["paragraph_id"] == records[0]["id"]
         assert matches[0]["distance"] == 0.0
 
@@ -668,7 +668,7 @@ class TestFilterCommand:
         out = str(tmp_path / "kept.jsonl")
         assert dispatch(["filter", "--texts", str(texts), "--needle", "fordí",
                          "--out", out]) == 0
-        kept = [json.loads(l) for l in open(out)]
+        kept = [json.loads(l) for l in Path(out).read_text().splitlines()]
         assert [r["id"] for r in kept] == [1]
 
 
@@ -680,7 +680,7 @@ class TestPbtDemoCommand:
                 "--features", "5", "--seed", "1", "--out", out]
         first, second = run_twice(argv, [out])
         assert first == second
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["generations"] == 3
         assert len(payload["history"]) == 3
 
@@ -796,7 +796,7 @@ class TestModuleEntry:
         expected = str(tmp_path / "expected.csv")
         assert dispatch(["truncate", "--probs", probs_csv, "--p-low", "0.2",
                          "--p-high", "0.54", "--out", expected]) == 0
-        assert out.read_bytes() == open(expected, "rb").read()
+        assert out.read_bytes() == Path(expected).read_bytes()
 
     def test_unknown_flag_is_usage_error(self, tmp_path, probs_csv):
         run = child.run("-m", "labelcal", "truncate", "--probs", probs_csv, "--p-low", "0.2",
@@ -906,15 +906,16 @@ class TestBlasThreadEquivalence:
 # ``bootstrap_std``, which lost its last caller to the closed form, and
 # ``save_prob_matrix``, whose one file write no command made
 # (``format_matrix`` renders every matrix output), and ``TendencySeries``,
-# whose values are now one array, plus ``LinearTrainable``, exported in
-# place of ``toy_trainable``
+# whose values are now one array, and ``concat_labels`` and
+# ``ensemble_average``, which nothing in the package called, plus
+# ``LinearTrainable``, exported in place of ``toy_trainable``
 OLD_ALL = [
     "EnsembleSet", "FoldAssignment", "LabelMatrix", "LabelcalError", "Layout",
     "LinearTrainable", "LossValue", "MacroScore", "OcrTokens", "ParagraphRecord", "PbtConfig",
     "PbtResult", "ProbMatrix", "RelationNetwork", "SizingCurve",
     "Thresholds", "ToyDataSpec", "balanced_accuracy",
-    "bow_match_many", "calibration", "classify_paragraphs", "concat_labels",
-    "confidence_penalty", "core", "dbscan", "ensemble_average", "expected_calibration_error",
+    "bow_match_many", "calibration", "classify_paragraphs",
+    "confidence_penalty", "core", "dbscan", "expected_calibration_error",
     "export_dot", "focal_loss", "folds", "grid_search_thresholds", "importance_weights",
     "kamada_kawai_layout", "label_count_error_rate", "ldam_loss", "ldam_margins",
     "load_label_matrix", "load_prob_matrix", "losses", "macro_roc_auc", "merge_cross_page",
@@ -967,7 +968,7 @@ print(json.dumps({
 
 def _plain_public_defs(path):
     """Top-level public functions defined without a decorator."""
-    tree = ast.parse(open(path, encoding="utf-8").read())
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
     return {node.name for node in tree.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
             and not node.decorator_list}
@@ -1135,7 +1136,7 @@ class TestReportsFromResultTypes:
     @staticmethod
     def reformatted(path, **sections):
         """The report at ``path`` with ``sections`` replaced, rendered again."""
-        report = json.loads(open(path, encoding="utf-8").read())
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
         report.update(sections)
         return format_json(report)
 
@@ -1155,7 +1156,7 @@ class TestReportsFromResultTypes:
             "value": counts.value, "per_label": counts.per_label,
             "excluded": list(counts.excluded),
         })
-        assert open(out, encoding="utf-8").read() == old
+        assert Path(out).read_text(encoding="utf-8") == old
 
     def test_calibrate(self, tmp_path, stage_inputs):
         out = str(tmp_path / "calibration.json")
@@ -1166,13 +1167,13 @@ class TestReportsFromResultTypes:
         truth = load_label_matrix(stage_inputs["truth"])
         thresholds, _ = calibration.grid_search_thresholds(oof, truth, grid_step=0.1)
         pair = {"p_low": thresholds.p_low, "p_high": thresholds.p_high}
-        report = json.loads(open(out, encoding="utf-8").read())
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
         old = self.reformatted(
             out, thresholds=pair,
             count_error_table={**report["count_error_table"], "thresholds": pair},
             tendency_table={**report["tendency_table"], "thresholds": pair},
         )
-        assert open(out, encoding="utf-8").read() == old
+        assert Path(out).read_text(encoding="utf-8") == old
 
     def test_size_curve(self, tmp_path, stage_inputs):
         out = str(tmp_path / "curve.json")
@@ -1184,7 +1185,7 @@ class TestReportsFromResultTypes:
         curve = sampling.sizing_curve(scores, sizes=range(10, 41, 10), reps=3, seed=4)
         old = format_json(
             {"sizes": list(curve.sizes), "mean_std": list(curve.mean_std), "reps": curve.reps})
-        assert open(out, encoding="utf-8").read() == old
+        assert Path(out).read_text(encoding="utf-8") == old
 
     @pytest.mark.parametrize("mode", ["multilabel", "multiclass"])
     def test_pbt_demo(self, tmp_path, mode):
@@ -1205,7 +1206,7 @@ class TestReportsFromResultTypes:
             "generations": result.generations,
             "history": result.history,
         })
-        assert open(out, encoding="utf-8").read() == old
+        assert Path(out).read_text(encoding="utf-8") == old
 
     def test_folds(self, tmp_path, truth_csv):
         out = str(tmp_path / "folds.csv")
@@ -1214,7 +1215,7 @@ class TestReportsFromResultTypes:
         fold_of = folds.stratified_kfold(
             load_label_matrix(truth_csv), k=4, candidates=40, seed=6).fold_of
         old = "id,fold\n" + "".join(f"{i},{fold}\n" for i, fold in enumerate(fold_of))
-        assert open(out, encoding="utf-8").read() == old
+        assert Path(out).read_text(encoding="utf-8") == old
 
 
 class TestPbtDemoCounts:

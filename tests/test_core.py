@@ -34,8 +34,6 @@ from labelcal.core import (
     ValueRangeError,
     _parse_rows,
     atomic_files,
-    concat_labels,
-    ensemble_average,
     format_matrix,
     format_texts,
     load_label_matrix,
@@ -361,69 +359,12 @@ class TestLabelMatrix:
         assert LabelMatrix.from_class_indices([1.0, 0.0]).values.tolist() == [[0, 1], [1, 0]]
 
 
-class TestEnsembleAverage:
-    def test_single_member_is_identity(self):
-        m = ProbMatrix(("a",), np.array([[0.3], [0.7]]))
-        out = ensemble_average(EnsembleSet((m,)))
-        np.testing.assert_array_equal(out.values, m.values)
-
-    def test_two_member_symmetry(self):
-        a = ProbMatrix(("a",), np.array([[0.2]]))
-        b = ProbMatrix(("a",), np.array([[0.8]]))
-        out = ensemble_average(EnsembleSet((a, b)))
-        np.testing.assert_allclose(out.values, [[0.5]])
-
-    def test_ten_member_mean(self):
-        # independent scalar oracle: sum(0.1*k for k in 0..9) / 10
-        expected = sum(0.1 * k for k in range(10)) / 10.0
-        members = tuple(
-            ProbMatrix(("a",), np.array([[0.1 * k]])) for k in range(10)
-        )
-        out = ensemble_average(EnsembleSet(members))
-        np.testing.assert_allclose(out.values, [[expected]])
-
-    def test_member_order_is_irrelevant(self):
-        rng = np.random.default_rng(3)
-        members = tuple(ProbMatrix(("a", "b"), rng.random((4, 2))) for _ in range(5))
-        fwd = ensemble_average(EnsembleSet(members))
-        rev = ensemble_average(EnsembleSet(members[::-1]))
-        np.testing.assert_allclose(fwd.values, rev.values)
-
-    def test_average_between_entrywise_min_and_max(self):
-        rng = np.random.default_rng(4)
-        members = tuple(ProbMatrix(("a", "b"), rng.random((6, 2))) for _ in range(7))
-        stack = np.stack([m.values for m in members])
-        avg = ensemble_average(EnsembleSet(members)).values
-        assert np.all(stack.min(axis=0) <= avg + 1e-15)
-        assert np.all(avg <= stack.max(axis=0) + 1e-15)
-
+class TestEnsembleSet:
     def test_shape_mismatch_rejected(self):
         a = ProbMatrix(("a",), np.array([[0.2]]))
         b = ProbMatrix(("a",), np.array([[0.8], [0.1]]))
         with pytest.raises(Exception, match="member 1"):
             EnsembleSet((a, b))
-
-
-class TestConcatLabels:
-    def test_joins_label_sets_over_same_items(self):
-        a = ProbMatrix(("x", "y"), np.array([[0.1, 0.2], [0.3, 0.4]]))
-        b = ProbMatrix(("z",), np.array([[0.5], [0.6]]))
-        joined = concat_labels(a, b)
-        assert joined.labels == ("x", "y", "z")
-        np.testing.assert_array_equal(
-            joined.values, [[0.1, 0.2, 0.5], [0.3, 0.4, 0.6]]
-        )
-
-    def test_duplicate_label_across_inputs_rejected(self):
-        a = ProbMatrix(("x",), np.array([[0.1]]))
-        with pytest.raises(DuplicateLabelError):
-            concat_labels(a, a)
-
-    def test_row_count_mismatch_rejected(self):
-        a = ProbMatrix(("x",), np.array([[0.1]]))
-        b = ProbMatrix(("y",), np.array([[0.1], [0.2]]))
-        with pytest.raises(Exception, match="row counts"):
-            concat_labels(a, b)
 
 
 class TestSubstringFilter:

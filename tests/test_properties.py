@@ -306,14 +306,13 @@ def ocr_reference(text):
             raise OcrFormatError(f"line {n}: token {text!r} has a negative index")
         if not all(-(2**31) < v < 2**31 for v in ints):
             raise OcrFormatError(f"line {n}: token {text!r} has a field outside +-2**31")
-        tokens.append((*ints, float(field["conf"]).hex(), text))
+        tokens.append((*ints, text))
     return tokens
 
 
 def ocr_parse(text):
     tokens = parse_ocr_tsv(text)
-    return [(*fields, conf.hex(), text) for fields, conf, text in
-            zip(tokens.fields.tolist(), tokens.confidence.tolist(), tokens.texts)]
+    return [(*fields, text) for fields, text in zip(tokens.fields.tolist(), tokens.texts)]
 
 
 INT_CELLS = st.one_of(
@@ -410,7 +409,6 @@ class Word(NamedTuple):
     top: int
     width: int
     height: int
-    confidence: float
     text: str
 
 
@@ -423,7 +421,7 @@ def token_lists(draw):
     size = st.one_of(st.integers(1, 30), st.just(2**31 - 1))
     token = st.builds(
         Word, small, small, small, small, small, coord, coord, size, size,
-        st.floats(-1, 100), st.text("abcé#", min_size=1, max_size=6),
+        st.text("abcé#", min_size=1, max_size=6),
     )
     return draw(st.lists(token, min_size=1, max_size=30))
 
@@ -436,7 +434,7 @@ def test_paragraph_assembly_equals_per_token_grouping(tokens):
     # 2**31 - 1 boundary are exact only if they are formed in int64
     for dtype in (np.int64, np.int32):
         columns = OcrTokens(np.array([t[:9] for t in tokens], dtype=dtype),
-                            np.array([t.confidence for t in tokens]), [t.text for t in tokens])
+                            [t.text for t in tokens])
         got = [p.to_json() for p in paragraphs_from_tokens(columns)]
         assert json.dumps(got) == want, dtype  # floats by repr: the same bits
 
@@ -535,15 +533,14 @@ def dbscan_instances(draw):
     another (eps a lattice distance, or None for the k-distance eps, which
     lands on ties), duplicated points, and random ones; small pair blocks
     split the point pairs inside and across cell pairs."""
-    d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["random", "lattice", "duplicated"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1.0, 0.5, 0.25, 0.1, 3.0]))
     if kind == "random":
-        points = rng.normal(size=(m, d)) * scale * draw(st.sampled_from([1.0, 10.0]))
+        points = rng.normal(size=(m, 2)) * scale * draw(st.sampled_from([1.0, 10.0]))
     else:
-        points = rng.integers(0, 5, size=(m, d)) * scale
+        points = rng.integers(0, 5, size=(m, 2)) * scale
         if kind == "duplicated":
             points = points[rng.integers(0, min(m, 4), size=m)]
     eps = draw(st.one_of(

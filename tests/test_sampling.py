@@ -9,7 +9,7 @@ from scipy.stats import chi2, spearmanr
 
 import child
 from labelcal._util import derive_rng
-from labelcal.core import LabelcalError, ProbMatrix, concat_labels
+from labelcal.core import LabelcalError, ProbMatrix
 from labelcal.sampling import (
     N_BINS,
     SizingCurve,
@@ -102,7 +102,8 @@ class TestImportanceWeights:
         rng = np.random.default_rng(59)
         content = ProbMatrix(("c1", "c2", "c3"), rng.random((20, 3)))
         context = ProbMatrix(("x1", "x2"), rng.random((20, 2)))
-        combined = importance_weights(concat_labels(content, context))
+        combined = importance_weights(
+            ProbMatrix(content.labels + context.labels, np.hstack((content.values, context.values))))
         np.testing.assert_allclose(
             combined,
             importance_weights(content) + importance_weights(context),
@@ -307,8 +308,10 @@ class TestSizingCurve:
             raise AssertionError("sizing_curve drew before checking its sizes")
 
         monkeypatch.setattr("labelcal.sampling.derive_rng", no_draws)
-        for sizes in ((300, 50), (50, 50)):
-            with pytest.raises(LabelcalError, match="sizes must be strictly increasing"):
+        # the last two have their first size below the last: only the
+        # check of the built sizes sees them
+        for sizes in ((300, 50), (50, 50), (50, 70, 60), (50, 60, 60, 70)):
+            with pytest.raises(LabelcalError, match="^sizes must be strictly increasing$"):
                 sizing_curve(np.ones(400), sizes=sizes, reps=10**6, seed=0)
         # a tuple of either range would fill any memory, so they run in a
         # child whose address space is capped; the second increases, and
@@ -329,5 +332,5 @@ class TestSizingCurve:
             "sample sizes and reps must be >= 1, got -1000000000000 and 10\n", "")
 
     def test_curve_invariants(self):
-        with pytest.raises(LabelcalError):
-            SizingCurve(sizes=(100, 50), mean_std=(0.1, 0.2), reps=1)
+        with pytest.raises(LabelcalError, match="^standard deviations must be non-negative$"):
+            SizingCurve(sizes=(50, 100), mean_std=(0.1, -0.2), reps=1)

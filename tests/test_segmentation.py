@@ -237,18 +237,13 @@ class TestParseOcrTsv:
 
 
 def token_fields(tokens):
-    """Every field of every token, the confidence as its bits."""
-    return [
-        (*fields, confidence.hex(), text)
-        for fields, confidence, text in zip(
-            tokens.fields.tolist(), tokens.confidence.tolist(), tokens.texts)
-    ]
+    """Every field of every token."""
+    return [(*fields, text) for fields, text in zip(tokens.fields.tolist(), tokens.texts)]
 
 
 def columns(fields, texts):
-    """``OcrTokens`` of the given integer field rows and texts, confidence 90."""
-    return OcrTokens(np.array(fields, dtype=np.int64).reshape(-1, 9),
-                     np.full(len(texts), 90.0), list(texts))
+    """``OcrTokens`` of the given integer field rows and texts."""
+    return OcrTokens(np.array(fields, dtype=np.int64).reshape(-1, 9), list(texts))
 
 
 def parse_outcome(text):
@@ -260,9 +255,9 @@ def parse_outcome(text):
 
 
 def word(page=1, block=1, par=1, line=1, word=1, left=100, top=100,
-         width=50, height=12, conf=95.0, text="szó"):
+         width=50, height=12, text="szó"):
     """The token fields ``word_row`` with the same arguments parses to."""
-    return (page, block, par, line, word, left, top, width, height, float(conf).hex(), text)
+    return (page, block, par, line, word, left, top, width, height, text)
 
 
 def error(message):
@@ -344,9 +339,9 @@ OCR_EDGE_CASES = {
                                      error("line 2: non-numeric width field 'x'")),
     "conf forms": (tsv(word_row(conf="-1"), word_row(word=2, conf="9.5e1"),
                        word_row(word=3, conf=".5"), word_row(word=4, conf="+7.")),
-                   [word(conf=-1), word(word=2), word(word=3, conf=0.5), word(word=4, conf=7)]),
+                   [word(), word(word=2), word(word=3), word(word=4)]),
     "conf nan and inf": (tsv(word_row(conf="nan"), word_row(word=2, conf="-inf")),
-                         [word(conf="nan"), word(word=2, conf="-inf")]),
+                         [word(), word(word=2)]),
     "conf malformed": (tsv(word_row(conf="9.5.1")), error("line 2: non-numeric conf field '9.5.1'")),
     "nul in text": (tsv(word_row(text="a\x00b")), [word(text="a\x00b")]),
     "lone surrogate in text": (tsv(word_row(text="a\ud800b")), [word(text="a\ud800b")]),
@@ -390,8 +385,8 @@ class TestParseEquivalence:
         assert [t[5:9] for t in outcome(OCR_EDGE_TEXTS["int32 edge"])] == [
             (-(2**31) + 1, 2**31 - 1, 2**31 - 1, 12)]
         assert [t[5] for t in outcome(OCR_EDGE_TEXTS["plus sign"])] == [100]
-        assert [t[10] for t in outcome(OCR_EDGE_TEXTS["blank texts skipped"])] == ["szó"]
-        assert [t[10] for t in outcome(OCR_EDGE_TEXTS["permuted header"])] == ["első", "szó"]
+        assert [t[9] for t in outcome(OCR_EDGE_TEXTS["blank texts skipped"])] == ["szó"]
+        assert [t[9] for t in outcome(OCR_EDGE_TEXTS["permuted header"])] == ["első", "szó"]
         assert outcome(OCR_EDGE_TEXTS["above int32"]) == (
             OcrFormatError, "line 2: token 'szó' has a field outside +-2**31")
         assert outcome(OCR_EDGE_TEXTS["above int64"])[0] is OcrFormatError
@@ -683,8 +678,9 @@ class TestDbscan:
                 dbscan(np.zeros((2, 2)), eps=eps, min_pts=1)
         for eps in (2.0**-500, 2.0**500):
             np.testing.assert_array_equal(dbscan(np.zeros((2, 2)), eps, 2), [0, 0])
-        for shape in ((3, 4), (3, 0), (2, 2, 2)):
-            with pytest.raises(LabelcalError, match="1- to 3-dimensional"):
+        for shape in ((3,), (3, 1), (3, 3), (3, 4), (3, 0), (2, 2, 2)):
+            message = rf"^dbscan clusters 2-D points, shape \(m, 2\), got shape {re.escape(str(shape))}$"
+            with pytest.raises(LabelcalError, match=message):
                 dbscan(np.zeros(shape), eps=1.0, min_pts=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -730,7 +726,7 @@ class TestDbscan:
         lattice = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
         # k-distances 1, 2, 4 and 6, three copies each (min_pts 3): the copies add zero
         # jumps, and of the two equal largest jumps the first wins
-        tied_jumps = np.array([0, 0, 1, 10, 10, 12, 20, 20, 24, 40, 40, 46], dtype=float)[:, None]
+        tied_jumps = np.c_[[0, 0, 1, 10, 10, 12, 20, 20, 24, 40, 40, 46], np.zeros(12)]
         cases = [np.full((7, 2), 3.5), np.zeros((5, 2)), np.zeros((1, 2)), lattice,
                  np.repeat(lattice, [1, 3] * 6, axis=0), tied_jumps,
                  np.round(np.random.default_rng(92).normal(size=(40, 2)) * 4) / 4]
