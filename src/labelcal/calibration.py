@@ -95,6 +95,8 @@ def threshold_grid(
     """Grid values low_start + i*step (resp. high); inclusive of endpoints."""
     if not step > 0:  # NaN fails too
         raise LabelcalError(f"grid step must be > 0, got {step}")
+    if not np.isfinite(step):
+        raise LabelcalError(f"grid step must be finite, got {step}")
 
     def axis(lo: float, hi: float) -> np.ndarray:
         if not 0.0 <= lo <= hi <= 1.0:

@@ -67,22 +67,6 @@ class MatrixFormatError(LabelcalError, ValueError):
     """Malformed matrix file (bad header, bad value, bad shape)."""
 
 
-class MalformedNumberError(MatrixFormatError):
-    pass
-
-
-class ValueRangeError(MatrixFormatError):
-    pass
-
-
-class RaggedRowError(MatrixFormatError):
-    pass
-
-
-class DuplicateLabelError(MatrixFormatError):
-    pass
-
-
 def integer_ids(values, noun: str, name: str, stop: int | None = None) -> np.ndarray:
     """``values`` (the argument ``name``, one ``noun`` per item) as an int64
     vector.  Integer-valued floats are taken; any value int64 cannot hold
@@ -113,11 +97,11 @@ def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
     labels = tuple(str(name) for name in labels)
     for i, name in enumerate(labels):
         if not name:
-            raise DuplicateLabelError(f"empty label name at column {i + 1}")
+            raise MatrixFormatError(f"empty label name at column {i + 1}")
     seen: dict[str, int] = {}
     for i, name in enumerate(labels):
         if name in seen:
-            raise DuplicateLabelError(
+            raise MatrixFormatError(
                 f"duplicate label name {name!r} at columns {seen[name] + 1} and {i + 1}"
             )
         seen[name] = i
@@ -130,7 +114,7 @@ def _check_shape(labels: Sequence[str], values: np.ndarray) -> tuple[str, ...]:
     if values.ndim != 2:
         raise MatrixFormatError(f"expected a 2-D array, got shape {values.shape}")
     if values.shape[1] != len(labels):
-        raise RaggedRowError(f"matrix has {values.shape[1]} columns but {len(labels)} labels")
+        raise MatrixFormatError(f"matrix has {values.shape[1]} columns but {len(labels)} labels")
     return labels
 
 
@@ -152,7 +136,7 @@ class ProbMatrix:
         labels = _check_shape(self.labels, values)
         if not np.all(np.isfinite(values)):
             i, j = np.argwhere(~np.isfinite(values))[0]
-            raise MalformedNumberError(
+            raise MatrixFormatError(
                 f"non-finite value at row {i + 1}, column {labels[j]!r}"
             )
         low = values < 0.0
@@ -161,7 +145,7 @@ class ProbMatrix:
             bad = (values < -RANGE_TOLERANCE) | (values > 1.0 + RANGE_TOLERANCE)
             if bad.any():
                 i, j = np.argwhere(bad)[0]
-                raise ValueRangeError(
+                raise MatrixFormatError(
                     f"value {float(values[i, j])!r} outside [0, 1] at row {i + 1}, "
                     f"column {labels[j]!r}"
                 )
@@ -203,7 +187,7 @@ class LabelMatrix:
         bad = (as_float != 0.0) & (as_float != 1.0)
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise ValueRangeError(
+            raise MatrixFormatError(
                 f"annotation entry {float(as_float[i, j])!r} is not 0 or 1 at row {i + 1}, "
                 f"column {labels[j]!r}"
             )
@@ -212,7 +196,7 @@ class LabelMatrix:
             sums = values.sum(axis=1)
             off = np.nonzero(sums != 1)[0]
             if off.size:
-                raise ValueRangeError(
+                raise MatrixFormatError(
                     f"multiclass row {off[0] + 1} has {sums[off[0]]} labels set, expected 1"
                 )
         values.setflags(write=False)
@@ -468,12 +452,12 @@ def _matrix_error(body: str, labels: tuple[str, ...], line: int) -> MatrixFormat
         return MatrixFormatError(f"malformed CSV on line {line + reader.line_num}: {exc}")
     for r, row in enumerate(rows, start=1):
         if len(row) != len(labels):
-            return RaggedRowError(f"row {r} has {len(row)} fields, expected {len(labels)}")
+            return MatrixFormatError(f"row {r} has {len(row)} fields, expected {len(labels)}")
         # inside quotes, numpy reads a line break as a space
         cells = [cell.replace("\r", " ").replace("\n", " ") for cell in row]
         if read_numbers(cells) is None:
             c = next(c for c, cell in enumerate(cells) if read_numbers([cell]) is None)
-            return MalformedNumberError(
+            return MatrixFormatError(
                 f"malformed number {row[c]!r} at row {r}, column {labels[c]!r}"
             )
     return MatrixFormatError("numpy cannot read the matrix body")

@@ -122,12 +122,6 @@ def _min_peak_rows(
     return tied, np.sort(diffs[tied], axis=1)[:, ::-1]
 
 
-def _precedes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether score vector ``a`` is lexicographically smaller than ``b``."""
-    differ = np.flatnonzero(a != b)
-    return differ.size > 0 and a[differ[0]] < b[differ[0]]
-
-
 def stratified_kfold(
     labels: LabelMatrix,
     k: int,
@@ -154,8 +148,9 @@ def stratified_kfold(
     for block in range(-(-candidates // _CHUNK)):
         for slab in _slabs(seed, block, min(_CHUNK, candidates - block * _CHUNK), template):
             for row, score in zip(*_min_peak_rows(members, global_prop, sizes, slab)):
-                if best_score is None or _precedes(score, best_score):  # a tie keeps the earlier
-                    best_score, fold_of = score.copy(), slab[row].copy()
+                score = score.tolist()  # lists compare lexicographically
+                if best_score is None or score < best_score:  # a tie keeps the earlier
+                    best_score, fold_of = score, slab[row].copy()
     return FoldAssignment(fold_of=fold_of, k=k, score=best_score)
 
 

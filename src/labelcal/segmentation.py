@@ -98,7 +98,8 @@ class ParagraphRecord:
     """An assembled paragraph with layout statistics.
 
     ``char_height`` is the character-count-weighted median word-box
-    height, ``char_width`` the mean per-character width.
+    height, ``char_width`` the mean per-character width; a merge across
+    pages sets each to the text-length-weighted mean of the two parts.
     """
 
     record_id: str
@@ -780,13 +781,10 @@ def merge_cross_page(
 
     for n, page in enumerate(pages):
         page = list(page)
-        if (
+        if (  # pages with margins have a body paragraph, so merged[-1] ends page n - 1
             n > 0
-            and page
-            and merged
             and margins[n - 1] is not None
             and margins[n] is not None
-            and merged[-1].last_page == pages[n - 1][-1].last_page
             and merge_decision(merged[-1], page[0], margins[n - 1], margins[n], mode)
         ):
             merged[-1] = _join(merged[-1], page.pop(0))

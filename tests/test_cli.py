@@ -1391,6 +1391,21 @@ class TestParameterErrors:
         assert capsys.readouterr().err == f"labelcal: error: seed must be >= 0, got {argv[-1]}\n"
         assert os.listdir(parameter_inputs["out"]) == []
 
+    @pytest.mark.parametrize("step, message", [
+        ("inf", "grid step must be finite, got inf"),
+        ("0", "grid step must be > 0, got 0.0"),
+    ], ids=["inf", "zero"])
+    def test_grid_step_names_its_fault(self, parameter_inputs, capsys, step, message):
+        # inf passes "> 0", and its one-point grid, lo + inf * 0, would be NaN
+        argv = ["calibrate", "--oof", parameter_inputs["probs"], "--truth",
+                parameter_inputs["truth"], "--step", step,
+                "--out", str(parameter_inputs["out"] / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"labelcal: error: {message}\n"
+        assert os.listdir(parameter_inputs["out"]) == []
+
     @pytest.mark.parametrize("argv, what", UNSIZABLE, ids=[what for _, what in UNSIZABLE])
     def test_length_past_numpys_limit_names_its_parameter(
             self, parameter_inputs, capsys, argv, what):

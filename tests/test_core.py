@@ -23,15 +23,11 @@ except ImportError:  # the property test skips itself without hypothesis
 import labelcal
 from labelcal import core
 from labelcal.core import (
-    DuplicateLabelError,
     EnsembleSet,
     LabelcalError,
     LabelMatrix,
-    MalformedNumberError,
     MatrixFormatError,
     ProbMatrix,
-    RaggedRowError,
-    ValueRangeError,
     _parse_rows,
     atomic_files,
     format_matrix,
@@ -63,20 +59,20 @@ class TestProbMatrixLoading:
 
     def test_range_error_names_row_and_column(self, tmp_path):
         path = write(tmp_path, "a,b\n0.1,1.5\n")
-        with pytest.raises(ValueRangeError) as info:
+        with pytest.raises(MatrixFormatError) as info:
             load_prob_matrix(path)
         assert str(info.value) == f"{path}: value 1.5 outside [0, 1] at row 1, column 'b'"
 
     def test_malformed_number_names_position(self, tmp_path):
-        with pytest.raises(MalformedNumberError, match=r"row 2.*'a'"):
+        with pytest.raises(MatrixFormatError, match=r"row 2.*'a'"):
             load_prob_matrix(write(tmp_path, "a,b\n0.1,0.2\noops,0.3\n"))
 
     def test_ragged_row(self, tmp_path):
-        with pytest.raises(RaggedRowError, match="row 1"):
+        with pytest.raises(MatrixFormatError, match="row 1"):
             load_prob_matrix(write(tmp_path, "a,b\n0.1\n"))
 
     def test_duplicate_label(self, tmp_path):
-        with pytest.raises(DuplicateLabelError, match="'a'"):
+        with pytest.raises(MatrixFormatError, match="'a'"):
             load_prob_matrix(write(tmp_path, "a,a\n0.1,0.2\n"))
 
     @pytest.mark.parametrize("text, message", [
@@ -86,7 +82,7 @@ class TestProbMatrixLoading:
     def test_header_errors_name_the_file(self, tmp_path, text, message):
         path = write(tmp_path, text)
         for load in (load_prob_matrix, load_label_matrix):
-            with pytest.raises(DuplicateLabelError) as info:
+            with pytest.raises(MatrixFormatError) as info:
                 load(path)
             assert str(info.value) == f"{path}: {message}"
 
@@ -96,7 +92,7 @@ class TestProbMatrixLoading:
         assert m.values.min() == 0.0
 
     def test_large_overshoot_is_an_error(self):
-        with pytest.raises(ValueRangeError):
+        with pytest.raises(MatrixFormatError):
             ProbMatrix(("a",), np.array([[1.0 + 1e-6]]))
 
     def test_round_trip_is_bit_identical(self, tmp_path):
@@ -149,27 +145,29 @@ def csv_message(text):
 EDGE_CASES = {
     # changed: float() reads these, numpy's C parser does not
     "underscore digits": ("a\n1_0\n", (
-        MalformedNumberError, "m.csv: malformed number '1_0' at row 1, column 'a'")),
+        MatrixFormatError, "m.csv: malformed number '1_0' at row 1, column 'a'")),
     "fullwidth digit": ("a\n\uff11\n", (
-        MalformedNumberError, "m.csv: malformed number '１' at row 1, column 'a'")),
+        MatrixFormatError, "m.csv: malformed number '１' at row 1, column 'a'")),
     "arabic-indic digit": ("a\n\u0663\n", (
-        MalformedNumberError, "m.csv: malformed number '٣' at row 1, column 'a'")),
+        MatrixFormatError, "m.csv: malformed number '٣' at row 1, column 'a'")),
     "file separator": ("a\n0.5\x1c\n", (
-        MalformedNumberError, "m.csv: malformed number '0.5\\x1c' at row 1, column 'a'")),
+        MatrixFormatError, "m.csv: malformed number '0.5\\x1c' at row 1, column 'a'")),
     "whitespace-only line": ("a,b\n0.1,0.2\n \n", (
-        RaggedRowError, "m.csv: row 2 has 1 fields, expected 2")),
+        MatrixFormatError, "m.csv: row 2 has 1 fields, expected 2")),
     "cr only": ("a,b\r0.1,0.2\r", (
         MatrixFormatError, f"m.csv: malformed CSV on line 1: {csv_message('a,b' + chr(13) + '0')}")),
     "crlf": ("a,b\r\n0.1,0.2\r\n0.3,0.4\r\n", read(("a", "b"), [[0.1, 0.2], [0.3, 0.4]])),
     "quoted cells": ('a,b\n"0.1","0.2"\n', read(("a", "b"), [[0.1, 0.2]])),
-    "trailing comma": ("a,b\n0.1,0.2,\n", (RaggedRowError, "m.csv: row 1 has 3 fields, expected 2")),
+    "trailing comma": ("a,b\n0.1,0.2,\n", (
+        MatrixFormatError, "m.csv: row 1 has 3 fields, expected 2")),
     "nan and inf": ("a,b,c\nnan,inf,-inf\n", read(("a", "b", "c"), [[np.nan, np.inf, -np.inf]])),
     "underflow": ("a,b\n1e-400,5e-324\n", read(("a", "b"), [[0.0, 5e-324]])),
     "header only": ("a,b\n", read(("a", "b"), [])),
     "single column": ("a\n0.5\n0.25\n", read(("a",), [[0.5], [0.25]])),
-    "ragged row": ("a,b\n0.1,0.2\n0.3\n", (RaggedRowError, "m.csv: row 2 has 1 fields, expected 2")),
+    "ragged row": ("a,b\n0.1,0.2\n0.3\n", (
+        MatrixFormatError, "m.csv: row 2 has 1 fields, expected 2")),
     "empty cell": ("a,b\n0.1,\n", (
-        MalformedNumberError, "m.csv: malformed number '' at row 1, column 'b'")),
+        MatrixFormatError, "m.csv: malformed number '' at row 1, column 'b'")),
     "blank lines": ("\na,b\n\n0.1,0.2\n\n0.3,0.4", read(("a", "b"), [[0.1, 0.2], [0.3, 0.4]])),
     "blank body lines": ("a,b\n\n0.1,0.2\n\n\n0.3,0.4\n\n", read(("a", "b"), [[0.1, 0.2], [0.3, 0.4]])),
     "no trailing newline": ("a,b\n0.1,0.2", read(("a", "b"), [[0.1, 0.2]])),
@@ -178,16 +176,16 @@ EDGE_CASES = {
                                                                [[-0.0, 0.5, 1.0, 100.0]])),
     # changed: the header error names the file, as the row errors do
     "duplicate label": ("a,a\n0.1,0.2\n", (
-        DuplicateLabelError, "m.csv: duplicate label name 'a' at columns 1 and 2")),
+        MatrixFormatError, "m.csv: duplicate label name 'a' at columns 1 and 2")),
     "quoted header newline": ('"a\nb",c\n0.1,0.2\n', read(("a\nb", "c"), [[0.1, 0.2]])),
     # changed: float() strips the tab, numpy's grammar is printable ASCII
     "tab in a cell": ("a,b\n0.1,\t0.2\n", (
-        MalformedNumberError, "m.csv: malformed number '\\t0.2' at row 1, column 'b'")),
+        MatrixFormatError, "m.csv: malformed number '\\t0.2' at row 1, column 'b'")),
     "line break in a quoted cell": ('a,b\n"0.1\n",0.2\n', read(("a", "b"), [[0.1, 0.2]])),
     "bad cell after a quoted line break": ('a,b\n"\n0.1",x\n', (
-        MalformedNumberError, "m.csv: malformed number 'x' at row 1, column 'b'")),
+        MatrixFormatError, "m.csv: malformed number 'x' at row 1, column 'b'")),
     "blank line before a bad row": ("a,b\n\n0.1,x\n", (
-        MalformedNumberError, "m.csv: malformed number 'x' at row 1, column 'b'")),
+        MatrixFormatError, "m.csv: malformed number 'x' at row 1, column 'b'")),
     "bare cr in the body": ("a,b\n0.1,0.2\r0.3,0.4\n", (
         MatrixFormatError, f"m.csv: malformed CSV on line 2: {csv_message('0' + chr(13) + '0')}")),
 }
@@ -220,9 +218,9 @@ class TestParseRows:
 
     def test_errors_keep_row_and_column(self):
         assert parse_outcome(EDGE_CASES["ragged row"][0]) == (
-            RaggedRowError, "m.csv: row 2 has 1 fields, expected 2")
+            MatrixFormatError, "m.csv: row 2 has 1 fields, expected 2")
         assert parse_outcome(EDGE_CASES["empty cell"][0]) == (
-            MalformedNumberError, "m.csv: malformed number '' at row 1, column 'b'")
+            MatrixFormatError, "m.csv: malformed number '' at row 1, column 'b'")
         error, message = parse_outcome(EDGE_CASES["cr only"][0])
         assert error is MatrixFormatError
         assert message.startswith("m.csv: malformed CSV on line 1: new-line character")
@@ -236,8 +234,8 @@ class TestParseRows:
     @pytest.mark.parametrize("body, outcome", [
         ("", None), ("\r", None), ("\n", None), ("\r\n\r", None),
         ("\r" * 4099 + "\n" * 4097 + "\r\n" * 3000, None), ("\n\r" * 50_000, None),
-        (" \n", (RaggedRowError, "m.csv: row 1 has 1 fields, expected 2")),
-        ("\r\n\n \r\n", (RaggedRowError, "m.csv: row 1 has 1 fields, expected 2")),
+        (" \n", (MatrixFormatError, "m.csv: row 1 has 1 fields, expected 2")),
+        ("\r\n\n \r\n", (MatrixFormatError, "m.csv: row 1 has 1 fields, expected 2")),
         ("\r \n", (MatrixFormatError,
                    f"m.csv: malformed CSV on line 2: {csv_message('0' + chr(13) + ' ')}")),
     ], ids=["empty", "cr", "lf", "cr lf cr", "long runs", "long lf cr", "space",
@@ -335,11 +333,11 @@ class TestFormatMatrix:
 
 class TestLabelMatrix:
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueRangeError, match=r"row 1.*'b'"):
+        with pytest.raises(MatrixFormatError, match=r"row 1.*'b'"):
             LabelMatrix(("a", "b"), np.array([[0, 0.5]]))
 
     def test_multiclass_needs_one_hot_rows(self):
-        with pytest.raises(ValueRangeError, match="row 2"):
+        with pytest.raises(MatrixFormatError, match="row 2"):
             LabelMatrix(("a", "b"), np.array([[1, 0], [1, 1]]), kind="multiclass")
 
     def test_class_indices(self):
@@ -453,14 +451,16 @@ class TestReadInput:
         path = tmp_path / "t.txt"
         path.write_bytes(b"x")
 
-        def ragged(text):
-            raise RaggedRowError("row 2")
-
         def broken(text):
             raise ValueError("not ours")
 
-        with pytest.raises(RaggedRowError, match=f"^{re.escape(str(path))}: row 2$"):
-            read_input(path, ragged)
+        for error in (MatrixFormatError, LabelcalError):
+            def bad_row(text):
+                raise error("row 2")
+
+            with pytest.raises(LabelcalError, match=f"^{re.escape(str(path))}: row 2$") as info:
+                read_input(path, bad_row)
+            assert info.type is error
         with pytest.raises(ValueError, match="^not ours$"):  # not a data error: no path
             read_input(path, broken)
 

@@ -31,9 +31,8 @@ from labelcal.calibration import (  # noqa: E402
 from labelcal.cli import dispatch  # noqa: E402
 from labelcal.core import (  # noqa: E402
     LabelMatrix,
-    MalformedNumberError,
+    MatrixFormatError,
     ProbMatrix,
-    RaggedRowError,
     _bow_tokens,
     bow_match_many,
     text_lines,
@@ -223,10 +222,11 @@ def matrix_reference(text):
     labels, body = tuple(rows[0]), rows[1:]
     for r, row in enumerate(body, start=1):
         if len(row) != len(labels):
-            raise RaggedRowError(f"m.csv: row {r} has {len(row)} fields, expected {len(labels)}")
+            raise MatrixFormatError(
+                f"m.csv: row {r} has {len(row)} fields, expected {len(labels)}")
         for cell, label in zip(row, labels):
             if not FLOAT.fullmatch(cell.replace("\r", " ").replace("\n", " ")):
-                raise MalformedNumberError(
+                raise MatrixFormatError(
                     f"m.csv: malformed number {cell!r} at row {r}, column {label!r}")
     data = np.array([[float(cell) for cell in row] for row in body]).reshape(-1, len(labels))
     return labels, data.shape, data.tobytes()

@@ -1,10 +1,13 @@
-"""Every public name has a caller in the package or the demos.
+"""Every public name has a caller in the package or the demos, and every
+error type has a reason to be its own type.
 
 A name in ``labelcal.__all__`` that nothing outside the tests uses is
-surface to keep without a purpose; this scan keeps it from regrowing.
+surface to keep without a purpose; these checks keep it from regrowing.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import labelcal
@@ -35,3 +38,21 @@ def test_every_public_name_has_a_caller():
     assert len(package) > 10 and len(demos) > 5
     used = referenced_names([*package, *demos])
     assert [name for name in labelcal.__all__ if name not in used] == []
+
+
+def subclasses(cls) -> set[type]:
+    return {sub for child in cls.__subclasses__() for sub in (child, *subclasses(child))}
+
+
+def test_each_error_type_has_a_reason():
+    for module in pkgutil.iter_modules(labelcal.__path__):
+        if module.name != "__main__":  # running it is the command line
+            vars(importlib.import_module(f"labelcal.{module.name}"))  # runs a lazy module
+    defined = {cls.__name__ for cls in subclasses(labelcal.LabelcalError)
+               if cls.__module__.startswith("labelcal.")}
+    assert defined == {
+        "MatrixFormatError",  # one type per input format: matrix files
+        "OcrFormatError",  # one type per input format: OCR TSV pages
+        "UndefinedMetricError",  # caught by metrics.mean_roc_auc, which skips that label
+        "UsageError",  # exit 1, where every other error exits 2
+    }

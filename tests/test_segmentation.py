@@ -921,6 +921,45 @@ class TestBodyMargins:
             assert body_margins(paragraphs)[0] == float(lefts[bins == modal].mean())
 
 
+def merge_reference(pages, mode):
+    """The page merge loop with three guards the margins already imply: a
+    non-empty page, a non-empty result, and a last record that ends the
+    page before."""
+    margins = [body_margins(page) for page in pages]
+    merged = []
+    for n, page in enumerate(pages):
+        page = list(page)
+        if (
+            n > 0
+            and page
+            and merged
+            and margins[n - 1] is not None
+            and margins[n] is not None
+            and merged[-1].last_page == pages[n - 1][-1].last_page
+            and merge_decision(merged[-1], page[0], margins[n - 1], margins[n], mode)
+        ):
+            merged[-1] = segmentation._join(merged[-1], page.pop(0))
+        merged.extend(page)
+    return merged
+
+
+def random_pages(rng):
+    """Up to seven pages of zero to three paragraphs: empty, heading-only
+    and one-paragraph pages, flush or indented starts, full or short ends."""
+    pages = []
+    for number in range(1, rng.integers(1, 8) + 1):
+        pages.append([
+            make_paragraph(
+                f"p{number}_{i}", float(rng.choice([10.0, 14.0])), float(rng.uniform(4.0, 6.0)),
+                n_chars=int(rng.integers(1, 60)), page=number,
+                left=int(rng.choice([100, 101, 104, 140])), n_lines=int(rng.integers(1, 4)),
+                cls=str(rng.choice(["body", "body", "body", "heading"])),
+                last_right=int(rng.choice([400, 694, 698, 700])))
+            for i in range(rng.choice([0, 1, 1, 2, 3]))
+        ])
+    return pages
+
+
 class TestMergeCrossPage:
     def page(self, number, first_left=100, last_right=700, n_fill=4):
         """A page of body paragraphs; the first/last paragraph geometry is
@@ -1006,6 +1045,29 @@ class TestMergeCrossPage:
         for last, first in ((heading, body), (body, heading), (body, body)):
             with pytest.raises(LabelcalError, match=r"^unknown merge mode 'bogus'$"):
                 merge_decision(last, first, (100.0, 700.0), (100.0, 700.0), mode="bogus")
+
+    def test_matches_the_guarded_loop(self):
+        rng = np.random.default_rng(2024)
+        seen = dict.fromkeys(["empty page", "heading-only page", "first page without body",
+                              "one-paragraph page merged", "chain over 3+ pages"], 0)
+        for _ in range(600):
+            pages = random_pages(rng)
+            for mode in ("conjunctive", "disjunctive"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # pages without body warn
+                    got = merge_cross_page(pages, mode=mode)
+                want = merge_reference(pages, mode)
+                assert [(p.record_id, p.first_page, p.last_page, p.text) for p in got] == [
+                    (p.record_id, p.first_page, p.last_page, p.text) for p in want]
+                assert got == want
+                seen["one-paragraph page merged"] += sum(
+                    len(pages[p.last_page - 1]) == 1 for p in want if p.first_page < p.last_page)
+                seen["chain over 3+ pages"] += sum(p.last_page - p.first_page >= 2 for p in want)
+            seen["empty page"] += sum(not page for page in pages)
+            seen["heading-only page"] += sum(
+                bool(page) and all(p.cls != "body" for p in page) for page in pages)
+            seen["first page without body"] += body_margins(pages[0]) is None
+        assert min(seen.values()) > 0, seen
 
 
 class TestBowMatch:
