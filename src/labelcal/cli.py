@@ -23,6 +23,10 @@ after it, as the collections of interpreter finalization would traverse
 all of it and none of it can be garbage by then; ``dispatch`` does not
 freeze, so in-process callers keep their collector as it is.
 
+A matrix input whose bytes an earlier run parsed is loaded from the cache
+of parsed matrices (see ``core``), with the same checks, outputs and
+messages; ``--version``, ``--help`` and usage errors never reach it.
+
 Exit codes: 0 success, 1 usage error, 2 data error: an input the stage
 cannot read (inputs are strict UTF-8; line-based ones end a line at
 ``\\n``, ``\\r\\n`` or ``\\r``) or running out of memory.

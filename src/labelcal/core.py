@@ -15,7 +15,13 @@ is bit-identical; cells that are exactly +0.0 or 1.0, most of a
 truncated matrix, are written as ``0`` and ``1`` without being formatted
 (``format_matrix``).  Values are read by numpy's C parser
 (``read_numbers`` gives the number grammar); a file it rejects is walked
-again only to name the first bad row and cell.  Text corpora are
+again only to name the first bad row and cell.  In a command-line run
+(one that fills ``input_digests``), a matrix file is parsed once per
+content: its labels and values are kept in a cache of parsed matrices,
+keyed by its digest, this module's source and the numpy version, in
+``$XDG_CACHE_HOME/labelcal`` (else ``~/.cache/labelcal``) within
+``_CACHE_BUDGET`` bytes.  A cache that cannot be used is a miss; an
+input that fails to parse or to build is never stored.  Text corpora are
 JSON-lines records with ``id`` and ``text`` fields.  Files are written
 through ``atomic_files``, which moves a group of distinct files (a
 command-line run's outputs and its manifest) in whole or not at all: a
@@ -91,6 +97,16 @@ def integer_ids(values, noun: str, name: str, stop: int | None = None) -> np.nda
             i = int(outside.argmax())
             raise LabelcalError(f"{noun} {cast[i]} of item {i} is out of range [0, {stop})")
     return cast
+
+
+def distinct(values) -> np.ndarray:
+    """``np.unique(values)``: the sorted distinct values, NaNs as one, last.
+    A bare ``np.unique`` asks ``np.ma.is_masked`` first, and importing
+    ``numpy.ma`` costs a short run 9-17 ms; asked for counts, it sorts
+    without asking."""
+    import numpy as np
+
+    return np.unique(values, return_counts=True)[0]
 
 
 def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
@@ -344,6 +360,81 @@ def read_input(path: str, parse: Callable[[str], _Parsed]) -> _Parsed:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+# Bytes of parsed matrices the cache keeps; each store deletes the oldest
+# entries until the cache fits.
+_CACHE_BUDGET = 1 << 30
+
+
+def _cache_entry(digest: str) -> str | None:
+    """The cache file of the matrix parsed from the input of SHA-256
+    ``digest`` by this module's source under this numpy, in
+    ``$XDG_CACHE_HOME/labelcal``, else ``~/.cache/labelcal``; None when
+    neither is an absolute path.  An unreadable source is an OSError."""
+    import numpy as np
+
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the basedir spec ignores it
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):  # no home directory
+            return None
+    with open(__file__, "rb") as fh:
+        reader = hashlib.sha256(fh.read()).hexdigest()
+    key = hashlib.sha256(f"{digest} {reader} {np.__version__}".encode()).hexdigest()
+    return os.path.join(base, "labelcal", f"{key}.npy")
+
+
+def _cache_load(entry: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The labels and values stored at ``entry``, or None if it is missing
+    or cannot be read whole."""
+    import numpy as np
+
+    try:
+        with open(entry, "rb") as fh:
+            names = np.lib.format.read_array(fh, allow_pickle=False)
+            values = np.lib.format.read_array(fh, allow_pickle=False)
+            rest = fh.read(1)
+        labels = json.loads(names.tobytes()) if names.dtype == np.uint8 else None
+    except (OSError, ValueError, MemoryError):  # a corrupt header may claim any size
+        return None
+    if (rest or values.dtype != np.float64 or values.ndim != 2 or not isinstance(labels, list)
+            or len(labels) != values.shape[1] or not all(isinstance(n, str) for n in labels)):
+        return None
+    return tuple(labels), values
+
+
+def _cache_store(entry: str, labels: tuple[str, ...], values: np.ndarray) -> None:
+    """Store ``labels`` and ``values`` at ``entry`` (labels as JSON bytes,
+    then values, two arrays of one ``.npy`` file, moved in whole), then
+    delete the oldest files of the cache until it fits ``_CACHE_BUDGET``.
+    A cache that cannot be written is left as it is."""
+    import numpy as np
+
+    folder = os.path.dirname(entry)
+    try:
+        os.makedirs(folder, mode=0o700, exist_ok=True)
+        temp = _sibling(entry)
+        try:
+            with open(temp, "xb") as fh:
+                for array in (np.frombuffer(json.dumps(labels).encode(), np.uint8), values):
+                    np.lib.format.write_array(fh, array, allow_pickle=False)
+            os.replace(temp, entry)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(temp)
+            raise
+        with os.scandir(folder) as found:  # a DirEntry stats its file once
+            files = sorted((e.stat().st_mtime_ns, e.path, e.stat().st_size)
+                           for e in found if e.is_file())
+        size = sum(s for _, _, s in files)
+        for _, path, s in files:
+            if size <= _CACHE_BUDGET:
+                break
+            os.unlink(path)
+            size -= s
+    except OSError:
+        pass
+
+
 def text_lines(text: str) -> list[str]:
     """The lines of ``text`` without their ends, as a file read in text mode
     gives them: ended at ``\\n``, ``\\r\\n`` or ``\\r`` only."""
@@ -467,7 +558,25 @@ _Matrix = TypeVar("_Matrix", ProbMatrix, LabelMatrix)
 
 
 def _load_matrix(path: str, build: Callable[[tuple[str, ...], np.ndarray], _Matrix]) -> _Matrix:
-    return read_input(path, lambda text: build(*_parse_rows(text)))
+    """``build`` of the labels and values of the matrix file at ``path``.
+    In a run that digests its inputs, they come from the cache of parsed
+    matrices when it holds this file's bytes; else they are parsed, and
+    stored there once ``build`` accepts them."""
+
+    def parse(text: str) -> _Matrix:
+        entry = None
+        if (digests := input_digests.get()) is not None:
+            with suppress(OSError):  # no source to key on: no cache
+                entry = _cache_entry(digests[str(path)])
+        if entry and (cached := _cache_load(entry)):
+            return build(*cached)
+        parsed = _parse_rows(text)
+        matrix = build(*parsed)
+        if entry:
+            _cache_store(entry, *parsed)
+        return matrix
+
+    return read_input(path, parse)
 
 
 def load_prob_matrix(path: str) -> ProbMatrix:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import derive_rng
-from .core import DEFAULT_CANDIDATES, LabelcalError, LabelMatrix, integer_ids
+from .core import DEFAULT_CANDIDATES, LabelcalError, LabelMatrix, distinct, integer_ids
 
 _CHUNK = 1024
 _SLAB = 32  # rows shuffled at a time as int64, the item size numpy shuffles fastest
@@ -168,7 +168,7 @@ def stratified_single_label(
     _check_fold_count(n, k)
     rng = derive_rng(seed)
     order = []
-    for c in np.unique(classes):
+    for c in distinct(classes):
         members = np.nonzero(classes == c)[0]
         rng.shuffle(members)
         order.append(members)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import array_length, average_ranks
-from .core import DEFAULT_ECE_BINS, LabelcalError, LabelMatrix, ProbMatrix, integer_ids
+from .core import DEFAULT_ECE_BINS, LabelcalError, LabelMatrix, ProbMatrix, distinct, integer_ids
 
 TICK_DIVISOR = 40.0
 
@@ -88,7 +88,7 @@ def balanced_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     _check_vectors("pred", pred, "truth", truth)
     if truth.size == 0:
         raise LabelcalError("balanced_accuracy of empty input")
-    recalls = [float(np.mean(pred[truth == c] == c)) for c in np.unique(truth)]
+    recalls = [float(np.mean(pred[truth == c] == c)) for c in distinct(truth)]
     return float(np.mean(recalls))
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LabelcalError, read_numbers, text_lines
+from .core import LabelcalError, distinct, read_numbers, text_lines
 
 TSV_COLUMNS = (
     "level", "page_num", "block_num", "par_num", "line_num", "word_num",
@@ -580,7 +580,7 @@ def _k_distance_eps(points: np.ndarray, weight: np.ndarray, min_pts: int) -> flo
     k = min(min_pts, m) - 1  # distance to the min_pts'th point counting itself
     if m < 2 or k < 0:
         return 1.0
-    kd = np.unique(_k_distances(points, weight, k))
+    kd = distinct(_k_distances(points, weight, k))
     if kd[-1] == 0.0:
         return 1.0
     if kd.size == 1:  # every k-distance the same: no jump
@@ -668,9 +668,12 @@ def classify_paragraphs(
         member = ids >= 0
         lengths = np.fromiter((len(p.text) for p in paragraphs), np.float64, len(paragraphs))
         mass = np.bincount(ids[member], lengths[member], minlength=n_clusters)
-        by_cluster = features[member, 0][np.argsort(ids[member], kind="stable")]
+        by_cluster = features[member, 0][np.lexsort((features[member, 0], ids[member]))]
         ends = np.cumsum(np.bincount(ids[member], minlength=n_clusters))
-        heights = [float(np.median(h)) for h in np.split(by_cluster, ends[:-1])]
+        heights = []  # np.median of each cluster's sorted heights, without the numpy.ma it imports
+        for h in np.split(by_cluster, ends[:-1]):
+            mid = h.size // 2
+            heights.append(float(h[mid] if h.size % 2 else (h[mid - 1] + h[mid]) / 2))
         by_mass = sorted(range(n_clusters), key=lambda c: (-mass[c], c))
         body = by_mass[0]
         names[body] = "body"
@@ -704,8 +707,19 @@ def body_margins(paragraphs: Sequence[ParagraphRecord]) -> tuple[float, float] |
     values, counts = np.unique(bins, return_counts=True)
     modal = values[counts.argmax()]  # the first maximum: ties go to the smaller bin
     left = float(lefts[bins == modal].mean())
-    right = float(np.percentile([l.right for l in lines], 95))
-    return left, right
+    return left, _percentile_95(np.array([l.right for l in lines]))
+
+
+def _percentile_95(values: np.ndarray) -> float:
+    """``np.percentile(values, 95)`` bit for bit, without the numpy.ma its
+    ``np.unique`` imports: the sorted values at the floor and ceiling of
+    the index 0.95 * (n - 1), interpolated from the nearer end."""
+    x = np.sort(values)
+    at = (x.size - 1) * 0.95
+    i = int(at)
+    t = at - i
+    a, b = x[i], x[min(i + 1, x.size - 1)]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def _join(a: ParagraphRecord, b: ParagraphRecord) -> ParagraphRecord:

@@ -7,8 +7,14 @@ does not turn timing into failures; and no example database.  Hypothesis
 also caches the literals it finds in the source code under its home
 directory, which is pointed at a temporary directory for the session,
 so a run writes no ``.hypothesis/`` into the checkout.
+
+``XDG_CACHE_HOME`` points at another session temporary directory before
+any test runs, so the cache of parsed matrices that command-line runs
+keep, in process or in a child, is written there, not under the home
+directory.
 """
 
+import os
 import tempfile
 
 import pytest
@@ -20,9 +26,12 @@ except ImportError:  # the property tests skip themselves without hypothesis
     settings = None
 
 _HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+_CACHE = pytest.StashKey[tempfile.TemporaryDirectory]()
 
 
 def pytest_configure(config):
+    cache = config.stash[_CACHE] = tempfile.TemporaryDirectory(prefix="xdg-cache-")
+    os.environ["XDG_CACHE_HOME"] = cache.name
     if settings is None:
         return
     settings.register_profile("labelcal", derandomize=True, deadline=None, database=None)
@@ -32,6 +41,7 @@ def pytest_configure(config):
 
 
 def pytest_unconfigure(config):
-    home = config.stash.get(_HOME, None)
-    if home is not None:
-        home.cleanup()
+    for key in (_HOME, _CACHE):
+        folder = config.stash.get(key, None)
+        if folder is not None:
+            folder.cleanup()

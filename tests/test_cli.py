@@ -738,6 +738,14 @@ print(json.dumps({"numpy": "numpy" in sys.modules, "environ_unchanged": dict(os.
 """
 
 
+MA_PROBE = """
+import json, sys
+import labelcal.cli
+code = labelcal.cli.dispatch(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
 # every variable OpenBLAS reads its thread count from; a probe drops them
 # all, so a value the test process holds cannot mask the CLI's default
 NO_BLAS_THREADS = dict.fromkeys(["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
@@ -779,6 +787,28 @@ class TestStartup:
     def test_library_import_leaves_the_environment_alone(self):
         (report,) = _probe(LIBRARY_ENV_PROBE, env=NO_BLAS_THREADS)
         assert json.loads(report) == {"numpy": True, "environ_unchanged": True}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0), (["--help"], 0), (["truncate", "--probs", "p.csv"], 1),
+    ], ids=["version", "help", "usage-error"])
+    def test_runs_that_read_no_matrix_make_no_cache(self, tmp_path, argv, code):
+        # the start-up the bench times as setup_s: no cache folder, no numpy
+        env = {"XDG_CACHE_HOME": str(tmp_path / "xdg"), "HOME": str(tmp_path / "home")}
+        report = json.loads(_probe(COMMAND_PROBE, json.dumps(argv), env=env)[-1])
+        assert (report["code"], report["numpy"]) == (code, False)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["segment", "--tsv", "{in}/pages.tsv", "--min-pts", "2"],
+        ["pbt-demo", "--mode", "multiclass", "--population", "4", "--generations", "2",
+         "--patience", "1", "--items", "80", "--labels", "3", "--features", "4"],
+    ], ids=["segment", "pbt-demo-multiclass"])
+    def test_stage_never_imports_numpy_ma(self, tmp_path, stage_inputs, argv):
+        # a bare np.unique, np.median or np.percentile imports numpy.ma,
+        # 9-17 ms of a short run
+        argv = [a.format(**stage_inputs) for a in argv] + ["--out", str(tmp_path / "out")]
+        (report,) = _probe(MA_PROBE, json.dumps(argv))
+        assert json.loads(report) == {"code": 0, "numpy.ma": False}
 
 
 class TestModuleEntry:

@@ -4,9 +4,13 @@ import ast
 import contextlib
 import csv
 import errno
+import hashlib
 import io
+import json
 import os
 import re
+import shutil
+import stat
 import tempfile
 import warnings
 from pathlib import Path
@@ -22,6 +26,7 @@ except ImportError:  # the property test skips itself without hypothesis
 
 import labelcal
 from labelcal import core
+from labelcal.cli import dispatch
 from labelcal.core import (
     EnsembleSet,
     LabelcalError,
@@ -500,7 +505,256 @@ class TestReadInput:
         assert found == {
             ("core", "read_input", "rb"),  # the reader, which also digests for the manifest
             ("core", "atomic_files", "x"),  # the writer
+            # the cache of parsed matrices: the reader's own source for the
+            # key, an entry's load and its store
+            ("core", "_cache_entry", "rb"),
+            ("core", "_cache_load", "rb"),
+            ("core", "_cache_store", "xb"),
         }
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """The folder of an empty cache of parsed matrices, not yet made."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "labelcal"
+
+
+def as_parsed(labels, values):
+    return labels, values
+
+
+def run_load(path, build=as_parsed):
+    """``_load_matrix`` as a command-line run calls it, digesting its input,
+    and the number of parses it made: 0 on a cache hit."""
+    token = core.input_digests.set({})
+    try:
+        with mock.patch.object(core, "_parse_rows", wraps=_parse_rows) as parse:
+            return core._load_matrix(str(path), build), parse.call_count
+    finally:
+        core.input_digests.reset(token)
+
+
+def run_outcome(path, build=as_parsed):
+    try:
+        return run_load(path, build)[0]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def bits(parsed):
+    labels, values = parsed
+    return labels, values.dtype, values.shape, values.tobytes()
+
+
+def entry_of(path):
+    """The cache file of the matrix file at ``path``."""
+    return Path(core._cache_entry(hashlib.sha256(Path(path).read_bytes()).hexdigest()))
+
+
+# every edge text that parses, and one with ties
+PARSED = {name: text for name, (text, outcome) in EDGE_CASES.items()
+          if not isinstance(outcome[0], type)}
+PARSED["ties"] = "a,b,c\n0.5,0.5,0.5\n0.5,0.5,0.5\n0,0,0\n"
+# every edge text that fails, and texts that parse but fail a matrix's checks
+FAILED = {name: (text, as_parsed) for name, (text, outcome) in EDGE_CASES.items()
+          if isinstance(outcome[0], type)}
+FAILED.update({
+    "probability above 1": ("a,b\n0.1,1.5\n", ProbMatrix),
+    "nan probability": ("a,b\nnan,0.5\n", ProbMatrix),
+    "annotation of 0.5": ("a,b\n1,0.5\n", LabelMatrix),
+    "multiclass row of two": ("a,b\n1,1\n", lambda labels, values: LabelMatrix(
+        labels, values, "multiclass")),
+})
+
+
+class TestMatrixCache:
+    @pytest.mark.parametrize("text", PARSED.values(), ids=PARSED.keys())
+    def test_a_hit_gives_the_parse_bit_for_bit(self, tmp_path, cache, text):
+        path = write(tmp_path, text)
+        expected = bits(_parse_rows(text))
+        first, parses = run_load(path)
+        assert (bits(first), parses) == (expected, 1)
+        assert os.listdir(cache) == [entry_of(path).name]
+        again, parses = run_load(path)
+        assert (bits(again), parses) == (expected, 0)
+
+    @pytest.mark.parametrize("text, build", FAILED.values(), ids=FAILED.keys())
+    def test_a_failed_input_fails_alike_on_a_rerun_and_is_never_stored(
+            self, tmp_path, cache, text, build):
+        path = write(tmp_path, text)
+        first = run_outcome(path, build)
+        assert isinstance(first[0], type) and issubclass(first[0], LabelcalError)
+        assert run_outcome(path, build) == first
+        assert not cache.exists()
+
+    def test_a_stored_matrix_that_fails_another_check_fails_alike(self, tmp_path, cache):
+        # stored by a probability load, then read as annotations: the hit
+        # goes through the same checks as a parse
+        path = write(tmp_path, "a,b\n0.5,1\n")
+        plain = run_outcome(path, LabelMatrix)
+        run_load(path, ProbMatrix)
+        assert run_outcome(path, LabelMatrix) == plain
+        assert plain == (MatrixFormatError, f"{path}: annotation entry 0.5 is not 0 or 1 "
+                                             "at row 1, column 'a'")
+
+    @pytest.mark.parametrize("damage", [
+        lambda good: good[: len(good) // 2],
+        lambda good: good[:-1],
+        lambda good: good + b"\0",
+        lambda good: b"",
+        lambda good: bytes(range(256)) * 4,
+        lambda good: b"PK\x03\x04" + good,  # what np.load would open as an npz archive
+        lambda good: npy_bytes(np.zeros(3, np.uint8), np.zeros((1, 2))),  # not JSON
+        lambda good: npy_bytes(np.frombuffer(b'"ab"', np.uint8), np.zeros((1, 2))),
+        lambda good: npy_bytes(np.frombuffer(b'["a"]', np.uint8), np.zeros((1, 2))),
+        lambda good: npy_bytes(np.frombuffer(b'["a","b"]', np.uint8), np.zeros(2)),
+        lambda good: npy_bytes(np.frombuffer(b'["a","b"]', np.uint8),
+                               np.zeros((1, 2), np.float32)),
+        lambda good: npy_bytes(np.frombuffer(b'["a",2]', np.uint8), np.zeros((1, 2))),
+        lambda good: npy_header((10**12,), "|u1"),  # a size no memory holds
+        lambda good: npy_bytes(np.frombuffer(b'["a","b"]', np.uint8)) + npy_header(
+            (10**12, 2), "<f8"),
+    ], ids=["half", "last byte short", "a byte over", "empty", "garbage", "zip magic",
+            "labels not json", "labels not a list", "too few labels", "values not 2-d",
+            "values not float64", "label not a string", "huge labels", "huge values"])
+    def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, cache, damage):
+        path = write(tmp_path, "a,b\n0.5,0.25\n1,-0\n")
+        first, _ = run_load(path)
+        entry = entry_of(path)
+        good = entry.read_bytes()
+        entry.write_bytes(damage(good))
+        again, parses = run_load(path)
+        assert (bits(again), parses) == (bits(first), 1)
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("block", [
+        lambda cache: cache.parent.write_bytes(b""),  # XDG_CACHE_HOME is a file
+        lambda cache: (cache.parent.mkdir(), cache.write_bytes(b"")),  # so is the folder
+        lambda cache: entry_of("probs.csv").mkdir(parents=True),  # the entry is a folder
+    ], ids=["base is a file", "folder is a file", "entry is a folder"])
+    def test_a_cache_that_cannot_be_used_changes_no_output_or_exit_code(
+            self, tmp_path, cache, monkeypatch, capsys, block):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(5)
+        Path("probs.csv").write_text(format_matrix(["a", "b"], rng.random((40, 2))), "utf-8")
+        Path("bad.csv").write_text("a,b\n0.5,2\n", "utf-8")
+        truncate = ["truncate", "--p-low", "0.2", "--p-high", "0.6", "--probs"]
+        assert dispatch([*truncate, "probs.csv", "--out", "expected.csv"]) == 0
+        shutil.rmtree(cache.parent)
+        block(cache)
+        for run in range(2):
+            assert dispatch([*truncate, "probs.csv", "--out", f"q{run}.csv"]) == 0
+            assert Path(f"q{run}.csv").read_bytes() == Path("expected.csv").read_bytes()
+            assert dispatch([*truncate, "bad.csv", "--out", "r.csv"]) == 2
+            assert capsys.readouterr().err == (
+                "labelcal: error: bad.csv: value 2.0 outside [0, 1] at row 1, column 'b'\n")
+        left = [p for p in cache.parent.rglob("*") if p.is_file() and p.stat().st_size]
+        assert left == []  # no entry and no temporary file
+
+    def test_a_different_reader_or_numpy_misses(self, tmp_path, cache, monkeypatch):
+        path = write(tmp_path, "a,b\n0.5,0.25\n")
+        run_load(path)
+        reader = tmp_path / "core.py"
+        reader.write_bytes(Path(core.__file__).read_bytes() + b"\n")
+        monkeypatch.setattr(core, "__file__", str(reader))
+        assert [run_load(path)[1] for _ in range(2)] == [1, 0]
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        assert [run_load(path)[1] for _ in range(2)] == [1, 0]
+        assert len(os.listdir(cache)) == 3
+
+    def test_the_budget_evicts_the_oldest_entries_first(self, tmp_path, cache, monkeypatch):
+        paths = [write(tmp_path, f"a,b\n0.{i},0.5\n", f"m{i}.csv") for i in range(5)]
+        entries = [entry_of(path) for path in paths]
+        for age, i in enumerate([2, 0, 1]):  # stored in this order, then aged so
+            run_load(paths[i])
+            os.utime(entries[i], ns=(age * 10**9, age * 10**9))
+        monkeypatch.setattr(core, "_CACHE_BUDGET", 3 * entries[0].stat().st_size)
+        run_load(paths[3])
+        assert sorted(os.listdir(cache)) == sorted(entries[i].name for i in (0, 1, 3))
+        os.utime(entries[1], ns=(0, 0))
+        run_load(paths[4])
+        assert sorted(os.listdir(cache)) == sorted(entries[i].name for i in (0, 3, 4))
+        monkeypatch.setattr(core, "_CACHE_BUDGET", 0)  # nothing fits, the new entry included
+        run_load(paths[2])
+        assert os.listdir(cache) == []
+
+    def test_the_cache_is_under_xdg_cache_home_else_the_home_directory(
+            self, tmp_path, cache, monkeypatch):
+        path = write(tmp_path, "a\n0.5\n")
+        run_load(path)
+        assert os.listdir(cache) == [entry_of(path).name]
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        home = tmp_path / "home" / ".cache" / "labelcal"
+        for value in ("", "relative/cache", None):
+            if value is None:
+                monkeypatch.delenv("XDG_CACHE_HOME")
+            else:
+                monkeypatch.setenv("XDG_CACHE_HOME", value)
+            assert entry_of(path).parent == home
+        run_load(path)
+        assert os.listdir(home) == [entry_of(path).name]
+
+    def test_library_calls_and_other_inputs_never_touch_the_cache(
+            self, tmp_path, cache, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, "a,b\n0,1\n")
+        with mock.patch.object(core, "_parse_rows", wraps=_parse_rows) as parse:
+            load_prob_matrix(path)
+            load_label_matrix(path)
+        assert parse.call_count == 2
+        Path("texts.jsonl").write_text('{"id": 1, "text": "alma"}\n', "utf-8")
+        Path("scores.txt").write_text("0.5\n0.25\n1\n", "utf-8")
+        assert dispatch(["filter", "--texts", "texts.jsonl", "--needle", "al",
+                         "--out", "kept.jsonl"]) == 0
+        assert dispatch(["size-curve", "--scores", "scores.txt", "--sizes", "1", "2", "1",
+                         "--reps", "2", "--out", "curve.json"]) == 0
+        assert not cache.parent.exists()
+
+    def test_a_rerun_reads_the_cache_and_writes_the_same_outputs(
+            self, tmp_path, cache, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(6)
+        Path("probs.csv").write_text(format_matrix(["a", "b", "c"], rng.random((50, 3))), "utf-8")
+        argv = ["sample", "--probs", "probs.csv", "--n", "10", "--out"]
+        with mock.patch.object(core, "_parse_rows", wraps=_parse_rows) as parse:
+            for out in ("first.json", "second.json"):
+                assert dispatch([*argv, out]) == 0
+        assert parse.call_count == 1
+        assert Path("first.json").read_bytes() == Path("second.json").read_bytes()
+        manifests = [json.loads(Path(f"{out}.manifest.json").read_text("utf-8"))
+                     for out in ("first.json", "second.json")]
+        for manifest in manifests:
+            del manifest["duration_seconds"], manifest["parameters"]["out"]
+        assert manifests[0] == manifests[1]
+
+
+def npy_bytes(*arrays):
+    """The ``.npy`` arrays of a cache entry, one after another."""
+    out = io.BytesIO()
+    for array in arrays:
+        np.lib.format.write_array(out, array)
+    return out.getvalue()
+
+
+def npy_header(shape, descr):
+    """An ``.npy`` header that claims ``shape``, with no data after it."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": descr, "fortran_order": False, "shape": shape})
+    return out.getvalue()
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("values", [
+        [3, 1, 2, 3, 1], [], [[2, 1], [1, 0]], [0.5, np.nan, -np.inf, np.nan, 0.5, np.inf],
+        [-0.0, 0.0, 1.0], np.arange(-5, 5, dtype=np.int8), [np.nan, np.nan],
+    ], ids=["ints", "empty", "2-d", "nans and infinities", "signed zeros", "int8", "all nan"])
+    def test_the_values_of_np_unique(self, values):
+        got, expected = core.distinct(np.asarray(values)), np.unique(np.asarray(values))
+        assert (got.dtype, got.shape, got.tobytes()) == (
+            expected.dtype, expected.shape, expected.tobytes())
 
 
 class TestAtomicWrite:

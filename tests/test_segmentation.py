@@ -920,6 +920,14 @@ class TestBodyMargins:
             modal = min(np.unique(bins), key=lambda b: (-(bins == b).sum(), b))
             assert body_margins(paragraphs)[0] == float(lefts[bins == modal].mean())
 
+    def test_right_is_np_percentile_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for n in [*range(1, 45), 100, 1001]:
+            for high in (3, 5000, 2**40):
+                rights = rng.integers(-high, high, size=n)
+                got = segmentation._percentile_95(rights)
+                assert got.hex() == float(np.percentile(rights, 95)).hex(), (n, high)
+
 
 def merge_reference(pages, mode):
     """The page merge loop with three guards the margins already imply: a
