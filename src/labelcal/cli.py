@@ -1,14 +1,9 @@
 """The ``labelcal`` command line: one subcommand per pipeline stage.
 
-Every run writes its outputs plus a manifest (``<output>.manifest.json``)
-recording the subcommand, full parameter set, seed, digests of the input
-bytes parsed, tool version, and wall-clock duration.  All randomness is
-seeded (default 0, never wall-clock), so a rerun with the same manifest
-inputs reproduces the outputs byte for byte.
-
-A subcommand returns its outputs as text and ``dispatch`` writes them with
-the manifest as one group: a run leaves all of them or none.  Outputs that
-name the same file are a usage error.
+``_ABOUT`` is what ``--help`` tells users.  A subcommand returns its
+outputs as text and ``dispatch`` writes them with the manifest as one
+group; outputs that name the same file are a usage error.  Inputs are
+strict UTF-8; line-based ones end a line at ``\\n``, ``\\r\\n`` or ``\\r``.
 
 numpy loads only in a run whose stage builds arrays: ``--version``,
 ``--help``, usage errors, ``filter`` and ``match`` never import it, as
@@ -26,10 +21,6 @@ freeze, so in-process callers keep their collector as it is.
 A matrix input whose bytes an earlier run parsed is loaded from the cache
 of parsed matrices (see ``core``), with the same checks, outputs and
 messages; ``--version``, ``--help`` and usage errors never reach it.
-
-Exit codes: 0 success, 1 usage error, 2 data error: an input the stage
-cannot read (inputs are strict UTF-8; line-based ones end a line at
-``\\n``, ``\\r\\n`` or ``\\r``) or running out of memory.
 """
 
 from __future__ import annotations
@@ -78,6 +69,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 Run = list[tuple[str, str]]  # outputs (path, text) in write order
+
+_ABOUT = """Each run writes its outputs and a manifest, <out>.manifest.json,
+that records the subcommand, its parameters, the seed, the SHA-256 of each
+input file, the version and the run time; a run leaves all of them or none.
+Randomness comes from --seed (default 0), never from the clock, so the same
+inputs and parameters give the same outputs byte for byte.  Exit codes: 0
+success, 1 usage error, 2 data error (an input the stage cannot read, such
+as one that is not UTF-8, or running out of memory)."""
 
 
 class UsageError(LabelcalError):
@@ -311,7 +310,7 @@ def _cmd_pbt_demo(args) -> Run:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="labelcal", description=__doc__)
+    parser = _Parser(prog="labelcal", description=_ABOUT)
     parser.add_argument("--version", action="version", version=f"labelcal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,11 +17,12 @@ truncated matrix, are written as ``0`` and ``1`` without being formatted
 (``read_numbers`` gives the number grammar); a file it rejects is walked
 again only to name the first bad row and cell.  In a command-line run
 (one that fills ``input_digests``), a matrix file is parsed once per
-content: its labels and values are kept in a cache of parsed matrices,
-keyed by its digest, this module's source and the numpy version, in
-``$XDG_CACHE_HOME/labelcal`` (else ``~/.cache/labelcal``) within
-``_CACHE_BUDGET`` bytes.  A cache that cannot be used is a miss; an
-input that fails to parse or to build is never stored.  Text corpora are
+content: its values are kept in a cache of parsed matrices, one ``.npy``
+array per entry, keyed by its digest, this module's source and the numpy
+version, in ``$XDG_CACHE_HOME/labelcal`` (else ``~/.cache/labelcal``)
+within ``_CACHE_BUDGET`` bytes; its labels are read from its header row
+on every run.  A cache that cannot be used is a miss; an input that
+fails to parse or to build is never stored.  Text corpora are
 JSON-lines records with ``id`` and ``text`` fields.  Files are written
 through ``atomic_files``, which moves a group of distinct files (a
 command-line run's outputs and its manifest) in whole or not at all: a
@@ -107,6 +108,21 @@ def distinct(values) -> np.ndarray:
     import numpy as np
 
     return np.unique(values, return_counts=True)[0]
+
+
+def quantile(values, q: float) -> float:
+    """``np.quantile(values, q)``, the linear quantile (Hyndman & Fan's type
+    7), of a 1-D sample without NaN for a float ``q`` in [0, 1], without the
+    ``numpy.ma`` it imports.  Bit for bit, but a sample of both -0.0 and +0.0
+    may give the other zero: numpy partitions the sample, this sorts it."""
+    import numpy as np
+
+    x = np.sort(values)
+    at = (x.size - 1) * q
+    # numpy's ends: at the last index, the last value twice, weighted at + 1
+    i, j = (int(at), int(at) + 1) if at < x.size - 1 else (-1, -1)
+    a, b, t = x[i], x[j], at - i
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
@@ -383,30 +399,28 @@ def _cache_entry(digest: str) -> str | None:
     return os.path.join(base, "labelcal", f"{key}.npy")
 
 
-def _cache_load(entry: str) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The labels and values stored at ``entry``, or None if it is missing
-    or cannot be read whole."""
+def _cache_load(entry: str, text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The labels of the header row of ``text`` and the values stored at
+    ``entry``, or None if it is missing, cannot be read whole or is not
+    float64 with one column per label."""
     import numpy as np
 
     try:
         with open(entry, "rb") as fh:
-            names = np.lib.format.read_array(fh, allow_pickle=False)
             values = np.lib.format.read_array(fh, allow_pickle=False)
             rest = fh.read(1)
-        labels = json.loads(names.tobytes()) if names.dtype == np.uint8 else None
     except (OSError, ValueError, MemoryError):  # a corrupt header may claim any size
         return None
-    if (rest or values.dtype != np.float64 or values.ndim != 2 or not isinstance(labels, list)
-            or len(labels) != values.shape[1] or not all(isinstance(n, str) for n in labels)):
+    labels = _read_header(text)[0]
+    if rest or values.dtype != np.float64 or values.shape[1:] != (len(labels),):
         return None
-    return tuple(labels), values
+    return labels, values
 
 
-def _cache_store(entry: str, labels: tuple[str, ...], values: np.ndarray) -> None:
-    """Store ``labels`` and ``values`` at ``entry`` (labels as JSON bytes,
-    then values, two arrays of one ``.npy`` file, moved in whole), then
-    delete the oldest files of the cache until it fits ``_CACHE_BUDGET``.
-    A cache that cannot be written is left as it is."""
+def _cache_store(entry: str, values: np.ndarray) -> None:
+    """Store ``values`` at ``entry`` (one ``.npy`` array, moved in whole),
+    then delete the oldest files of the cache until it fits
+    ``_CACHE_BUDGET``.  A cache that cannot be written is left as it is."""
     import numpy as np
 
     folder = os.path.dirname(entry)
@@ -415,8 +429,7 @@ def _cache_store(entry: str, labels: tuple[str, ...], values: np.ndarray) -> Non
         temp = _sibling(entry)
         try:
             with open(temp, "xb") as fh:
-                for array in (np.frombuffer(json.dumps(labels).encode(), np.uint8), values):
-                    np.lib.format.write_array(fh, array, allow_pickle=False)
+                np.lib.format.write_array(fh, values, allow_pickle=False)
             os.replace(temp, entry)
         except BaseException:
             with suppress(OSError):
@@ -559,21 +572,21 @@ _Matrix = TypeVar("_Matrix", ProbMatrix, LabelMatrix)
 
 def _load_matrix(path: str, build: Callable[[tuple[str, ...], np.ndarray], _Matrix]) -> _Matrix:
     """``build`` of the labels and values of the matrix file at ``path``.
-    In a run that digests its inputs, they come from the cache of parsed
-    matrices when it holds this file's bytes; else they are parsed, and
-    stored there once ``build`` accepts them."""
+    In a run that digests its inputs, the values come from the cache of
+    parsed matrices when it holds this file's bytes; else they are parsed,
+    and stored there once ``build`` accepts them."""
 
     def parse(text: str) -> _Matrix:
         entry = None
         if (digests := input_digests.get()) is not None:
             with suppress(OSError):  # no source to key on: no cache
                 entry = _cache_entry(digests[str(path)])
-        if entry and (cached := _cache_load(entry)):
+        if entry and (cached := _cache_load(entry, text)):
             return build(*cached)
         parsed = _parse_rows(text)
         matrix = build(*parsed)
         if entry:
-            _cache_store(entry, *parsed)
+            _cache_store(entry, parsed[1])
         return matrix
 
     return read_input(path, parse)

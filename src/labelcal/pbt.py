@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Protocol
 import numpy as np
 
 from ._util import array_length, derive_rng
-from .core import LabelcalError
+from .core import LabelcalError, quantile
 from .losses import confidence_penalty, focal_loss, ldam_loss, ldam_margins
 from .metrics import balanced_accuracy, mean_roc_auc
 
@@ -255,8 +255,7 @@ def make_toy_dataset(spec: ToyDataSpec) -> tuple[np.ndarray, ...]:
         rates = POSITIVE_RATE / 2.0 ** np.arange(spec.n_labels)
         w = rng.normal(size=(spec.n_features, spec.n_labels))
         raw = x @ w
-        diag = np.arange(spec.n_labels)
-        cuts = np.quantile(raw, 1.0 - rates, axis=0)[diag, diag]
+        cuts = np.array([quantile(raw[:, j], 1.0 - rate) for j, rate in enumerate(rates)])
         y = (raw > cuts).astype(np.int8)
         flips = rng.random(y.shape) < spec.noise
         y = np.where(flips, 1 - y, y)

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LabelcalError, distinct, read_numbers, text_lines
+from .core import LabelcalError, distinct, quantile, read_numbers, text_lines
 
 TSV_COLUMNS = (
     "level", "page_num", "block_num", "par_num", "line_num", "word_num",
@@ -314,13 +314,11 @@ def _run_starts(fields: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _weighted_medians(values: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``np.median(np.repeat(values, weights))`` of each run that begins at
-    ``starts``, with the same bits for integer values below 2**52.
-
-    Each run is sorted by value; the median is the mean of the values at
-    the two middle positions of the repeated run (the one middle position
-    twice when its length is odd), as ``np.median`` takes it; the two are
-    added in int64, so int32 values at the 2**31 edge are exact too.
-    """
+    ``starts``, bit for bit for values without NaN, without the ``numpy.ma``
+    that ``np.median`` imports.  As numpy takes it, an odd repeated length
+    gives the value at the middle position (not its mean with itself, which
+    overflows near 1.7e308), an even one the mean of the two middle values,
+    each a float sum from +0.0 (so -0.0 gives +0.0)."""
     run_sizes = np.diff(np.r_[starts, len(values)])
     order = np.lexsort((values, np.repeat(np.arange(len(starts)), run_sizes)))  # run, then value
     ends = np.cumsum(weights[order])  # one past each value's last repeated position
@@ -328,7 +326,10 @@ def _weighted_medians(values: np.ndarray, weights: np.ndarray, starts: np.ndarra
     base = np.cumsum(totals) - totals
     lo = values[order[np.searchsorted(ends, base + (totals - 1) // 2, side="right")]]
     hi = values[order[np.searchsorted(ends, base + totals // 2, side="right")]]
-    return (lo.astype(np.int64) + hi) / 2
+    mid = lo + 0.0
+    even = totals % 2 == 0
+    mid[even] = (mid[even] + hi[even]) / 2
+    return mid
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +669,10 @@ def classify_paragraphs(
         member = ids >= 0
         lengths = np.fromiter((len(p.text) for p in paragraphs), np.float64, len(paragraphs))
         mass = np.bincount(ids[member], lengths[member], minlength=n_clusters)
-        by_cluster = features[member, 0][np.lexsort((features[member, 0], ids[member]))]
-        ends = np.cumsum(np.bincount(ids[member], minlength=n_clusters))
-        heights = []  # np.median of each cluster's sorted heights, without the numpy.ma it imports
-        for h in np.split(by_cluster, ends[:-1]):
-            mid = h.size // 2
-            heights.append(float(h[mid] if h.size % 2 else (h[mid - 1] + h[mid]) / 2))
+        by_cluster = features[member, 0][np.argsort(ids[member])]  # grouped by cluster
+        sizes = np.bincount(ids[member])
+        heights = _weighted_medians(by_cluster, np.ones(by_cluster.size, np.int64),
+                                    np.cumsum(sizes) - sizes).tolist()
         by_mass = sorted(range(n_clusters), key=lambda c: (-mass[c], c))
         body = by_mass[0]
         names[body] = "body"
@@ -707,19 +706,7 @@ def body_margins(paragraphs: Sequence[ParagraphRecord]) -> tuple[float, float] |
     values, counts = np.unique(bins, return_counts=True)
     modal = values[counts.argmax()]  # the first maximum: ties go to the smaller bin
     left = float(lefts[bins == modal].mean())
-    return left, _percentile_95(np.array([l.right for l in lines]))
-
-
-def _percentile_95(values: np.ndarray) -> float:
-    """``np.percentile(values, 95)`` bit for bit, without the numpy.ma its
-    ``np.unique`` imports: the sorted values at the floor and ceiling of
-    the index 0.95 * (n - 1), interpolated from the nearer end."""
-    x = np.sort(values)
-    at = (x.size - 1) * 0.95
-    i = int(at)
-    t = at - i
-    a, b = x[i], x[min(i + 1, x.size - 1)]
-    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return left, quantile(np.array([l.right for l in lines]), 0.95)
 
 
 def _join(a: ParagraphRecord, b: ParagraphRecord) -> ParagraphRecord:

@@ -798,15 +798,36 @@ class TestStartup:
         assert (report["code"], report["numpy"]) == (code, False)
         assert os.listdir(tmp_path) == []
 
+    def test_help_tells_users_what_a_run_writes_without_markup(self):
+        # the module docstring's notes on the code stay out of --help
+        *lines, report = _probe(COMMAND_PROBE, json.dumps(["--help"]))
+        assert json.loads(report) == {"code": 0, "executed": ["cli", "core"], "numpy": False}
+        text = " ".join(" ".join(lines).split())  # as wrapped at any terminal width
+        assert "``" not in text
+        for said in ("<out>.manifest.json", "--seed (default 0)",
+                     "Exit codes: 0 success, 1 usage error, 2 data error"):
+            assert said in text
+
     @pytest.mark.parametrize("argv", [
         ["segment", "--tsv", "{in}/pages.tsv", "--min-pts", "2"],
+        ["folds", "--labels", "{truth}", "--k", "3", "--candidates", "8"],
+        ["folds", "--labels", "{in}/classes.csv", "--kind", "multiclass", "--k", "3"],
+        ["metrics", "--probs", "{probs}", "--truth", "{truth}", "--years", "{in}/years.txt"],
+        ["calibrate", "--oof", "{probs}", "--truth", "{truth}", "--step", "0.1"],
+        ["truncate", "--probs", "{probs}", "--p-low", "0.2", "--p-high", "0.6"],
+        ["sample", "--probs", "{probs}", "--n", "5"],
+        ["size-curve", "--scores", "{in}/scores.txt", "--sizes", "10", "20", "10", "--reps", "2"],
+        ["relnet", "--probs", "{probs}", "--calibrate", "half"],
         ["pbt-demo", "--mode", "multiclass", "--population", "4", "--generations", "2",
          "--patience", "1", "--items", "80", "--labels", "3", "--features", "4"],
-    ], ids=["segment", "pbt-demo-multiclass"])
-    def test_stage_never_imports_numpy_ma(self, tmp_path, stage_inputs, argv):
-        # a bare np.unique, np.median or np.percentile imports numpy.ma,
-        # 9-17 ms of a short run
-        argv = [a.format(**stage_inputs) for a in argv] + ["--out", str(tmp_path / "out")]
+        ["pbt-demo", "--mode", "multilabel", "--population", "4", "--generations", "2",
+         "--patience", "1", "--items", "80", "--labels", "3", "--features", "4"],
+    ], ids=["segment", "folds", "folds-multiclass", "metrics", "calibrate", "truncate", "sample",
+            "size-curve", "relnet", "pbt-demo-multiclass", "pbt-demo-multilabel"])
+    def test_stage_never_imports_numpy_ma(self, parameter_inputs, argv):
+        # a bare np.unique, np.median, np.percentile or np.quantile imports
+        # numpy.ma, 9-17 ms of a short run
+        argv = [a.format(**parameter_inputs) for a in [*argv, "--out", "{out}/o"]]
         (report,) = _probe(MA_PROBE, json.dumps(argv))
         assert json.loads(report) == {"code": 0, "numpy.ma": False}
 

@@ -25,7 +25,7 @@ except ImportError:  # the property test skips itself without hypothesis
     st = None
 
 import labelcal
-from labelcal import core
+from labelcal import core, pbt
 from labelcal.cli import dispatch
 from labelcal.core import (
     EnsembleSet,
@@ -576,6 +576,8 @@ class TestMatrixCache:
         first, parses = run_load(path)
         assert (bits(first), parses) == (expected, 1)
         assert os.listdir(cache) == [entry_of(path).name]
+        stored = np.load(entry_of(path), allow_pickle=False)  # one plain array: the values
+        assert bits((expected[0], stored)) == expected
         again, parses = run_load(path)
         assert (bits(again), parses) == (expected, 0)
 
@@ -605,6 +607,7 @@ class TestMatrixCache:
         lambda good: b"",
         lambda good: bytes(range(256)) * 4,
         lambda good: b"PK\x03\x04" + good,  # what np.load would open as an npz archive
+        # an entry of the earlier format: labels as JSON bytes, then values
         lambda good: npy_bytes(np.zeros(3, np.uint8), np.zeros((1, 2))),  # not JSON
         lambda good: npy_bytes(np.frombuffer(b'"ab"', np.uint8), np.zeros((1, 2))),
         lambda good: npy_bytes(np.frombuffer(b'["a"]', np.uint8), np.zeros((1, 2))),
@@ -615,9 +618,18 @@ class TestMatrixCache:
         lambda good: npy_header((10**12,), "|u1"),  # a size no memory holds
         lambda good: npy_bytes(np.frombuffer(b'["a","b"]', np.uint8)) + npy_header(
             (10**12, 2), "<f8"),
+        # one array, whose columns the header row of the input must match
+        lambda good: npy_bytes(np.zeros((2, 3))),
+        lambda good: npy_bytes(np.zeros((2, 1))),
+        lambda good: npy_bytes(np.zeros(4)),
+        lambda good: npy_bytes(np.zeros((2, 1, 2))),
+        lambda good: npy_bytes(np.zeros((2, 2), np.float32)),
+        lambda good: good + good,
     ], ids=["half", "last byte short", "a byte over", "empty", "garbage", "zip magic",
             "labels not json", "labels not a list", "too few labels", "values not 2-d",
-            "values not float64", "label not a string", "huge labels", "huge values"])
+            "values not float64", "label not a string", "huge labels", "huge values",
+            "more columns than labels", "fewer columns than labels", "one 1-d array",
+            "one 3-d array", "one float32 array", "two arrays"])
     def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, cache, damage):
         path = write(tmp_path, "a,b\n0.5,0.25\n1,-0\n")
         first, _ = run_load(path)
@@ -731,7 +743,7 @@ class TestMatrixCache:
 
 
 def npy_bytes(*arrays):
-    """The ``.npy`` arrays of a cache entry, one after another."""
+    """``arrays`` as ``.npy`` files, one after another."""
     out = io.BytesIO()
     for array in arrays:
         np.lib.format.write_array(out, array)
@@ -755,6 +767,33 @@ class TestDistinct:
         got, expected = core.distinct(np.asarray(values)), np.unique(np.asarray(values))
         assert (got.dtype, got.shape, got.tobytes()) == (
             expected.dtype, expected.shape, expected.tobytes())
+
+
+class TestQuantile:
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 1001])
+    @pytest.mark.parametrize("kind", ["ints", "floats", "ties"])
+    def test_the_bits_of_np_quantile(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "ints":
+            values = rng.integers(-10**6, 10**6, n)
+        elif kind == "floats":  # magnitudes 1e-300 to 1e300
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, n)
+        else:
+            values = rng.choice([-1e300, -2.5, -0.0, 1e-300, 3.0, 3.0, 1e300], n)
+        cuts = 1.0 - pbt.POSITIVE_RATE / 2.0 ** np.arange(12)  # as make_toy_dataset takes them
+        exact = np.arange(min(n, 9)) / max(n - 1, 1)  # k / (n - 1)
+        qs = [0.0, 1.0, 0.95, 0.5, 0.25, *cuts, *exact, *rng.random(20)]
+        assert n <= 2 or any(((n - 1) * q).is_integer() and 0 < q < 1 for q in qs)
+        for q in qs:
+            got, expected = core.quantile(values, q), float(np.quantile(values, q))
+            assert got.hex() == expected.hex(), q
+
+    def test_both_signed_zeros_may_give_the_other_zero(self):
+        # np.sort and numpy's partition order -0.0 and +0.0 differently
+        values = np.array([0.0, -0.0, -1.0, -0.0])
+        got, expected = core.quantile(values, 0.95), float(np.quantile(values, 0.95))
+        assert (got.hex(), expected.hex()) == ("-0x0.0p+0", "0x0.0p+0")
+        assert core.quantile(np.array([-0.0]), 0.5).hex() == "-0x0.0p+0"  # one zero keeps its sign
 
 
 class TestAtomicWrite:

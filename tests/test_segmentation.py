@@ -13,7 +13,7 @@ import pytest
 
 import child
 from labelcal import segmentation
-from labelcal.core import LabelcalError, _bow_tokens, bow_match_many, read_input
+from labelcal.core import LabelcalError, _bow_tokens, bow_match_many, quantile, read_input
 from labelcal.segmentation import (
     LineBox,
     OcrFormatError,
@@ -487,6 +487,30 @@ class TestParagraphAssembly:
         rows = [word_row(word=1, height=11, text="abc"), word_row(word=2, height=3, text="d")]
         assert paragraphs_from_tokens(parse_ocr_tsv(tsv(*rows)))[0].char_height == 11.0
 
+    @pytest.mark.parametrize("pool", [
+        [-2.5, 0.1, 1.5, 2.5, 2.5, 7.25],
+        [1.7e308, 1.7e308, -1.7e308, 1.6e308, 1e-300, 5e-324, -0.0, 0.0],
+        np.array([2**31 - 1, 2**31 - 1, -(2**31), 12, 0], np.int32),
+    ], ids=["float ties", "near the float limit", "int32 edges"])
+    def test_run_medians_are_np_median_bit_for_bit(self, pool):
+        # the kernel of the paragraph heights (character weights) and of
+        # the cluster heights of classify_paragraphs (unit weights)
+        rng = np.random.default_rng(8)
+        lengths = set()
+        for trial in range(300):
+            sizes = rng.integers(1, 8, rng.integers(1, 6))
+            values = rng.choice(pool, sizes.sum())
+            weights = rng.integers(1, 4, sizes.sum()) if trial % 2 else np.ones(sizes.sum(), int)
+            starts = np.cumsum(sizes) - sizes
+            # both overflow to inf on the mean of an even run's two middle values
+            with np.errstate(over="ignore"):
+                got = segmentation._weighted_medians(values, weights, starts)
+                expected = [np.median(np.repeat(v, w)) for v, w in
+                            zip(np.split(values, starts[1:]), np.split(weights, starts[1:]))]
+            assert got.tobytes() == np.array(expected, np.float64).tobytes(), (values, weights)
+            lengths.update(np.add.reduceat(weights, starts) % 2)
+        assert lengths == {0, 1}  # runs of odd and even repeated length
+
     def test_token_objects_are_accepted(self):
         tokens = columns([[3, 1, 2, 1, 1, 10, 10, 30, 12], [3, 1, 1, 1, 1, 10, 10, 30, 12]],
                          ["egy", "kettő"])
@@ -925,7 +949,7 @@ class TestBodyMargins:
         for n in [*range(1, 45), 100, 1001]:
             for high in (3, 5000, 2**40):
                 rights = rng.integers(-high, high, size=n)
-                got = segmentation._percentile_95(rights)
+                got = quantile(rights, 0.95)  # as body_margins takes it
                 assert got.hex() == float(np.percentile(rights, 95)).hex(), (n, high)
 
 
