@@ -60,8 +60,8 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | np.float64:
-    """log(sum(exp(a))) over ``axis`` (all entries when None), computed stably.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, computed stably.
 
     Every entry equal to the maximum is taken out of the shifted sum and
     counted instead (``m`` ties), as scipy does:
@@ -69,18 +69,16 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | np.float64
     finite (all entries -inf, an inf or a NaN) the direct
     log(sum(exp(a))) is returned.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    axes = tuple(range(a.ndim)) if axis is None else axis
+    a = np.asarray(a, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axes, keepdims=True)
+        a_max = np.max(a, axis=-1, keepdims=True)
         is_max = a == a_max
-        m = np.sum(is_max, axis=axes, keepdims=True, dtype=np.float64)
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axes, keepdims=True)
+        m = np.sum(is_max, axis=-1, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
+            direct = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
             out = np.where(finite, out, direct)
-    out = np.squeeze(out, axis=axes)
-    return out[()] if out.ndim == 0 else out
+    return out[..., 0]

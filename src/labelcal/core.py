@@ -20,14 +20,14 @@ again only to name the first bad row and cell.  In a command-line run
 content: its values are kept in a cache of parsed matrices, one ``.npy``
 array per entry, keyed by its digest, this module's source and the numpy
 version, in ``$XDG_CACHE_HOME/labelcal`` (else ``~/.cache/labelcal``)
-within ``_CACHE_BUDGET`` bytes; its labels are read from its header row
-on every run.  A cache that cannot be used is a miss; an input that
-fails to parse or to build is never stored.  Text corpora are
-JSON-lines records with ``id`` and ``text`` fields.  Files are written
-through ``atomic_files``, which moves a group of distinct files (a
-command-line run's outputs and its manifest) in whole or not at all: a
-failure leaves no partial output and keeps the files it would have
-replaced.
+within ``_CACHE_BUDGET`` bytes, the least recently used deleted first;
+its labels are read from its header row on every run.  A cache that
+cannot be used is a miss; an input that fails to parse or to build is
+never stored.  Text corpora are JSON-lines records with ``id`` and
+``text`` fields.  Files are written through ``atomic_files``, which
+moves a group of distinct files (a command-line run's outputs and its
+manifest) in whole or not at all: a failure leaves no partial output
+and keeps the files it would have replaced.
 """
 
 from __future__ import annotations
@@ -376,8 +376,8 @@ def read_input(path: str, parse: Callable[[str], _Parsed]) -> _Parsed:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-# Bytes of parsed matrices the cache keeps; each store deletes the oldest
-# entries until the cache fits.
+# Bytes of parsed matrices the cache keeps; each store deletes the least
+# recently used entries until the cache fits.
 _CACHE_BUDGET = 1 << 30
 
 
@@ -402,7 +402,8 @@ def _cache_entry(digest: str) -> str | None:
 def _cache_load(entry: str, text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
     """The labels of the header row of ``text`` and the values stored at
     ``entry``, or None if it is missing, cannot be read whole or is not
-    float64 with one column per label."""
+    float64 with one column per label.  A hit marks the entry as used now,
+    where the cache lets it."""
     import numpy as np
 
     try:
@@ -414,12 +415,14 @@ def _cache_load(entry: str, text: str) -> tuple[tuple[str, ...], np.ndarray] | N
     labels = _read_header(text)[0]
     if rest or values.dtype != np.float64 or values.shape[1:] != (len(labels),):
         return None
+    with suppress(OSError):  # a read-only cache is still read
+        os.utime(entry)
     return labels, values
 
 
 def _cache_store(entry: str, values: np.ndarray) -> None:
     """Store ``values`` at ``entry`` (one ``.npy`` array, moved in whole),
-    then delete the oldest files of the cache until it fits
+    then delete the least recently used files of the cache until it fits
     ``_CACHE_BUDGET``.  A cache that cannot be written is left as it is."""
     import numpy as np
 
@@ -612,7 +615,7 @@ _BLOCK_CELLS = 1 << 16
 
 
 def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
-    """Render a matrix (or a vector, as one column) as CSV text.
+    """Render a matrix, a 2-D array, as CSV text.
 
     Every value is written as ``"%.17g" % value`` writes it, so that a
     load -> save -> load cycle is bit-identical.  Each block of rows is one
@@ -624,8 +627,6 @@ def format_matrix(labels: Sequence[str], values: np.ndarray) -> str:
 
     units = np.frombuffer(_UNITS, np.uint16)
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
     n, k = values.shape
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(labels)

@@ -133,7 +133,7 @@ def ldam_loss(
     adjusted = logits.copy()
     adjusted[at] -= margins[true_class]
     z = scale * adjusted
-    lse = logsumexp(z, axis=-1)
+    lse = logsumexp(z)
     value = float((lse - z[at]).sum())
     softmax = np.exp(z - lse[..., None])
     grad = scale * softmax
@@ -153,7 +153,7 @@ def confidence_penalty(logits: np.ndarray, beta: float) -> LossValue:
     logits = np.asarray(logits, dtype=np.float64)
     if beta == 0.0:
         return LossValue(0.0, np.zeros_like(logits))
-    log_q = logits - logsumexp(logits, axis=-1)[..., None]
+    log_q = logits - logsumexp(logits)[..., None]
     q = np.exp(log_q)
     entropy = -(q * log_q).sum(axis=-1, keepdims=True)
     grad = beta * q * (log_q + entropy)

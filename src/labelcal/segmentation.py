@@ -10,8 +10,8 @@ A table the parser rejects is walked again row by row only to name the
 first bad line.  Paragraphs are assembled from one stable sort of the
 word keys and per-line array reductions, gathering one field at a time
 into sorted order.  Paragraph classes come from density clustering
-(DBSCAN over a grid of cells on the distinct feature points, in memory
-linear in the paragraphs) on character-size statistics; page-boundary
+(DBSCAN over a grid of cells on the distinct (char height, char width)
+points, in memory linear in the paragraphs); page-boundary
 merges use the two typographic cues - the last line reaching the right
 margin and the next page's first line not being indented.
 """
@@ -357,9 +357,16 @@ def dbscan(points: np.ndarray, eps: float | None, min_pts: int) -> np.ndarray:
     points join the cluster of their nearest core neighbor (the lowest
     index on a tie), which makes the partition independent of point
     order.  ``eps=None`` takes the k-distance heuristic (see
-    ``_k_distance_eps``).  Memory is O(m + cells): identical points are
-    clustered once, and neither the k-distances nor the clustering make
-    an m x m array (see ``_dbscan``).
+    ``_k_distance_eps``).
+
+    Identical points are clustered once.  The distinct points are binned
+    into cells of a power-of-two side with side * sqrt(2) <= eps, so
+    ``points / side`` is exact and any two points of a cell are within
+    eps.  A cell holding ``min_pts`` copies is all core; other points
+    count their neighbours in the cells in reach.  Clusters are the
+    components of cells joined by one core pair within eps (union-find
+    over the cells).  Distances are measured only between cells in
+    reach, ``_PAIR_BLOCK`` pairs at a time: memory is O(m + cells).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -367,54 +374,23 @@ def dbscan(points: np.ndarray, eps: float | None, min_pts: int) -> np.ndarray:
     bad = ~np.isfinite(points).all(axis=1)
     if bad.any():
         raise LabelcalError(f"point {int(bad.argmax())}: coordinates must be finite")
-    distinct, first, inverse, weight = np.unique(
+    points, first, inverse, weight = np.unique(
         points, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
     if eps is None:
-        eps = _k_distance_eps(distinct, weight, min_pts)
-    return _dbscan(distinct, weight, first, eps, min_pts)[inverse.reshape(-1)]
-
-
-def _distances(columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Euclidean distances between points ``i`` and ``j`` (broadcast) of
-    the d x n coordinate ``columns``.  The squared differences are added
-    to 0 in coordinate order, then rooted: below 8 coordinates these are
-    the bits of ``sqrt(((points[i] - points[j]) ** 2).sum(axis=-1))``."""
-    total = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)))
-    for column in columns:
-        delta = column[i] - column[j]
-        total += np.square(delta, out=delta)
-    return np.sqrt(total, out=total)
-
-
-def _dbscan(
-    points: np.ndarray, weight: np.ndarray, first: np.ndarray, eps: float, min_pts: int
-) -> np.ndarray:
-    """``dbscan`` of distinct points, the i'th standing for ``weight[i]``
-    copies whose lowest index is ``first[i]``.
-
-    The points are binned into cells of a power-of-two side with side *
-    sqrt(d) <= eps, so ``points / side`` is exact and any two points of a
-    cell are within eps.  A cell holding ``min_pts`` copies is all core;
-    other points count their neighbours in the cells in reach.  Clusters
-    are the components of cells joined by one core pair within eps
-    (union-find over the cells), and a border point takes its nearest
-    core point by (distance, lowest index).  Distances are measured only
-    between cells in reach, ``_PAIR_BLOCK`` pairs at a time.
-    """
+        eps = _k_distance_eps(points, weight, min_pts)
     if not eps > 0:  # NaN fails too
         raise LabelcalError(f"eps must be > 0, got {eps}")
     if not _MIN_EPS <= eps <= 1 / _MIN_EPS:
         raise LabelcalError(f"eps must be between 2**-500 and 2**500, got {eps}")
     if min_pts < 1:
         raise LabelcalError(f"min_pts must be >= 1, got {min_pts}")
-    u, d = points.shape
+    u = points.shape[0]
     labels = np.full(u, -1, dtype=np.int64)
     if not u:
         return labels
-    root_d = np.sqrt(d)
-    side = np.ldexp(1.0, int(np.frexp(eps / root_d)[1]) - 1)
-    if side * root_d > eps:
+    side = np.ldexp(1.0, int(np.frexp(eps / np.sqrt(2))[1]) - 1)
+    if side * np.sqrt(2) > eps:
         side /= 2
     cells = _cell_coords(points, side)
     keys = _row_keys(cells)
@@ -422,18 +398,18 @@ def _dbscan(
     # cells then samples both evenly instead of sweeping one from its far side
     by_first = np.argsort(first)
     order = by_first[np.argsort(keys[by_first], kind="stable")]
-    points, weight, first, cells, keys = (x[order] for x in (points, weight, first, cells, keys))
+    points, weight, first, cells, keys = (v[order] for v in (points, weight, first, cells, keys))
     start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     n_cells = start.size
     cell_of = np.repeat(np.arange(n_cells), np.diff(np.r_[start, u]))
     a, b = _neighbour_cells(cells[start], keys[start], eps / side)
-    columns = np.ascontiguousarray(points.T)
+    x, y = np.ascontiguousarray(points.T)
 
     core = (np.add.reduceat(weight, start) >= min_pts)[cell_of]
     count = np.zeros(u)
     for i, j, _ in _pair_blocks(a, b, _members(cell_of, ~core, n_cells),
                                 _members(cell_of, np.ones(u, bool), n_cells)):
-        near = _distances(columns, i, j) <= eps
+        near = _distances(x, y, i, j) <= eps
         count += np.bincount(i[near], weight[j[near]], minlength=u)
     core |= count >= min_pts
 
@@ -452,7 +428,7 @@ def _dbscan(
         n = max(1, int(np.searchsorted(work, _PAIR_BLOCK, side="right")))
         a_batch, b_batch, a_link, b_link = a_link[:n], b_link[:n], a_link[n:], b_link[n:]
         for i, j, c in _pair_blocks(a_batch, b_batch, cores, cores):
-            hit = c[_distances(columns, i, j) <= eps]
+            hit = c[_distances(x, y, i, j) <= eps]
             _union(root, a_batch[hit], b_batch[hit])
             if (root[a_batch] == root[b_batch]).all():
                 break
@@ -469,7 +445,7 @@ def _dbscan(
     best = np.full(u, np.inf)
     nearest = np.full(u, -1)
     for i, j, _ in _pair_blocks(a, b, _members(cell_of, ~core, n_cells), cores):
-        dist = _distances(columns, i, j)
+        dist = _distances(x, y, i, j)
         near = dist <= eps
         by = np.lexsort((first[j[near]], dist[near], i[near]))
         i, j, dist = i[near][by], j[near][by], dist[near][by]
@@ -482,7 +458,14 @@ def _dbscan(
     labels[border] = labels[nearest[border]]
     out = np.empty_like(labels)
     out[order] = labels
-    return out
+    return out[inverse.reshape(-1)]
+
+
+def _distances(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Euclidean distances between points ``i`` and ``j`` (broadcast) of
+    the coordinates ``x`` and ``y``: the bits of
+    ``sqrt(((points[i] - points[j]) ** 2).sum(axis=-1))``."""
+    return np.sqrt(np.square(x[i] - x[j]) + np.square(y[i] - y[j]))
 
 
 def _cell_coords(points: np.ndarray, side: float) -> np.ndarray:
@@ -516,11 +499,9 @@ def _neighbour_cells(
     points within ``reach`` cell sides: each offset whose nearest corners
     are in reach, with a margin for rounding.  Both orders are listed, and
     every cell with itself."""
-    d = cells.shape[1]
     extent = cells.max(axis=0).astype(np.float64) - cells.min(axis=0)
-    box = np.minimum(np.ceil(reach) + 1, extent).astype(np.int64)
-    grid = np.stack(np.meshgrid(*(np.arange(-r, r + 1) for r in box), indexing="ij"), axis=-1)
-    grid = grid.reshape(-1, d)
+    bx, by = np.minimum(np.ceil(reach) + 1, extent).astype(np.int64)
+    grid = np.mgrid[-bx : bx + 1, -by : by + 1].reshape(2, -1).T
     gap = np.maximum(np.abs(grid) - 1, 0)
     a, b = [], []
     for offset in grid[(gap**2).sum(axis=1) <= reach**2 * (1 + 2.0**-40)]:
@@ -594,17 +575,18 @@ def _k_distances(points: np.ndarray, weight: np.ndarray, k: int) -> np.ndarray:
     """Each distinct point's k'th smallest distance (from 0) to all the
     copies, its own included.
 
-    The points are sorted along their widest axis, and each point looks
-    at a window of its sorted neighbours that doubles until no point
-    outside can be nearer than the k'th found: a distance is never less
-    than the one made of its coordinate difference along that axis.
+    The points are sorted along the axis with more distinct coordinates
+    (the wider on a tie), and each point looks at a window of its sorted
+    neighbours that doubles until no point outside can be nearer than the
+    k'th found: a distance is never less than the one made of its
+    coordinate difference along that axis.  Along an axis of few values,
+    such as character heights, a window would span a whole value.
     """
     u = points.shape[0]
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    order = np.argsort(points[:, axis], kind="stable")
-    columns = np.ascontiguousarray(points[order].T)
-    weight = weight[order]
-    x = columns[axis]
+    spread = [(distinct(c).size, np.ptp(c)) for c in points.T]
+    x, y = points.T[::-1] if spread[1] > spread[0] else points.T  # sorted along x
+    order = np.argsort(x, kind="stable")
+    x, y, weight = x[order], y[order], weight[order]
     kd = np.zeros(u)
     todo = np.flatnonzero(weight <= k)  # a point with more copies is at 0
     half = k
@@ -617,7 +599,7 @@ def _k_distances(points: np.ndarray, weight: np.ndarray, k: int) -> np.ndarray:
             q = p[:, None] + span
             inside = (q >= 0) & (q < u)
             q = q.clip(0, u - 1)
-            dist = np.where(inside, _distances(columns, p[:, None], q), np.inf)
+            dist = np.where(inside, _distances(x, y, p[:, None], q), np.inf)
             by = np.argsort(dist, axis=1, kind="stable")
             reached = np.cumsum(np.take_along_axis(np.where(inside, weight[q], 0), by, 1), 1)
             kth = np.take_along_axis(dist, by, 1)[np.arange(p.size), (reached > k).argmax(axis=1)]

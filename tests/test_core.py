@@ -301,16 +301,16 @@ class TestFormatMatrix:
 
     def test_no_columns_and_a_vector(self):
         """What np.savetxt wrote: an empty line per row of no cells, and a
-        vector as one column."""
+        vector, given as its one column, a line per value."""
         assert format_matrix([], np.empty((3, 0))) == "\n" * 4
-        vector = np.array(PINNED_NEIGHBOURS)
-        assert format_matrix(["v"], vector) == format_matrix_per_row(["v"], vector[:, None])
+        column = np.array(PINNED_NEIGHBOURS)[:, None]
+        assert format_matrix(["v"], column) == format_matrix_per_row(["v"], column)
 
     @pytest.mark.skipif(st is None, reason="needs hypothesis")
     def test_drawn_matrices_have_the_per_row_writers_bytes(self):
         """Floats mostly from ``PINNED_NEIGHBOURS``, or int64 ids as in
         folds.csv, in blocks of a few cells, so that 0 and 1 rows, one
-        column, a vector and the rows of a block -1, +0 and +1 all occur."""
+        column and the rows of a block -1, +0 and +1 all occur."""
         label = st.sampled_from(['a"b', "c,d", "e\nf", "g"]) | st.text(min_size=1, max_size=3)
         floats = st.sampled_from(PINNED_NEIGHBOURS) | st.sampled_from(PINNED_NEIGHBOURS) | st.floats()
         ids = st.sampled_from([0, 1, -1, 2**53, 2**53 + 1, -(2**63), 2**63 - 1]) | st.integers(
@@ -327,11 +327,8 @@ class TestFormatMatrix:
             values = np.array(data.draw(st.lists(cell, min_size=n * k, max_size=n * k)),
                               dtype=dtype).reshape(n, k)
             labels = data.draw(st.lists(label, min_size=k, max_size=k))
-            expected = format_matrix_per_row(labels, values)
-            if k == 1 and data.draw(st.booleans(), "as a vector"):
-                values = values[:, 0]
             with mock.patch.object(core, "_BLOCK_CELLS", block):
-                assert format_matrix(labels, values) == expected
+                assert format_matrix(labels, values) == format_matrix_per_row(labels, values)
 
         check()
 
@@ -690,6 +687,20 @@ class TestMatrixCache:
         monkeypatch.setattr(core, "_CACHE_BUDGET", 0)  # nothing fits, the new entry included
         run_load(paths[2])
         assert os.listdir(cache) == []
+
+    def test_a_hit_counts_as_a_use_for_eviction(self, tmp_path, cache, monkeypatch):
+        # A is stored before B, then read: the store of C deletes B, the least recently used
+        paths = [write(tmp_path, f"a,b\n0.{i},0.5\n", f"m{i}.csv") for i in range(3)]
+        a, b, c = (entry_of(path) for path in paths)
+        for age, (path, entry) in enumerate(zip(paths, (a, b))):
+            run_load(path)
+            os.utime(entry, ns=(age * 10**9, age * 10**9))
+        monkeypatch.setattr(core, "_CACHE_BUDGET", 2 * a.stat().st_size)
+        assert run_load(paths[0])[1] == 0
+        run_load(paths[2])
+        assert sorted(os.listdir(cache)) == sorted([a.name, c.name])
+        with mock.patch.object(os, "utime", side_effect=PermissionError):  # a read-only cache
+            assert run_load(paths[0])[1] == 0
 
     def test_the_cache_is_under_xdg_cache_home_else_the_home_directory(
             self, tmp_path, cache, monkeypatch):

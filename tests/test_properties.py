@@ -115,10 +115,9 @@ def float_matrices(draw):
 def test_numpy_ports_equal_scipy_bit_for_bit(x):
     for row in x:
         assert np.array_equal(average_ranks(row), rankdata(row))
-    for axis in (None, 1):
-        assert np.array_equal(
-            logsumexp(x, axis=axis), scipy_logsumexp(x, axis=axis), equal_nan=True
-        )
+    # ours reduces the last axis: scipy's axis 1, or all of the flattened matrix
+    for ours, axis in ((x, 1), (x.ravel(), None)):
+        assert np.array_equal(logsumexp(ours), scipy_logsumexp(x, axis=axis), equal_nan=True)
 
 
 def counter_loop_match(quote, paragraphs):
@@ -531,14 +530,20 @@ def test_fold_search_ties_across_slabs_and_blocks_keep_the_earliest():
 def dbscan_instances(draw):
     """(points, eps, min_pts, pair block).  Lattice points at eps from one
     another (eps a lattice distance, or None for the k-distance eps, which
-    lands on ties), duplicated points, and random ones; small pair blocks
-    split the point pairs inside and across cell pairs."""
+    lands on ties), points with one axis on a coarse lattice (few values,
+    as character heights take, the wider axis or the narrower), duplicated
+    points, and random ones; small pair blocks split the point pairs
+    inside and across cell pairs."""
     m = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["random", "lattice", "duplicated"]))
+    kind = draw(st.sampled_from(["random", "lattice", "duplicated", "coarse"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1.0, 0.5, 0.25, 0.1, 3.0]))
     if kind == "random":
         points = rng.normal(size=(m, 2)) * scale * draw(st.sampled_from([1.0, 10.0]))
+    elif kind == "coarse":
+        points = rng.normal(size=(m, 2)) * scale
+        stretch = draw(st.sampled_from([1.0, 4.0]))
+        points[:, draw(st.integers(0, 1))] = rng.integers(0, 3, size=m) * scale * stretch
     else:
         points = rng.integers(0, 5, size=(m, 2)) * scale
         if kind == "duplicated":

@@ -1,8 +1,10 @@
-"""Every public name has a caller in the package or the demos, and every
-error type has a reason to be its own type.
+"""Every public name has a caller in the package or the demos, every
+private module-level name a reader in the package, and every error type
+has a reason to be its own type.
 
 A name in ``labelcal.__all__`` that nothing outside the tests uses is
-surface to keep without a purpose; these checks keep it from regrowing.
+surface to keep without a purpose, and a private helper nothing reads is
+code a refactor left behind; these checks keep them from regrowing.
 """
 
 import ast
@@ -38,6 +40,32 @@ def test_every_public_name_has_a_caller():
     assert len(package) > 10 and len(demos) > 5
     used = referenced_names([*package, *demos])
     assert [name for name in labelcal.__all__ if name not in used] == []
+
+
+def test_every_private_name_has_a_reader():
+    """A module-level private function, class or constant that no code in
+    ``src/`` reads is left over; dunders are the language's."""
+    package = sorted((ROOT / "src" / "labelcal").glob("*.py"))
+    read, defined = set(), []
+    for path in package:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [f"{path.stem}.{name}" for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+    assert len(defined) > 20
+    assert [name for name in defined if name.rsplit(".", 1)[1] not in read] == []
 
 
 def subclasses(cls) -> set[type]:

@@ -655,17 +655,44 @@ class TestDbscan:
 
     def test_pairwise_distances_keep_formula_bits(self):
         rng = np.random.default_rng(87)
-        for d in range(1, 8):
-            for points in (rng.normal(size=(40, d)) * 10.0 ** rng.integers(-3, 4),
-                           rng.integers(0, 4, size=(40, d)).astype(float) / 4):
+        for _ in range(7):
+            for points in (rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-3, 4),
+                           rng.integers(0, 4, size=(40, 2)).astype(float) / 4):
                 delta = points[:, None, :] - points[None, :, :]
                 formula = np.sqrt((delta**2).sum(axis=-1))
                 assert pairwise_distances(points).tobytes() == formula.tobytes()
                 # the pair lists dbscan measures, and the windows of the k-distance search
+                x, y = points.T.copy()
                 i, j = np.divmod(np.arange(40 * 40), 40)
-                assert _distances(points.T.copy(), i, j).tobytes() == formula.ravel().tobytes()
-                window = _distances(points.T.copy(), np.arange(40)[:, None], np.arange(40))
+                assert _distances(x, y, i, j).tobytes() == formula.ravel().tobytes()
+                window = _distances(x, y, np.arange(40)[:, None], np.arange(40))
                 assert window.tobytes() == formula.tobytes()
+
+    def test_default_eps_sweeps_the_axis_of_more_values(self, monkeypatch):
+        # OCR character heights are medians of whole-pixel box heights, so they
+        # take few values; here they are also the wider axis.  A sweep along
+        # them would measure each point against its whole height level.
+        rng = np.random.default_rng(93)
+        m = 10_000
+        centre = np.array([[10.0, 5.0], [8.0, 4.0], [14.0, 7.0]])[
+            rng.choice(3, size=m, p=[0.7, 0.2, 0.1])]
+        heights = np.round((centre[:, 0] + rng.normal(0, 0.6, m)) * 4) / 4
+        widths = centre[:, 1] + rng.uniform(-1.0, 1.0, m)
+        features = np.c_[heights, widths]
+        points = (features - features.mean(axis=0)) / features.std(axis=0)
+        rows, counts = distinct(points)
+        assert np.ptp(rows[:, 0]) > np.ptp(rows[:, 1]) and np.unique(rows[:, 0]).size < 50
+        measured = []
+
+        def counted(x, y, i, j):
+            out = _distances(x, y, i, j)
+            measured.append(out.size)
+            return out
+
+        monkeypatch.setattr(segmentation, "_distances", counted)
+        eps = _k_distance_eps(rows, counts, 3)
+        assert sum(measured) <= 400 * m  # 118 per point; 2,881 along the heights
+        assert eps == 0.4082976344613154  # as the sweep along the heights found it
 
     def test_k_distance_eps_matches_full_sort(self):
         rng = np.random.default_rng(88)

@@ -62,6 +62,8 @@ def test_average_ranks_random_vectors_with_ties():
 
 @pytest.mark.parametrize("axis", [None, 0, 1])
 def test_logsumexp_of_a_matrix_equals_scipy(axis):
+    """Ours reduces the last axis: scipy's axis 1 of the matrix, its axis
+    0 of the transpose, and all entries of the flattened matrix."""
     rows = [
         [1.0, 3.0, -2.0, 3.0],         # two tied maxima
         [2.0, 2.0, 2.0, 2.0],          # all equal
@@ -71,7 +73,8 @@ def test_logsumexp_of_a_matrix_equals_scipy(axis):
         [-745.0, -700.0, -720.0, -745.0],
     ]
     x = np.array(rows)
-    assert_bit_equal(logsumexp(x, axis=axis), scipy_logsumexp(x, axis=axis))
+    ours = {None: x.ravel(), 0: x.T, 1: x}[axis]
+    assert_bit_equal(logsumexp(ours), scipy_logsumexp(x, axis=axis))
 
 
 def test_logsumexp_random_logit_rows():
@@ -79,8 +82,8 @@ def test_logsumexp_random_logit_rows():
     for scale in (1.0, 30.0, 700.0):
         x = scale * rng.normal(size=(50, 9))
         x[::7, 3] = x[::7, 5] = x[::7].max(axis=1) + 1.0  # tied maxima
-        assert_bit_equal(logsumexp(x, axis=1), scipy_logsumexp(x, axis=1))
-        assert_bit_equal(logsumexp(x), scipy_logsumexp(x))
+        assert_bit_equal(logsumexp(x), scipy_logsumexp(x, axis=1))
+        assert_bit_equal(logsumexp(x.ravel()), scipy_logsumexp(x))
 
 
 @pytest.mark.parametrize("key", [(), (3,), (0, 7)])
