@@ -12,7 +12,6 @@ label counts and on year-over-year tendency values.
 import numpy as np
 
 from labelcal import (
-    EnsembleSet,
     LabelMatrix,
     ProbMatrix,
     grid_search_thresholds,
@@ -46,11 +45,10 @@ for fold in range(K):
     probs = np.where(
         y == 1, fold_rng.beta(5, 2, size=(N, L)), fold_rng.beta(1, 14, size=(N, L))
     )
-    members.append(ProbMatrix(names, probs))
-ensemble = EnsembleSet(tuple(members))  # member f was trained without fold f
+    members.append(ProbMatrix(names, probs))  # member f was trained without fold f
 
 # out-of-fold matrix: row i comes from the model that never trained on i
-oof = out_of_fold(ensemble, assignment.fold_of)
+oof = out_of_fold(members, assignment.fold_of)
 
 thresholds, error = grid_search_thresholds(oof, truth, grid_step=0.01)
 print(f"\ngrid-searched thresholds: p_low={thresholds.p_low:.2f} "

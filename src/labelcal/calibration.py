@@ -19,19 +19,19 @@ from .core import (
     DEFAULT_GRID_STEP,
     DEFAULT_HIGH_RANGE,
     DEFAULT_LOW_RANGE,
-    EnsembleSet,
     LabelcalError,
     LabelMatrix,
+    MatrixFormatError,
     ProbMatrix,
     integer_ids,
 )
 from .metrics import (
-    UndefinedMetricError,
     check_pair,
     mean_count_error,
     relative_count_errors,
     tendency_error,
     tendency_series_from_matrix,
+    true_label_counts,
 )
 
 N_BLOCKS = 4
@@ -71,17 +71,26 @@ def threshold_at_half(probs: ProbMatrix) -> ProbMatrix:
     return ProbMatrix(probs.labels, np.where(probs.values > 0.5, 1.0, 0.0))
 
 
-def out_of_fold(ensemble: EnsembleSet, fold_of: np.ndarray) -> ProbMatrix:
+def out_of_fold(members: Sequence[ProbMatrix], fold_of: np.ndarray) -> ProbMatrix:
     """Row i of the result is the prediction of the fold model whose
-    held-out evaluation fold contains item i: member ``fold_of[i]``."""
-    fold_of = integer_ids(fold_of, "fold id", "fold_of", len(ensemble.members))
-    first = ensemble.members[0]
+    held-out evaluation fold contains item i: member ``fold_of[i]``.
+    ``members`` are the fold models' predictions, all on the same items
+    and labels; member f was trained without fold f."""
+    members = tuple(members)
+    if not members:
+        raise LabelcalError("ensemble needs at least one member")
+    first = members[0]
+    for m, member in enumerate(members[1:], start=1):
+        if member.values.shape != first.values.shape or member.labels != first.labels:
+            raise MatrixFormatError(
+                f"ensemble member {m} has shape {member.values.shape} / labels "
+                f"{member.labels}, expected {first.values.shape} / {first.labels}"
+            )
+    fold_of = integer_ids(fold_of, "fold id", "fold_of", len(members))
     if fold_of.size != first.n_items:
-        raise LabelcalError(
-            f"{fold_of.size} fold ids for {first.n_items} prediction rows"
-        )
+        raise LabelcalError(f"{fold_of.size} fold ids for {first.n_items} prediction rows")
     values = np.empty_like(first.values)
-    for fold, member in enumerate(ensemble.members):
+    for fold, member in enumerate(members):
         rows = fold_of == fold
         values[rows] = member.values[rows]
     return ProbMatrix(first.labels, values)
@@ -134,9 +143,7 @@ def grid_search_thresholds(
     lo_idx, hi_idx = np.nonzero(lows[:, None] <= highs[None, :])  # row-major pairs
     if lo_idx.size == 0:
         raise LabelcalError("empty threshold grid")
-    true_counts = truth.values.sum(axis=0).astype(np.float64)
-    if not (true_counts > 0).any():
-        raise UndefinedMetricError("every label has zero true count")
+    true_counts = true_label_counts(truth)
     values = oof_probs.values
     n, n_labels = values.shape
 

@@ -1,5 +1,5 @@
-"""Shared data model: probability/annotation matrices, ensembles, file I/O,
-and the text-corpus tools (substring filter, quote matching).
+"""Shared data model: probability/annotation matrices, file I/O, and the
+text-corpus tools (substring filter, quote matching).
 
 The module imports no numpy: each function that makes or reads an array
 imports it, so a process that builds none (the text stages, ``--version``)
@@ -20,14 +20,15 @@ again only to name the first bad row and cell.  In a command-line run
 content: its values are kept in a cache of parsed matrices, one ``.npy``
 array per entry, keyed by its digest, this module's source and the numpy
 version, in ``$XDG_CACHE_HOME/labelcal`` (else ``~/.cache/labelcal``)
-within ``_CACHE_BUDGET`` bytes, the least recently used deleted first;
-its labels are read from its header row on every run.  A cache that
-cannot be used is a miss; an input that fails to parse or to build is
-never stored.  Text corpora are JSON-lines records with ``id`` and
-``text`` fields.  Files are written through ``atomic_files``, which
-moves a group of distinct files (a command-line run's outputs and its
-manifest) in whole or not at all: a failure leaves no partial output
-and keeps the files it would have replaced.
+within ``_CACHE_BUDGET`` bytes, the least recently used deleted first
+(an entry larger than that is not kept); its labels are read from its
+header row on every run.  A cache that cannot be used is a miss; an
+input that fails to parse or to build is never stored.  Text corpora
+are JSON-lines records with ``id`` and ``text`` fields.  Files are
+written through ``atomic_files``, which moves a group of distinct files
+(a command-line run's outputs and its manifest) in whole or not at all:
+a failure leaves no partial output and keeps the files it would have
+replaced.
 """
 
 from __future__ import annotations
@@ -151,38 +152,15 @@ def _check_shape(labels: Sequence[str], values: np.ndarray) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class ProbMatrix:
-    """N x L matrix of prediction probabilities in [0, 1].
-
-    Rows are items, columns are named labels.  Immutable after
-    construction; the underlying array is marked read-only.
-    """
+class _Matrix:
+    """N x L values, one row per item and one column per named label, kept
+    as a subclass's ``_checked`` gives them; the array is read-only."""
 
     labels: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        values = np.asarray(self.values, dtype=np.float64)
-        labels = _check_shape(self.labels, values)
-        if not np.all(np.isfinite(values)):
-            i, j = np.argwhere(~np.isfinite(values))[0]
-            raise MatrixFormatError(
-                f"non-finite value at row {i + 1}, column {labels[j]!r}"
-            )
-        low = values < 0.0
-        high = values > 1.0
-        if low.any() or high.any():
-            bad = (values < -RANGE_TOLERANCE) | (values > 1.0 + RANGE_TOLERANCE)
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise MatrixFormatError(
-                    f"value {float(values[i, j])!r} outside [0, 1] at row {i + 1}, "
-                    f"column {labels[j]!r}"
-                )
-            values = np.clip(values, 0.0, 1.0)
-        values = values.copy()
+        labels, values = self._checked()
         values.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
@@ -196,19 +174,40 @@ class ProbMatrix:
         return self.values.shape[1]
 
 
+class ProbMatrix(_Matrix):
+    """N x L matrix of prediction probabilities in [0, 1]."""
+
+    def _checked(self) -> tuple[tuple[str, ...], np.ndarray]:
+        import numpy as np
+
+        values = np.asarray(self.values, dtype=np.float64)
+        labels = _check_shape(self.labels, values)
+        if not np.all(np.isfinite(values)):
+            i, j = np.argwhere(~np.isfinite(values))[0]
+            raise MatrixFormatError(f"non-finite value at row {i + 1}, column {labels[j]!r}")
+        if (values < 0.0).any() or (values > 1.0).any():
+            bad = (values < -RANGE_TOLERANCE) | (values > 1.0 + RANGE_TOLERANCE)
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise MatrixFormatError(
+                    f"value {float(values[i, j])!r} outside [0, 1] at row {i + 1}, "
+                    f"column {labels[j]!r}"
+                )
+            values = np.clip(values, 0.0, 1.0)
+        return labels, values.copy()
+
+
 @dataclass(frozen=True)
-class LabelMatrix:
+class LabelMatrix(_Matrix):
     """N x L binary annotation matrix.
 
     ``kind`` is ``"multilabel"`` (any number of labels per row) or
     ``"multiclass"`` (exactly one label per row; a one-hot matrix).
     """
 
-    labels: tuple[str, ...]
-    values: np.ndarray
     kind: str = "multilabel"
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> tuple[tuple[str, ...], np.ndarray]:
         if self.kind not in ("multilabel", "multiclass"):
             raise MatrixFormatError(f"unknown label matrix kind {self.kind!r}")
         import numpy as np
@@ -231,17 +230,7 @@ class LabelMatrix:
                 raise MatrixFormatError(
                     f"multiclass row {off[0] + 1} has {sums[off[0]]} labels set, expected 1"
                 )
-        values.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_items(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_labels(self) -> int:
-        return self.values.shape[1]
+        return labels, values
 
     def class_indices(self) -> np.ndarray:
         """Class index per row (multiclass view)."""
@@ -262,27 +251,6 @@ class LabelMatrix:
         values = np.zeros((classes.size, k), dtype=np.int8)
         values[np.arange(classes.size), classes] = 1
         return LabelMatrix(tuple(f"class_{j}" for j in range(k)), values, kind="multiclass")
-
-
-@dataclass(frozen=True)
-class EnsembleSet:
-    """Predictions of the per-fold models, all on the same items and labels;
-    member f was trained without fold f."""
-
-    members: tuple[ProbMatrix, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if not members:
-            raise LabelcalError("ensemble needs at least one member")
-        first = members[0]
-        for m, member in enumerate(members[1:], start=1):
-            if member.values.shape != first.values.shape or member.labels != first.labels:
-                raise MatrixFormatError(
-                    f"ensemble member {m} has shape {member.values.shape} / labels "
-                    f"{member.labels}, expected {first.values.shape} / {first.labels}"
-                )
-        object.__setattr__(self, "members", members)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +391,8 @@ def _cache_load(entry: str, text: str) -> tuple[tuple[str, ...], np.ndarray] | N
 def _cache_store(entry: str, values: np.ndarray) -> None:
     """Store ``values`` at ``entry`` (one ``.npy`` array, moved in whole),
     then delete the least recently used files of the cache until it fits
-    ``_CACHE_BUDGET``.  A cache that cannot be written is left as it is."""
+    ``_CACHE_BUDGET``.  An entry larger than the budget is not kept and
+    deletes nothing.  A cache that cannot be written is left as it is."""
     import numpy as np
 
     folder = os.path.dirname(entry)
@@ -433,6 +402,9 @@ def _cache_store(entry: str, values: np.ndarray) -> None:
         try:
             with open(temp, "xb") as fh:
                 np.lib.format.write_array(fh, values, allow_pickle=False)
+            if os.path.getsize(temp) > _CACHE_BUDGET:
+                os.unlink(temp)
+                return
             os.replace(temp, entry)
         except BaseException:
             with suppress(OSError):
@@ -568,9 +540,6 @@ def _matrix_error(body: str, labels: tuple[str, ...], line: int) -> MatrixFormat
                 f"malformed number {row[c]!r} at row {r}, column {labels[c]!r}"
             )
     return MatrixFormatError("numpy cannot read the matrix body")
-
-
-_Matrix = TypeVar("_Matrix", ProbMatrix, LabelMatrix)
 
 
 def _load_matrix(path: str, build: Callable[[tuple[str, ...], np.ndarray], _Matrix]) -> _Matrix:

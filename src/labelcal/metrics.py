@@ -160,6 +160,15 @@ def mean_count_error(errors: np.ndarray) -> float:
     return float(errors[~np.isnan(errors)].mean())
 
 
+def true_label_counts(truth: LabelMatrix) -> np.ndarray:
+    """The true count of each label as float64; an ``UndefinedMetricError``
+    when every one is zero, so no label-count error is defined."""
+    true_counts = truth.values.sum(axis=0).astype(np.float64)
+    if not (true_counts > 0).any():
+        raise UndefinedMetricError("every label has zero true count")
+    return true_counts
+
+
 @dataclass(frozen=True)
 class LabelCountError:
     """Mean relative error between summed probabilities and true counts."""
@@ -175,12 +184,8 @@ def label_count_error_rate(probs: ProbMatrix, truth: LabelMatrix) -> LabelCountE
     Labels with zero true count are excluded from the mean and reported.
     """
     check_pair(probs, truth)
-    pred_sums = probs.values.sum(axis=0)
-    true_counts = truth.values.sum(axis=0).astype(np.float64)
-    errors = relative_count_errors(pred_sums, true_counts)
+    errors = relative_count_errors(probs.values.sum(axis=0), true_label_counts(truth))
     defined = ~np.isnan(errors)
-    if not defined.any():
-        raise UndefinedMetricError("every label has zero true count")
     per_label = {
         name: float(errors[j]) for j, name in enumerate(probs.labels) if defined[j]
     }

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from labelcal.core import EnsembleSet, LabelcalError, LabelMatrix, ProbMatrix
+from labelcal.core import LabelcalError, LabelMatrix, MatrixFormatError, ProbMatrix
 from labelcal.calibration import (
     Thresholds,
     count_error_table,
@@ -14,7 +14,7 @@ from labelcal.calibration import (
     threshold_grid,
     truncate,
 )
-from labelcal.metrics import label_count_error_rate
+from labelcal.metrics import UndefinedMetricError, label_count_error_rate
 
 
 def grid_search_oracle(values, truth_values, step, low_range, high_range):
@@ -123,8 +123,7 @@ class TestOutOfFold:
         members = tuple(
             ProbMatrix(labels, np.full((4, 1), 0.1 * (f + 1))) for f in range(2)
         )
-        ens = EnsembleSet(members)
-        oof = out_of_fold(ens, [0, 1, 1, 0])
+        oof = out_of_fold(members, [0, 1, 1, 0])
         np.testing.assert_allclose(oof.values[:, 0], [0.1, 0.2, 0.2, 0.1])
 
     @pytest.mark.parametrize("fold_of, message", [
@@ -135,13 +134,29 @@ class TestOutOfFold:
     def test_fold_ids_are_checked_not_cast(self, fold_of, message):
         members = tuple(ProbMatrix(("a",), np.full((2, 1), 0.1 * (f + 1))) for f in range(2))
         with pytest.raises(LabelcalError, match=message):
-            out_of_fold(EnsembleSet(members), fold_of)
-        assert out_of_fold(EnsembleSet(members), [1.0, 0.0]).values.tolist() == [[0.2], [0.1]]
+            out_of_fold(members, fold_of)
+        assert out_of_fold(members, [1.0, 0.0]).values.tolist() == [[0.2], [0.1]]
 
     def test_missing_fold_model_rejected(self):
         members = (ProbMatrix(("a",), np.zeros((2, 1))),)
         with pytest.raises(LabelcalError, match=r"^fold id 1 of item 1 is out of range \[0, 1\)$"):
-            out_of_fold(EnsembleSet(members), [0, 1])
+            out_of_fold(members, [0, 1])
+
+    @pytest.mark.parametrize("members, error, message", [
+        ((), LabelcalError, r"^ensemble needs at least one member$"),
+        ((ProbMatrix(("a",), [[0.2], [0.3]]), ProbMatrix(("a",), [[0.8]])), MatrixFormatError,
+         r"^ensemble member 1 has shape \(1, 1\) / labels \('a',\), "
+         r"expected \(2, 1\) / \('a',\)$"),
+        ((ProbMatrix(("a",), [[0.2]]),) * 2 + (ProbMatrix(("b",), [[0.8]]),), MatrixFormatError,
+         r"^ensemble member 2 has shape \(1, 1\) / labels \('b',\), "
+         r"expected \(1, 1\) / \('a',\)$"),
+    ], ids=["no members", "other shape", "other labels"])
+    def test_members_are_checked_before_the_fold_ids(self, members, error, message):
+        # fold ids that would fail their own checks: the members' error comes first
+        for given in (members, iter(members)):
+            with pytest.raises(error, match=message) as raised:
+                out_of_fold(given, [0.5, 7])
+            assert raised.type is error
 
 
 class TestGridSearch:
@@ -230,6 +245,17 @@ class TestGridSearch:
         truth = LabelMatrix(("a",), np.array([[1]]))
         with pytest.raises(LabelcalError, match="range"):
             grid_search_thresholds(probs, truth, low_range=(0.9, 0.2))
+
+    def test_zero_true_counts_fail_after_the_pair_and_grid_checks(self):
+        probs = ProbMatrix(("a", "b"), np.full((3, 2), 0.2))
+        truth = LabelMatrix(("a", "b"), np.zeros((3, 2), dtype=int))
+        with pytest.raises(LabelcalError, match="^probability and annotation label names differ$"):
+            grid_search_thresholds(probs, LabelMatrix(("a", "c"), truth.values))
+        with pytest.raises(LabelcalError, match="^grid step must be > 0, got 0$"):
+            grid_search_thresholds(probs, truth, grid_step=0)
+        for search in (grid_search_thresholds, label_count_error_rate):
+            with pytest.raises(UndefinedMetricError, match="^every label has zero true count$"):
+                search(probs, truth)
 
     def test_grid_includes_endpoints(self):
         lows, highs = threshold_grid((0.0, 0.5), (0.5, 1.0), 0.01)

@@ -958,10 +958,11 @@ class TestBlasThreadEquivalence:
 # ``save_prob_matrix``, whose one file write no command made
 # (``format_matrix`` renders every matrix output), and ``TendencySeries``,
 # whose values are now one array, and ``concat_labels`` and
-# ``ensemble_average``, which nothing in the package called, plus
-# ``LinearTrainable``, exported in place of ``toy_trainable``
+# ``ensemble_average``, which nothing in the package called, and
+# ``EnsembleSet``, whose one check ``out_of_fold`` now makes on the members
+# it is given, plus ``LinearTrainable``, exported in place of ``toy_trainable``
 OLD_ALL = [
-    "EnsembleSet", "FoldAssignment", "LabelMatrix", "LabelcalError", "Layout",
+    "FoldAssignment", "LabelMatrix", "LabelcalError", "Layout",
     "LinearTrainable", "LossValue", "MacroScore", "OcrTokens", "ParagraphRecord", "PbtConfig",
     "PbtResult", "ProbMatrix", "RelationNetwork", "SizingCurve",
     "Thresholds", "ToyDataSpec", "balanced_accuracy",

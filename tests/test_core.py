@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
@@ -28,7 +29,6 @@ import labelcal
 from labelcal import core, pbt
 from labelcal.cli import dispatch
 from labelcal.core import (
-    EnsembleSet,
     LabelcalError,
     LabelMatrix,
     MatrixFormatError,
@@ -359,12 +359,21 @@ class TestLabelMatrix:
         assert LabelMatrix.from_class_indices([1.0, 0.0]).values.tolist() == [[0, 1], [1, 0]]
 
 
-class TestEnsembleSet:
-    def test_shape_mismatch_rejected(self):
-        a = ProbMatrix(("a",), np.array([[0.2]]))
-        b = ProbMatrix(("a",), np.array([[0.8], [0.1]]))
-        with pytest.raises(Exception, match="member 1"):
-            EnsembleSet((a, b))
+class TestMatrixBase:
+    def test_both_matrices_keep_their_fields_dtypes_and_read_only_copies(self):
+        probs_in, labels_in = np.array([[0.25, 1.0]]), np.array([[1, 0]])
+        probs = ProbMatrix(["a", "b"], probs_in)
+        labels = LabelMatrix(["a", "b"], labels_in, "multiclass")
+        assert [f.name for f in dataclasses.fields(ProbMatrix)] == ["labels", "values"]
+        assert [f.name for f in dataclasses.fields(LabelMatrix)] == ["labels", "values", "kind"]
+        for matrix, given, dtype in ((probs, probs_in, np.float64), (labels, labels_in, np.int8)):
+            assert (matrix.labels, matrix.n_items, matrix.n_labels) == (("a", "b"), 1, 2)
+            assert matrix.values.dtype == dtype and not matrix.values.flags.writeable
+            assert not np.shares_memory(matrix.values, given)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                matrix.values = given
+        assert repr(labels).startswith("LabelMatrix(labels=('a', 'b'), values=array(")
+        assert repr(probs).startswith("ProbMatrix(labels=('a', 'b'), values=array(")
 
 
 class TestSubstringFilter:
@@ -684,9 +693,28 @@ class TestMatrixCache:
         os.utime(entries[1], ns=(0, 0))
         run_load(paths[4])
         assert sorted(os.listdir(cache)) == sorted(entries[i].name for i in (0, 3, 4))
-        monkeypatch.setattr(core, "_CACHE_BUDGET", 0)  # nothing fits, the new entry included
+        monkeypatch.setattr(core, "_CACHE_BUDGET", 0)  # the new entry cannot fit: it is not kept
         run_load(paths[2])
-        assert os.listdir(cache) == []
+        assert sorted(os.listdir(cache)) == sorted(entries[i].name for i in (0, 3, 4))
+
+    def test_an_entry_larger_than_the_budget_is_not_kept_and_deletes_nothing(
+            self, tmp_path, cache, monkeypatch):
+        small = [write(tmp_path, format_matrix(["a", "b"], np.full((16, 2), i / 4)), f"s{i}.csv")
+                 for i in range(2)]
+        big = write(tmp_path, format_matrix(["a", "b"], np.full((500, 2), 0.5)), "big.csv")
+        monkeypatch.setattr(core, "_CACHE_BUDGET", 4096)
+        for path in small:
+            run_load(path)
+        kept = sorted(entry_of(path).name for path in small)
+        assert all(entry_of(path).stat().st_size < 400 for path in small)
+        for _ in range(2):  # 8,000 bytes of values: a miss each time, stored never
+            assert run_load(big)[1] == 1
+            assert sorted(os.listdir(cache)) == kept
+        # an entry of exactly the budget fits, and the others go to make room
+        monkeypatch.setattr(core, "_CACHE_BUDGET", len(npy_bytes(np.full((500, 2), 0.5))))
+        run_load(big)
+        assert os.listdir(cache) == [entry_of(big).name]
+        assert entry_of(big).stat().st_size == core._CACHE_BUDGET
 
     def test_a_hit_counts_as_a_use_for_eviction(self, tmp_path, cache, monkeypatch):
         # A is stored before B, then read: the store of C deletes B, the least recently used

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from test_acceptance import _circular_init
 
-from labelcal._util import derive_rng
 from labelcal.core import LabelMatrix, ProbMatrix
 from labelcal.relnet import (
     Layout,
@@ -24,14 +24,6 @@ def uniform_distance_network(labels):
     weights = np.full((n, n), 0.05)
     np.fill_diagonal(weights, 1.0)
     return RelationNetwork(tuple(labels), weights, np.ones(n))
-
-
-def _circular_init(n: int, radius: float, seed: int) -> np.ndarray:
-    """The seeded circular arrangement the layout once started from: the
-    reference whose stress every layout must beat."""
-    order = derive_rng(seed).permutation(n)
-    angles = 2.0 * np.pi * np.argsort(order) / n
-    return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 class TestNetworkFromAnnotations:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import child
+from test_acceptance import dbscan_union_find, relabel_by_first_occurrence
+
 from labelcal import segmentation
 from labelcal.core import LabelcalError, _bow_tokens, bow_match_many, quantile, read_input
 from labelcal.segmentation import (
@@ -40,46 +42,6 @@ def tsv(*rows):
 def word_row(page=1, block=1, par=1, line=1, word=1, left=100, top=100,
              width=50, height=12, conf=95.0, text="szó"):
     return f"5\t{page}\t{block}\t{par}\t{line}\t{word}\t{left}\t{top}\t{width}\t{height}\t{conf}\t{text}"
-
-
-def dbscan_reference(points, eps, min_pts):
-    """Brute-force oracle: union-find over core points, borders to the
-    nearest core; written independently of the production implementation."""
-    points = np.asarray(points, dtype=float)
-    m = len(points)
-    dist = [[math.dist(points[i], points[j]) for j in range(m)] for i in range(m)]
-    core = [sum(1 for j in range(m) if dist[i][j] <= eps) >= min_pts for i in range(m)]
-
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if core[i] and core[j] and dist[i][j] <= eps:
-                parent[find(i)] = find(j)
-
-    labels = [-1] * m
-    roots = {}
-    next_id = 0
-    for i in range(m):  # number clusters by the lowest-index core point
-        if core[i]:
-            root = find(i)
-            if root not in roots:
-                roots[root] = next_id
-                next_id += 1
-            labels[i] = roots[root]
-    for i in range(m):
-        if core[i]:
-            continue
-        candidates = [(dist[i][j], j) for j in range(m) if core[j] and dist[i][j] <= eps]
-        if candidates:
-            labels[i] = labels[min(candidates)[1]]
-    return np.array(labels)
 
 
 # The dense DBSCAN path the grid replaced, kept as the bit-level oracle:
@@ -176,18 +138,6 @@ def dense_classify(paragraphs, eps=None, min_pts=3):
 def distinct(points):
     """The distinct rows and their multiplicities, as ``_k_distance_eps`` takes them."""
     return np.unique(points, axis=0, return_counts=True)
-
-
-def canonical(labels):
-    """Relabel clusters by first occurrence; noise stays -1."""
-    mapping, out = {}, []
-    for l in labels:
-        if l == -1:
-            out.append(-1)
-        else:
-            mapping.setdefault(l, len(mapping))
-            out.append(mapping[l])
-    return np.array(out)
 
 
 def make_paragraph(pid, char_height, char_width, n_chars=200, page=1,
@@ -606,8 +556,9 @@ class TestDbscan:
             eps = float(rng.uniform(0.2, 1.0))
             min_pts = int(rng.integers(2, 6))
             mine = dbscan(points, eps, min_pts)
-            ref = dbscan_reference(points, eps, min_pts)
-            np.testing.assert_array_equal(canonical(mine), canonical(ref))
+            ref = dbscan_union_find(points, eps, min_pts)
+            np.testing.assert_array_equal(
+                relabel_by_first_occurrence(mine), relabel_by_first_occurrence(ref))
 
     def test_permutation_invariance_up_to_relabeling(self):
         rng = np.random.default_rng(82)
@@ -627,8 +578,6 @@ class TestDbscan:
 
     @pytest.mark.parametrize("eps", [1.0, math.sqrt(2.0), 2.0, 5.0])
     def test_neighbours_at_exactly_eps_match_union_find_oracle(self, eps):
-        from test_acceptance import dbscan_union_find
-
         rng = np.random.default_rng(86)
         grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
         triangle = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [3.0, 0.0], [3.0, 4.0]])
