@@ -689,7 +689,7 @@ _PACKED_SHARE = 16
 
 
 def _bow_tokens(text: str) -> list[str]:
-    """Lowercased maximal alphanumeric runs.
+    """Lowercased maximal alphanumeric runs of the NFC-normalized text.
 
     Lowercasing the whole text first gives the same runs when every
     character lowercases to one character (the text keeps its length) and
@@ -698,6 +698,7 @@ def _bow_tokens(text: str) -> list[str]:
     crosses whitespace, and a whitespace-separated word that is all
     alphanumeric (``str.isalnum``, the class of ``_TOKEN_RE``) is one run.
     """
+    text = unicodedata.normalize("NFC", text)  # as substring_filter compares texts
     lower = text.lower()
     if len(lower) != len(text) or "\u03a3" in text:
         return [t.lower() for t in _TOKEN_RE.findall(text)]

@@ -38,26 +38,21 @@ def focal_loss(
     logits: np.ndarray,
     targets: np.ndarray,
     gamma: float = DEFAULT_GAMMA,
-    alpha: float | None = None,
 ) -> LossValue:
     """Multilabel focal loss, summed over labels.
 
     Per label, with p = sigmoid(logit) and p_t = p for a positive target
     and 1 - p for a negative one:
 
-        term = -alpha_t * (1 - p_t)**gamma * log(p_t)
+        term = -(1 - p_t)**gamma * log(p_t)
 
-    where alpha_t = alpha for positives and 1 - alpha for negatives
-    (1 on both sides when alpha is None).  With gamma = 0 and alpha
-    absent this is exactly binary cross-entropy.
+    With gamma = 0 this is exactly binary cross-entropy.
 
     Accepts arrays of any shape (logits and targets elementwise); the
     value sums over all entries, so a batch gives the batch total.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if alpha is not None and not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if logits.shape != targets.shape:
@@ -69,17 +64,12 @@ def focal_loss(
     p_t = np.exp(log_pt)
     one_minus_pt = np.exp(-np.logaddexp(0.0, z_t))
 
-    if alpha is None:
-        alpha_t = 1.0
-    else:
-        alpha_t = np.where(targets == 1.0, alpha, 1.0 - alpha)
-
     focus = np.power(one_minus_pt, gamma)
-    terms = -alpha_t * focus * log_pt
+    terms = -focus * log_pt
     # d term / d logit, via d p_t / d logit = sign * p_t * (1 - p_t);
     # p_t * log(p_t) -> 0 as p_t -> 0, where the product would be 0 * -inf
     focal_part = np.multiply(gamma * p_t * focus, log_pt, out=np.zeros_like(log_pt), where=p_t > 0)
-    grad = sign * alpha_t * (focal_part - one_minus_pt * focus)
+    grad = sign * (focal_part - one_minus_pt * focus)
     return LossValue(float(terms.sum()), grad)
 
 
@@ -105,13 +95,12 @@ def ldam_loss(
     logits: np.ndarray,
     true_class: int | np.ndarray,
     margins: np.ndarray,
-    scale: float = 1.0,
 ) -> LossValue:
     """Cross-entropy of softmax over margin-adjusted logits.
 
     The true-class logit is replaced by z_y - margin_y before the
-    softmax; ``scale`` multiplies all adjusted logits.  Zero margins and
-    scale 1 reduce exactly to standard softmax cross-entropy.
+    softmax.  Zero margins reduce exactly to standard softmax
+    cross-entropy.
 
     Takes C logits with an int class, or (n, C) logits with an int array
     of n classes; a batch's value is the batch total.
@@ -130,14 +119,12 @@ def ldam_loss(
         raise IndexError(f"true_class {true_class} out of range for {logits.shape[-1]} classes")
 
     at = (np.arange(len(logits)), true_class) if logits.ndim == 2 else true_class
-    adjusted = logits.copy()
-    adjusted[at] -= margins[true_class]
-    z = scale * adjusted
+    z = logits.copy()
+    z[at] -= margins[true_class]
     lse = logsumexp(z)
     value = float((lse - z[at]).sum())
-    softmax = np.exp(z - lse[..., None])
-    grad = scale * softmax
-    grad[at] -= scale
+    grad = np.exp(z - lse[..., None])
+    grad[at] -= 1.0
     return LossValue(value, grad)
 
 

@@ -246,9 +246,9 @@ class ToyDataSpec:
 
 @functools.lru_cache(maxsize=8)
 def make_toy_dataset(spec: ToyDataSpec) -> tuple[np.ndarray, ...]:
-    """Features, targets (binary matrix or class vector), eval rows and
-    train rows; built once per spec and shared read-only, since every PBT
-    snapshot makes a trainable on the same data."""
+    """Train features, train targets (binary matrix or class vector), eval
+    features and eval targets; built once per spec and shared read-only,
+    since every PBT snapshot makes a trainable on the same data."""
     rng = derive_rng(spec.seed)
     x = rng.normal(size=(spec.n_items, spec.n_features))
     if spec.mode == "multilabel":
@@ -269,7 +269,8 @@ def make_toy_dataset(spec: ToyDataSpec) -> tuple[np.ndarray, ...]:
             y = np.where(flips, rng.integers(spec.n_labels, size=spec.n_items), y)
     n_eval = max(1, int(round(EVAL_FRACTION * spec.n_items)))
     split = derive_rng(spec.seed, 1).permutation(spec.n_items)
-    arrays = (x, y, split[:n_eval], split[n_eval:])
+    train, held = split[n_eval:], split[:n_eval]
+    arrays = (x[train], y[train], x[held], y[held])
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -292,7 +293,7 @@ class LinearTrainable:
 
     def __init__(self, data_spec: ToyDataSpec):
         self.spec = data_spec
-        self.x, self.y, self.eval_idx, self.train_idx = make_toy_dataset(data_spec)
+        self.x, self.y, self.x_eval, self.y_eval = make_toy_dataset(data_spec)
         self.weights = np.zeros((data_spec.n_features, data_spec.n_labels))
         self.bias = np.zeros(data_spec.n_labels)
         self.hyperparameters: dict[str, float] = {}
@@ -313,37 +314,29 @@ class LinearTrainable:
                 "beta": float(10.0 ** rng.uniform(-3.0, 0.0)),
             }
 
-    def _logits(self, idx: np.ndarray) -> np.ndarray:
-        return self.x[idx] @ self.weights + self.bias
-
     def train_one_epoch(self) -> None:
-        idx = self.train_idx
         lr = self.hyperparameters["learning_rate"]
+        if self.spec.mode == "multiclass":  # max_margin changes only between epochs
+            counts = np.bincount(self.y, minlength=self.spec.n_labels)
+            margins = ldam_margins(np.maximum(counts, 1), self.hyperparameters["max_margin"])
         for _ in range(STEPS_PER_EPOCH):
-            logits = self._logits(idx)
+            logits = self.x @ self.weights + self.bias
             if self.spec.mode == "multilabel":
-                loss = focal_loss(
-                    logits, self.y[idx], gamma=self.hyperparameters["gamma"]
-                )
-                grad = loss.gradient / idx.size
+                loss = focal_loss(logits, self.y, gamma=self.hyperparameters["gamma"])
+                grad = loss.gradient / len(self.y)
             else:
-                counts = np.bincount(self.y[idx], minlength=self.spec.n_labels)
-                margins = ldam_margins(
-                    np.maximum(counts, 1),
-                    max_margin=self.hyperparameters["max_margin"],
-                )
-                ldam = ldam_loss(logits, self.y[idx], margins)
+                ldam = ldam_loss(logits, self.y, margins)
                 penalty = confidence_penalty(logits, self.hyperparameters["beta"])
-                grad = (ldam.gradient + penalty.gradient) / idx.size
-            self.weights -= lr * (self.x[idx].T @ grad)
+                grad = (ldam.gradient + penalty.gradient) / len(self.y)
+            self.weights -= lr * (self.x.T @ grad)
             self.bias -= lr * grad.sum(axis=0)
 
     def evaluate(self) -> float:
-        logits = self._logits(self.eval_idx)
+        logits = self.x_eval @ self.weights + self.bias
         if self.spec.mode == "multilabel":
             # AUC depends only on ranks, and the sigmoid keeps the order
-            return mean_roc_auc(logits, self.y[self.eval_idx])[0]
-        return balanced_accuracy(np.argmax(logits, axis=1), self.y[self.eval_idx])
+            return mean_roc_auc(logits, self.y_eval)[0]
+        return balanced_accuracy(np.argmax(logits, axis=1), self.y_eval)
 
     def copy_from(self, other: "LinearTrainable") -> None:
         self.weights = other.weights.copy()

@@ -754,22 +754,16 @@ def merge_cross_page(
     """
     _check_merge_mode(mode)
     merged: list[ParagraphRecord] = []
-    margins: list[tuple[float, float] | None] = []
-    for n, page in enumerate(pages):
-        m = body_margins(page)
-        if m is None:
-            where = f"page {page[0].first_page}" if page else f"empty page at position {n}"
-            warnings.warn(f"{where}: no body paragraphs, not merging across")
-        margins.append(m)
-
+    before = None  # the margins of the page before, None when it has no body
     for n, page in enumerate(pages):
         page = list(page)
-        if (  # pages with margins have a body paragraph, so merged[-1] ends page n - 1
-            n > 0
-            and margins[n - 1] is not None
-            and margins[n] is not None
-            and merge_decision(merged[-1], page[0], margins[n - 1], margins[n], mode)
-        ):
+        margins = body_margins(page)
+        if margins is None:
+            where = f"page {page[0].first_page}" if page else f"empty page at position {n}"
+            warnings.warn(f"{where}: no body paragraphs, not merging across")
+        # a page with margins has a body paragraph, so merged[-1] ends the page before
+        elif before is not None and merge_decision(merged[-1], page[0], before, margins, mode):
             merged[-1] = _join(merged[-1], page.pop(0))
         merged.extend(page)
+        before = margins
     return merged

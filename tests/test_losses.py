@@ -44,17 +44,16 @@ def bce_reference(logits, targets):
     return float(np.where(t == 1.0, np.logaddexp(0.0, -z), np.logaddexp(0.0, z)).sum())
 
 
-def focal_expit_reference(logits, targets, gamma, alpha):
+def focal_expit_reference(logits, targets, gamma):
     """Focal loss terms and gradient with p_t = expit(z_t), 1 - p_t =
     expit(-z_t): the scipy form the numpy-only implementation replaced."""
     sign = 2.0 * targets - 1.0
     z_t = sign * logits
     p_t, one_minus_pt = expit(z_t), expit(-z_t)
     log_pt = -np.logaddexp(0.0, -z_t)
-    alpha_t = 1.0 if alpha is None else np.where(targets == 1.0, alpha, 1.0 - alpha)
     focus = np.power(one_minus_pt, gamma)
-    terms = -alpha_t * focus * log_pt
-    grad = sign * alpha_t * (gamma * p_t * focus * log_pt - one_minus_pt * focus)
+    terms = -focus * log_pt
+    grad = sign * (gamma * p_t * focus * log_pt - one_minus_pt * focus)
     return terms, grad
 
 
@@ -94,9 +93,8 @@ class TestFocalLoss:
             z = rng.uniform(-5, 5, size=5)
             t = rng.integers(0, 2, size=5)
             gamma = rng.uniform(0, 4)
-            alpha = rng.uniform(0.1, 1.0) if rng.random() < 0.5 else None
-            out = focal_loss(z, t, gamma=gamma, alpha=alpha)
-            fd = fd_grad(lambda x: focal_loss(x, t, gamma=gamma, alpha=alpha).value, z)
+            out = focal_loss(z, t, gamma=gamma)
+            fd = fd_grad(lambda x: focal_loss(x, t, gamma=gamma).value, z)
             np.testing.assert_allclose(out.gradient, fd, rtol=1e-4, atol=1e-9)
 
     def test_monotone_in_positive_logit(self):
@@ -106,22 +104,13 @@ class TestFocalLoss:
         ]
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
-    def test_alpha_weighting(self):
-        z, t = np.array([0.0]), np.array([1])
-        full = focal_loss(z, t, gamma=0.0).value
-        weighted = focal_loss(z, t, gamma=0.0, alpha=0.25).value
-        np.testing.assert_allclose(weighted, 0.25 * full, rtol=1e-12)
-
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 5.0])
-    @pytest.mark.parametrize("alpha", [None, 0.25])
-    def test_infinite_logit_on_wrong_side_has_limit_gradient(self, gamma, alpha):
-        # the gradient tends to -sign * alpha_t; p_t * log(p_t) -> 0
+    def test_infinite_logit_on_wrong_side_has_limit_gradient(self, gamma):
+        # the gradient tends to -sign; p_t * log(p_t) -> 0
         with np.errstate(all="raise"):
-            out = focal_loss(np.array([np.inf, -np.inf]), np.array([0, 1]), gamma=gamma,
-                             alpha=alpha)
-        alpha_neg, alpha_pos = (1.0, 1.0) if alpha is None else (1.0 - alpha, alpha)
+            out = focal_loss(np.array([np.inf, -np.inf]), np.array([0, 1]), gamma=gamma)
         assert out.value == np.inf
-        assert np.array_equal(out.gradient, [alpha_neg, -alpha_pos])
+        assert np.array_equal(out.gradient, [1.0, -1.0])
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -141,17 +130,16 @@ class TestFocalAgainstExpit:
     """
 
     @staticmethod
-    def check(z, t, gamma, alpha):
+    def check(z, t, gamma):
         with np.errstate(invalid="raise"):
-            out = focal_loss(z, t, gamma=gamma, alpha=alpha)
+            out = focal_loss(z, t, gamma=gamma)
         with np.errstate(invalid="ignore"):  # 0 * -inf at z_t = -inf
-            terms, grad = focal_expit_reference(z, t, gamma, alpha)
+            terms, grad = focal_expit_reference(z, t, gamma)
         budget = 2.0 * (1.0 + gamma) * (np.minimum(np.abs(z), 40.0) + 2.0) * np.finfo(float).eps
         # the expit form takes 0 * -inf at an infinite logit on the wrong
-        # side of its target; there the gradient is its limit -sign * alpha_t
+        # side of its target; there the gradient is its limit -sign
         nan = np.isnan(grad)
-        alpha_t = 1.0 if alpha is None else np.where(t == 1, alpha, 1.0 - alpha)
-        limit = np.broadcast_to(-(2.0 * t - 1.0) * alpha_t, grad.shape)
+        limit = -(2.0 * t - 1.0)
         assert np.array_equal(out.gradient[nan], limit[nan])
         fin = np.isfinite(grad)
         assert np.array_equal(out.gradient[~fin & ~nan], grad[~fin & ~nan])
@@ -170,8 +158,7 @@ class TestFocalAgainstExpit:
         z = rng.normal(scale=scale, size=20_000)
         t = (rng.random(z.size) < 0.3).astype(np.int8)
         for gamma in (0.0, 0.5, 2.0, 5.0):
-            for alpha in (None, 0.25, 1.0):
-                self.check(z, t, gamma, alpha)
+            self.check(z, t, gamma)
 
     def test_boundary_logits(self):
         edge = [0.0, -0.0, 36.7, 37.0, 700.0, 745.0, 746.0, 1e308, np.inf]
@@ -179,13 +166,12 @@ class TestFocalAgainstExpit:
         for target in (0, 1):
             t = np.full(z.size, target)
             for gamma in (0.0, 2.0):
-                for alpha in (None, 0.25):
-                    self.check(z, t, gamma, alpha)
+                self.check(z, t, gamma)
 
     def test_zero_logit_is_exact(self):
         for target in (0, 1):
             out = focal_loss(np.array([0.0]), np.array([target]), gamma=0.0)
-            terms, grad = focal_expit_reference(np.array([0.0]), np.array([target]), 0.0, None)
+            terms, grad = focal_expit_reference(np.array([0.0]), np.array([target]), 0.0)
             assert out.value == terms.sum() and np.array_equal(out.gradient, grad)
 
 
@@ -234,9 +220,8 @@ class TestLdamLoss:
             z = rng.uniform(-5, 5, size=k)
             y = int(rng.integers(k))
             margins = rng.uniform(0, 1, size=k)
-            scale = rng.uniform(0.5, 3.0)
-            out = ldam_loss(z, y, margins, scale=scale)
-            fd = fd_grad(lambda x: ldam_loss(x, y, margins, scale=scale).value, z)
+            out = ldam_loss(z, y, margins)
+            fd = fd_grad(lambda x: ldam_loss(x, y, margins).value, z)
             np.testing.assert_allclose(out.gradient, fd, rtol=1e-4, atol=1e-9)
 
     def test_index_out_of_range(self):
@@ -300,9 +285,8 @@ class TestBatches:
             z = rng.uniform(-5, 5, size=(n, k))
             y = rng.integers(0, k, size=n)
             margins = rng.uniform(0, 1, size=k)
-            scale = rng.uniform(0.5, 3.0)
-            out = ldam_loss(z, y, margins, scale=scale)
-            fd = fd_grad(lambda x: ldam_loss(x, y, margins, scale=scale).value, z)
+            out = ldam_loss(z, y, margins)
+            fd = fd_grad(lambda x: ldam_loss(x, y, margins).value, z)
             np.testing.assert_allclose(out.gradient, fd, rtol=1e-4, atol=1e-9)
 
     def test_penalty_gradient_matches_finite_differences(self):

@@ -8,11 +8,14 @@ from scipy.special import expit
 from scipy.stats import chi2
 
 from labelcal._util import derive_rng
-from labelcal.core import LabelcalError
-from labelcal.losses import confidence_penalty, ldam_loss, ldam_margins
-from labelcal.metrics import UndefinedMetricError, roc_auc
+from labelcal.core import LabelcalError, quantile
+from labelcal.losses import confidence_penalty, focal_loss, ldam_loss, ldam_margins
+from labelcal.metrics import UndefinedMetricError, balanced_accuracy, mean_roc_auc, roc_auc
 from labelcal.pbt import (
     ELITE_FRACTION,
+    EVAL_FRACTION,
+    POSITIVE_RATE,
+    STEPS_PER_EPOCH,
     LinearTrainable,
     PbtConfig,
     ToyDataSpec,
@@ -297,7 +300,7 @@ class TestToyTrainable:
         t = LinearTrainable(spec)
         t.init(seed=1)
         t.train_one_epoch()
-        logits, truth = t._logits(t.eval_idx), t.y[t.eval_idx]
+        logits, truth = t.x_eval @ t.weights + t.bias, t.y_eval
         assert not truth[:, 5].any()
         aucs = []
         for j in range(spec.n_labels):
@@ -321,14 +324,14 @@ class TestToyTrainable:
     def test_trainables_on_one_spec_share_read_only_data(self):
         spec = ToyDataSpec(n_items=100, n_labels=2, n_features=4, seed=3)
         a, b = LinearTrainable(spec), LinearTrainable(spec)
-        for name in ("x", "y", "eval_idx", "train_idx"):
+        for name in ("x", "y", "x_eval", "y_eval"):
             assert getattr(a, name) is getattr(b, name)
             with pytest.raises(ValueError):
                 getattr(a, name)[0] = 0
         a.init(seed=1)
         a.hyperparameters = {"learning_rate": 0.5, "gamma": 2.0}
         a.train_one_epoch()
-        shared = (a.x, a.y, a.eval_idx, a.train_idx)
+        shared = (a.x, a.y, a.x_eval, a.y_eval)
         fresh = make_toy_dataset.__wrapped__(spec)  # the uncached build
         assert all(np.array_equal(x, y) for x, y in zip(fresh, shared))
 
@@ -342,8 +345,8 @@ class TestToyTrainable:
         t.train_one_epoch()
         if tied:  # one logit per label column: every item ties
             t.weights[:] = 0.0
-        probs = expit(t.x[t.eval_idx] @ t.weights + t.bias)
-        truth = t.y[t.eval_idx]
+        probs = expit(t.x_eval @ t.weights + t.bias)
+        truth = t.y_eval
         expected = np.mean([roc_auc(probs[:, j], truth[:, j]) for j in range(4)])
         assert t.evaluate() == float(expected)
         if tied:
@@ -354,3 +357,102 @@ class TestToyTrainable:
             ToyDataSpec(mode="other")
         with pytest.raises(LabelcalError):
             ToyDataSpec(noise=0.9)
+
+
+def toy_dataset_reference(spec):
+    """The toy data as built before the split was gathered once: all
+    features, all targets, eval rows and train rows."""
+    rng = derive_rng(spec.seed)
+    x = rng.normal(size=(spec.n_items, spec.n_features))
+    if spec.mode == "multilabel":
+        rates = POSITIVE_RATE / 2.0 ** np.arange(spec.n_labels)
+        w = rng.normal(size=(spec.n_features, spec.n_labels))
+        raw = x @ w
+        cuts = np.array([quantile(raw[:, j], 1.0 - rate) for j, rate in enumerate(rates)])
+        y = (raw > cuts).astype(np.int8)
+        flips = rng.random(y.shape) < spec.noise
+        y = np.where(flips, 1 - y, y)
+    else:
+        weights = 0.5 ** np.arange(spec.n_labels)
+        y = rng.choice(spec.n_labels, size=spec.n_items, p=weights / weights.sum())
+        means = rng.normal(scale=3.0, size=(spec.n_labels, spec.n_features))
+        x = means[y] + x
+        if spec.noise > 0:
+            flips = rng.random(spec.n_items) < spec.noise
+            y = np.where(flips, rng.integers(spec.n_labels, size=spec.n_items), y)
+    n_eval = max(1, int(round(EVAL_FRACTION * spec.n_items)))
+    split = derive_rng(spec.seed, 1).permutation(spec.n_items)
+    return x, y, split[:n_eval], split[n_eval:]
+
+
+class GatheringTrainable(LinearTrainable):
+    """The toy trainable's step loop before the split was gathered once:
+    each step gathers the train rows again and, in multiclass mode,
+    rebuilds the LDAM margins."""
+
+    def __init__(self, data_spec):
+        super().__init__(data_spec)
+        self.x_all, self.y_all, self.eval_idx, self.train_idx = toy_dataset_reference(data_spec)
+
+    def _logits(self, idx):
+        return self.x_all[idx] @ self.weights + self.bias
+
+    def train_one_epoch(self):
+        idx = self.train_idx
+        lr = self.hyperparameters["learning_rate"]
+        for _ in range(STEPS_PER_EPOCH):
+            logits = self._logits(idx)
+            if self.spec.mode == "multilabel":
+                loss = focal_loss(logits, self.y_all[idx], gamma=self.hyperparameters["gamma"])
+                grad = loss.gradient / idx.size
+            else:
+                counts = np.bincount(self.y_all[idx], minlength=self.spec.n_labels)
+                margins = ldam_margins(
+                    np.maximum(counts, 1), max_margin=self.hyperparameters["max_margin"])
+                ldam = ldam_loss(logits, self.y_all[idx], margins)
+                penalty = confidence_penalty(logits, self.hyperparameters["beta"])
+                grad = (ldam.gradient + penalty.gradient) / idx.size
+            self.weights -= lr * (self.x_all[idx].T @ grad)
+            self.bias -= lr * grad.sum(axis=0)
+
+    def evaluate(self):
+        logits = self._logits(self.eval_idx)
+        if self.spec.mode == "multilabel":
+            return mean_roc_auc(logits, self.y_all[self.eval_idx])[0]
+        return balanced_accuracy(np.argmax(logits, axis=1), self.y_all[self.eval_idx])
+
+
+# the two pbt-demo runs of the bench: (data spec, scheduler) keyword arguments
+BENCH_PBT_DEMOS = {
+    "multilabel": ({"n_items": 400, "n_labels": 5, "n_features": 8, "mode": "multilabel"},
+                   {"population_size": 16, "min_generations": 5, "patience": 10,
+                    "mode": "fixed"}),
+    "multiclass": ({"n_items": 200, "n_labels": 4, "n_features": 8, "mode": "multiclass"},
+                   {"population_size": 8, "min_generations": 5, "patience": 3,
+                    "mode": "patience"}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["multilabel", "multiclass"])
+def test_pbt_run_equals_the_gathering_step_loop(mode, seed):
+    data, scheduler = BENCH_PBT_DEMOS[mode]
+    spec = ToyDataSpec(**data, seed=seed)
+    config = PbtConfig(**scheduler, seed=seed)
+
+    def run(trainable):
+        made = []  # the population first, then the selection snapshots
+
+        def factory():
+            made.append(trainable(spec))
+            return made[-1]
+
+        return pbt_run(factory, config), [(t.weights.tobytes(), t.bias.tobytes()) for t in made]
+
+    got, got_state = run(LinearTrainable)
+    want, want_state = run(GatheringTrainable)
+    assert len(want.history) >= config.min_generations
+    # repr prints each float to the bit, every history entry included
+    assert repr(got) == repr(want)
+    # a score can hide a small change in the weights; the final state cannot
+    assert got_state == want_state

@@ -1,6 +1,7 @@
 """Every public name has a caller in the package or the demos, every
-private module-level name a reader in the package, and every error type
-has a reason to be its own type.
+private module-level name a reader in the package, every defaulted
+parameter a call that sets it, and every error type has a reason to be
+its own type.
 
 A name in ``labelcal.__all__`` that nothing outside the tests uses is
 surface to keep without a purpose, and a private helper nothing reads is
@@ -10,6 +11,7 @@ code a refactor left behind; these checks keep them from regrowing.
 import ast
 import importlib
 import pkgutil
+from collections import defaultdict
 from pathlib import Path
 
 import labelcal
@@ -84,3 +86,35 @@ def test_each_error_type_has_a_reason():
         "UndefinedMetricError",  # caught by metrics.mean_roc_auc, which skips that label
         "UsageError",  # exit 1, where every other error exits 2
     }
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """A default no call overrides is a knob nothing turns.  The oracles
+    count as callers: they are the judge of the package's behaviour."""
+    package = sorted((ROOT / "src" / "labelcal").glob("*.py"))
+    defaulted = []  # (module, function, parameter, position or None if keyword-only)
+    for path in package:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaulted += [(path.stem, node.name, arg.arg, first + i)
+                              for i, arg in enumerate(positional[first:])]
+                defaulted += [(path.stem, node.name, arg.arg, None)
+                              for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+    # per called name: the positions and keywords some call passes; "*" and
+    # "**" stand for an unpacked argument, which may set any of them
+    passed = defaultdict(set)
+    callers = [*package, *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed[name].update(range(len(node.args)))
+                passed[name].update("*" for arg in node.args if isinstance(arg, ast.Starred))
+                passed[name].update(kw.arg or "**" for kw in node.keywords)
+    assert len(defaulted) > 20
+    assert [f"{module}.{function}({param})" for module, function, param, position in defaulted
+            if not {param, position, "*", "**"} & passed[function]] == []

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+import unicodedata
 import warnings
 from unittest import mock
 
@@ -951,6 +952,31 @@ def merge_reference(pages, mode):
     return merged
 
 
+def merge_two_pass(pages, mode):
+    """The page merge as two passes: every page's margins and warnings
+    first, then the merges."""
+    merged = []
+    margins = []
+    for n, page in enumerate(pages):
+        m = body_margins(page)
+        if m is None:
+            where = f"page {page[0].first_page}" if page else f"empty page at position {n}"
+            warnings.warn(f"{where}: no body paragraphs, not merging across")
+        margins.append(m)
+
+    for n, page in enumerate(pages):
+        page = list(page)
+        if (
+            n > 0
+            and margins[n - 1] is not None
+            and margins[n] is not None
+            and merge_decision(merged[-1], page[0], margins[n - 1], margins[n], mode)
+        ):
+            merged[-1] = segmentation._join(merged[-1], page.pop(0))
+        merged.extend(page)
+    return merged
+
+
 def random_pages(rng):
     """Up to seven pages of zero to three paragraphs: empty, heading-only
     and one-paragraph pages, flush or indented starts, full or short ends."""
@@ -1042,6 +1068,35 @@ class TestMergeCrossPage:
         assert len(merged) == len(pages[0]) + len(pages[2])
 
 
+    def test_body_less_pages_at_the_ends_and_in_a_row_match_two_passes(self):
+        def heading(number):
+            return [make_paragraph(f"h{number}", 14.0, 7.0, page=number, cls="heading")]
+
+        pages = [
+            heading(1), [],  # no body at the start
+            self.page(3, last_right=698),
+            heading(4), [],  # two in a row in the middle, between pages that would merge
+            self.page(6, first_left=100, last_right=698),
+            self.page(7, first_left=100, last_right=400),
+            self.page(8, first_left=100),
+            [], heading(10),  # and at the end
+        ]
+        for mode in ("conjunctive", "disjunctive"):
+            runs = []
+            for merge in (merge_cross_page, merge_two_pass):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    merged = merge(pages, mode=mode)
+                runs.append((merged, [(w.category, str(w.message)) for w in caught]))
+            assert runs[0] == runs[1]
+            merged, caught = runs[0]
+            assert [text for _, text in caught] == [
+                f"{where}: no body paragraphs, not merging across" for where in (
+                    "page 1", "empty page at position 1", "page 4", "empty page at position 4",
+                    "empty page at position 8", "page 10")]
+            spans = [(p.first_page, p.last_page) for p in merged if p.first_page < p.last_page]
+            assert spans == ([(6, 7)] if mode == "conjunctive" else [(6, 7), (7, 8)])
+
     def test_unknown_mode_is_an_error_whatever_the_pages(self):
         heading = make_paragraph("h", 14.0, 7.0, page=1, cls="heading")
         body = make_paragraph("b", 10.0, 5.0, page=2)
@@ -1109,6 +1164,19 @@ class TestBowMatch:
         # oracle: cos = 4 / (sqrt(4) * sqrt(8)) -> distance 1 - sqrt(2)/2
         assert index == 0
         np.testing.assert_allclose(distance, 1 - math.sqrt(2) / 2, rtol=1e-12)
+
+    def test_decomposed_text_matches_as_its_composed_form(self):
+        # as substring_filter does, both sides are compared in NFC: "ó" written
+        # as "o" and a combining acute is one letter, not the end of a run
+        quote = "fordító verseit"
+        corpus = ["a fordító verseit olvasta", "to fordi verseit"]
+        nfd = [unicodedata.normalize("NFD", text) for text in [quote, *corpus]]
+        assert nfd[0] != quote
+        want = [(0, 1.0 - 2 / (math.sqrt(2) * 2.0))]
+        assert bow_match_many([quote], corpus) == want
+        assert bow_match_many(nfd[:1], nfd[1:]) == want
+        assert bow_match_many(nfd[:1], corpus) == bow_match_many([quote], nfd[1:]) == want
+        assert _bow_tokens(nfd[0]) == ["fordító", "verseit"]
 
     def test_tokenizer_lowercases_alphanumeric_runs(self):
         assert _bow_tokens("Alma-Körte 12x") == ["alma", "körte", "12x"]
